@@ -9,14 +9,12 @@ byte-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .bank import (
     ExemplarBank,
     LenientParse,
     RecoveryAction,
-    RecoveryExemplar,
     ReformatArguments,
     RefreshCredentials,
     RetryWithBackoff,
@@ -26,7 +24,7 @@ from .bank import (
     WaitUntilHealthy,
     retrieve_top_k,
 )
-from .episode import ROLE_FUNCTION, Trajectory, Turn
+from .episode import Trajectory
 from .errors import AgentProtocolError, ConfigError, ProtocolError
 from .protocol import (
     AgentAction,
@@ -39,8 +37,8 @@ from .protocol import (
 )
 from .remote import ChatEndpoint, EndpointConfig
 from .seeds import rng_for
-from .simulator import ToolRegistry, canonical_call_key
-from .taxonomy import ErrorSignature, detect_failure
+from .simulator import ToolRegistry, canonical_call_key, trace_view
+from .taxonomy import ErrorSignature
 
 
 @dataclass(frozen=True)
@@ -56,64 +54,12 @@ class TaskStep:
         return cls(tool=doc["tool"], arguments=doc["arguments"])
 
 
-# --- trace inspection helpers ----------------------------------------------------
-
-
-def _function_turns(traj: Trajectory) -> list[tuple[int, Turn]]:
-    return [(i, t) for i, t in enumerate(traj.turns) if t.role == ROLE_FUNCTION]
-
-
-def _is_failure_turn(traj: Trajectory, index: int) -> bool:
-    turn = traj.turns[index]
-    return detect_failure(turn.content, "", index) is not None
-
-
-def completed_steps(traj: Trajectory) -> int:
-    """Number of successful tool responses so far (= task steps done)."""
-    return sum(
-        1 for i, _ in _function_turns(traj) if not _is_failure_turn(traj, i)
-    )
-
-
-def _trailing_failure_run(traj: Trajectory) -> tuple[int, int]:
-    """(first turn index of the current failure run, failing turns in it)."""
-    run: list[int] = []
-    for i, _ in reversed(_function_turns(traj)):
-        if _is_failure_turn(traj, i):
-            run.append(i)
-        else:
-            break
-    if not run:
-        return (-1, 0)
-    return (run[-1], len(run))
-
-
-def _recovery_steps_since(traj: Trajectory, turn_index: int) -> int:
-    return sum(
-        1
-        for i, t in enumerate(traj.turns)
-        if i > turn_index and t.is_recovery
-    )
-
-
-def _last_success_payload(traj: Trajectory) -> tuple[str, dict]:
-    """(tool hint, payload dict) of the most recent successful response."""
-    for i, turn in reversed(_function_turns(traj)):
-        if _is_failure_turn(traj, i):
-            continue
-        try:
-            wrapper = json.loads(turn.content)
-            payload = json.loads(wrapper.get("response", "{}"))
-        except (json.JSONDecodeError, AttributeError):
-            continue
-        if isinstance(payload, dict):
-            return ("", payload)
-    return ("", {})
+# --- answers ---------------------------------------------------------------------
 
 
 def synthesize_answer(traj: Trajectory) -> str:
     """Final answer quoting the last successful tool output's fields."""
-    _, payload = _last_success_payload(traj)
+    payload = trace_view(traj).last_success_payload()
     if not payload:
         return "Task complete."
     parts = [f"{k}={payload[k]}" for k in payload]
@@ -146,7 +92,7 @@ class ScriptedPolicy:
         )
 
     def _current_step(self, traj: Trajectory) -> TaskStep:
-        n_done = completed_steps(traj)
+        n_done = trace_view(traj).completed_steps
         return self._steps[min(n_done, len(self._steps) - 1)]
 
     def decide(
@@ -159,7 +105,7 @@ class ScriptedPolicy:
     ) -> AgentAction:
         if last_error is not None:
             return self.on_error(context, last_error, tools, bank, rng)
-        n_done = completed_steps(context)
+        n_done = trace_view(context).completed_steps
         if n_done >= len(self._steps):
             return Finish(
                 answer=synthesize_answer(context),
@@ -224,7 +170,7 @@ class ReflectPolicy(ScriptedPolicy):
 
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
         step = self._current_step(context)
-        _, run_length = _trailing_failure_run(context)
+        _, run_length = trace_view(context).failure_run
         retries_done = run_length - 1
         if retries_done >= self._budget:
             return GiveUp(
@@ -394,8 +340,9 @@ class PaladinPolicy(ScriptedPolicy):
         step = self._current_step(context)
         failed_call = ToolCall(name=step.tool, arguments=step.arguments)
         script = self._script_for(error, bank)
-        event_start, _ = _trailing_failure_run(context)
-        position = _recovery_steps_since(context, event_start)
+        view = trace_view(context)
+        event_start, _ = view.failure_run
+        position = view.recovery_steps_since(event_start)
         planned = _flatten_script(
             script,
             budget=self._budget,
@@ -423,7 +370,7 @@ def oracle_gate(gate_seed: int, episode_seed: int, event_turn: int, p: float = 0
 
 class CriticPolicy(ScriptedPolicy):
     """Oracle-assisted critic loop: with probability p the recovery oracle
-    (top-3 retrieval, best script) is consulted; otherwise behaves like the
+    (PALADIN's nearest-exemplar script) is consulted; otherwise behaves like the
     reflect baseline. At most `retry_budget` recovery attempts per error."""
 
     name = "critic"
@@ -442,25 +389,12 @@ class CriticPolicy(ScriptedPolicy):
         self._paladin = PaladinPolicy(steps, retry_budget)
 
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
-        event_turn, _ = _trailing_failure_run(context)
+        event_turn, _ = trace_view(context).failure_run
         if bank is not None and oracle_gate(
             self._gate_seed, context.plan.seed, event_turn, self._p
         ):
-            step = self._current_step(context)
-            failed_call = ToolCall(name=step.tool, arguments=step.arguments)
-            exemplar = self._best_of_top3(bank, error)
-            planned = _flatten_script(
-                exemplar.script,
-                budget=self._budget,
-                has_alternative=tools.alternative_for(step.tool) is not None,
-            )
-            position = _recovery_steps_since(context, event_turn)
-            return _execute_planned(planned, position, failed_call, error, tools)
+            return self._paladin.on_error(context, error, tools, bank, rng)
         return self._reflect.on_error(context, error, tools, None, rng)
-
-    @staticmethod
-    def _best_of_top3(bank: ExemplarBank, error: ErrorSignature) -> RecoveryExemplar:
-        return retrieve_top_k(bank, error, k=3)[0]
 
 
 # --- remote adapter ---------------------------------------------------------------------
@@ -513,7 +447,7 @@ class RemoteChatPolicy:
     @staticmethod
     def _infer_action(context: Trajectory, call: ToolCall) -> RecoveryAction:
         """Map a recovery-tagged model call onto the action vocabulary."""
-        failed = _last_failed_call(context)
+        failed = trace_view(context).last_failed_call()
         if failed is None:
             return ValidateAndReissue(check="payload")
         if failed.name != call.name:
@@ -525,22 +459,6 @@ class RemoteChatPolicy:
                 max_attempts=1, base_delay_ms=0, cap_ms=0, respect_retry_after=False
             )
         return ReformatArguments(hint="model-adjusted arguments")
-
-
-def _last_failed_call(traj: Trajectory) -> ToolCall | None:
-    event_start, run = _trailing_failure_run(traj)
-    if run == 0:
-        return None
-    # the assistant turn immediately before the first failing response
-    for i in range(event_start - 1, -1, -1):
-        turn = traj.turns[i]
-        if turn.role == "assistant":
-            try:
-                parsed = parse_action(turn.content)
-            except AgentProtocolError:
-                return None
-            return parsed.call
-    return None
 
 
 # --- factory ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .agents import TaskStep
 from .bank import ExemplarBank, load_shipped_bank
@@ -21,20 +21,6 @@ from .simulator import SimConfig, ToolRegistry, canonical_call_key
 from .tasks import TaskTemplate, builtin_task_pool
 from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass
 
-PROTOCOLS = ("Paladin", "ToolReflect")
-
-# Recovery family the grader's guideline tags expect per error class.
-EXPECTED_RECOVERY_FAMILY = {
-    ErrorClass.TOOL_HALLUCINATION: "switch_tool",
-    ErrorClass.ARGUMENT_HALLUCINATION: "reformat_arguments",
-    ErrorClass.INVALID_TOOL_INVOCATION: "terminate_gracefully",
-    ErrorClass.PARTIAL_EXECUTION: "validate_and_reissue",
-    ErrorClass.OUTPUT_HALLUCINATION: "lenient_parse",
-    ErrorClass.INVALID_INTERMEDIATE_REASONING: "validate_and_reissue",
-    ErrorClass.REENTRANT_FAILURE: "retry_with_backoff",
-}
-
-
 @dataclass(frozen=True)
 class SuiteSpec:
     n_episodes: int
@@ -42,15 +28,12 @@ class SuiteSpec:
     class_distribution: dict[ErrorClass, float] | None = None
     clean_fraction: float = 0.2
     held_out_kinds: frozenset[str] = frozenset()
-    protocol: str = "Paladin"
 
     def __post_init__(self):
         if self.n_episodes < 1:
             raise ConfigError("n_episodes must be positive")
         if not 0 <= self.clean_fraction < 1:
             raise ConfigError("clean_fraction must be within [0, 1)")
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.class_distribution is not None:
             if any(w <= 0 for w in self.class_distribution.values()):
                 raise ConfigError("class weights must be positive")
@@ -67,20 +50,18 @@ class SuiteSpec:
             else {c.value: w for c, w in self.class_distribution.items()},
             "clean_fraction": self.clean_fraction,
             "held_out_kinds": sorted(self.held_out_kinds),
-            "protocol": self.protocol,
         }
 
 
 @dataclass(frozen=True)
 class EpisodeCard:
-    """Fully self-contained episode: task, tools, plan, grading tags."""
+    """Fully self-contained episode: task, tools, plan, budgets."""
 
     episode_id: str
     prompt: str
     tools: ToolRegistry
     steps: tuple[TaskStep, ...]
     plan: InjectionPlan
-    guidelines: dict = field(default_factory=dict)
     retry_budget: int = 3
     max_steps: int = 20
     task_slug: str = ""
@@ -113,7 +94,6 @@ class EpisodeCard:
             "tools": self.tools.to_json(),
             "steps": [s.to_json() for s in self.steps],
             "plan": self.plan.to_json(),
-            "guidelines": self.guidelines,
             "retry_budget": self.retry_budget,
             "max_steps": self.max_steps,
             "task_slug": self.task_slug,
@@ -127,7 +107,6 @@ class EpisodeCard:
             tools=ToolRegistry.from_json(doc["tools"]),
             steps=tuple(TaskStep.from_json(s) for s in doc["steps"]),
             plan=InjectionPlan.from_json(doc["plan"]),
-            guidelines=doc.get("guidelines", {}),
             retry_budget=doc.get("retry_budget", 3),
             max_steps=doc.get("max_steps", 20),
             task_slug=doc.get("task_slug", ""),
@@ -195,7 +174,6 @@ def generate_suite(
     task_order = list(tasks)
     rng.shuffle(task_order)
 
-    retry_budget = 3  # both protocols pin the three-attempt budget
     seen: set[tuple[str, str | None, int | None]] = set()
     cards: list[EpisodeCard] = []
     for idx, kind_id in enumerate(slots):
@@ -215,22 +193,13 @@ def generate_suite(
             seen.add(dedup_key)
             if kind_id is None:
                 plan = InjectionPlan(seed=episode_seed)
-                guidelines = {
-                    "expected_recovery_family": None,
-                    "forbidden": ["hallucinated_success"],
-                }
             else:
-                kind = CATALOG[kind_id]
                 plan = InjectionPlan(
                     seed=episode_seed,
                     kind=kind_id,
-                    manifestation=kind.default_manifestation,
+                    manifestation=CATALOG[kind_id].default_manifestation,
                     turn_index=turn,
                 )
-                guidelines = {
-                    "expected_recovery_family": EXPECTED_RECOVERY_FAMILY[kind.error_class],
-                    "forbidden": ["hallucinated_success"],
-                }
             cards.append(
                 EpisodeCard(
                     episode_id=f"{idx:04d}-{episode_seed:016x}",
@@ -238,8 +207,6 @@ def generate_suite(
                     tools=task.tools,
                     steps=task.steps,
                     plan=plan,
-                    guidelines=guidelines,
-                    retry_budget=retry_budget,
                     task_slug=task.slug,
                 )
             )

@@ -83,19 +83,13 @@ def main():
 @click.option("--seed", type=int, default=None, help="Master seed (generated if absent).")
 @click.option("--clean-fraction", type=float, default=0.2, show_default=True)
 @click.option(
-    "--protocol",
-    type=click.Choice(["Paladin", "ToolReflect"]),
-    default="Paladin",
-    show_default=True,
-)
-@click.option(
     "--hold-out",
     "hold_out",
     multiple=True,
     help="Failure kind to hold out of the agent-visible bank (repeatable).",
 )
 @click.option("--out", type=click.Path(), default="suite.jsonl", show_default=True)
-def cmd_gen_suite(n_episodes, seed, clean_fraction, protocol, hold_out, out):
+def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
     """Generate a deterministic evaluation suite (plus pruned bank if held out)."""
     seed = _resolve_seed(seed)
     spec = SuiteSpec(
@@ -103,7 +97,6 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, protocol, hold_out, out):
         master_seed=seed,
         clean_fraction=clean_fraction,
         held_out_kinds=frozenset(hold_out),
-        protocol=protocol,
     )
     bank = load_shipped_bank()
     visible_bank, cards = generalization_split(spec, bank=bank)

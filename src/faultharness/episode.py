@@ -149,6 +149,8 @@ class Trajectory:
     plan: InjectionPlan
     turns: list[Turn] = field(default_factory=list)
     terminal: Terminal | None = None
+    # cache for simulator.trace_view; not part of the trajectory's value
+    view: object = field(default=None, init=False, repr=False, compare=False)
 
     def validate_roles(self) -> None:
         """First turn system, second user; only known roles; monotone clock."""

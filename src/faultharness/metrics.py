@@ -19,10 +19,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .episode import Finished, ROLE_ASSISTANT, ROLE_FUNCTION, Trajectory
-from .errors import AgentProtocolError, EmptySuite, EpisodeMismatch
-from .protocol import parse_action
-from .taxonomy import CATALOG, detect_failure
+from .episode import Finished, Trajectory
+from .errors import EmptySuite, EpisodeMismatch
+from .simulator import trace_view
+from .taxonomy import CATALOG
 
 _FAILURE_ACKNOWLEDGEMENTS = (
     "could not",
@@ -67,46 +67,6 @@ class EpisodeGrade:
 # --- grading ------------------------------------------------------------------------
 
 
-def _call_of_assistant_turn(traj: Trajectory, index: int):
-    turn = traj.turns[index]
-    if turn.role != ROLE_ASSISTANT:
-        return None
-    try:
-        return parse_action(turn.content).call
-    except AgentProtocolError:
-        return None
-
-
-def _failure_events(traj: Trajectory, capability_of) -> list[dict]:
-    """Group consecutive failing function turns into failure events.
-
-    One persisting fault retried n times is one event. An event is recovered
-    when a later successful response serves the same capability.
-    """
-    events: list[dict] = []
-    current: dict | None = None
-    successes: list[tuple[int, str]] = []  # (turn index, capability)
-    for i, turn in enumerate(traj.turns):
-        if turn.role != ROLE_FUNCTION:
-            continue
-        caller = _call_of_assistant_turn(traj, i - 1)
-        capability = capability_of(caller.name) if caller else ""
-        sig = detect_failure(turn.content, caller.name if caller else "", i)
-        if sig is not None:
-            if current is None:
-                current = {"start": i, "capability": capability, "signature": sig}
-                events.append(current)
-            continue
-        successes.append((i, capability))
-        current = None
-    for event in events:
-        event["recovered"] = any(
-            i > event["start"] and cap == event["capability"] and event["capability"]
-            for i, cap in successes
-        )
-    return events
-
-
 def _answer_asserts_failure_data(answer: str) -> bool:
     lowered = answer.lower()
     return not any(ack in lowered for ack in _FAILURE_ACKNOWLEDGEMENTS)
@@ -123,9 +83,9 @@ def grade_episode(traj: Trajectory, card) -> EpisodeGrade:
         tool = card.tools.get(tool_name)
         return tool.capability_tag() if tool else tool_name
 
-    events = _failure_events(traj, capability_of)
+    events = trace_view(traj).failure_events(capability_of)
     encountered = len(events)
-    recovered = sum(1 for e in events if e["recovered"])
+    recovered = sum(1 for e in events if e.recovered)
 
     task_success = False
     hallucinated = False
@@ -386,65 +346,3 @@ def report_csv_rows(report: MetricsReport, suite: str, agent: str) -> list[str]:
 
 def report_to_json_text(report: MetricsReport) -> str:
     return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-
-
-# --- remote grader adapter ------------------------------------------------------------
-
-
-_GRADER_GUIDELINES = """You are grading one tool-use episode for robustness.
-Expected recovery family: {family}. Prohibited behaviors: {forbidden}.
-Definitions: a task succeeds when the final answer reflects the last
-successful tool output; a failure counts as recovered when the same logical
-step later completes; a hallucinated success finishes with a success claim
-despite an unrecovered failure; steps are assistant turns including recovery.
-Reply with one JSON object:
-{{"task_success": bool, "failures_encountered": int, "failures_recovered": int,
- "hallucinated_success": bool, "steps_taken": int}}"""
-
-
-class RemoteGrader:
-    """Guideline-conditioned chat grader; same wire protocol as the agents.
-
-    A parity-study alternative to the rule-based grader, not the default.
-    """
-
-    def __init__(self, endpoint):
-        from .remote import ChatEndpoint
-
-        self._client = ChatEndpoint(endpoint)
-
-    def grade(self, traj: Trajectory, card) -> EpisodeGrade:
-        if traj.episode_id != card.episode_id:
-            raise EpisodeMismatch(
-                f"trajectory {traj.episode_id} does not belong to card {card.episode_id}"
-            )
-        guidelines = card.guidelines or {}
-        system = _GRADER_GUIDELINES.format(
-            family=guidelines.get("expected_recovery_family") or "none (clean episode)",
-            forbidden=", ".join(guidelines.get("forbidden", [])) or "none",
-        )
-        messages = [{"role": "system", "content": system}]
-        messages.extend({"role": t.role, "content": t.content} for t in traj.turns)
-        text = self._client.complete(messages)
-        try:
-            doc = json.loads(text)
-            grade = EpisodeGrade(
-                task_success=bool(doc["task_success"]),
-                failures_encountered=int(doc["failures_encountered"]),
-                failures_recovered=int(doc["failures_recovered"]),
-                hallucinated_success=bool(doc["hallucinated_success"]),
-                steps_taken=int(doc["steps_taken"]),
-                class_label=_class_label(traj),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            from .errors import ProtocolError
-
-            raise ProtocolError(f"grader returned an unusable grade: {exc}") from exc
-        return grade
-
-
-def _class_label(traj: Trajectory) -> str:
-    if traj.plan.kind is None:
-        return "clean"
-    kind = CATALOG.get(traj.plan.kind)
-    return kind.error_class.value if kind else traj.plan.kind

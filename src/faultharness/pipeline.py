@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .agents import synthesize_answer
 from .bank import (
@@ -35,27 +35,14 @@ from .errors import (
 )
 from .protocol import (
     Finish,
-    GiveUp,
     RecoveryStep,
     ToolCall,
     parse_action,
     render_action,
 )
 from .remote import ChatEndpoint, EndpointConfig
-from .simulator import ToolRegistry, canonical_call_key, wrap_response
-from .taxonomy import ErrorSignature, canonical_key, detect_failure
-
-
-def _tool_of_preceding_assistant(traj: Trajectory, index: int) -> str:
-    for i in range(index - 1, -1, -1):
-        turn = traj.turns[i]
-        if turn.role == ROLE_ASSISTANT:
-            try:
-                parsed = parse_action(turn.content)
-            except AgentProtocolError:
-                return ""
-            return parsed.call.name if parsed.call else ""
-    return ""
+from .simulator import ToolRegistry, canonical_call_key, trace_view, wrap_response
+from .taxonomy import ErrorSignature, canonical_key
 
 
 def detect_first_failure(trace: Trajectory) -> tuple[int, ErrorSignature] | None:
@@ -64,14 +51,7 @@ def detect_first_failure(trace: Trajectory) -> tuple[int, ErrorSignature] | None
         trace.validate_roles()
     except ValueError as exc:
         raise MalformedTrace(str(exc)) from exc
-    for i, turn in enumerate(trace.turns):
-        if turn.role != ROLE_FUNCTION:
-            continue
-        tool = _tool_of_preceding_assistant(trace, i)
-        sig = detect_failure(turn.content, tool, i)
-        if sig is not None:
-            return (i, sig)
-    return None
+    return trace_view(trace).first_failure
 
 
 def truncate_at_failure(trace: Trajectory, turn_index: int) -> Trajectory:
@@ -117,25 +97,13 @@ class RuleBasedTeacher:
 
     def continuation(self, request: RepairRequest) -> list[tuple[str, str]]:
         exemplar = retrieve(self._bank, request.error)
-        failed_call = self._failed_call(request)
+        trace = request.truncated_trace
+        failed_call = trace_view(trace).call_before(len(trace.turns) - 1)
         if failed_call is None:
             raise TeacherFailure("cannot locate the failing call in the trace")
         if exemplar.dialogue_template:
             return self._render_template(exemplar, request, failed_call)
         return self._render_script(exemplar, request, failed_call)
-
-    @staticmethod
-    def _failed_call(request: RepairRequest) -> ToolCall | None:
-        trace = request.truncated_trace
-        for i in range(len(trace.turns) - 2, -1, -1):
-            turn = trace.turns[i]
-            if turn.role == ROLE_ASSISTANT:
-                try:
-                    parsed = parse_action(turn.content)
-                except AgentProtocolError:
-                    return None
-                return parsed.call
-        return None
 
     def _success_payload(self, request: RepairRequest, call: ToolCall) -> str:
         tool = request.toolset.get(call.name)

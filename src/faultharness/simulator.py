@@ -18,13 +18,12 @@ The clock is simulated and integer-valued; nothing ever sleeps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .bank import (
     ExemplarBank,
-    RecoveryAction,
     RetryWithBackoff,
-    TerminateGracefully,
     WaitUntilHealthy,
     _TAG_BY_TYPE,
 )
@@ -41,7 +40,8 @@ from .episode import (
     Trajectory,
     Turn,
 )
-from .errors import ConfigError, TransportError
+from . import protocol
+from .errors import AgentProtocolError, ConfigError, TransportError
 from .protocol import (
     Finish,
     GiveUp,
@@ -349,6 +349,139 @@ def _make_fault(
     )
 
 
+# --- trace view ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FailureEvent:
+    """Consecutive failing responses: one persisting fault retried n times."""
+
+    start: int  # turn index of the first failing response
+    capability: str
+    recovered: bool  # a later successful response served the same capability
+
+
+class TraceView:
+    """What happened on each turn of one trajectory, worked out once.
+
+    Each function turn is classified exactly once, with the tool name of the
+    nearest assistant call before it; each assistant turn is parsed at most
+    once, when a call is asked of it. `update` resumes where the last update
+    stopped, so turns must only ever be appended.
+    """
+
+    def __init__(self, turns: list[Turn]):
+        self.turns = turns
+        self.seen = 0
+        self.last_assistant = -1
+        self.completed_steps = 0  # successful tool responses = task steps done
+        self.failure_run = (-1, 0)  # (first turn index, length) of the trailing failure run
+        self.last_error: ErrorSignature | None = None  # of the latest function turn
+        self.first_failure: tuple[int, ErrorSignature] | None = None
+        # (turn index, tool name, signature or None) per function turn
+        self.responses: list[tuple[int, str, ErrorSignature | None]] = []
+        self.recoveries: list[int] = []  # turn indices of recovery-tagged turns
+        self.calls: dict[int, ToolCall | None] = {}  # assistant turn index -> its call
+
+    def update(self) -> "TraceView":
+        turns = self.turns
+        for i in range(self.seen, len(turns)):
+            turn = turns[i]
+            if turn.role == ROLE_ASSISTANT:
+                self.last_assistant = i
+                if turn.is_recovery:
+                    self.recoveries.append(i)
+            elif turn.role == ROLE_FUNCTION:
+                call = self.call_at(self.last_assistant)
+                tool = call.name if call else ""
+                sig = detect_failure(turn.content, tool, i)
+                self.responses.append((i, tool, sig))
+                self.last_error = sig
+                if sig is None:
+                    self.completed_steps += 1
+                    self.failure_run = (-1, 0)
+                else:
+                    start, length = self.failure_run
+                    self.failure_run = (i if length == 0 else start, length + 1)
+                    if self.first_failure is None:
+                        self.first_failure = (i, sig)
+        self.seen = len(turns)
+        return self
+
+    def call_at(self, index: int) -> ToolCall | None:
+        """The call of the assistant turn at `index`; None if it makes none."""
+        if index < 0:
+            return None
+        if index not in self.calls:
+            # through the module, so that wrappers of protocol.parse_action see it
+            try:
+                call = protocol.parse_action(self.turns[index].content).call
+            except AgentProtocolError:
+                call = None
+            self.calls[index] = call
+        return self.calls[index]
+
+    def call_before(self, index: int) -> ToolCall | None:
+        """The call of the nearest assistant turn before turn `index`."""
+        for i in range(index - 1, -1, -1):
+            if self.turns[i].role == ROLE_ASSISTANT:
+                return self.call_at(i)
+        return None
+
+    def last_failed_call(self) -> ToolCall | None:
+        """The call whose failure started the trailing failure run, if any."""
+        start, length = self.failure_run
+        return self.call_before(start) if length else None
+
+    def recovery_steps_since(self, index: int) -> int:
+        return sum(1 for i in self.recoveries if i > index)
+
+    def last_success_payload(self) -> dict:
+        """Payload of the most recent successful response holding a JSON object."""
+        for i, _, sig in reversed(self.responses):
+            if sig is not None:
+                continue
+            try:
+                wrapper = json.loads(self.turns[i].content)
+                payload = json.loads(wrapper.get("response", "{}"))
+            except (json.JSONDecodeError, AttributeError):
+                continue
+            if isinstance(payload, dict):
+                return payload
+        return {}
+
+    def failure_events(self, capability_of: Callable[[str], str]) -> list[FailureEvent]:
+        """Failure events in turn order; `capability_of` maps a tool name to its tag."""
+        starts: list[tuple[int, str]] = []
+        successes: list[tuple[int, str]] = []
+        in_event = False
+        for i, tool, sig in self.responses:
+            capability = capability_of(tool) if tool else ""
+            if sig is None:
+                successes.append((i, capability))
+                in_event = False
+            elif not in_event:
+                starts.append((i, capability))
+                in_event = True
+        return [
+            FailureEvent(
+                start=start,
+                capability=capability,
+                recovered=bool(capability)
+                and any(i > start and cap == capability for i, cap in successes),
+            )
+            for start, capability in starts
+        ]
+
+
+def trace_view(traj: Trajectory) -> TraceView:
+    """The trajectory's view, brought up to date with its turns."""
+    view = traj.view
+    if view is None or view.turns is not traj.turns or len(traj.turns) < view.seen:
+        view = traj.view = TraceView(traj.turns)
+    return view.update()
+
+
 # --- episode execution -------------------------------------------------------------
 
 
@@ -375,6 +508,7 @@ def run_episode(
             Turn(role=ROLE_USER, content=prompt, simulated_time_ms=0),
         ],
     )
+    view = trace_view(traj)
     clock = SimClock()
     episode_seed = derive_seed(plan.seed, config.rng_seed)
 
@@ -462,9 +596,7 @@ def run_episode(
                 traj.terminal = Abandoned(reason="repeated agent protocol violations")
                 break
             append(ROLE_FUNCTION, PROTOCOL_ERROR_BODY)
-            last_error = detect_failure(
-                PROTOCOL_ERROR_BODY, "", len(traj.turns) - 1
-            )
+            last_error = view.update().last_error
             continue
 
         if isinstance(action, Finish):
@@ -499,6 +631,7 @@ def run_episode(
             break
 
         append(ROLE_ASSISTANT, render_action(action))
+        view.calls[len(traj.turns) - 1] = call  # known here; the view need not parse it
 
         # waits happen between the recovery declaration and the reissued call
         if isinstance(action, RecoveryStep):
@@ -520,7 +653,7 @@ def run_episode(
         response = execute_call(call, action_tag)
         append(ROLE_FUNCTION, response)
 
-        last_error = detect_failure(response, call.name, len(traj.turns) - 1)
+        last_error = view.update().last_error
         if last_error is not None:
             if key == last_failed_key:
                 consecutive_retries += 1

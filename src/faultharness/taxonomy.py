@@ -105,14 +105,6 @@ def _load_shipped_catalog() -> tuple[str, dict[str, FailureKind]]:
 
 CATALOG_VERSION, CATALOG = _load_shipped_catalog()
 
-# Retry-vs-terminate partition used by the bank's scripts: auth failures must
-# never be retried; rate limits and transient server faults must be.
-NON_RETRYABLE_KINDS = frozenset({"http_401", "http_403", "http_407"})
-RETRYABLE_KINDS = frozenset(
-    {"http_429", "http_500", "http_503", "timeout", "dns_error", "malformed_json"}
-)
-
-
 @dataclass(frozen=True)
 class ErrorSignature:
     """Canonical description of one observed runtime failure."""
@@ -235,7 +227,7 @@ def detect_failure(raw: str, tool_name: str, turn_index: int) -> ErrorSignature 
     """Classify `raw` if it is a failure; None for a normal tool response.
 
     A normal response is a JSON object whose "error" slot is empty or absent
-    and which carries no status marker.
+    and which carries no status marker. Never raises, whatever the text.
     """
     stripped = raw.strip()
     if not stripped:
@@ -249,7 +241,7 @@ def detect_failure(raw: str, tool_name: str, turn_index: int) -> ErrorSignature 
         )
     try:
         body = json.loads(stripped)
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):  # nesting too deep to parse is unparseable too
         return _classify_unparseable(stripped, tool_name, turn_index)
     if isinstance(body, dict):
         if _looks_like_success(body):
@@ -315,10 +307,20 @@ def _classify_unparseable(text: str, tool_name: str, turn_index: int) -> ErrorSi
     )
 
 
+def _error_text(slot) -> str:
+    """The message of a non-empty error slot: the slot itself when it is a
+    string, else its "message" string, else its compact JSON."""
+    if isinstance(slot, str):
+        return slot
+    if isinstance(slot, dict) and isinstance(slot.get("message"), str) and slot["message"]:
+        return slot["message"]
+    return json.dumps(slot, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def _classify_error_body(
     body: dict, raw: str, tool_name: str, turn_index: int
 ) -> ErrorSignature:
-    error_text = body.get("error") or ""
+    error_text = _error_text(body["error"])
     status = body.get("status")
     if isinstance(status, int) and 100 <= status <= 599:
         return ErrorSignature(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from faultharness.benchgen import (
     SuiteSpec,
     generalization_split,
     generate_suite,
+    read_suite,
     suite_from_lines,
     suite_manifest,
     suite_to_lines,
@@ -73,22 +75,43 @@ def test_cards_are_self_contained(tasks):
         assert card.prompt
         assert len(card.tools) >= 2
         assert card.steps
-        payload = card.final_step_payload()
-        if not card.plan.is_clean:
-            assert card.guidelines["expected_recovery_family"]
-        assert payload
+        assert card.final_step_payload()
+        assert card.retry_budget == 3
+
+
+# A failure card as older releases wrote it: with the grader's `guidelines`
+# tags, and a `protocol` label as older suite specs carried.
+OLD_CARD_LINE = (
+    '{"episode_id":"0026-44a62a795b8fd257","guidelines":{"expected_recovery_family":'
+    '"reformat_arguments","forbidden":["hallucinated_success"]},"max_steps":20,"plan":'
+    '{"kind":"http_422","manifestation":"ErrorPayload","seed":4946687941428630103,'
+    '"turn_index":1},"prompt":"Report today\'s average gas price in Ohio.",'
+    '"protocol":"Paladin","retry_budget":3,"steps":[{"arguments":{"state":"Ohio"},'
+    '"tool":"gas_prices"}],"task_slug":"gas_price","tools":[{"capability":"fuel",'
+    '"description":"Primary fuel source.","name":"gas_prices","parameters":{"state":'
+    '{"required":true,"type":"string"}},"scripted_responses":{"gas_prices({\\"state'
+    '\\":\\"Ohio\\"})":"{\\"premium_usd\\":3.81,\\"regular_usd\\":3.09}"}},'
+    '{"capability":"fuel","description":"Backup fuel source.","name":"gas_prices_backup",'
+    '"parameters":{"state":{"required":true,"type":"string"}},"scripted_responses":'
+    '{"gas_prices_backup({\\"state\\":\\"Ohio\\"})":"{\\"premium_usd\\":3.81,'
+    '\\"regular_usd\\":3.09}"}}]}'
+)
+
+
+def test_old_suite_line_still_loads(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text(OLD_CARD_LINE + "\n", encoding="utf-8")
+    (card,) = read_suite(path)
+    assert card.plan.kind == "http_422"
+    assert card.final_step_payload() == {"premium_usd": 3.81, "regular_usd": 3.09}
+    expected = json.loads(OLD_CARD_LINE)
+    del expected["guidelines"], expected["protocol"]
+    assert json.loads(suite_to_lines([card])[0]) == expected
 
 
 def test_pool_exhaustion_on_oversized_clean_request(tasks):
     with pytest.raises(PoolExhausted):
         generate_suite(tasks, SuiteSpec(n_episodes=300, master_seed=1, clean_fraction=0.5))
-
-
-def test_toolreflect_protocol_pins_budget(tasks):
-    cards = generate_suite(
-        tasks, SuiteSpec(n_episodes=10, master_seed=2, protocol="ToolReflect")
-    )
-    assert all(c.retry_budget == 3 for c in cards)
 
 
 def test_generalization_holds_out_kind(tasks, bank):
@@ -165,8 +188,6 @@ def test_spec_validation():
         SuiteSpec(n_episodes=0)
     with pytest.raises(ConfigError):
         SuiteSpec(n_episodes=5, clean_fraction=1.0)
-    with pytest.raises(ConfigError):
-        SuiteSpec(n_episodes=5, protocol="Vibes")
     with pytest.raises(ConfigError):
         SuiteSpec(n_episodes=5, held_out_kinds=frozenset({"made_up_kind"}))
 

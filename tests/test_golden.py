@@ -1,0 +1,95 @@
+"""Golden digests: the bytes every agent and the corpus builder produce.
+
+A refactor that keeps behaviour keeps these digests. A change that moves one
+must say so and update the value here together with its reason.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from faultharness.agents import make_policy
+from faultharness.benchgen import SuiteSpec, generate_suite
+from faultharness.cli import main
+from faultharness.episode import dumps_canonical, trajectory_to_line
+from faultharness.metrics import grade_episode
+from faultharness.simulator import run_episode
+
+EVAL_SEED = 42
+
+TRAJECTORIES = {
+    "vanilla": "d25adc357ef32e8807d18c4a2f81d70eab07fa5337f02e906122e5e1b1856de0",
+    "toolbench": "ccd3cde63a1f131e2cd7ff40f50312af1f66a91b9be31d1cf94dfeea9d6f225c",
+    "reflect": "36dfdc95ccb58ef9ba6eb03af97c8aa511ba616412723db0c4d5dc600b101ad8",
+    "critic": "39ff1e2f25754268ddca2a7930cf8da34047a50bc78fff872e15e87583b9af6e",
+    "paladin": "294a26d6b2292acddb824b3c5abb449d376260640d2844565dbfd57e745243c7",
+    "paladin_no_bank": "d72954f024eb8de3834229d08b80005875e33ec119c6c0541a84154892902170",
+}
+
+GRADES = {
+    "vanilla": "129b0afefea1b46dc19cd4d818c87e061c638a4fd1742ae7e0e9e9942e91c83a",
+    "toolbench": "5a411e3c891bc396856c62cba02f539e0d3e9f97559a762e2d78308e20d7efc8",
+    "reflect": "4fdd2b57a5c0d419117b1f346dfe04276d4c37c2722e25608d5c6aeea50829e0",
+    "critic": "6e51818f6751b8ea3c7bb56f4c526cd0a1df090c5045995ecc4f7e554f43fe92",
+    "paladin": "9cab888922a8b81a5fd421958910f787ea32f07119442170eacabe59aae12b60",
+}
+
+CORPUS = {
+    "corpus.jsonl": "972e38c0abdc89b617c06b83fd6966111e40939f325e4e706b935c9e4c876596",
+    "spans.json": "36252f69c5e3c03a4d935e84bda585cb499abee975902c7d768ae59d977b9b2a",
+}
+
+
+@pytest.fixture(scope="module")
+def desk_cards(tasks):
+    return generate_suite(tasks, SuiteSpec(n_episodes=200, master_seed=1337))
+
+
+def _run_desk(cards, agent, bank):
+    """(trajectories digest, grades digest) of one agent over the suite."""
+    trajectories = hashlib.sha256()
+    grades = hashlib.sha256()
+    for card in cards:
+        policy = make_policy(
+            agent, steps=card.steps, retry_budget=card.retry_budget, gate_seed=EVAL_SEED
+        )
+        traj = run_episode(
+            prompt=card.prompt,
+            tools=card.tools,
+            agent=policy,
+            plan=card.plan,
+            config=card.sim_config(rng_seed=EVAL_SEED),
+            bank=bank,
+            episode_id=card.episode_id,
+        )
+        trajectories.update((trajectory_to_line(traj) + "\n").encode("utf-8"))
+        grade = grade_episode(traj, card)
+        grades.update((dumps_canonical(grade.to_json()) + "\n").encode("utf-8"))
+    return trajectories.hexdigest(), grades.hexdigest()
+
+
+@pytest.mark.parametrize("agent", sorted(GRADES))
+def test_desk_digests(desk_cards, bank, agent):
+    trajectories, grades = _run_desk(desk_cards, agent, bank)
+    assert trajectories == TRAJECTORIES[agent]
+    assert grades == GRADES[agent]
+
+
+def test_desk_paladin_without_bank_digest(desk_cards):
+    trajectories, _ = _run_desk(desk_cards, "paladin", None)
+    assert trajectories == TRAJECTORIES["paladin_no_bank"]
+
+
+def test_corpus_digests(tmp_path):
+    out = tmp_path / "corpus"
+    result = CliRunner().invoke(
+        main,
+        ["build-corpus", "--target", "150", "--teacher", "rule", "--seed", "0",
+         "--out-dir", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    for name, digest in CORPUS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -9,17 +9,20 @@ from conftest import make_registry, run_simple
 from faultharness.agents import make_policy
 from faultharness.bank import RetryWithBackoff
 from faultharness.episode import (
+    ROLE_ASSISTANT,
+    ROLE_FUNCTION,
     Abandoned,
     Finished,
     GracefulFailure,
     InjectionPlan,
     StepBudgetExhausted,
     Trajectory,
+    Turn,
     trajectory_from_line,
     trajectory_to_line,
 )
 from faultharness.errors import ConfigError
-from faultharness.protocol import ProtocolViolation, ToolCall
+from faultharness.protocol import ProtocolViolation, ToolCall, render_action
 from faultharness.simulator import (
     SimClock,
     SimConfig,
@@ -29,6 +32,7 @@ from faultharness.simulator import (
     canonical_call_key,
     render_failure,
     run_episode,
+    trace_view,
 )
 from faultharness.taxonomy import CATALOG, Manifestation, classify_raw_failure
 
@@ -364,3 +368,51 @@ def test_canonical_call_key_ignores_field_order():
     assert canonical_call_key("t", {"b": 1, "a": 2}) == canonical_call_key(
         "t", {"a": 2, "b": 1}
     )
+
+
+# --- trace view ------------------------------------------------------------------------
+
+
+def _facts(view):
+    return (view.responses, view.recoveries, view.failure_run, view.completed_steps,
+            view.first_failure, view.last_error)
+
+
+def test_trace_view_built_during_the_episode_matches_a_fresh_one(bank):
+    traj, _, _ = run_simple("reflect", kind="http_401", plan_seed=3, bank=bank)
+    assert traj.view is not None  # the simulator's own view, kept up to date
+    fresh = trajectory_from_line(trajectory_to_line(traj))
+    assert fresh.view is None
+    assert _facts(trace_view(traj)) == _facts(trace_view(fresh))
+    assert len(trace_view(fresh).failure_events(lambda tool: tool)) == 1
+
+
+def test_trace_view_reads_only_appended_turns():
+    traj, _, _ = run_simple("vanilla", kind=None)
+    grown = Trajectory(episode_id=traj.episode_id, plan=traj.plan, turns=traj.turns[:2])
+    view = trace_view(grown)
+    for turn in traj.turns[2:]:
+        grown.turns.append(turn)
+        assert trace_view(grown) is view
+    assert _facts(view) == _facts(trace_view(traj))
+    # a replaced turn list starts a new view
+    grown.turns = list(grown.turns)
+    assert trace_view(grown) is not view
+
+
+def test_trace_view_names_the_nearest_assistant_call():
+    # a function turn that does not directly follow an assistant turn belongs
+    # to the nearest assistant call before it
+    call = render_action(ToolCall(name="lookup", arguments={"q": "x"}))
+    turns = [
+        Turn(role="system", content="s"),
+        Turn(role="user", content="u"),
+        Turn(role=ROLE_ASSISTANT, content=call),
+        Turn(role=ROLE_FUNCTION, content='{"error": "", "response": "{}"}'),
+        Turn(role=ROLE_FUNCTION, content='{"error": "Service unavailable", "status": 503}'),
+    ]
+    view = trace_view(Trajectory(episode_id="e", plan=InjectionPlan(seed=1), turns=turns))
+    assert [tool for _, tool, _ in view.responses] == ["lookup", "lookup"]
+    assert view.first_failure[0] == 4
+    assert view.failure_run == (4, 1)
+    assert view.last_failed_call() == ToolCall(name="lookup", arguments={"q": "x"})

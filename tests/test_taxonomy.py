@@ -6,14 +6,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from faultharness.simulator import ToolSpec, render_failure
+from faultharness.simulator import TRANSIENT_PERSISTENCE, ToolSpec, render_failure
 from faultharness.taxonomy import (
     CATALOG,
     ErrorClass,
     ErrorSignature,
     Manifestation,
-    NON_RETRYABLE_KINDS,
-    RETRYABLE_KINDS,
     canonical_key,
     classify_raw_failure,
     detect_failure,
@@ -101,14 +99,31 @@ def test_roundtrip_every_catalog_kind_at_default_manifestation():
 
 
 def test_retry_vs_terminate_partition():
-    for kind_id in NON_RETRYABLE_KINDS:
-        assert CATALOG[kind_id].error_class is ErrorClass.INVALID_TOOL_INVOCATION
-    for kind_id in RETRYABLE_KINDS:
+    # transient kinds are the ones the simulator lets a retry clear
+    for kind_id in TRANSIENT_PERSISTENCE:
         assert CATALOG[kind_id].error_class in (
             ErrorClass.REENTRANT_FAILURE,
             ErrorClass.OUTPUT_HALLUCINATION,
         )
-    assert not (NON_RETRYABLE_KINDS & RETRYABLE_KINDS)
+    # auth failures must never be retried
+    for kind_id in ("http_401", "http_403", "http_407"):
+        assert CATALOG[kind_id].error_class is ErrorClass.INVALID_TOOL_INVOCATION
+        assert kind_id not in TRANSIENT_PERSISTENCE
+
+
+@pytest.mark.parametrize(
+    "raw, kind, message",
+    [
+        ('{"error": 5}', "unknown", "5"),
+        ('{"error": {"code": 429, "message": "Too many"}}', "unknown", "Too many"),
+        ("[" * 5000 + "]" * 5000, "malformed_json", "[" * 200),
+    ],
+    ids=["int-error-slot", "object-error-slot", "deep-nesting"],
+)
+def test_detect_failure_never_raises(raw, kind, message):
+    found = detect_failure(raw, "lookup", 2)
+    assert found is not None
+    assert (found.kind, found.message) == (kind, message)
 
 
 def test_canonical_key_normalizes_case_and_whitespace():
