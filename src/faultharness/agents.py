@@ -463,8 +463,6 @@ class RemoteChatPolicy:
 
 # --- factory ---------------------------------------------------------------------------
 
-SCRIPTED_AGENTS = ("vanilla", "toolbench", "reflect", "critic", "paladin")
-
 
 def make_policy(
     name: str,

@@ -210,6 +210,11 @@ class RecoveryExemplar:
 class ExemplarBank:
     exemplars: tuple[RecoveryExemplar, ...]
     version: str = "0"
+    # nearest exemplar per (weights, class, kind, status, message tokens), filled
+    # by `retrieve_top_k`; outside equality and repr, so it never changes what a
+    # bank is. Token sets drop digits, so messages differing only in ids or
+    # counters share one entry.
+    nearest_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.exemplars)
@@ -254,23 +259,56 @@ def similarity_distance(
     d = w1*[class mismatch] + w2*[kind mismatch] + w3*[status mismatch]
       + w4*(1 - Jaccard(message tokens)); wildcard pattern fields contribute 0.
     """
+    return Fraction(*_distance_pair(observed, message_tokens(observed.message), pattern, weights))
+
+
+def _distance_pair(
+    observed: ErrorSignature,
+    observed_tokens: frozenset[str],
+    pattern: SignaturePattern,
+    weights: tuple[int, int, int, int],
+) -> tuple[int, int]:
+    """`similarity_distance` as an exact (numerator, positive denominator) pair.
+
+    With a mismatches, union size u and intersection size i of the token sets,
+    d = (a*u + w4*(u - i)) / u; it is (a, 1) when the pattern has no tokens or
+    the union is empty (Jaccard 1).
+    """
     if pattern.is_fully_wildcard():
         raise FullyWildcardPattern("<pattern>")
     w1, w2, w3, w4 = weights
-    d = Fraction(0)
+    a = 0
     if pattern.error_class is not None and pattern.error_class != observed.error_class:
-        d += w1
+        a += w1
     if pattern.kind is not None and pattern.kind != observed.kind:
-        d += w2
+        a += w2
     if pattern.status_code is not None and pattern.status_code != observed.status_code:
-        d += w3
-    if pattern.message_tokens is not None:
-        obs = message_tokens(observed.message)
-        pat = pattern.message_tokens
-        union = obs | pat
-        jaccard = Fraction(1) if not union else Fraction(len(obs & pat), len(union))
-        d += w4 * (1 - jaccard)
-    return d
+        a += w3
+    tokens = pattern.message_tokens
+    if tokens is None:
+        return a, 1
+    inter = len(observed_tokens & tokens)
+    union = len(observed_tokens) + len(tokens) - inter
+    if not union:
+        return a, 1
+    return a * union + w4 * (union - inter), union
+
+
+def _nearest(
+    exemplars: tuple[RecoveryExemplar, ...],
+    observed: ErrorSignature,
+    observed_tokens: frozenset[str],
+    weights: tuple[int, int, int, int],
+) -> RecoveryExemplar:
+    """Distance-then-id minimum in one pass, comparing n/d pairs by cross-multiplying."""
+    best = exemplars[0]
+    best_n, best_d = _distance_pair(observed, observed_tokens, best.pattern, weights)
+    for ex in exemplars[1:]:
+        n, d = _distance_pair(observed, observed_tokens, ex.pattern, weights)
+        lhs, rhs = n * best_d, best_n * d
+        if lhs < rhs or (lhs == rhs and ex.id < best.id):
+            best, best_n, best_d = ex, n, d
+    return best
 
 
 def retrieve_top_k(
@@ -279,14 +317,25 @@ def retrieve_top_k(
     k: int = 1,
     weights: tuple[int, int, int, int] = DEFAULT_WEIGHTS,
 ) -> list[RecoveryExemplar]:
-    """The k nearest exemplars, distance-then-id ordered (deterministic)."""
+    """The k nearest exemplars, distance-then-id ordered (deterministic).
+
+    The nearest one (k <= 1) is memoized on the bank.
+    """
     if not bank.exemplars:
         raise ConfigError("cannot retrieve from an empty bank")
+    tokens = message_tokens(observed.message)
+    if k <= 1:
+        key = (weights, observed.error_class, observed.kind, observed.status_code, tokens)
+        nearest = bank.nearest_memo.get(key)
+        if nearest is None:
+            nearest = _nearest(bank.exemplars, observed, tokens, weights)
+            bank.nearest_memo[key] = nearest
+        return [nearest]
     ranked = sorted(
         bank.exemplars,
-        key=lambda ex: (similarity_distance(observed, ex.pattern, weights), ex.id),
+        key=lambda ex: (Fraction(*_distance_pair(observed, tokens, ex.pattern, weights)), ex.id),
     )
-    return ranked[: max(1, k)]
+    return ranked[:k]
 
 
 def retrieve(

@@ -31,7 +31,7 @@ from .benchgen import (
     write_suite,
 )
 from .episode import InjectionPlan, dumps_canonical, trajectory_to_line
-from .errors import FaultHarnessError, ConfigError
+from .errors import FaultHarnessError
 from .metrics import (
     aggregate,
     bootstrap_ci,
@@ -57,7 +57,7 @@ from .remote import EndpointConfig, TOKEN_ENV_VAR
 from .seeds import derive_seed
 from .simulator import run_episode
 from .tasks import builtin_task_pool
-from .taxonomy import CATALOG, ErrorClass
+from .taxonomy import CATALOG
 
 RUN_SEED_STREAM = 0xE7A1
 
@@ -157,7 +157,7 @@ def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="runs", show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--n-resamples", type=int, default=1000, show_default=True)
+@click.option("--n-resamples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--endpoint-url", default=None, help="Remote agent endpoint base URL.")
 @click.option("--endpoint-model", default="default")
 @click.option("--assert-min-rr", type=float, default=None)

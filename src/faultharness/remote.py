@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import requests
-
 from .errors import ConfigError, ProtocolError, TransportError
 
 TOKEN_ENV_VAR = "FAULTHARNESS_API_TOKEN"
@@ -42,6 +40,8 @@ class ChatEndpoint:
         Raises TransportError after exhausting transport retries and
         ProtocolError when the endpoint answers with a malformed payload.
         """
+        import requests  # only remote runs need it; it is most of the CLI's import time
+
         url = self._config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         token = self._config.auth_token()

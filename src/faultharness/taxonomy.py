@@ -73,13 +73,6 @@ UNKNOWN_KIND = "unknown"
 PROTOCOL_ERROR_KIND = "protocol_error"
 
 
-def load_catalog_file(path) -> tuple[str, dict[str, FailureKind]]:
-    """Load a catalog JSON file; returns (version, kinds keyed by identifier)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return _parse_catalog(doc)
-
-
 def _parse_catalog(doc: dict) -> tuple[str, dict[str, FailureKind]]:
     kinds: dict[str, FailureKind] = {}
     for entry in doc["failures"]:
@@ -322,6 +315,8 @@ def _classify_error_body(
 ) -> ErrorSignature:
     error_text = _error_text(body["error"])
     status = body.get("status")
+    if isinstance(status, str) and status.isascii() and status.isdigit():
+        status = int(status)
     if isinstance(status, int) and 100 <= status <= 599:
         return ErrorSignature(
             error_class=status_error_class(status),

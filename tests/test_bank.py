@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultharness.bank import (
     DEFAULT_WEIGHTS,
@@ -17,6 +19,7 @@ from faultharness.bank import (
     action_to_json,
     convert_legacy_dictionary,
     load_bank,
+    load_shipped_bank,
     parse_bank,
     retrieve,
     retrieve_top_k,
@@ -34,6 +37,7 @@ from faultharness.taxonomy import (
     CATALOG,
     ErrorClass,
     ErrorSignature,
+    Manifestation,
     message_tokens,
 )
 
@@ -103,12 +107,11 @@ def _random_signature(rng: random.Random) -> ErrorSignature:
     )
 
 
-def _oracle_argmin(bank: ExemplarBank, obs: ErrorSignature) -> str:
-    # independent linear scan re-implementing the distance formula inline
+def _oracle_ranking(bank: ExemplarBank, obs: ErrorSignature) -> list[str]:
+    # exhaustive sort re-implementing the distance formula inline, in Fractions
     w1, w2, w3, w4 = DEFAULT_WEIGHTS
-    best_id, best_d = None, None
-    for ex in sorted(bank.exemplars, key=lambda e: e.id):
-        p = ex.pattern
+
+    def distance(p: SignaturePattern) -> Fraction:
         d = Fraction(0)
         if p.error_class is not None and p.error_class != obs.error_class:
             d += w1
@@ -121,9 +124,13 @@ def _oracle_argmin(bank: ExemplarBank, obs: ErrorSignature) -> str:
             union = o | p.message_tokens
             j = Fraction(1) if not union else Fraction(len(o & p.message_tokens), len(union))
             d += w4 * (1 - j)
-        if best_d is None or d < best_d:
-            best_id, best_d = ex.id, d
-    return best_id
+        return d
+
+    return [ex.id for ex in sorted(bank.exemplars, key=lambda e: (distance(e.pattern), e.id))]
+
+
+def _oracle_argmin(bank: ExemplarBank, obs: ErrorSignature) -> str:
+    return _oracle_ranking(bank, obs)[0]
 
 
 def test_retrieve_matches_bruteforce_oracle_on_small_bank(bank):
@@ -220,6 +227,93 @@ def test_top_k_is_distance_then_id_ordered(bank):
     distances = [similarity_distance(obs, ex.pattern) for ex in top]
     assert distances == sorted(distances)
     assert len(top) == 3
+
+
+_WORDS = ["rate", "limit", "server", "error", "timed", "out", "invalid", "key",
+          "resource", "gone", "schema", "truncated", "conflict", "gateway", "unavailable"]
+_token_sets = st.frozensets(st.sampled_from(_WORDS), max_size=4)
+
+
+@st.composite
+def _banks(draw, shipped: ExemplarBank) -> ExemplarBank:
+    """The shipped bank or a `without_kinds` prune, some patterns re-tokenized.
+
+    An override of None drops the pattern's message tokens; an empty set makes
+    an empty union possible.
+    """
+    held_out = draw(st.sets(st.sampled_from(sorted(CATALOG)), max_size=3))
+    try:
+        bank = shipped.without_kinds(held_out) if held_out else shipped
+    except HeldOutCoversClass:
+        bank = shipped
+    overrides = draw(st.dictionaries(
+        st.integers(0, len(bank) - 1), st.none() | _token_sets, max_size=12
+    ))
+    if not overrides:
+        return bank
+    exemplars = list(bank.exemplars)
+    for i, tokens in overrides.items():
+        pattern = dataclasses.replace(exemplars[i].pattern, message_tokens=tokens)
+        exemplars[i] = dataclasses.replace(exemplars[i], pattern=pattern)
+    return ExemplarBank(exemplars=tuple(exemplars), version=bank.version)
+
+
+@st.composite
+def _signatures(draw) -> ErrorSignature:
+    """A catalog kind with a message of bank words and digits, or a silent failure."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return ErrorSignature(
+            error_class=ErrorClass.INVALID_TOOL_INVOCATION, kind="unknown", message="",
+            tool_name="lookup", turn_index=1, manifestation=Manifestation.SILENT_FAILURE,
+        )
+    kind = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+    words = draw(st.lists(st.sampled_from(_WORDS + ["503", "#17"]), min_size=1, max_size=6))
+    return ErrorSignature(
+        error_class=kind.error_class, kind=kind.identifier, message=" ".join(words),
+        tool_name="lookup", turn_index=draw(st.integers(1, 9)), status_code=kind.http_status,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_retrieval_equals_exhaustive_fraction_oracle(bank, data):
+    drawn = data.draw(_banks(bank))
+    obs = data.draw(_signatures())
+    ranking = _oracle_ranking(drawn, obs)
+    assert retrieve(drawn, obs).id == ranking[0]
+    assert retrieve(drawn, obs).id == ranking[0]  # second call reads the memo
+    assert [ex.id for ex in retrieve_top_k(drawn, obs, k=3)] == ranking[:3]
+
+
+def test_repeated_signature_returns_the_memoized_exemplar():
+    fresh = load_shipped_bank()
+    first = retrieve(fresh, observed(message="Unexpected server error #4411"))
+    again = retrieve(fresh, dataclasses.replace(
+        observed(message="unexpected  SERVER error #9"), tool_name="other", turn_index=7
+    ))
+    assert again is first
+    assert len(fresh.nearest_memo) == 1
+
+
+def test_pruned_bank_never_returns_a_removed_exemplar():
+    parent = load_shipped_bank()
+    obs = observed(kind="http_503", message="Service unavailable", status=503)
+    assert retrieve(parent, obs).pattern.kind == "http_503"
+    pruned = parent.without_kinds({"http_503"})
+    assert not pruned.nearest_memo
+    nearest = retrieve(pruned, obs)
+    assert nearest.pattern.kind != "http_503"
+    assert nearest in pruned.exemplars
+
+
+def test_banks_compare_equal_whatever_their_memo_holds():
+    warm, cold = load_shipped_bank(), load_shipped_bank()
+    rng = random.Random(11)
+    for _ in range(20):
+        retrieve(warm, _random_signature(rng))
+    assert warm.nearest_memo and not cold.nearest_memo
+    assert warm == cold
+    assert repr(warm) == repr(cold)
 
 
 def _entry(entry_id="x1", kind="http_500", script=None, **pattern_extra):

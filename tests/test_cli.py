@@ -72,6 +72,20 @@ def test_evaluate_writes_reports(runner, tmp_path):
     assert 0 <= report["tsr"] <= 1
 
 
+def test_evaluate_rejects_zero_resamples(runner, tmp_path):
+    suite = _gen(runner, tmp_path, n=7, seed=5)
+    result = runner.invoke(
+        main,
+        [
+            "evaluate", "--suite", str(suite), "--agent", "vanilla",
+            "--seed", "1", "--out-dir", str(tmp_path / "runs"), "--n-resamples", "0",
+        ],
+    )
+    assert result.exit_code == 2
+    assert "--n-resamples" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
 def test_evaluate_assert_flag_sets_exit_code(runner, tmp_path):
     suite = _gen(runner, tmp_path, n=14, seed=5)
     result = runner.invoke(

@@ -126,6 +126,20 @@ def test_detect_failure_never_raises(raw, kind, message):
     assert (found.kind, found.message) == (kind, message)
 
 
+@pytest.mark.parametrize(
+    "status, kind",
+    [('"503"', "http_503"), ("503", "http_503"), ('"5o3"', "unknown"),
+     ('"\\u0665\\u0660\\u0663"', "unknown"), ('"99"', "unknown")],
+    ids=["digit-string", "int", "not-digits", "non-ascii-digits", "out-of-range"],
+)
+def test_error_body_status_may_be_a_digit_string(status, kind):
+    raw = '{"error": "Service unavailable", "status": %s}' % status
+    found = detect_failure(raw, "lookup", 2)
+    assert found.kind == kind
+    if kind == "http_503":
+        assert (found.status_code, found.error_class) == (503, ErrorClass.REENTRANT_FAILURE)
+
+
 def test_canonical_key_normalizes_case_and_whitespace():
     a = sig(message="Unexpected server error")
     b = sig(message="unexpected  SERVER error")
