@@ -245,7 +245,15 @@ def suite_to_lines(cards: list[EpisodeCard]) -> list[str]:
 
 
 def suite_from_lines(lines) -> list[EpisodeCard]:
-    return [EpisodeCard.from_json(json.loads(line)) for line in lines if line.strip()]
+    cards = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            cards.append(EpisodeCard.from_json(json.loads(line)))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"suite line {number}: not an episode card ({exc!r})") from exc
+    return cards
 
 
 def write_suite(path, cards: list[EpisodeCard]) -> None:

@@ -70,7 +70,21 @@ def _resolve_seed(seed: int | None) -> int:
     return generated
 
 
-@click.group()
+class HarnessFailure(click.ClickException):
+    """A harness error reported as a message, exiting with code 2."""
+
+    exit_code = 2
+
+
+class _HarnessGroup(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FaultHarnessError as exc:
+            raise HarnessFailure(str(exc)) from exc
+
+
+@click.group(cls=_HarnessGroup)
 def main():
     """Fault-injection simulator and robustness evaluation harness."""
 
@@ -154,7 +168,8 @@ def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
 @click.option("--bank", "bank_path", type=click.Path(exists=True), default=None)
 @click.option("--no-retrieval", is_flag=True, help="Remove the bank handle (ablation).")
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Worker threads; only the remote agent gains from more than 1.")
 @click.option("--out-dir", type=click.Path(), default="runs", show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--n-resamples", type=click.IntRange(min=1), default=1000, show_default=True)
@@ -185,11 +200,9 @@ def cmd_evaluate(
     if not cards:
         raise click.ClickException("suite file holds no cards")
     bank = None
-    bank_version = "disabled"
     if not no_retrieval:
-        bank_obj = load_bank(bank_path) if bank_path else load_shipped_bank()
-        bank = bank_obj
-        bank_version = bank_obj.version
+        bank = load_bank(bank_path) if bank_path else load_shipped_bank()
+    bank_version = "disabled" if bank is None else bank.version
     endpoint = None
     if agent == "remote":
         if not endpoint_url:
@@ -231,6 +244,10 @@ def cmd_evaluate(
         "n_resamples": n_resamples,
         "suite": Path(suite).name,
     }
+    if bank_path and bank is not None:
+        flags["bank_sha256"] = hashlib.sha256(Path(bank_path).read_bytes()).hexdigest()
+    if endpoint is not None:
+        flags.update(endpoint_url=endpoint.base_url, endpoint_model=endpoint.model)
     run_hash = hashlib.sha256(
         suite_bytes + dumps_canonical(flags).encode("utf-8")
     ).hexdigest()[:12]

@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
 
 from .episode import Finished, Trajectory
 from .errors import EmptySuite, EpisodeMismatch
@@ -199,39 +200,6 @@ def aggregate(grades: list[EpisodeGrade], alpha: float | Fraction = 1) -> Metric
     )
 
 
-# --- metric selectors ---------------------------------------------------------------
-
-
-def metric_tsr(grades: list[EpisodeGrade]) -> float | None:
-    return sum(1 for g in grades if g.task_success) / len(grades)
-
-
-def metric_rr(grades: list[EpisodeGrade]) -> float | None:
-    enc = sum(g.failures_encountered for g in grades)
-    if enc == 0:
-        return None
-    return sum(g.failures_recovered for g in grades) / enc
-
-
-def metric_csr(grades: list[EpisodeGrade]) -> float | None:
-    enc = sum(g.failures_encountered for g in grades)
-    if enc == 0:
-        return None
-    return 1 - sum(1 for g in grades if g.hallucinated_success) / enc
-
-
-def metric_es(grades: list[EpisodeGrade]) -> float | None:
-    return len(grades) / sum(g.steps_taken for g in grades)
-
-
-METRIC_SELECTORS = {
-    "tsr": metric_tsr,
-    "rr": metric_rr,
-    "csr": metric_csr,
-    "es": metric_es,
-}
-
-
 # --- bootstrap -------------------------------------------------------------------------
 
 
@@ -250,29 +218,58 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
+def _randrange_chunks(rng: random.Random, n: int):
+    """Yield lists of n indices, the same stream as repeated `rng.randrange(n)`.
+
+    `randrange(n)` draws `getrandbits(n.bit_length())` and rejects values >= n;
+    drawing in batches and filtering gives the same indices with C-level calls.
+    Accepted values beyond the current chunk carry over to the next one.
+    """
+    k = n.bit_length()
+    pool: list[int] = []
+    while True:
+        while len(pool) < n:
+            pool += [r for r in map(rng.getrandbits, repeat(k, n)) if r < n]
+        yield pool[:n]
+        del pool[:n]
+
+
+# the per-episode count each metric sums; rr and csr divide it by failures encountered
+_BOOTSTRAP_COUNTS = {
+    "tsr": "task_success",
+    "rr": "failures_recovered",
+    "csr": "hallucinated_success",
+    "es": "steps_taken",
+}
+
+
 def bootstrap_ci(
     grades: list[EpisodeGrade],
-    metric,
+    metric: str,
     n_resamples: int = 1000,
     confidence: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Percentile bootstrap CI over episode-level resampling with replacement.
 
-    `metric` is a selector name ("tsr", "rr", ...) or a callable over grades;
-    resamples where the metric is undefined are skipped.
+    `metric` is "tsr", "rr", "csr" or "es"; each resample sums per-episode
+    counts, and resamples where the metric is undefined are skipped.
     """
     if not grades:
         raise EmptySuite("no grades to bootstrap")
-    selector = METRIC_SELECTORS[metric] if isinstance(metric, str) else metric
-    rng = random.Random(seed)
     n = len(grades)
+    counts = [int(getattr(g, _BOOTSTRAP_COUNTS[metric])) for g in grades]
+    encountered = [g.failures_encountered for g in grades] if metric in ("rr", "csr") else None
+    rng = random.Random(seed)
     stats: list[float] = []
-    for _ in range(max(1, n_resamples)):
-        resample = [grades[rng.randrange(n)] for _ in range(n)]
-        value = selector(resample)
-        if value is not None:
-            stats.append(value)
+    for chunk in islice(_randrange_chunks(rng, n), max(1, n_resamples)):
+        a = sum(map(counts.__getitem__, chunk))
+        if encountered is None:
+            stats.append(a / n if metric == "tsr" else n / a)
+            continue
+        e = sum(map(encountered.__getitem__, chunk))
+        if e:
+            stats.append(a / e if metric == "rr" else 1 - a / e)
     if not stats:
         raise EmptySuite("metric undefined on every bootstrap resample")
     stats.sort()

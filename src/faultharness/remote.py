@@ -1,7 +1,7 @@
 """JSON-over-HTTP chat-completion client.
 
-One transport shared by the remote agent policy, the remote repair teacher,
-and the remote grader. The wire shape is the common chat-completions one:
+One transport shared by the remote agent policy and the remote repair
+teacher. The wire shape is the common chat-completions one:
 POST {base_url}/chat/completions with {"model", "messages"} in, assistant
 text out of choices[0].message.content.
 """

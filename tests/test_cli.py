@@ -218,3 +218,93 @@ def test_report_diff(runner, tmp_path):
     result = runner.invoke(main, ["report-diff", str(a), str(b)])
     assert result.exit_code == 0
     assert "tsr: 0.5000 -> 0.7000 (delta +0.2000)" in result.output
+
+
+# --- errors exit 2 with a message -----------------------------------------------------
+
+
+def _evaluate(runner, tmp_path, suite, *extra, agent="paladin", out="runs"):
+    return runner.invoke(
+        main,
+        [
+            "evaluate", "--suite", str(suite), "--agent", agent, "--seed", "1",
+            "--out-dir", str(tmp_path / out), "--n-resamples", "5", *extra,
+        ],
+    )
+
+
+def _assert_clean_failure(result, *fragments):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+def test_gen_suite_pool_exhausted_exits_2(runner, tmp_path):
+    result = runner.invoke(
+        main, ["gen-suite", "--n", "1000", "--seed", "1", "--out", str(tmp_path / "s.jsonl")]
+    )
+    _assert_clean_failure(result, "Error:")
+
+
+@pytest.mark.parametrize(
+    "bad_line, fragment",
+    [('{"foo": 1}', "episode_id"), ("not json at all", "JSONDecodeError")],
+    ids=["missing-key", "not-json"],
+)
+def test_evaluate_malformed_suite_line_exits_2(runner, tmp_path, bad_line, fragment):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    good = suite.read_text().splitlines()
+    suite.write_text("\n".join([good[0], "", bad_line, *good[1:]]) + "\n")
+    result = _evaluate(runner, tmp_path, suite)
+    _assert_clean_failure(result, "suite line 3", fragment)
+
+
+def test_evaluate_bank_missing_classes_exits_2(runner, tmp_path):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({"version": "1.0", "exemplars": []}))
+    result = _evaluate(runner, tmp_path, suite, "--bank", str(bank))
+    _assert_clean_failure(result, "does not cover")
+
+
+def _shipped_bank_doc():
+    from importlib import resources
+
+    return json.loads(
+        resources.files("faultharness.data").joinpath("recovery_bank.json").read_text("utf-8")
+    )
+
+
+def test_same_version_banks_get_distinct_run_dirs(runner, tmp_path):
+    from faultharness.bank import parse_bank
+
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    doc = _shipped_bank_doc()
+    trimmed = dict(doc, exemplars=doc["exemplars"][1:])
+    parse_bank(trimmed)  # still covers every class
+    for name, bank_doc in (("full.json", doc), ("trimmed.json", trimmed)):
+        (tmp_path / name).write_text(json.dumps(bank_doc))
+        result = _evaluate(runner, tmp_path, suite, "--bank", str(tmp_path / name))
+        assert result.exit_code == 0, result.output
+    run_dirs = sorted((tmp_path / "runs").iterdir())
+    assert len(run_dirs) == 2
+    digests = {json.loads((d / "manifest.json").read_text())["flags"]["bank_sha256"]
+               for d in run_dirs}
+    assert len(digests) == 2
+
+
+def test_remote_models_get_distinct_run_dirs(runner, tmp_path):
+    # nothing listens on port 1: every episode ends on a transport failure at once
+    suite = _gen(runner, tmp_path, n=2, seed=5)
+    for model in ("model-a", "model-b"):
+        result = _evaluate(
+            runner, tmp_path, suite, "--endpoint-url", "http://127.0.0.1:1",
+            "--endpoint-model", model, agent="remote",
+        )
+        assert result.exit_code == 0, result.output
+    run_dirs = sorted((tmp_path / "runs").iterdir())
+    assert len(run_dirs) == 2
+    models = {json.loads((d / "manifest.json").read_text())["flags"]["endpoint_model"]
+              for d in run_dirs}
+    assert models == {"model-a", "model-b"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from conftest import run_simple
 from faultharness.errors import EmptySuite, EpisodeMismatch
 from faultharness.metrics import (
     EpisodeGrade,
+    _percentile,
+    _randrange_chunks,
     aggregate,
     bootstrap_ci,
     correlations,
     grade_episode,
-    metric_rr,
-    metric_tsr,
     pearson_r,
     report_csv_rows,
 )
@@ -286,6 +287,117 @@ def test_bootstrap_skips_undefined_resamples():
 def test_bootstrap_rejects_empty():
     with pytest.raises(EmptySuite):
         bootstrap_ci([], "tsr")
+
+
+# The bootstrap as it was written before per-episode counts: one randrange per
+# drawn episode and a selector over grade objects. Kept verbatim as the oracle
+# that the counts-and-batched-draws version must equal exactly.
+
+
+def _legacy_tsr(grades):
+    return sum(1 for g in grades if g.task_success) / len(grades)
+
+
+def _legacy_rr(grades):
+    enc = sum(g.failures_encountered for g in grades)
+    if enc == 0:
+        return None
+    return sum(g.failures_recovered for g in grades) / enc
+
+
+def _legacy_csr(grades):
+    enc = sum(g.failures_encountered for g in grades)
+    if enc == 0:
+        return None
+    return 1 - sum(1 for g in grades if g.hallucinated_success) / enc
+
+
+def _legacy_es(grades):
+    return len(grades) / sum(g.steps_taken for g in grades)
+
+
+_LEGACY_SELECTORS = {"tsr": _legacy_tsr, "rr": _legacy_rr, "csr": _legacy_csr, "es": _legacy_es}
+
+
+def _legacy_bootstrap_ci(grades, metric, n_resamples=1000, confidence=0.95, seed=0):
+    if not grades:
+        raise EmptySuite("no grades to bootstrap")
+    selector = _LEGACY_SELECTORS[metric]
+    rng = random.Random(seed)
+    n = len(grades)
+    stats = []
+    for _ in range(max(1, n_resamples)):
+        resample = [grades[rng.randrange(n)] for _ in range(n)]
+        value = selector(resample)
+        if value is not None:
+            stats.append(value)
+    if not stats:
+        raise EmptySuite("metric undefined on every bootstrap resample")
+    stats.sort()
+    tail = (1 - confidence) / 2
+    return (_percentile(stats, tail), _percentile(stats, 1 - tail))
+
+
+@st.composite
+def _episode_grades(draw):
+    enc = draw(st.integers(0, 3))
+    rec = draw(st.integers(0, enc))
+    return grade(
+        success=draw(st.booleans()),
+        enc=enc,
+        rec=rec,
+        halluc=rec < enc and draw(st.booleans()),
+        steps=draw(st.integers(1, 12)),
+    )
+
+
+# n = 1, powers of two and their neighbours (no rejection at 2**k - 1, the most at 2**k)
+_EDGE_SIZES = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(_EDGE_SIZES, st.integers(1, 300)),
+    n_resamples=st.integers(1, 50),
+    seed=st.integers(0, 2**64),
+    failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+def test_bootstrap_equals_randrange_oracle(data, n, n_resamples, seed, failure_share):
+    # failure_share 0 leaves rr/csr undefined on every resample, 0.05 on some
+    rng = random.Random(seed)
+    grades = [
+        data.draw(_episode_grades()) if rng.random() < failure_share
+        else grade(success=rng.random() < 0.6, steps=rng.randint(1, 12))
+        for _ in range(n)
+    ]
+    for metric in ("tsr", "rr", "csr", "es"):
+        try:
+            expected = _legacy_bootstrap_ci(grades, metric, n_resamples, seed=seed)
+        except EmptySuite:
+            with pytest.raises(EmptySuite):
+                bootstrap_ci(grades, metric, n_resamples, seed=seed)
+            continue
+        assert bootstrap_ci(grades, metric, n_resamples, seed=seed) == expected
+
+
+def _first_indices(n, seed, count=5000):
+    return list(islice(chain.from_iterable(_randrange_chunks(random.Random(seed), n)), count))
+
+
+def test_randrange_chunks_reproduce_randrange_stream():
+    # a CPython whose randrange draws differently fails here, before any CI moves
+    for n in range(1, 1001):
+        seed = 7919 * n
+        oracle = random.Random(seed)
+        assert _first_indices(n, seed) == [oracle.randrange(n) for _ in range(5000)], n
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 1000), seed=st.integers(0, 2**64))
+def test_randrange_chunks_reproduce_randrange_stream_any_seed(n, seed):
+    oracle = random.Random(seed)
+    assert _first_indices(n, seed) == [oracle.randrange(n) for _ in range(5000)]
 
 
 # --- correlations ---------------------------------------------------------------------

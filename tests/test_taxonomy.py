@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from faultharness.simulator import TRANSIENT_PERSISTENCE, ToolSpec, render_failure
 from faultharness.taxonomy import (
     CATALOG,
+    PROTOCOL_ERROR_KIND,
+    UNKNOWN_KIND,
     ErrorClass,
     ErrorSignature,
     Manifestation,
@@ -138,6 +141,39 @@ def test_error_body_status_may_be_a_digit_string(status, kind):
     assert found.kind == kind
     if kind == "http_503":
         assert (found.status_code, found.error_class) == (503, ErrorClass.REENTRANT_FAILURE)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=30),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4),
+    max_leaves=12,
+)
+# kinds the classifier itself names, beyond the catalog's
+_CLASSIFIER_KINDS = {UNKNOWN_KIND, "malformed_json", PROTOCOL_ERROR_KIND, "tool_not_found"}
+
+
+def _raw_tool_outputs():
+    dumped = _JSON_VALUES.map(json.dumps)
+    in_error_slot = st.builds(
+        lambda slot, status: json.dumps({"error": slot, "status": status}),
+        _JSON_VALUES,
+        _JSON_VALUES,
+    )
+    return st.one_of(st.text(), dumped, in_error_slot)
+
+
+@settings(max_examples=250, deadline=None)
+@given(raw=_raw_tool_outputs())
+def test_detect_failure_is_total(raw):
+    found = detect_failure(raw, "lookup", 2)
+    if found is None:
+        return
+    assert (
+        found.kind in CATALOG
+        or found.kind in _CLASSIFIER_KINDS
+        or re.fullmatch(r"http_[0-9]{3}", found.kind)
+    ), found.kind
 
 
 def test_canonical_key_normalizes_case_and_whitespace():
