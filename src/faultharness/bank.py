@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import json
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -44,6 +45,11 @@ class RetryWithBackoff:
             raise ValueError("max_attempts must be within [1, 4]")
         if self.base_delay_ms < 0 or self.cap_ms < 0:
             raise ValueError("delays must be non-negative")
+
+    def jitter_ms(self, attempt_number: int, rng: random.Random) -> int:
+        """Full-jitter wait before retry `attempt_number` (1-based), uniform
+        over [0, min(cap, base * 2^(attempt-1))]."""
+        return rng.randint(0, min(self.cap_ms, self.base_delay_ms * 2 ** (attempt_number - 1)))
 
 
 @dataclass(frozen=True)
@@ -374,10 +380,7 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
         raise EmptyScript(entry_id)
     script = tuple(action_from_json(doc) for doc in script_docs)
     if not isinstance(script[-1], (TerminateGracefully, *_SUCCESS_TERMINAL)):
-        raise ValueError(
-            f"{entry_id}: script must end with TerminateGracefully or a "
-            "success-terminal action"
-        )
+        raise ValueError("script must end with TerminateGracefully or a success-terminal action")
 
     rationale = entry.get("rationale", "")
     template = entry.get("dialogue_template")
@@ -385,6 +388,8 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
 
     kinds: list[str | None]
     if "kinds" in entry:
+        if not isinstance(entry["kinds"], list):  # a string would expand per character
+            raise TypeError("'kinds' must be a list")
         kinds = list(entry["kinds"])
     else:
         kinds = [pattern_doc.get("kind")]
@@ -422,10 +427,20 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
 
 
 def parse_bank(doc: dict) -> ExemplarBank:
+    """Validate a bank document; a malformed entry is named by its index and id."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("exemplars", []), list):
+        raise ConfigError("bank must be a JSON object whose 'exemplars' is a list")
     exemplars: list[RecoveryExemplar] = []
     seen: set[str] = set()
-    for entry in doc.get("exemplars", []):
-        for ex in _expand_entry(entry):
+    for index, entry in enumerate(doc.get("exemplars", [])):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"bank entry {index} is not a JSON object: {entry!r}")
+        try:
+            expanded = _expand_entry(entry)
+        except (AttributeError, TypeError, ValueError) as exc:
+            entry_id = entry.get("id", "<missing id>")
+            raise ConfigError(f"bank entry {index} ({entry_id}): {exc}") from exc
+        for ex in expanded:
             if ex.id in seen:
                 raise DuplicateId(ex.id)
             seen.add(ex.id)
@@ -442,7 +457,10 @@ def parse_bank(doc: dict) -> ExemplarBank:
 def load_bank(path) -> ExemplarBank:
     """Load and validate a dictionary file, expanding branch groups."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"bank file {path} is not JSON: {exc}") from None
     return parse_bank(doc)
 
 
@@ -517,24 +535,35 @@ def convert_legacy_dictionary(source_text: str) -> dict:
     """
     text = source_text.strip()
     branches = None
-    if text.startswith("{"):
-        try:
-            branches = json.loads(text)
-        except json.JSONDecodeError:
-            branches = ast.literal_eval(text)
-    else:
-        module = ast.parse(text)
-        for node in module.body:
-            if isinstance(node, ast.Assign):
-                branches = ast.literal_eval(node.value)
-                break
-        if branches is None:
-            raise ConfigError("no dictionary assignment found in source")
+    try:
+        if text.startswith("{"):
+            try:
+                branches = json.loads(text)
+            except json.JSONDecodeError:
+                branches = ast.literal_eval(text)
+        else:
+            module = ast.parse(text)
+            for node in module.body:
+                if isinstance(node, ast.Assign):
+                    branches = ast.literal_eval(node.value)
+                    break
+    except (SyntaxError, ValueError, TypeError, RecursionError) as exc:
+        raise ConfigError(f"legacy dictionary is not a Python literal: {exc}") from None
+    if branches is None:
+        raise ConfigError("no dictionary assignment found in source")
     if not isinstance(branches, dict):
         raise ConfigError("legacy dictionary must be a mapping of branch -> turns")
 
     exemplars = []
     for branch_key, turns in branches.items():
+        if not isinstance(turns, list) or not all(
+            isinstance(t, dict) and all(isinstance(t.get(f, ""), str) for f in ("from", "value"))
+            for t in turns
+        ):
+            raise ConfigError(
+                f"branch {branch_key!r}: turns must be a list of objects with text "
+                "'from' and 'value'"
+            )
         kinds = _branch_kinds(str(branch_key))
         error_class = _branch_class(kinds)
         rationale = ""

@@ -31,7 +31,7 @@ from .benchgen import (
     write_suite,
 )
 from .episode import InjectionPlan, dumps_canonical, trajectory_to_line
-from .errors import FaultHarnessError
+from .errors import ConfigError, FaultHarnessError
 from .metrics import (
     aggregate,
     bootstrap_ci,
@@ -396,7 +396,10 @@ def cmd_build_corpus(
 @click.option("--out", type=click.Path(), required=True)
 def cmd_convert_dictionary(src, out):
     """Convert a Python-literal branch dictionary into the canonical format."""
-    text = Path(src).read_text(encoding="utf-8")
+    try:
+        text = Path(src).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{src} is not UTF-8 text: {exc}") from None
     doc = convert_legacy_dictionary(text)
     bank = parse_bank(doc)  # validates before writing
     Path(out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -406,14 +409,30 @@ def cmd_convert_dictionary(src, out):
 # --- report-diff -------------------------------------------------------------------------
 
 
+_DIFF_METRICS = ("tsr", "rr", "csr", "es", "composite")
+
+
+def _read_report(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"report {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"report {path} is not a JSON object")
+    for metric in _DIFF_METRICS:
+        value = doc.get(metric)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"report {path}: {metric} is not a number: {value!r}")
+    return doc
+
+
 @main.command("report-diff")
 @click.argument("report_a", type=click.Path(exists=True))
 @click.argument("report_b", type=click.Path(exists=True))
 def cmd_report_diff(report_a, report_b):
     """Print per-metric deltas between two report.json files."""
-    a = json.loads(Path(report_a).read_text())
-    b = json.loads(Path(report_b).read_text())
-    for metric in ("tsr", "rr", "csr", "es", "composite"):
+    a, b = _read_report(report_a), _read_report(report_b)
+    for metric in _DIFF_METRICS:
         va, vb = a.get(metric), b.get(metric)
         if va is None or vb is None:
             click.echo(f"{metric}: {va} -> {vb}")

@@ -219,13 +219,28 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 def _randrange_chunks(rng: random.Random, n: int):
-    """Yield lists of n indices, the same stream as repeated `rng.randrange(n)`.
+    """Yield chunks of n indices, the same stream as repeated `rng.randrange(n)`.
 
-    `randrange(n)` draws `getrandbits(n.bit_length())` and rejects values >= n;
-    drawing in batches and filtering gives the same indices with C-level calls.
-    Accepted values beyond the current chunk carry over to the next one.
+    `randrange(n)` draws `getrandbits(k)`, k = n.bit_length(), and rejects values
+    >= n; `getrandbits(k <= 32)` is the top k bits of the next 32-bit word. For
+    k <= 8 one `getrandbits(32 * m)` holds m words, and its little-endian byte
+    4i + 3 is the top byte of word i: one `translate` shifts and rejects the
+    whole batch, and the chunks are `bytes`. Larger n draws lists of
+    `getrandbits(k)` and filters them. Accepted values beyond the current
+    chunk carry over to the next one.
     """
     k = n.bit_length()
+    if k <= 8:
+        words = 64 * n
+        table = bytes(b >> (8 - k) for b in range(256))
+        rejected = bytes(b for b in range(256) if table[b] >= n)
+        pool, pos = b"", 0
+        while True:
+            while len(pool) - pos < n:
+                top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+                pool, pos = pool[pos:] + top.translate(table, rejected), 0
+            yield pool[pos:pos + n]
+            pos += n
     pool: list[int] = []
     while True:
         while len(pool) < n:
@@ -259,15 +274,19 @@ def bootstrap_ci(
         raise EmptySuite("no grades to bootstrap")
     n = len(grades)
     counts = [int(getattr(g, _BOOTSTRAP_COUNTS[metric])) for g in grades]
-    encountered = [g.failures_encountered for g in grades] if metric in ("rr", "csr") else None
+    base = None
+    if metric in ("rr", "csr"):
+        # pack count * base + failures_encountered; no resample's failure sum reaches base
+        base = n * max(g.failures_encountered for g in grades) + 1
+        counts = [c * base + g.failures_encountered for c, g in zip(counts, grades)]
     rng = random.Random(seed)
     stats: list[float] = []
     for chunk in islice(_randrange_chunks(rng, n), max(1, n_resamples)):
         a = sum(map(counts.__getitem__, chunk))
-        if encountered is None:
+        if base is None:
             stats.append(a / n if metric == "tsr" else n / a)
             continue
-        e = sum(map(encountered.__getitem__, chunk))
+        a, e = divmod(a, base)
         if e:
             stats.append(a / e if metric == "rr" else 1 - a / e)
     if not stats:

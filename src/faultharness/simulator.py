@@ -255,8 +255,7 @@ def advance_backoff(
     if retry_after_ms is not None and policy.respect_retry_after:
         delay = retry_after_ms
     else:
-        bound = min(policy.cap_ms, policy.base_delay_ms * 2 ** (attempt_number - 1))
-        delay = rng_for(seed, attempt_number).randint(0, bound)
+        delay = policy.jitter_ms(attempt_number, rng_for(seed, attempt_number))
     return clock.advance(delay)
 
 

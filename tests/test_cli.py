@@ -308,3 +308,77 @@ def test_remote_models_get_distinct_run_dirs(runner, tmp_path):
     models = {json.loads((d / "manifest.json").read_text())["flags"]["endpoint_model"]
               for d in run_dirs}
     assert models == {"model-a", "model-b"}
+
+
+# --- malformed input files exit 2 with a message -------------------------------------
+
+
+def _assert_no_traceback(result, *fragments):
+    _assert_clean_failure(result, *fragments)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "text, fragments",
+    [
+        ("not json", ["bank.json is not JSON"]),
+        ("[1]", ["bank must be a JSON object"]),
+        ('{"exemplars": [5]}', ["bank entry 0 is not a JSON object"]),
+        (
+            json.dumps({"exemplars": [{"id": "odd", "pattern": {"kind": "timeout"},
+                                       "script": [{"action": "dance"}]}]}),
+            ["bank entry 0 (odd)", "unknown recovery action 'dance'"],
+        ),
+        (
+            json.dumps({"exemplars": [{"id": "odd", "kinds": "timeout",
+                                       "pattern": {"error_class": "ReentrantFailure"},
+                                       "script": [{"action": "terminate_gracefully"}]}]}),
+            ["bank entry 0 (odd)", "'kinds' must be a list"],
+        ),
+    ],
+    ids=["not-json", "list", "entry-not-object", "unknown-action", "kinds-string"],
+)
+def test_evaluate_malformed_bank_exits_2(runner, tmp_path, text, fragments):
+    suite = _gen(runner, tmp_path, n=2, seed=5)
+    bank = tmp_path / "bank.json"
+    bank.write_text(text)
+    result = _evaluate(runner, tmp_path, suite, "--bank", str(bank))
+    _assert_no_traceback(result, *fragments)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("{not json", "is not JSON"),
+        ("[0.5]", "is not a JSON object"),
+        ('{"tsr": "high"}', "tsr is not a number"),
+    ],
+    ids=["not-json", "list", "string-metric"],
+)
+def test_report_diff_malformed_report_exits_2(runner, tmp_path, text, fragment):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"tsr": 0.5}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    result = runner.invoke(main, ["report-diff", str(good), str(bad)])
+    _assert_no_traceback(result, "bad.json", fragment)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (b"foo bar baz", "not a Python literal"),
+        (b"x = foo()", "not a Python literal"),
+        (b'{"400": [1]}', "branch '400': turns must be a list of objects"),
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+    ],
+    ids=["syntax-error", "call", "turn-not-object", "not-utf8"],
+)
+def test_convert_dictionary_malformed_source_exits_2(runner, tmp_path, text, fragment):
+    src = tmp_path / "legacy.py"
+    src.write_bytes(text)
+    result = runner.invoke(
+        main, ["convert-dictionary", "--src", str(src), "--out", str(tmp_path / "out.json")]
+    )
+    _assert_no_traceback(result, fragment)
+    assert not (tmp_path / "out.json").exists()

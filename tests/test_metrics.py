@@ -340,19 +340,24 @@ def _legacy_bootstrap_ci(grades, metric, n_resamples=1000, confidence=0.95, seed
 
 @st.composite
 def _episode_grades(draw):
-    enc = draw(st.integers(0, 3))
+    # up to 20 failures: resample failure sums pass any single episode's count;
+    # up to 300 steps: counts do not fit in one byte
+    enc = draw(st.one_of(st.integers(0, 3), st.integers(0, 20)))
     rec = draw(st.integers(0, enc))
     return grade(
         success=draw(st.booleans()),
         enc=enc,
         rec=rec,
         halluc=rec < enc and draw(st.booleans()),
-        steps=draw(st.integers(1, 12)),
+        steps=draw(st.one_of(st.integers(1, 12), st.integers(1, 300))),
     )
 
 
-# n = 1, powers of two and their neighbours (no rejection at 2**k - 1, the most at 2**k)
-_EDGE_SIZES = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256])
+# n = 1, powers of two and their neighbours (no rejection at 2**k - 1, the most at 2**k);
+# 255 is the largest n drawn from top bytes, 256 and 257 take the list path
+_EDGE_SIZES = st.sampled_from(
+    [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 257]
+)
 
 
 @settings(max_examples=100, deadline=None)
