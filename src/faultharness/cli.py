@@ -33,6 +33,7 @@ from .benchgen import (
 from .episode import InjectionPlan, dumps_canonical, trajectory_to_line
 from .errors import ConfigError, FaultHarnessError
 from .metrics import (
+    BOOTSTRAP_METRICS,
     aggregate,
     bootstrap_ci,
     correlations,
@@ -168,7 +169,7 @@ def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
 @click.option("--bank", "bank_path", type=click.Path(exists=True), default=None)
 @click.option("--no-retrieval", is_flag=True, help="Remove the bank handle (ablation).")
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads; only the remote agent gains from more than 1.")
 @click.option("--out-dir", type=click.Path(), default="runs", show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
@@ -221,16 +222,12 @@ def cmd_evaluate(
     trajectories = [traj for traj, _ in results]
     grades = [grade for _, grade in results]
     report = aggregate(grades, alpha=alpha)
-    for i, metric in enumerate(("tsr", "rr", "csr", "es")):
-        try:
-            report.bootstrap[metric] = bootstrap_ci(
-                grades,
-                metric,
-                n_resamples=n_resamples,
-                seed=derive_seed(seed, RUN_SEED_STREAM, i),
-            )
-        except FaultHarnessError:
-            pass
+    report.bootstrap = bootstrap_ci(
+        grades,
+        BOOTSTRAP_METRICS,
+        n_resamples=n_resamples,
+        seed=derive_seed(seed, RUN_SEED_STREAM, 0),
+    )
     report.n_resamples = n_resamples
     report.correlations = correlations(grade_series(grades))
 
@@ -256,6 +253,9 @@ def cmd_evaluate(
 
     (run_dir / "trajectories.jsonl").write_text(
         "".join(trajectory_to_line(t) + "\n" for t in trajectories)
+    )
+    (run_dir / "grades.jsonl").write_text(
+        "".join(dumps_canonical(g.to_json()) + "\n" for g in grades)
     )
     (run_dir / "report.json").write_text(report_to_json_text(report))
     (run_dir / "report.csv").write_text(
@@ -288,8 +288,13 @@ def cmd_evaluate(
 
 
 @main.command("build-corpus")
-@click.option("--target", type=int, default=100, show_default=True)
-@click.option("--recovery-fraction", type=float, default=0.8, show_default=True)
+@click.option("--target", type=click.IntRange(min=2), default=100, show_default=True)
+@click.option(
+    "--recovery-fraction",
+    type=click.FloatRange(0, 1, min_open=True, max_open=True),
+    default=0.8,
+    show_default=True,
+)
 @click.option(
     "--teacher",
     type=click.Choice(["rule", "remote"]),

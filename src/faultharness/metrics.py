@@ -7,8 +7,10 @@ Four metrics over graded episodes:
 * catastrophe success rate: 1 - hallucinated successes / total failures
 * efficiency score: 1 / mean steps to complete a task
 
-Aggregation is exact (rationals); bootstrap confidence intervals use
-episode-level percentile resampling with a fixed seed.
+Aggregation is exact (rationals). Bootstrap confidence intervals use
+episode-level percentile resampling with one resample stream per call: every
+metric is scored on the same resamples, so the CIs are paired across metrics,
+and across runs that bootstrap equally many episodes with the same seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 
 from .episode import Finished, Trajectory
-from .errors import EmptySuite, EpisodeMismatch
+from .errors import ConfigError, EmptySuite, EpisodeMismatch
 from .simulator import trace_view
 from .taxonomy import CATALOG
 
@@ -173,6 +175,8 @@ def aggregate(grades: list[EpisodeGrade], alpha: float | Fraction = 1) -> Metric
     """Exact metric aggregation; RR/CSR are not-applicable on failure-free suites."""
     if not grades:
         raise EmptySuite("no grades to aggregate")
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise ConfigError("alpha must be finite")
     alpha_f = Fraction(alpha).limit_denominator(10**9)
     tsr, rr, csr, es, composite = _rates(grades, alpha_f)
 
@@ -249,51 +253,53 @@ def _randrange_chunks(rng: random.Random, n: int):
         del pool[:n]
 
 
-# the per-episode count each metric sums; rr and csr divide it by failures encountered
-_BOOTSTRAP_COUNTS = {
-    "tsr": "task_success",
-    "rr": "failures_recovered",
-    "csr": "hallucinated_success",
-    "es": "steps_taken",
-}
+BOOTSTRAP_METRICS = ("tsr", "rr", "csr", "es")
 
 
 def bootstrap_ci(
     grades: list[EpisodeGrade],
-    metric: str,
+    metric: str | tuple[str, ...],
     n_resamples: int = 1000,
     confidence: float = 0.95,
     seed: int = 0,
-) -> tuple[float, float]:
+) -> tuple[float, float] | dict[str, tuple[float, float]]:
     """Percentile bootstrap CI over episode-level resampling with replacement.
 
-    `metric` is "tsr", "rr", "csr" or "es"; each resample sums per-episode
-    counts, and resamples where the metric is undefined are skipped.
+    One resample stream per call scores all of `BOOTSTRAP_METRICS`, pairing the
+    CIs across metrics and across runs with the same seed and episode count.
+    One `metric` name gives `(lo, hi)` (`EmptySuite` if no resample defines it);
+    a tuple of names gives `{name: (lo, hi)}` for the names some resample defines.
     """
     if not grades:
         raise EmptySuite("no grades to bootstrap")
+    stats = {name: [] for name in BOOTSTRAP_METRICS}
+    wanted = {name: stats[name] for name in ((metric,) if isinstance(metric, str) else metric)}
     n = len(grades)
-    counts = [int(getattr(g, _BOOTSTRAP_COUNTS[metric])) for g in grades]
-    base = None
-    if metric in ("rr", "csr"):
-        # pack count * base + failures_encountered; no resample's failure sum reaches base
-        base = n * max(g.failures_encountered for g in grades) + 1
-        counts = [c * base + g.failures_encountered for c, g in zip(counts, grades)]
-    rng = random.Random(seed)
-    stats: list[float] = []
-    for chunk in islice(_randrange_chunks(rng, n), max(1, n_resamples)):
-        a = sum(map(counts.__getitem__, chunk))
-        if base is None:
-            stats.append(a / n if metric == "tsr" else n / a)
-            continue
-        a, e = divmod(a, base)
-        if e:
-            stats.append(a / e if metric == "rr" else 1 - a / e)
-    if not stats:
-        raise EmptySuite("metric undefined on every bootstrap resample")
-    stats.sort()
+    col, bases = [0] * n, []
+    # mixed radix: each base exceeds any resample's sum of its field, so no sum carries
+    for name in ("task_success", "failures_recovered", "hallucinated_success",
+                 "failures_encountered", "steps_taken"):
+        values = [int(getattr(g, name)) for g in grades]
+        bases.append(n * max(values) + 1)
+        col = [c * bases[-1] + v for c, v in zip(col, values)]
+    _, rec_base, halluc_base, enc_base, steps_base = bases
+    tsr, rr, csr, es = stats.values()
+    for chunk in islice(_randrange_chunks(random.Random(seed), n), max(1, n_resamples)):
+        a, steps = divmod(sum(map(col.__getitem__, chunk)), steps_base)
+        a, e = divmod(a, enc_base)
+        a, h = divmod(a, halluc_base)
+        s, r = divmod(a, rec_base)
+        tsr.append(s / n)
+        es.append(n / steps)
+        if e:  # rr and csr are undefined on a resample without failures
+            rr.append(r / e)
+            csr.append(1 - h / e)
     tail = (1 - confidence) / 2
-    return (_percentile(stats, tail), _percentile(stats, 1 - tail))
+    cis = {name: (_percentile(v, tail), _percentile(v, 1 - tail))
+           for name, v in zip(wanted, map(sorted, wanted.values())) if v}
+    if isinstance(metric, str) and not cis:
+        raise EmptySuite("metric undefined on every bootstrap resample")
+    return cis[metric] if isinstance(metric, str) else cis
 
 
 # --- correlations ------------------------------------------------------------------------

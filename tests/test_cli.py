@@ -65,7 +65,8 @@ def test_evaluate_writes_reports(runner, tmp_path):
     assert result.exit_code == 0, result.output
     run_dirs = list((tmp_path / "runs").iterdir())
     assert len(run_dirs) == 1
-    for name in ("report.json", "report.csv", "trajectories.jsonl", "manifest.json"):
+    for name in ("report.json", "report.csv", "trajectories.jsonl", "grades.jsonl",
+                 "manifest.json"):
         assert (run_dirs[0] / name).exists()
     report = json.loads((run_dirs[0] / "report.json").read_text())
     assert report["n_episodes"] == 14
@@ -382,3 +383,35 @@ def test_convert_dictionary_malformed_source_exits_2(runner, tmp_path, text, fra
     )
     _assert_no_traceback(result, fragment)
     assert not (tmp_path / "out.json").exists()
+
+
+# --- out-of-range options exit 2 with a message --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--target", "0"), ("--target", "-3"), ("--recovery-fraction", "1.5")],
+)
+def test_build_corpus_out_of_range_size_exits_2(runner, tmp_path, option, value):
+    out = tmp_path / "corpus"
+    result = runner.invoke(
+        main, ["build-corpus", option, value, "--seed", "0", "--out-dir", str(out)]
+    )
+    _assert_no_traceback(result, option)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_alpha_exits_2(runner, tmp_path, value):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    result = _evaluate(runner, tmp_path, suite, "--alpha", value)
+    _assert_no_traceback(result, "alpha must be finite")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_evaluate_jobs_below_one_exits_2(runner, tmp_path, value):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    result = _evaluate(runner, tmp_path, suite, "--jobs", value)
+    _assert_no_traceback(result, "--jobs")
+    assert not (tmp_path / "runs").exists()

@@ -37,6 +37,9 @@ GRADES = {
     "paladin": "9cab888922a8b81a5fd421958910f787ea32f07119442170eacabe59aae12b60",
 }
 
+# report.json from `evaluate --agent paladin --seed 42`, desk suite of 200 cards, seed 1337
+REPORT = "44ed39d0fe1646a445d2bb7608aa498f5344156b3ea3578ab0bfeb465ad49f0e"
+
 CORPUS = {
     "corpus.jsonl": "972e38c0abdc89b617c06b83fd6966111e40939f325e4e706b935c9e4c876596",
     "spans.json": "36252f69c5e3c03a4d935e84bda585cb499abee975902c7d768ae59d977b9b2a",
@@ -81,6 +84,34 @@ def test_desk_digests(desk_cards, bank, agent):
 def test_desk_paladin_without_bank_digest(desk_cards):
     trajectories, _ = _run_desk(desk_cards, "paladin", None)
     assert trajectories == TRAJECTORIES["paladin_no_bank"]
+
+
+@pytest.fixture(scope="module")
+def paladin_run_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("desk")
+    runner = CliRunner()
+    suite = tmp / "desk.jsonl"
+    result = runner.invoke(
+        main, ["gen-suite", "--n", "200", "--seed", "1337", "--out", str(suite)]
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(
+        main,
+        ["evaluate", "--suite", str(suite), "--agent", "paladin",
+         "--seed", str(EVAL_SEED), "--out-dir", str(tmp / "runs")],
+    )
+    assert result.exit_code == 0, result.output
+    (run_dir,) = (tmp / "runs").iterdir()
+    return run_dir
+
+
+def test_desk_paladin_report_digest(paladin_run_dir):
+    assert hashlib.sha256((paladin_run_dir / "report.json").read_bytes()).hexdigest() == REPORT
+
+
+def test_evaluate_grades_file_matches_grade_digest(paladin_run_dir):
+    digest = hashlib.sha256((paladin_run_dir / "grades.jsonl").read_bytes()).hexdigest()
+    assert digest == GRADES["paladin"]
 
 
 def test_corpus_digests(tmp_path):

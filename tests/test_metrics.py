@@ -386,6 +386,38 @@ def test_bootstrap_equals_randrange_oracle(data, n, n_resamples, seed, failure_s
         assert bootstrap_ci(grades, metric, n_resamples, seed=seed) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(_EDGE_SIZES, st.integers(1, 300)),
+    n_resamples=st.integers(1, 50),
+    seed=st.integers(0, 2**64),
+    failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+def test_bootstrap_all_metrics_equal_randrange_oracle(data, n, n_resamples, seed, failure_share):
+    # one stream scores every metric: each CI equals its own single-metric oracle
+    rng = random.Random(seed)
+    grades = [
+        data.draw(_episode_grades()) if rng.random() < failure_share
+        else grade(success=rng.random() < 0.6, steps=rng.randint(1, 12))
+        for _ in range(n)
+    ]
+    expected = {}
+    for metric in ("tsr", "rr", "csr", "es"):
+        try:
+            expected[metric] = _legacy_bootstrap_ci(grades, metric, n_resamples, seed=seed)
+        except EmptySuite:
+            pass
+    assert bootstrap_ci(grades, ("tsr", "rr", "csr", "es"), n_resamples, seed=seed) == expected
+
+
+def test_bootstrap_rejects_unknown_metric():
+    grades = [grade(success=True)]
+    for metric in ("f1", ("tsr", "f1")):
+        with pytest.raises(KeyError):
+            bootstrap_ci(grades, metric)
+
+
 def _first_indices(n, seed, count=5000):
     return list(islice(chain.from_iterable(_randrange_chunks(random.Random(seed), n)), count))
 
