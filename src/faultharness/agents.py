@@ -136,7 +136,9 @@ class VanillaPolicy(ScriptedPolicy):
 
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
         step = self._current_step(context)
-        if rng.random() < self._p_hallucinate:
+        # with probability 0 there is nothing to draw, and the decision's
+        # generator is never seeded
+        if self._p_hallucinate > 0 and rng.random() < self._p_hallucinate:
             return Finish(
                 answer=(
                     f"Task complete. {step.tool} returned the requested data: "

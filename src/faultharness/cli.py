@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import secrets
 import sys
@@ -138,6 +139,14 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
 # --- evaluate -------------------------------------------------------------------------
 
 
+def _finite(ctx, param, value):
+    """Reject NaN and infinities: a NaN gate compares false and never fails,
+    and a NaN alpha would fail only after every episode has run."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{param.opts[0].lstrip('-')} must be finite, not {value}")
+    return value
+
+
 def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
     policy = make_policy(
         agent_name,
@@ -172,13 +181,13 @@ def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads; only the remote agent gains from more than 1.")
 @click.option("--out-dir", type=click.Path(), default="runs", show_default=True)
-@click.option("--alpha", type=float, default=1.0, show_default=True)
+@click.option("--alpha", type=float, default=1.0, show_default=True, callback=_finite)
 @click.option("--n-resamples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--endpoint-url", default=None, help="Remote agent endpoint base URL.")
 @click.option("--endpoint-model", default="default")
-@click.option("--assert-min-rr", type=float, default=None)
-@click.option("--assert-min-tsr", type=float, default=None)
-@click.option("--assert-min-csr", type=float, default=None)
+@click.option("--assert-min-rr", type=float, default=None, callback=_finite)
+@click.option("--assert-min-tsr", type=float, default=None, callback=_finite)
+@click.option("--assert-min-csr", type=float, default=None, callback=_finite)
 def cmd_evaluate(
     suite,
     agent,

@@ -9,6 +9,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agents import synthesize_answer
 from .bank import (
@@ -35,13 +36,20 @@ from .errors import (
 )
 from .protocol import (
     Finish,
+    ParsedAction,
     RecoveryStep,
     ToolCall,
     parse_action,
     render_action,
 )
 from .remote import ChatEndpoint, EndpointConfig
-from .simulator import ToolRegistry, canonical_call_key, trace_view, wrap_response
+from .simulator import (
+    ToolRegistry,
+    canonical_call_key,
+    trace_prefix,
+    trace_view,
+    wrap_response,
+)
 from .taxonomy import ErrorSignature, canonical_key
 
 
@@ -56,15 +64,47 @@ def detect_first_failure(trace: Trajectory) -> tuple[int, ErrorSignature] | None
 
 def truncate_at_failure(trace: Trajectory, turn_index: int) -> Trajectory:
     """Prefix ending at (and including) the failing turn."""
-    return Trajectory(
-        episode_id=trace.episode_id,
-        plan=trace.plan,
-        turns=list(trace.turns[: turn_index + 1]),
-        terminal=None,
-    )
+    return trace_prefix(trace, turn_index + 1)
 
 
 # --- repair -----------------------------------------------------------------------------
+
+
+class TeacherTurn(NamedTuple):
+    """One turn a teacher writes, with what the teacher knows of it."""
+
+    role: str
+    content: str
+    parsed: ParsedAction | None = None  # an assistant turn's one parse
+    success: bool = False  # a function turn holding a response the teacher wrapped
+
+
+def _teacher_says(content: str) -> TeacherTurn:
+    """An assistant turn, parsed once; the parse serves every later check."""
+    try:
+        parsed = parse_action(content)
+    except AgentProtocolError as exc:
+        raise TeacherFailure(f"teacher turn violates the grammar: {exc}") from exc
+    return TeacherTurn(ROLE_ASSISTANT, content, parsed)
+
+
+def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
+    """`trace` plus the appended turns, 100 ms apart, with no terminal state.
+
+    The new trajectory's view starts from `trace`'s and is told each
+    appended turn's known call or signature, so it reworks nothing.
+    """
+    extended = trace_prefix(trace, len(trace.turns))
+    view = extended.view
+    clock = extended.turns[-1].simulated_time_ms
+    for role, content, parsed, success in appended:
+        clock += 100
+        if parsed is not None:
+            view.calls[len(extended.turns)] = parsed.call
+        elif success:
+            view.signatures[len(extended.turns)] = None
+        extended.turns.append(Turn(role=role, content=content, simulated_time_ms=clock))
+    return extended
 
 
 @dataclass(frozen=True)
@@ -95,7 +135,7 @@ class RuleBasedTeacher:
             raise TeacherFailure("rule-based teacher needs a non-empty bank")
         self._bank = bank
 
-    def continuation(self, request: RepairRequest) -> list[tuple[str, str]]:
+    def continuation(self, request: RepairRequest) -> list[TeacherTurn]:
         exemplar = retrieve(self._bank, request.error)
         trace = request.truncated_trace
         failed_call = trace_view(trace).call_before(len(trace.turns) - 1)
@@ -120,7 +160,7 @@ class RuleBasedTeacher:
         exemplar: RecoveryExemplar,
         request: RepairRequest,
         failed_call: ToolCall,
-    ) -> list[tuple[str, str]]:
+    ) -> list[TeacherTurn]:
         alt = request.toolset.alternative_for(failed_call.name)
         giveup_payload = json.dumps(
             {
@@ -140,40 +180,37 @@ class RuleBasedTeacher:
             ),
             "giveup_input": giveup_payload,
         }
-        turns: list[tuple[str, str]] = []
+        turns: list[TeacherTurn] = []
         for template_turn in exemplar.dialogue_template:
-            role = ROLE_ASSISTANT if template_turn["from"].lower() == "assistant" else ROLE_FUNCTION
             content = template_turn["value"]
             for key, value in slots.items():
                 content = content.replace("{" + key + "}", value)
-            turns.append((role, content))
+            if template_turn["from"].lower() == "assistant":
+                turns.append(_teacher_says(content))
+            else:
+                turns.append(TeacherTurn(
+                    ROLE_FUNCTION, content, success=content == slots["success_response"]
+                ))
         # template dialogues that recover successfully still need the Finish
         if turns and not self._ends_terminal(turns):
-            turns.append((ROLE_ASSISTANT, self._finish_text(request, turns)))
+            turns.append(self._finish(request, turns))
         return turns
 
     @staticmethod
-    def _ends_terminal(turns: list[tuple[str, str]]) -> bool:
-        for role, content in reversed(turns):
-            if role != ROLE_ASSISTANT:
-                continue
-            try:
-                return parse_action(content).is_terminal
-            except AgentProtocolError:
-                return False
+    def _ends_terminal(turns: list[TeacherTurn]) -> bool:
+        for turn in reversed(turns):
+            if turn.parsed is not None:
+                return turn.parsed.is_terminal
         return False
 
-    def _finish_text(self, request: RepairRequest, appended: list[tuple[str, str]]) -> str:
-        probe = Trajectory(
-            episode_id=request.truncated_trace.episode_id,
-            plan=request.truncated_trace.plan,
-            turns=list(request.truncated_trace.turns)
-            + [Turn(role=r, content=c, simulated_time_ms=0) for r, c in appended],
-        )
-        return render_action(
-            Finish(
-                answer=synthesize_answer(probe),
-                thought="The recovered data answers the task.",
+    def _finish(self, request: RepairRequest, appended: list[TeacherTurn]) -> TeacherTurn:
+        probe = _extend(request.truncated_trace, appended)
+        return _teacher_says(
+            render_action(
+                Finish(
+                    answer=synthesize_answer(probe),
+                    thought="The recovered data answers the task.",
+                )
             )
         )
 
@@ -182,9 +219,9 @@ class RuleBasedTeacher:
         exemplar: RecoveryExemplar,
         request: RepairRequest,
         failed_call: ToolCall,
-    ) -> list[tuple[str, str]]:
+    ) -> list[TeacherTurn]:
         error_text = request.error.message or request.error.kind
-        turns: list[tuple[str, str]] = []
+        turns: list[TeacherTurn] = []
         for action in exemplar.script:
             if isinstance(action, TerminateGracefully):
                 report = (action.report or "Could not complete the step using "
@@ -197,7 +234,7 @@ class RuleBasedTeacher:
                     "stopping with an honest report.",
                     report=report,
                 )
-                turns.append((ROLE_ASSISTANT, render_action(step)))
+                turns.append(_teacher_says(render_action(step)))
                 return turns
             step = RecoveryStep(
                 action=action,
@@ -205,12 +242,14 @@ class RuleBasedTeacher:
                 f"{failed_call.name}.",
                 call=failed_call,
             )
-            turns.append((ROLE_ASSISTANT, render_action(step)))
-            turns.append(
-                (ROLE_FUNCTION, wrap_response(self._success_payload(request, failed_call)))
-            )
+            turns.append(_teacher_says(render_action(step)))
+            turns.append(TeacherTurn(
+                ROLE_FUNCTION,
+                wrap_response(self._success_payload(request, failed_call)),
+                success=True,
+            ))
             break  # teacher writes the successful recovery, one corrective step
-        turns.append((ROLE_ASSISTANT, self._finish_text(request, turns)))
+        turns.append(self._finish(request, turns))
         return turns
 
 
@@ -224,8 +263,8 @@ class RemoteTeacher:
         self._client = ChatEndpoint(endpoint)
         self._max_turns = max_turns
 
-    def continuation(self, request: RepairRequest) -> list[tuple[str, str]]:
-        turns: list[tuple[str, str]] = []
+    def continuation(self, request: RepairRequest) -> list[TeacherTurn]:
+        turns: list[TeacherTurn] = []
         messages = [
             {"role": t.role, "content": t.content}
             for t in request.truncated_trace.turns
@@ -245,7 +284,7 @@ class RemoteTeacher:
                 parsed = parse_action(text)
             except Exception as exc:  # transport, protocol, or grammar failure
                 raise TeacherFailure(f"remote teacher failed: {exc}") from exc
-            turns.append((ROLE_ASSISTANT, text))
+            turns.append(TeacherTurn(ROLE_ASSISTANT, text, parsed))
             messages.append({"role": "assistant", "content": text})
             if parsed.is_terminal:
                 return turns
@@ -257,7 +296,7 @@ class RemoteTeacher:
                     canonical_call_key(call.name, call.arguments)
                 )
             response = wrap_response(payload if payload is not None else '{"status":"ok"}')
-            turns.append((ROLE_FUNCTION, response))
+            turns.append(TeacherTurn(ROLE_FUNCTION, response, success=True))
             messages.append({"role": "function", "content": response})
         raise TeacherFailure("remote teacher did not terminate the trace")
 
@@ -268,31 +307,21 @@ def repair(request: RepairRequest, teacher) -> Trajectory:
     appended = teacher.continuation(request)
     if not appended:
         raise TeacherFailure("teacher produced no continuation")
-    first_assistant = next((c for r, c in appended if r == ROLE_ASSISTANT), None)
-    if first_assistant is None or not first_assistant.startswith(RECOVERY_PREFIX):
+    first_assistant = next((t for t in appended if t.role == ROLE_ASSISTANT), None)
+    if first_assistant is None or not first_assistant.content.startswith(RECOVERY_PREFIX):
         raise TeacherFailure("first appended assistant turn must be recovery-tagged")
 
-    repaired = Trajectory(
-        episode_id=request.truncated_trace.episode_id,
-        plan=request.truncated_trace.plan,
-        turns=list(request.truncated_trace.turns),
-    )
-    clock = repaired.turns[-1].simulated_time_ms
     terminal = None
-    for role, content in appended:
-        clock += 100
-        repaired.turns.append(Turn(role=role, content=content, simulated_time_ms=clock))
-        if role == ROLE_ASSISTANT:
-            try:
-                parsed = parse_action(content)
-            except AgentProtocolError as exc:
-                raise TeacherFailure(f"teacher turn violates the grammar: {exc}") from exc
-            if parsed.finish is not None:
-                terminal = Finished(answer=parsed.finish.answer)
-            elif parsed.give_up is not None:
-                terminal = GracefulFailure(report=parsed.give_up.report)
+    for turn in appended:
+        if turn.parsed is None:
+            continue
+        if turn.parsed.finish is not None:
+            terminal = Finished(answer=turn.parsed.finish.answer)
+        elif turn.parsed.give_up is not None:
+            terminal = GracefulFailure(report=turn.parsed.give_up.report)
     if terminal is None:
         raise TeacherFailure("repaired trace must end in Finish or graceful failure")
+    repaired = _extend(request.truncated_trace, appended)
     repaired.terminal = terminal
     return repaired
 
@@ -308,30 +337,30 @@ def finalize(task: str, toolset: ToolRegistry, trace: Trajectory) -> Trajectory:
         raise MalformedTrace(
             f"trace has a failure at turn {failure[0]}; route it to repair"
         )
-    for turn in trace.turns:
+    calls = trace_view(trace).calls
+    parsed = None  # of the last assistant turn, when it makes no known call
+    for i, turn in enumerate(trace.turns):
         if turn.role != ROLE_ASSISTANT:
             continue
         if turn.is_recovery:
             raise MalformedTrace("clean traces must not carry recovery tags")
+        parsed = None
+        if calls.get(i) is not None:
+            continue  # a known call: the turn parses
         try:
-            parse_action(turn.content)
+            parsed = parse_action(turn.content)
         except AgentProtocolError as exc:
             raise MalformedTrace(f"assistant turn violates the grammar: {exc}") from exc
 
-    if trace.turns and trace.turns[-1].role == ROLE_ASSISTANT:
-        try:
-            if parse_action(trace.turns[-1].content).finish is not None and isinstance(
-                trace.terminal, Finished
-            ):
-                return trace
-        except AgentProtocolError:
-            pass
+    if (
+        trace.turns[-1].role == ROLE_ASSISTANT
+        and parsed is not None
+        and parsed.finish is not None
+        and isinstance(trace.terminal, Finished)
+    ):
+        return trace
 
-    finished = Trajectory(
-        episode_id=trace.episode_id,
-        plan=trace.plan,
-        turns=list(trace.turns),
-    )
+    finished = trace_prefix(trace, len(trace.turns))
     finish = Finish(
         answer=synthesize_answer(finished),
         thought="All steps succeeded; reporting the retrieved data.",

@@ -13,12 +13,24 @@ World model for injected faults:
   same call; the correct moves are graceful termination and tool switching.
 
 The clock is simulated and integer-valued; nothing ever sleeps.
+
+Each turn's facts are worked out once, by the code that writes the turn. The
+simulator hands the episode's `TraceView` the call of every assistant turn it
+renders and the signature of every tool response it serves: a scripted
+payload is classified once when served, an injected fault once when it is
+made, and a wrapped success is known to be one. The view classifies only what
+no writer told it. `TraceView.fork` starts a derived trajectory (a truncated
+prefix, or a prefix with turns appended) from those facts instead of a fresh
+pass over the trace.
+
+Each decision's random generator is seeded on its first draw, to the stream
+`rng_for(episode seed, decision index)` gives; most decisions draw nothing.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .bank import (
@@ -50,7 +62,7 @@ from .protocol import (
     ToolCall,
     render_action,
 )
-from .seeds import derive_seed, rng_for
+from .seeds import LazyRandom, derive_seed, rng_for
 from .taxonomy import (
     CATALOG,
     ErrorClass,
@@ -299,8 +311,16 @@ class _ActiveFault:
     retry_after_ms: int | None
     fix_actions: frozenset[str]
     transient: bool
+    signature: ErrorSignature | None  # `rendered` classified at its first serve
     retries: int = 0
     cleared: bool = False
+
+    def signature_at(self, turn_index: int) -> ErrorSignature | None:
+        """The signature of `rendered` served again at `turn_index`."""
+        sig = self.signature
+        if sig is None or sig.turn_index == turn_index:
+            return sig
+        return replace(sig, turn_index=turn_index)
 
     def on_reissue(self, action_tag: str | None) -> bool:
         """Register one reissue of the faulted call; True if it now succeeds."""
@@ -322,7 +342,9 @@ def _make_fault(
     tool: ToolSpec,
     seed: int,
     ordinal: int,
+    turn_index: int,
 ) -> _ActiveFault:
+    """The fault injected at call `ordinal`, first served at `turn_index`."""
     kind = CATALOG.get(kind_id)
     if kind is None:
         raise ConfigError(f"cannot inject unknown failure kind {kind_id!r}")
@@ -345,6 +367,7 @@ def _make_fault(
         retry_after_ms=retry_after,
         fix_actions=STRUCTURAL_FIXES.get(kind.error_class, frozenset()),
         transient=transient,
+        signature=detect_failure(rendered, tool.name, turn_index),
     )
 
 
@@ -360,13 +383,25 @@ class FailureEvent:
     recovered: bool  # a later successful response served the same capability
 
 
+_UNCLASSIFIED = object()  # a function turn no writer recorded a signature for
+
+
 class TraceView:
     """What happened on each turn of one trajectory, worked out once.
 
-    Each function turn is classified exactly once, with the tool name of the
-    nearest assistant call before it; each assistant turn is parsed at most
-    once, when a call is asked of it. `update` resumes where the last update
-    stopped, so turns must only ever be appended.
+    Each function turn is classified once, with the tool name of the nearest
+    assistant call before it; each assistant turn is parsed at most once,
+    when a call is asked of it. Where the code that wrote a turn already
+    knows its facts, it records them before `update` reaches the turn:
+    `calls[i]` for an assistant turn's call, `signatures[i]` for a function
+    turn's signature (None for a success). The view then neither parses nor
+    classifies that turn. `update` resumes where the last update stopped, so
+    turns must only ever be appended.
+
+    `fork(n)` is the view of a copy of the first n turns, for a trajectory
+    derived from this one. It takes those turns' calls and signatures from
+    this view and rebuilds the rest of its state from them, without parsing
+    or classifying anything again, and keeps no reference to this view.
     """
 
     def __init__(self, turns: list[Turn]):
@@ -381,6 +416,8 @@ class TraceView:
         self.responses: list[tuple[int, str, ErrorSignature | None]] = []
         self.recoveries: list[int] = []  # turn indices of recovery-tagged turns
         self.calls: dict[int, ToolCall | None] = {}  # assistant turn index -> its call
+        # function turn index -> its writer-recorded signature, until `update` reads it
+        self.signatures: dict[int, ErrorSignature | None] = {}
 
     def update(self) -> "TraceView":
         turns = self.turns
@@ -393,7 +430,9 @@ class TraceView:
             elif turn.role == ROLE_FUNCTION:
                 call = self.call_at(self.last_assistant)
                 tool = call.name if call else ""
-                sig = detect_failure(turn.content, tool, i)
+                sig = self.signatures.pop(i, _UNCLASSIFIED)
+                if sig is _UNCLASSIFIED:
+                    sig = detect_failure(turn.content, tool, i)
                 self.responses.append((i, tool, sig))
                 self.last_error = sig
                 if sig is None:
@@ -406,6 +445,14 @@ class TraceView:
                         self.first_failure = (i, sig)
         self.seen = len(turns)
         return self
+
+    def fork(self, n: int) -> "TraceView":
+        """The view of a new list holding the first n turns, from this view's facts."""
+        self.update()
+        view = TraceView(self.turns[:n])
+        view.calls = {i: call for i, call in self.calls.items() if i < n}
+        view.signatures = {i: sig for i, _, sig in self.responses if i < n}
+        return view.update()
 
     def call_at(self, index: int) -> ToolCall | None:
         """The call of the assistant turn at `index`; None if it makes none."""
@@ -481,6 +528,18 @@ def trace_view(traj: Trajectory) -> TraceView:
     return view.update()
 
 
+def trace_prefix(traj: Trajectory, n: int) -> Trajectory:
+    """A new trajectory of `traj`'s first n turns, with no terminal state.
+
+    Its view is forked from `traj`'s, so turns may be appended to it (their
+    facts recorded in its view first) without reworking the prefix.
+    """
+    view = trace_view(traj).fork(n)
+    prefix = Trajectory(episode_id=traj.episode_id, plan=traj.plan, turns=view.turns)
+    prefix.view = view
+    return prefix
+
+
 # --- episode execution -------------------------------------------------------------
 
 
@@ -523,64 +582,63 @@ def run_episode(
         clock.advance(config.turn_cost_ms)
         traj.turns.append(Turn(role=role, content=content, simulated_time_ms=clock.now))
 
-    def execute_call(call: ToolCall, action_tag: str | None) -> str:
+    def execute_call(
+        call: ToolCall, key: str, action_tag: str | None, index: int
+    ) -> tuple[str, ErrorSignature | None]:
+        """The response to `call`, written at turn `index`, and its signature."""
         nonlocal call_ordinal
         tool = tools.get(call.name)
         if tool is None:
-            return json.dumps(
+            text = json.dumps(
                 {"error": f"Tool '{call.name}' not found in registry"},
                 sort_keys=True,
                 separators=(",", ":"),
             )
+            return text, detect_failure(text, call.name, index)
         call_ordinal += 1
-        key = canonical_call_key(call.name, call.arguments)
 
         fault = faults.get(key)
         if fault is not None and not fault.cleared:
             if fault.on_reissue(action_tag):
-                return _scripted(tool, key)
-            return fault.rendered
+                return _scripted(tool, key, index)
+            return fault.rendered, fault.signature_at(index)
 
         if not plan.is_clean and call_ordinal == plan.turn_index:
-            fault = _make_fault(
-                plan.kind, plan.manifestation, key, tool, plan.seed, call_ordinal
-            )
-            faults[key] = fault
-            return fault.rendered
-        if plan.cascade is not None and call_ordinal == plan.cascade[1]:
-            cascade_kind = plan.cascade[0]
-            fault = _make_fault(
-                cascade_kind,
-                CATALOG[cascade_kind].default_manifestation,
-                key,
-                tool,
-                plan.seed,
-                call_ordinal,
-            )
-            faults[key] = fault
-            return fault.rendered
-        return _scripted(tool, key)
+            kind, manifestation = plan.kind, plan.manifestation
+        elif plan.cascade is not None and call_ordinal == plan.cascade[1]:
+            kind = plan.cascade[0]
+            manifestation = CATALOG[kind].default_manifestation
+        else:
+            return _scripted(tool, key, index)
+        fault = faults[key] = _make_fault(
+            kind, manifestation, key, tool, plan.seed, call_ordinal, index
+        )
+        return fault.rendered, fault.signature
 
-    def _scripted(tool: ToolSpec, key: str) -> str:
+    def _scripted(tool: ToolSpec, key: str, index: int) -> tuple[str, ErrorSignature | None]:
         payload = tool.scripted_responses.get(key)
         if payload is None:
-            return json.dumps(
+            text = json.dumps(
                 {"error": "No scripted response for this request", "status": 400},
                 sort_keys=True,
                 separators=(",", ":"),
             )
+            return text, detect_failure(text, tool.name, index)
         # a payload that is itself a failure body models a permanently
         # failing tool; serve it raw so it stays classifiable
-        if detect_failure(payload, tool.name, 0) is not None:
-            return payload
-        return wrap_response(payload)
+        signature = detect_failure(payload, tool.name, index)
+        if signature is not None:
+            return payload, signature
+        return wrap_response(payload), None  # a wrapped payload is always a success
 
     while True:
-        if len(traj.assistant_turns) >= config.max_steps:
+        # every decision that does not end the episode writes one assistant
+        # turn, so this counts the assistant turns so far
+        if n_decisions >= config.max_steps:
             traj.terminal = StepBudgetExhausted()
             break
 
-        rng = rng_for(episode_seed, n_decisions)
+        rng = LazyRandom(episode_seed, n_decisions)
         n_decisions += 1
         try:
             action = agent.decide(traj, last_error, tools, bank, rng)
@@ -649,10 +707,10 @@ def run_episode(
             elif isinstance(action.action, WaitUntilHealthy):
                 clock.advance(action.action.poll_interval_ms)
 
-        response = execute_call(call, action_tag)
+        response, last_error = execute_call(call, key, action_tag, len(traj.turns))
+        view.signatures[len(traj.turns)] = last_error
         append(ROLE_FUNCTION, response)
 
-        last_error = view.update().last_error
         if last_error is not None:
             if key == last_failed_key:
                 consecutive_retries += 1

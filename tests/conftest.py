@@ -4,8 +4,10 @@ import pytest
 
 from faultharness.bank import load_shipped_bank
 from faultharness.agents import TaskStep, make_policy
-from faultharness.episode import InjectionPlan
+from faultharness.episode import ROLE_ASSISTANT, InjectionPlan
+from faultharness.errors import AgentProtocolError
 from faultharness.metrics import grade_episode
+from faultharness.protocol import parse_action
 from faultharness.simulator import (
     SimConfig,
     ToolRegistry,
@@ -14,7 +16,7 @@ from faultharness.simulator import (
     run_episode,
 )
 from faultharness.tasks import builtin_task_pool
-from faultharness.taxonomy import CATALOG, Manifestation
+from faultharness.taxonomy import CATALOG, Manifestation, detect_failure
 
 
 @pytest.fixture(scope="session")
@@ -82,3 +84,36 @@ def run_simple(
         bank=bank,
     )
     return traj, registry, steps
+
+
+# --- trace view oracles ------------------------------------------------------------
+
+
+def call_facts(call):
+    """A call's name and arguments; the grammar keeps the thought outside the
+    call, so a parsed call never carries one while a rendered one may."""
+    return None if call is None else (call.name, call.arguments)
+
+
+def view_state(view):
+    """Every field of an up-to-date view, with the call of every assistant turn."""
+    return (
+        list(view.turns), view.seen, view.last_assistant, view.completed_steps,
+        view.failure_run, view.last_error, view.first_failure, list(view.responses),
+        list(view.recoveries), dict(view.signatures),
+        [call_facts(view.call_at(i))
+         for i, turn in enumerate(view.turns) if turn.role == ROLE_ASSISTANT],
+    )
+
+
+def assert_facts_match_texts(view):
+    """Each call and signature the view holds, whoever recorded it, is what
+    `parse_action` and `detect_failure` make of the turn's text."""
+    for i, call in view.calls.items():
+        try:
+            parsed = parse_action(view.turns[i].content).call
+        except AgentProtocolError:
+            parsed = None
+        assert call_facts(call) == call_facts(parsed), i
+    for i, tool, sig in view.responses:
+        assert sig == detect_failure(view.turns[i].content, tool, i), i

@@ -415,3 +415,27 @@ def test_evaluate_jobs_below_one_exits_2(runner, tmp_path, value):
     result = _evaluate(runner, tmp_path, suite, "--jobs", value)
     _assert_no_traceback(result, "--jobs")
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("option", ["--assert-min-rr", "--assert-min-tsr", "--assert-min-csr"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_gate_exits_2(runner, tmp_path, option, value):
+    # a NaN gate compares false against every score, so it would never fail
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    result = _evaluate(runner, tmp_path, suite, option, value)
+    _assert_no_traceback(result, f"{option.lstrip('-')} must be finite")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--assert-min-rr"])
+def test_evaluate_checks_finiteness_before_running_episodes(runner, tmp_path, monkeypatch,
+                                                            option):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran before the option was checked")
+
+    monkeypatch.setattr("faultharness.cli.run_episode", no_episodes)
+    monkeypatch.setattr("faultharness.cli.read_suite", no_episodes)
+    result = _evaluate(runner, tmp_path, suite, option, "nan")
+    _assert_no_traceback(result, f"{option.lstrip('-')} must be finite")

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from conftest import make_registry, run_simple
+from click.testing import CliRunner
+
+from conftest import assert_facts_match_texts, make_registry, run_simple, view_state
 from faultharness.agents import make_policy
 from faultharness.episode import (
     Finished,
@@ -28,7 +30,7 @@ from faultharness.pipeline import (
     repair,
     truncate_at_failure,
 )
-from faultharness.simulator import SimConfig, run_episode
+from faultharness.simulator import SimConfig, TraceView, run_episode, trace_view
 from faultharness.taxonomy import CATALOG
 
 
@@ -287,3 +289,77 @@ def test_corpus_spec_validation():
         CorpusSpec(target_size=10, recovery_fraction=0.0)
     with pytest.raises(ValueError):
         CorpusSpec(target_size=1)
+
+
+# --- facts the corpus path reuses -------------------------------------------------------
+
+
+def test_corpus_traces_hold_only_true_facts(tmp_path, monkeypatch):
+    import faultharness.cli as cli
+
+    composed = []
+
+    def capture(repaired, clean, spec, dictionary_version="0"):
+        composed.extend(item.trace for item in repaired + clean)
+        return compose_corpus(repaired, clean, spec, dictionary_version)
+
+    monkeypatch.setattr(cli, "compose_corpus", capture)
+    result = CliRunner().invoke(
+        cli.main,
+        ["build-corpus", "--target", "150", "--seed", "0", "--out-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    assert len(composed) >= 150
+    for trace in composed:
+        view = trace_view(trace)
+        assert_facts_match_texts(view)
+        assert view_state(view) == view_state(TraceView(list(trace.turns)).update())
+
+
+class _Counter:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _refuse(*args):
+    raise AssertionError("the turn was classified again")
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank, monkeypatch):
+    import faultharness.pipeline as pipeline
+    import faultharness.simulator as simulator
+
+    traj, registry = failing_trace(kind)
+    turn_index, sig = detect_first_failure(traj)
+    monkeypatch.setattr(simulator, "detect_failure", _refuse)
+    parses = _Counter(pipeline.parse_action)
+    monkeypatch.setattr(pipeline, "parse_action", parses)
+    monkeypatch.setattr("faultharness.protocol.parse_action", _refuse)
+    request = RepairRequest(
+        task=traj.turns[1].content,
+        toolset=registry,
+        truncated_trace=truncate_at_failure(traj, turn_index),
+        error=sig,
+    )
+    repaired = repair(request, RuleBasedTeacher(bank))
+    appended = repaired.turns[turn_index + 1:]
+    assert parses.calls == sum(1 for turn in appended if turn.role == "assistant")
+    trace_view(repaired)  # the teacher told the view every appended turn's facts
+
+
+def test_finalize_parses_only_the_final_turn_of_a_simulated_trace(monkeypatch):
+    import faultharness.pipeline as pipeline
+    import faultharness.simulator as simulator
+
+    traj, registry, _ = run_simple("vanilla", kind=None)
+    monkeypatch.setattr(simulator, "detect_failure", _refuse)
+    parses = _Counter(pipeline.parse_action)
+    monkeypatch.setattr(pipeline, "parse_action", parses)
+    assert finalize("task", registry, traj) is traj
+    assert parses.calls == 1

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_registry, run_simple
+from conftest import (
+    assert_facts_match_texts,
+    make_registry,
+    run_simple,
+    view_state,
+)
 from faultharness.agents import make_policy
 from faultharness.bank import RetryWithBackoff
+from faultharness.benchgen import SuiteSpec, generate_suite
 from faultharness.episode import (
     ROLE_ASSISTANT,
     ROLE_FUNCTION,
@@ -30,11 +38,15 @@ from faultharness.simulator import (
     ToolSpec,
     advance_backoff,
     canonical_call_key,
+    TraceView,
     render_failure,
     run_episode,
+    trace_prefix,
     trace_view,
+    wrap_response,
 )
-from faultharness.taxonomy import CATALOG, Manifestation, classify_raw_failure
+from faultharness.seeds import LazyRandom, rng_for
+from faultharness.taxonomy import CATALOG, Manifestation, classify_raw_failure, detect_failure
 
 
 def tool_for_render(payload='{"a":1,"b":2,"c":3,"d":4}'):
@@ -416,3 +428,113 @@ def test_trace_view_names_the_nearest_assistant_call():
     assert view.first_failure[0] == 4
     assert view.failure_run == (4, 1)
     assert view.last_failed_call() == ToolCall(name="lookup", arguments={"q": "x"})
+
+
+# --- writer-recorded facts, forks and the lazy decision generator ---------------------
+
+DESK_RUNS = (
+    ("vanilla", True), ("toolbench", True), ("reflect", True), ("critic", True),
+    ("paladin", True), ("paladin", False),  # the last one: --no-retrieval
+)
+
+
+@pytest.fixture(scope="module")
+def desk_trajectories(tasks, bank):
+    """Every trajectory of the five agents and the no-retrieval ablation on the
+    200-card desk suite (master seed 1337, eval seed 42)."""
+    cards = generate_suite(tasks, SuiteSpec(n_episodes=200, master_seed=1337))
+    trajectories = []
+    for agent, with_bank in DESK_RUNS:
+        for card in cards:
+            policy = make_policy(
+                agent, steps=card.steps, retry_budget=card.retry_budget, gate_seed=42
+            )
+            trajectories.append(run_episode(
+                prompt=card.prompt,
+                tools=card.tools,
+                agent=policy,
+                plan=card.plan,
+                config=card.sim_config(rng_seed=42),
+                bank=bank if with_bank else None,
+                episode_id=card.episode_id,
+            ))
+    return trajectories
+
+
+def test_desk_writer_recorded_facts_are_the_texts(desk_trajectories):
+    for traj in desk_trajectories:
+        assert_facts_match_texts(trace_view(traj))
+
+
+def test_desk_forks_equal_fresh_views_of_every_prefix(desk_trajectories):
+    for traj in desk_trajectories:
+        view = trace_view(traj)
+        for n in range(len(traj.turns) + 1):
+            forked = view.fork(n)
+            assert forked.turns is not traj.turns
+            assert view_state(forked) == view_state(TraceView(traj.turns[:n]).update())
+
+
+def test_trace_prefix_keeps_no_reference_to_its_parent_view(bank):
+    traj, _, _ = run_simple("paladin", kind="http_503", bank=bank)
+    parent = weakref.ref(trace_view(traj))
+    prefix = trace_prefix(traj, 4)
+    del traj
+    gc.collect()
+    assert parent() is None
+    assert trace_view(prefix) is prefix.view
+    assert prefix.terminal is None and len(prefix.turns) == 4
+
+
+@given(payload=st.text(), tool=st.text(max_size=12), index=st.integers(0, 10_000))
+def test_wrapped_payload_never_classifies_as_failure(payload, tool, index):
+    assert detect_failure(wrap_response(payload), tool, index) is None
+
+
+@given(
+    master=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 10**6),
+    n_draws=st.integers(0, 40),
+)
+def test_lazy_random_draws_the_rng_for_stream(master, index, n_draws):
+    lazy, eager = LazyRandom(master, index), rng_for(master, index)
+    assert not lazy.seeded
+    assert [lazy.random() for _ in range(n_draws)] == [eager.random() for _ in range(n_draws)]
+    assert lazy.randint(1, 6) == eager.randint(1, 6)
+    assert lazy.getrandbits(70) == eager.getrandbits(70)
+    assert lazy.seeded
+
+
+class _RngSpy:
+    """Passes each decision on to `policy`, keeping the generator it was given."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.decisions = []  # (whether the decision followed an error, its generator)
+
+    def decide(self, context, last_error, tools, bank, rng):
+        self.decisions.append((last_error is not None, rng))
+        return self.policy.decide(context, last_error, tools, bank, rng)
+
+
+def _spied_episode(agent, kind, bank):
+    registry, steps = make_registry()
+    spy = _RngSpy(make_policy(agent, steps=steps))
+    plan = InjectionPlan(
+        seed=3, kind=kind, manifestation=CATALOG[kind].default_manifestation, turn_index=1
+    )
+    run_episode("Look up x.", registry, spy, plan, bank=bank)
+    return spy.decisions
+
+
+@pytest.mark.parametrize("agent", ["toolbench", "reflect", "critic", "paladin"])
+def test_policies_that_never_draw_never_seed(agent, bank):
+    decisions = _spied_episode(agent, "http_500", bank)
+    assert any(after_error for after_error, _ in decisions)
+    assert not any(rng.seeded for _, rng in decisions)
+
+
+def test_vanilla_seeds_only_the_decisions_it_draws_for(bank):
+    decisions = _spied_episode("vanilla", "http_500", bank)
+    assert [rng.seeded for _, rng in decisions] == [after for after, _ in decisions]
+    assert any(after for after, _ in decisions)
