@@ -389,14 +389,23 @@ class CriticPolicy(ScriptedPolicy):
         self._gate_seed = gate_seed
         self._reflect = ReflectPolicy(steps, retry_budget)
         self._paladin = PaladinPolicy(steps, retry_budget)
+        # ((plan seed, event turn), gate) of the latest failure event: every
+        # decision of one event reads the same gate
+        self._last_gate: tuple[tuple[int, int] | None, bool] = (None, False)
 
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
         event_turn, _ = trace_view(context).failure_run
-        if bank is not None and oracle_gate(
-            self._gate_seed, context.plan.seed, event_turn, self._p
-        ):
+        if bank is not None and self._gate(context.plan.seed, event_turn):
             return self._paladin.on_error(context, error, tools, bank, rng)
         return self._reflect.on_error(context, error, tools, None, rng)
+
+    def _gate(self, plan_seed: int, event_turn: int) -> bool:
+        """Oracle access for one failure event, drawn once per event."""
+        event, gate = self._last_gate
+        if event != (plan_seed, event_turn):
+            gate = oracle_gate(self._gate_seed, plan_seed, event_turn, self._p)
+            self._last_gate = ((plan_seed, event_turn), gate)
+        return gate
 
 
 # --- remote adapter ---------------------------------------------------------------------

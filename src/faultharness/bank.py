@@ -7,7 +7,6 @@ into one exemplar per member kind so pattern matching stays first-class.
 
 from __future__ import annotations
 
-import ast
 import json
 import random
 from dataclasses import dataclass, field
@@ -471,116 +470,3 @@ def load_shipped_bank() -> ExemplarBank:
         .read_text("utf-8")
     )
     return parse_bank(doc)
-
-
-# --- legacy-format converter ---------------------------------------------------
-
-_CLASS_DEFAULT_SCRIPT: dict[ErrorClass, tuple[RecoveryAction, ...]] = {
-    ErrorClass.ARGUMENT_HALLUCINATION: (
-        ReformatArguments(hint="correct the request formatting per the tool docs"),
-        ValidateAndReissue(check="payload"),
-        TerminateGracefully(),
-    ),
-    ErrorClass.INVALID_TOOL_INVOCATION: (TerminateGracefully(),),
-    ErrorClass.TOOL_HALLUCINATION: (
-        ValidateAndReissue(check="url"),
-        SwitchTool(strategy="alternative"),
-        TerminateGracefully(),
-    ),
-    ErrorClass.PARTIAL_EXECUTION: (
-        ValidateAndReissue(check="payload"),
-        TerminateGracefully(),
-    ),
-    ErrorClass.OUTPUT_HALLUCINATION: (
-        RetryWithBackoff(max_attempts=2),
-        LenientParse(),
-        TerminateGracefully(),
-    ),
-    ErrorClass.INVALID_INTERMEDIATE_REASONING: (
-        ValidateAndReissue(check="params"),
-        TerminateGracefully(),
-    ),
-    ErrorClass.REENTRANT_FAILURE: (
-        RetryWithBackoff(max_attempts=3, respect_retry_after=True),
-        TerminateGracefully(),
-    ),
-}
-
-
-def _branch_kinds(branch_key: str) -> list[str]:
-    parts = branch_key.split("_")
-    if all(p.isdigit() for p in parts):
-        return [f"http_{p}" for p in parts]
-    return [branch_key]
-
-
-def _branch_class(kinds: list[str]) -> ErrorClass:
-    kind = kinds[0]
-    if kind in CATALOG:
-        return CATALOG[kind].error_class
-    status = _kind_status(kind)
-    if status is not None:
-        return status_error_class(status)
-    raise ConfigError(f"cannot infer error class for branch kind {kind!r}")
-
-
-def convert_legacy_dictionary(source_text: str) -> dict:
-    """Convert a Python-literal branch dictionary into the canonical format.
-
-    Accepts either a bare dict literal / JSON object, or a module snippet
-    assigning one (``recovery_paths = {...}``). Branch keys name member kinds
-    ("400_422" -> http_400/http_422); each branch becomes one group entry
-    whose script is the default script for the branch's error class and whose
-    dialogue becomes the group's dialogue_template.
-    """
-    text = source_text.strip()
-    branches = None
-    try:
-        if text.startswith("{"):
-            try:
-                branches = json.loads(text)
-            except json.JSONDecodeError:
-                branches = ast.literal_eval(text)
-        else:
-            module = ast.parse(text)
-            for node in module.body:
-                if isinstance(node, ast.Assign):
-                    branches = ast.literal_eval(node.value)
-                    break
-    except (SyntaxError, ValueError, TypeError, RecursionError) as exc:
-        raise ConfigError(f"legacy dictionary is not a Python literal: {exc}") from None
-    if branches is None:
-        raise ConfigError("no dictionary assignment found in source")
-    if not isinstance(branches, dict):
-        raise ConfigError("legacy dictionary must be a mapping of branch -> turns")
-
-    exemplars = []
-    for branch_key, turns in branches.items():
-        if not isinstance(turns, list) or not all(
-            isinstance(t, dict) and all(isinstance(t.get(f, ""), str) for f in ("from", "value"))
-            for t in turns
-        ):
-            raise ConfigError(
-                f"branch {branch_key!r}: turns must be a list of objects with text "
-                "'from' and 'value'"
-            )
-        kinds = _branch_kinds(str(branch_key))
-        error_class = _branch_class(kinds)
-        rationale = ""
-        for turn in turns:
-            value = turn.get("value", "")
-            if turn.get("from", "").lower() == "assistant" and value:
-                rationale = value.split("\n")[0][:240]
-                break
-        entry = {
-            "id": f"branch_{branch_key}",
-            "kinds": kinds,
-            "pattern": {"error_class": error_class.value},
-            "script": [action_to_json(a) for a in _CLASS_DEFAULT_SCRIPT[error_class]],
-            "rationale": rationale,
-            "dialogue_template": [
-                {"from": t.get("from", ""), "value": t.get("value", "")} for t in turns
-            ],
-        }
-        exemplars.append(entry)
-    return {"version": "converted-1", "exemplars": exemplars}

@@ -1,10 +1,9 @@
 """Command-line entry point wiring every module together.
 
-Subcommands: gen-suite, evaluate, build-corpus, convert-dictionary,
-report-diff. All randomness flows from explicit --seed flags; a missing seed
-is generated, printed, and recorded in the output manifest. Output
-directories are content-addressed by run hash so distinct runs never
-overwrite each other.
+Subcommands: gen-suite, evaluate, build-corpus, report-diff. All randomness
+flows from explicit --seed flags; a missing seed is generated, printed, and
+recorded in the output manifest. Output directories are content-addressed by
+run hash so distinct runs never overwrite each other.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 import click
 
 from .agents import make_policy
-from .bank import convert_legacy_dictionary, load_bank, load_shipped_bank, parse_bank
+from .bank import load_bank, load_shipped_bank
 from .benchgen import (
     EpisodeCard,
     SuiteSpec,
@@ -400,24 +399,6 @@ def cmd_build_corpus(
         f"corpus: {out / 'corpus.jsonl'} ({n_recovery} recovery + {n_clean} clean, "
         f"seed={seed}, quarantined={len(quarantine)})"
     )
-
-
-# --- convert-dictionary -----------------------------------------------------------------
-
-
-@main.command("convert-dictionary")
-@click.option("--src", "src", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
-def cmd_convert_dictionary(src, out):
-    """Convert a Python-literal branch dictionary into the canonical format."""
-    try:
-        text = Path(src).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{src} is not UTF-8 text: {exc}") from None
-    doc = convert_legacy_dictionary(text)
-    bank = parse_bank(doc)  # validates before writing
-    Path(out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    click.echo(f"converted {src} -> {out} ({len(bank)} exemplars)")
 
 
 # --- report-diff -------------------------------------------------------------------------

@@ -151,6 +151,7 @@ def parse_action(text: str) -> ParsedAction:
     if match is None:
         raise AgentProtocolError("expected Thought/Action/Action Input structure")
     name = match.group("action").strip()
+    thought = (match.group("thought") or "").strip()
     raw_input = match.group("input").strip()
     try:
         arguments = json.loads(raw_input)
@@ -163,12 +164,15 @@ def parse_action(text: str) -> ParsedAction:
         if return_type == GIVE_ANSWER:
             return ParsedAction(
                 is_recovery=is_recovery,
-                finish=Finish(answer=str(arguments.get("final_answer", ""))),
+                finish=Finish(answer=str(arguments.get("final_answer", "")), thought=thought),
             )
         if return_type in (GIVE_UP, "give_up_and_restart"):
             return ParsedAction(
                 is_recovery=is_recovery,
-                give_up=GiveUp(report=str(arguments.get("report", ""))),
+                give_up=GiveUp(report=str(arguments.get("report", "")), thought=thought),
             )
         raise AgentProtocolError(f"unknown Finish return_type {return_type!r}")
-    return ParsedAction(is_recovery=is_recovery, call=ToolCall(name=name, arguments=arguments))
+    return ParsedAction(
+        is_recovery=is_recovery,
+        call=ToolCall(name=name, arguments=arguments, thought=thought),
+    )

@@ -1,16 +1,16 @@
 """Episode execution: scripted tools, deterministic fault injection, simulated
 time, retry budgets, and trajectory logging.
 
-World model for injected faults:
+World model for injected faults, read from each kind's catalog row
+(`data/catalog.json`, on `taxonomy.FailureKind`):
 
-* transient kinds (rate limits, 5xx, timeouts, DNS, malformed bodies) clear
-  after a seeded number of failed identical retries (0-2, always within the
-  default 3-retry budget);
-* structural kinds clear only once the agent emits a recovery action of the
-  kind's fixing family (reformat/validate for argument errors, lenient parse
-  for schema violations, ...);
-* auth failures (401/403/407) and missing resources (404) never clear on the
-  same call; the correct moves are graceful termination and tool switching.
+* a kind with `persistence: [min, max]` is transient: it clears after a
+  seeded number of failed identical retries drawn from that range;
+  `retry_after: true` gives its failures a seeded Retry-After;
+* a kind with `fixes` is structural: it clears only once the agent reissues
+  the call under a recovery action whose tag is listed there;
+* a kind with neither never clears on the same call; the correct moves are
+  graceful termination and tool switching.
 
 The clock is simulated and integer-valued; nothing ever sleeps.
 
@@ -65,7 +65,6 @@ from .protocol import (
 from .seeds import LazyRandom, derive_seed, rng_for
 from .taxonomy import (
     CATALOG,
-    ErrorClass,
     ErrorSignature,
     FailureKind,
     Manifestation,
@@ -273,33 +272,6 @@ def advance_backoff(
 
 # --- fault world ----------------------------------------------------------------------
 
-# Transient kinds: (min, max) failing retries before the fault clears.
-TRANSIENT_PERSISTENCE: dict[str, tuple[int, int]] = {
-    "http_429": (0, 1),
-    "http_500": (1, 2),
-    "http_503": (1, 2),
-    "timeout": (0, 2),
-    "dns_error": (0, 2),
-    "malformed_json": (0, 1),
-}
-
-# Structural kinds clear when a recovery action of the fixing family reissues
-# the call. Auth and missing-resource kinds have no fixing family: recovery is
-# termination or a switched tool.
-STRUCTURAL_FIXES: dict[ErrorClass, frozenset[str]] = {
-    ErrorClass.ARGUMENT_HALLUCINATION: frozenset(
-        {"reformat_arguments", "validate_and_reissue"}
-    ),
-    ErrorClass.PARTIAL_EXECUTION: frozenset({"validate_and_reissue"}),
-    ErrorClass.INVALID_INTERMEDIATE_REASONING: frozenset({"validate_and_reissue"}),
-    ErrorClass.OUTPUT_HALLUCINATION: frozenset(
-        {"lenient_parse", "validate_and_reissue"}
-    ),
-}
-
-RETRY_AFTER_KINDS = frozenset({"http_429", "http_503"})
-
-
 @dataclass
 class _ActiveFault:
     kind: FailureKind
@@ -309,8 +281,6 @@ class _ActiveFault:
     rendered: str
     persist_retries: int
     retry_after_ms: int | None
-    fix_actions: frozenset[str]
-    transient: bool
     signature: ErrorSignature | None  # `rendered` classified at its first serve
     retries: int = 0
     cleared: bool = False
@@ -327,10 +297,10 @@ class _ActiveFault:
         if self.cleared:
             return True
         self.retries += 1
-        if self.transient:
+        if self.kind.persistence is not None:
             if self.retries > self.persist_retries:
                 self.cleared = True
-        elif action_tag is not None and action_tag in self.fix_actions:
+        elif action_tag in self.kind.fixes:
             self.cleared = True
         return self.cleared
 
@@ -349,13 +319,11 @@ def _make_fault(
     if kind is None:
         raise ConfigError(f"cannot inject unknown failure kind {kind_id!r}")
     rendered = render_failure(kind, manifestation, tool, derive_seed(seed, ordinal))
-    transient = kind_id in TRANSIENT_PERSISTENCE
     persist = 0
-    if transient:
-        lo, hi = TRANSIENT_PERSISTENCE[kind_id]
-        persist = rng_for(seed, ordinal, 3).randint(lo, hi)
+    if kind.persistence is not None:
+        persist = rng_for(seed, ordinal, 3).randint(*kind.persistence)
     retry_after = None
-    if kind_id in RETRY_AFTER_KINDS:
+    if kind.retry_after:
         retry_after = rng_for(seed, ordinal, 7).randrange(400, 2001)
     return _ActiveFault(
         kind=kind,
@@ -365,8 +333,6 @@ def _make_fault(
         rendered=rendered,
         persist_retries=persist,
         retry_after_ms=retry_after,
-        fix_actions=STRUCTURAL_FIXES.get(kind.error_class, frozenset()),
-        transient=transient,
         signature=detect_failure(rendered, tool.name, turn_index),
     )
 
@@ -671,7 +637,8 @@ def run_episode(
             break
 
         if isinstance(action, RecoveryStep):
-            call = action.call
+            # the step's thought is rendered on its call's turn
+            call = replace(action.call, thought=action.thought)
             action_tag = _TAG_BY_TYPE[type(action.action)]
         elif isinstance(action, ToolCall):
             call = action

@@ -53,13 +53,24 @@ class Manifestation(Enum):
 
 @dataclass(frozen=True)
 class FailureKind:
-    """One catalog entry: a concrete runtime failure and its class."""
+    """One catalog entry: a concrete runtime failure, its class, and how the
+    simulated world treats it once injected.
+
+    A transient kind has `persistence`, the (min, max) number of failed
+    identical retries before it clears; `retry_after` marks the transient
+    kinds whose failures carry a Retry-After. A structural kind has `fixes`,
+    the recovery-action tags whose reissue clears it. A kind with neither
+    never clears on the same call.
+    """
 
     identifier: str
     error_class: ErrorClass
     default_manifestation: Manifestation
     example_output: str
     http_status: int | None = None
+    persistence: tuple[int, int] | None = None
+    retry_after: bool = False
+    fixes: frozenset[str] = frozenset()
 
     def __post_init__(self):
         is_http = self.identifier.startswith("http_")
@@ -82,6 +93,9 @@ def _parse_catalog(doc: dict) -> tuple[str, dict[str, FailureKind]]:
             default_manifestation=Manifestation.parse(entry["default_manifestation"]),
             example_output=entry["example_output"],
             http_status=entry.get("http_status"),
+            persistence=tuple(entry["persistence"]) if "persistence" in entry else None,
+            retry_after=entry.get("retry_after", False),
+            fixes=frozenset(entry.get("fixes", ())),
         )
         if kind.identifier in kinds:
             raise ValueError(f"duplicate catalog identifier {kind.identifier!r}")
@@ -173,17 +187,13 @@ def canonical_key(sig: ErrorSignature) -> str:
     return f"{sig.kind.lower()}|{status}|{' '.join(sorted(message_tokens(sig.message)))}"
 
 
-# Known status → class assignments follow retry-vs-terminate semantics; the
-# range fallback covers statuses outside the shipped catalog.
+# Statuses outside the catalog follow the same retry-vs-terminate semantics;
+# the catalog's own rows state their classes, and the range fallback covers
+# the rest.
 _STATUS_CLASS: dict[int, ErrorClass] = {
-    400: ErrorClass.ARGUMENT_HALLUCINATION,
     402: ErrorClass.INVALID_TOOL_INVOCATION,
-    401: ErrorClass.INVALID_TOOL_INVOCATION,
-    403: ErrorClass.INVALID_TOOL_INVOCATION,
-    404: ErrorClass.TOOL_HALLUCINATION,
     405: ErrorClass.INVALID_TOOL_INVOCATION,
     406: ErrorClass.INVALID_TOOL_INVOCATION,
-    407: ErrorClass.INVALID_TOOL_INVOCATION,
     408: ErrorClass.REENTRANT_FAILURE,
     409: ErrorClass.INVALID_INTERMEDIATE_REASONING,
     410: ErrorClass.TOOL_HALLUCINATION,
@@ -191,14 +201,13 @@ _STATUS_CLASS: dict[int, ErrorClass] = {
     413: ErrorClass.ARGUMENT_HALLUCINATION,
     414: ErrorClass.ARGUMENT_HALLUCINATION,
     415: ErrorClass.ARGUMENT_HALLUCINATION,
-    422: ErrorClass.ARGUMENT_HALLUCINATION,
     425: ErrorClass.REENTRANT_FAILURE,
     428: ErrorClass.INVALID_INTERMEDIATE_REASONING,
-    429: ErrorClass.REENTRANT_FAILURE,
     431: ErrorClass.ARGUMENT_HALLUCINATION,
     451: ErrorClass.INVALID_TOOL_INVOCATION,
     501: ErrorClass.INVALID_TOOL_INVOCATION,
     505: ErrorClass.INVALID_TOOL_INVOCATION,
+    **{k.http_status: k.error_class for k in CATALOG.values() if k.http_status is not None},
 }
 
 
@@ -329,11 +338,11 @@ def _classify_error_body(
     lowered = error_text.lower()
     manifestation = Manifestation.ERROR_PAYLOAD
     if "partial" in lowered or "truncat" in lowered or "interrupted" in lowered:
-        kind, error_class = "partial_output", ErrorClass.PARTIAL_EXECUTION
+        kind, error_class = "partial_output", CATALOG["partial_output"].error_class
         if "response" in body:
             manifestation = Manifestation.PARTIAL_OUTPUT
     elif "state conflict" in lowered or "contradict" in lowered:
-        kind, error_class = "inconsistent_state", ErrorClass.INVALID_INTERMEDIATE_REASONING
+        kind, error_class = "inconsistent_state", CATALOG["inconsistent_state"].error_class
     elif "invalid action format" in lowered:
         kind, error_class = PROTOCOL_ERROR_KIND, ErrorClass.INVALID_INTERMEDIATE_REASONING
     elif "not found" in lowered or "does not exist" in lowered:

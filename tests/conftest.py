@@ -89,20 +89,13 @@ def run_simple(
 # --- trace view oracles ------------------------------------------------------------
 
 
-def call_facts(call):
-    """A call's name and arguments; the grammar keeps the thought outside the
-    call, so a parsed call never carries one while a rendered one may."""
-    return None if call is None else (call.name, call.arguments)
-
-
 def view_state(view):
     """Every field of an up-to-date view, with the call of every assistant turn."""
     return (
         list(view.turns), view.seen, view.last_assistant, view.completed_steps,
         view.failure_run, view.last_error, view.first_failure, list(view.responses),
         list(view.recoveries), dict(view.signatures),
-        [call_facts(view.call_at(i))
-         for i, turn in enumerate(view.turns) if turn.role == ROLE_ASSISTANT],
+        [view.call_at(i) for i, turn in enumerate(view.turns) if turn.role == ROLE_ASSISTANT],
     )
 
 
@@ -114,6 +107,6 @@ def assert_facts_match_texts(view):
             parsed = parse_action(view.turns[i].content).call
         except AgentProtocolError:
             parsed = None
-        assert call_facts(call) == call_facts(parsed), i
+        assert call == parsed, i
     for i, tool, sig in view.responses:
         assert sig == detect_failure(view.turns[i].content, tool, i), i

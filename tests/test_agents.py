@@ -31,7 +31,7 @@ from faultharness.protocol import (
     parse_action,
 )
 from faultharness.remote import EndpointConfig
-from faultharness.simulator import SimConfig, run_episode
+from faultharness.simulator import SimConfig, run_episode, trace_view
 from faultharness.taxonomy import CATALOG
 
 
@@ -267,6 +267,10 @@ def test_remote_policy_parses_fixed_action(stub_server):
     policy = RemoteChatPolicy(EndpointConfig(base_url=stub_server))
     traj = run_episode("task", registry, policy, InjectionPlan(seed=1), SimConfig())
     assert isinstance(traj.terminal, Finished)
+    # the model's thoughts survive into the trajectory, and so into its next prompt
+    assert traj.turns[2].content.startswith("Thought: look it up\nAction: lookup")
+    assert trace_view(traj).call_at(2).thought == "look it up"
+    assert traj.turns[4].content.startswith("Thought: done\n")
 
 
 def test_remote_policy_prose_is_protocol_violation(stub_server):

@@ -17,7 +17,6 @@ from faultharness.bank import (
     TerminateGracefully,
     action_from_json,
     action_to_json,
-    convert_legacy_dictionary,
     load_bank,
     load_shipped_bank,
     parse_bank,
@@ -434,39 +433,3 @@ def test_retry_attempts_bounded():
         RetryWithBackoff(max_attempts=5)
     with pytest.raises(ValueError):
         RetryWithBackoff(max_attempts=0)
-
-
-LEGACY_SNIPPET = '''
-recovery_paths = {
-  "400_422": [
-    {"from": "Assistant", "value": "Thoughts: client-side issue.\\n\\nAction: check the URL."},
-    {"from": "function", "value": "Validated URL and headers."},
-  ],
-  "401_403_407": [
-    {"from": "Assistant", "value": "Thoughts: credentials problem.\\n\\nAction: check keys."},
-    {"from": "function", "value": "Credentials checked."},
-  ],
-  "timeout": [
-    {"from": "Assistant", "value": "Thoughts: transient.\\n\\nAction: retry."},
-  ],
-}
-'''
-
-
-def test_convert_legacy_dictionary_expands_branches():
-    doc = convert_legacy_dictionary(LEGACY_SNIPPET)
-    converted = parse_bank(
-        {"version": doc["version"],
-         "exemplars": doc["exemplars"] + _full_coverage_entries()}
-    )
-    auth = [ex for ex in converted.exemplars if ex.id.startswith("branch_401_403_407__")]
-    assert {ex.pattern.kind for ex in auth} == {"http_401", "http_403", "http_407"}
-    assert len({ex.script for ex in auth}) == 1
-    assert all(ex.dialogue_template for ex in auth)
-    single = [ex for ex in converted.exemplars if ex.id == "branch_timeout"]
-    assert single and single[0].pattern.kind == "timeout"
-
-
-def test_convert_legacy_rejects_non_mapping():
-    with pytest.raises(ConfigError):
-        convert_legacy_dictionary("[1, 2, 3]")

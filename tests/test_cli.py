@@ -185,30 +185,6 @@ def test_build_corpus_rerun_identical(runner, tmp_path):
     ).read_bytes()
 
 
-def test_convert_dictionary(runner, tmp_path):
-    src = tmp_path / "legacy.py"
-    src.write_text(
-        'recovery_paths = {\n'
-        '  "400_422": [{"from": "Assistant", "value": "Thoughts: fix the request."}],\n'
-        '  "401_403_407": [{"from": "Assistant", "value": "Thoughts: creds."}],\n'
-        '  "404": [{"from": "Assistant", "value": "Thoughts: missing."}],\n'
-        '  "partial_output": [{"from": "Assistant", "value": "Thoughts: partial."}],\n'
-        '  "malformed_json": [{"from": "Assistant", "value": "Thoughts: parse."}],\n'
-        '  "inconsistent_state": [{"from": "Assistant", "value": "Thoughts: state."}],\n'
-        '  "500_503": [{"from": "Assistant", "value": "Thoughts: retry."}],\n'
-        '}\n'
-    )
-    out = tmp_path / "bank.json"
-    result = runner.invoke(
-        main, ["convert-dictionary", "--src", str(src), "--out", str(out)]
-    )
-    assert result.exit_code == 0, result.output
-    doc = json.loads(out.read_text())
-    auth = next(e for e in doc["exemplars"] if e["id"] == "branch_401_403_407")
-    assert auth["kinds"] == ["http_401", "http_403", "http_407"]
-    assert auth["script"][-1]["action"] == "terminate_gracefully"
-
-
 def test_report_diff(runner, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -363,26 +339,6 @@ def test_report_diff_malformed_report_exits_2(runner, tmp_path, text, fragment):
     bad.write_text(text)
     result = runner.invoke(main, ["report-diff", str(good), str(bad)])
     _assert_no_traceback(result, "bad.json", fragment)
-
-
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        (b"foo bar baz", "not a Python literal"),
-        (b"x = foo()", "not a Python literal"),
-        (b'{"400": [1]}', "branch '400': turns must be a list of objects"),
-        (b"\xff\xfe{}", "is not UTF-8 text"),
-    ],
-    ids=["syntax-error", "call", "turn-not-object", "not-utf8"],
-)
-def test_convert_dictionary_malformed_source_exits_2(runner, tmp_path, text, fragment):
-    src = tmp_path / "legacy.py"
-    src.write_bytes(text)
-    result = runner.invoke(
-        main, ["convert-dictionary", "--src", str(src), "--out", str(tmp_path / "out.json")]
-    )
-    _assert_no_traceback(result, fragment)
-    assert not (tmp_path / "out.json").exists()
 
 
 # --- out-of-range options exit 2 with a message --------------------------------------

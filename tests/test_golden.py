@@ -11,7 +11,8 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
-from faultharness.agents import make_policy
+from faultharness import agents
+from faultharness.agents import make_policy, oracle_gate
 from faultharness.benchgen import SuiteSpec, generate_suite
 from faultharness.cli import main
 from faultharness.episode import dumps_canonical, trajectory_to_line
@@ -52,9 +53,11 @@ def desk_cards(tasks):
 
 
 def _run_desk(cards, agent, bank):
-    """(trajectories digest, grades digest) of one agent over the suite."""
+    """(trajectories digest, grades digest, failure events) of one agent over
+    the suite."""
     trajectories = hashlib.sha256()
     grades = hashlib.sha256()
+    events = 0
     for card in cards:
         policy = make_policy(
             agent, steps=card.steps, retry_budget=card.retry_budget, gate_seed=EVAL_SEED
@@ -71,19 +74,34 @@ def _run_desk(cards, agent, bank):
         trajectories.update((trajectory_to_line(traj) + "\n").encode("utf-8"))
         grade = grade_episode(traj, card)
         grades.update((dumps_canonical(grade.to_json()) + "\n").encode("utf-8"))
-    return trajectories.hexdigest(), grades.hexdigest()
+        events += grade.failures_encountered
+    return trajectories.hexdigest(), grades.hexdigest(), events
 
 
 @pytest.mark.parametrize("agent", sorted(GRADES))
 def test_desk_digests(desk_cards, bank, agent):
-    trajectories, grades = _run_desk(desk_cards, agent, bank)
+    trajectories, grades, _ = _run_desk(desk_cards, agent, bank)
     assert trajectories == TRAJECTORIES[agent]
     assert grades == GRADES[agent]
 
 
 def test_desk_paladin_without_bank_digest(desk_cards):
-    trajectories, _ = _run_desk(desk_cards, "paladin", None)
+    trajectories, _, _ = _run_desk(desk_cards, "paladin", None)
     assert trajectories == TRAJECTORIES["paladin_no_bank"]
+
+
+def test_critic_draws_each_oracle_gate_once(desk_cards, bank, monkeypatch):
+    draws = []
+
+    def counting_gate(*args):
+        draws.append(args)
+        return oracle_gate(*args)
+
+    monkeypatch.setattr(agents, "oracle_gate", counting_gate)
+    trajectories, grades, events = _run_desk(desk_cards, "critic", bank)
+    assert (trajectories, grades) == (TRAJECTORIES["critic"], GRADES["critic"])
+    assert len(draws) == events > 0
+    assert len(set(draws)) == len(draws)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultharness.simulator import TRANSIENT_PERSISTENCE, ToolSpec, render_failure
+from faultharness.bank import _ACTION_TAGS, _TAG_BY_TYPE, retrieve
+from faultharness.simulator import SimConfig, ToolSpec, render_failure
 from faultharness.taxonomy import (
     CATALOG,
     PROTOCOL_ERROR_KIND,
@@ -87,15 +88,17 @@ def test_detect_failure_none_for_wrapped_success():
     assert detect_failure('{"status": "on time", "gate": "D42"}', "lookup", 2) is None
 
 
+_TOOL = ToolSpec(
+    name="lookup",
+    description="",
+    parameters={},
+    scripted_responses={"lookup({})": '{"a":1,"b":2}'},
+)
+
+
 def test_roundtrip_every_catalog_kind_at_default_manifestation():
-    tool = ToolSpec(
-        name="lookup",
-        description="",
-        parameters={},
-        scripted_responses={"lookup({})": '{"a":1,"b":2}'},
-    )
     for kind in CATALOG.values():
-        rendered = render_failure(kind, kind.default_manifestation, tool, seed=9)
+        rendered = render_failure(kind, kind.default_manifestation, _TOOL, seed=9)
         result = classify_raw_failure(rendered, "lookup", 3)
         assert result.kind == kind.identifier, (kind.identifier, rendered)
         assert result.error_class is kind.error_class
@@ -103,15 +106,39 @@ def test_roundtrip_every_catalog_kind_at_default_manifestation():
 
 def test_retry_vs_terminate_partition():
     # transient kinds are the ones the simulator lets a retry clear
-    for kind_id in TRANSIENT_PERSISTENCE:
-        assert CATALOG[kind_id].error_class in (
-            ErrorClass.REENTRANT_FAILURE,
-            ErrorClass.OUTPUT_HALLUCINATION,
-        )
+    for kind in CATALOG.values():
+        if kind.persistence is not None:
+            assert kind.error_class in (
+                ErrorClass.REENTRANT_FAILURE,
+                ErrorClass.OUTPUT_HALLUCINATION,
+            ), kind.identifier
     # auth failures must never be retried
     for kind_id in ("http_401", "http_403", "http_407"):
         assert CATALOG[kind_id].error_class is ErrorClass.INVALID_TOOL_INVOCATION
-        assert kind_id not in TRANSIENT_PERSISTENCE
+        assert CATALOG[kind_id].persistence is None
+
+
+def test_fault_table_agrees_with_the_shipped_bank(bank):
+    # what clears a kind in the simulated world is what the bank tells an
+    # agent to do about it
+    budget = SimConfig().retry_budget_per_error
+    for kind in CATALOG.values():
+        rendered = render_failure(kind, kind.default_manifestation, _TOOL, seed=9)
+        observed = detect_failure(rendered, "lookup", 3)
+        tags = {_TAG_BY_TYPE[type(action)] for action in retrieve(bank, observed).script}
+        name = kind.identifier
+        if kind.fixes:
+            assert tags & kind.fixes, (name, tags)
+        elif kind.persistence is not None:
+            assert "retry_with_backoff" in tags, (name, tags)
+        else:
+            assert "retry_with_backoff" not in tags, (name, tags)
+        assert kind.fixes <= set(_ACTION_TAGS), name
+        if kind.persistence is not None:
+            assert kind.persistence[1] < budget, name
+            assert not kind.fixes, name
+        else:
+            assert not kind.retry_after, name
 
 
 @pytest.mark.parametrize(
