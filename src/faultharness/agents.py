@@ -124,21 +124,14 @@ class VanillaPolicy(ScriptedPolicy):
     """No recovery behavior at all: hallucinate success or give up."""
 
     name = "vanilla"
-
-    def __init__(
-        self,
-        steps: tuple[TaskStep, ...],
-        retry_budget: int = 3,
-        hallucination_probability: float = 0.5,
-    ):
-        super().__init__(steps, retry_budget)
-        self._p_hallucinate = hallucination_probability
+    hallucination_probability = 0.5
 
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
         step = self._current_step(context)
         # with probability 0 there is nothing to draw, and the decision's
         # generator is never seeded
-        if self._p_hallucinate > 0 and rng.random() < self._p_hallucinate:
+        p = self.hallucination_probability
+        if p > 0 and rng.random() < p:
             return Finish(
                 answer=(
                     f"Task complete. {step.tool} returned the requested data: "
@@ -159,9 +152,7 @@ class ToolBenchPolicy(VanillaPolicy):
     """Competent on clean traces, gives up on any error (no hallucination)."""
 
     name = "toolbench"
-
-    def __init__(self, steps: tuple[TaskStep, ...], retry_budget: int = 3):
-        super().__init__(steps, retry_budget, hallucination_probability=0.0)
+    hallucination_probability = 0.0
 
 
 class ReflectPolicy(ScriptedPolicy):
@@ -371,9 +362,10 @@ def oracle_gate(gate_seed: int, episode_seed: int, event_turn: int, p: float = 0
 
 
 class CriticPolicy(ScriptedPolicy):
-    """Oracle-assisted critic loop: with probability p the recovery oracle
-    (PALADIN's nearest-exemplar script) is consulted; otherwise behaves like the
-    reflect baseline. At most `retry_budget` recovery attempts per error."""
+    """Oracle-assisted critic loop: with probability p (`oracle_gate`'s default,
+    0.7) the recovery oracle (PALADIN's nearest-exemplar script) is consulted;
+    otherwise behaves like the reflect baseline. At most `retry_budget`
+    recovery attempts per error."""
 
     name = "critic"
 
@@ -381,11 +373,9 @@ class CriticPolicy(ScriptedPolicy):
         self,
         steps: tuple[TaskStep, ...],
         retry_budget: int = 3,
-        oracle_probability: float = 0.7,
         gate_seed: int = 0,
     ):
         super().__init__(steps, retry_budget)
-        self._p = oracle_probability
         self._gate_seed = gate_seed
         self._reflect = ReflectPolicy(steps, retry_budget)
         self._paladin = PaladinPolicy(steps, retry_budget)
@@ -403,7 +393,7 @@ class CriticPolicy(ScriptedPolicy):
         """Oracle access for one failure event, drawn once per event."""
         event, gate = self._last_gate
         if event != (plan_seed, event_turn):
-            gate = oracle_gate(self._gate_seed, plan_seed, event_turn, self._p)
+            gate = oracle_gate(self._gate_seed, plan_seed, event_turn)
             self._last_gate = ((plan_seed, event_turn), gate)
         return gate
 
@@ -480,11 +470,10 @@ def make_policy(
     steps: tuple[TaskStep, ...],
     retry_budget: int = 3,
     gate_seed: int = 0,
-    hallucination_probability: float = 0.5,
     endpoint: EndpointConfig | None = None,
 ):
     if name == "vanilla":
-        return VanillaPolicy(steps, retry_budget, hallucination_probability)
+        return VanillaPolicy(steps, retry_budget)
     if name == "toolbench":
         return ToolBenchPolicy(steps, retry_budget)
     if name == "reflect":

@@ -215,7 +215,7 @@ class RecoveryExemplar:
 class ExemplarBank:
     exemplars: tuple[RecoveryExemplar, ...]
     version: str = "0"
-    # nearest exemplar per (weights, class, kind, status, message tokens), filled
+    # nearest exemplar per (class, kind, status, message tokens), filled
     # by `retrieve_top_k`; outside equality and repr, so it never changes what a
     # bank is. Token sets drop digits, so messages differing only in ids or
     # counters share one entry.
@@ -254,24 +254,20 @@ class ExemplarBank:
 DEFAULT_WEIGHTS = (4, 2, 1, 1)
 
 
-def similarity_distance(
-    observed: ErrorSignature,
-    pattern: SignaturePattern,
-    weights: tuple[int, int, int, int] = DEFAULT_WEIGHTS,
-) -> Fraction:
+def similarity_distance(observed: ErrorSignature, pattern: SignaturePattern) -> Fraction:
     """Weighted mismatch distance between an observed signature and a pattern.
 
+    With (w1, w2, w3, w4) = `DEFAULT_WEIGHTS`,
     d = w1*[class mismatch] + w2*[kind mismatch] + w3*[status mismatch]
       + w4*(1 - Jaccard(message tokens)); wildcard pattern fields contribute 0.
     """
-    return Fraction(*_distance_pair(observed, message_tokens(observed.message), pattern, weights))
+    return Fraction(*_distance_pair(observed, message_tokens(observed.message), pattern))
 
 
 def _distance_pair(
     observed: ErrorSignature,
     observed_tokens: frozenset[str],
     pattern: SignaturePattern,
-    weights: tuple[int, int, int, int],
 ) -> tuple[int, int]:
     """`similarity_distance` as an exact (numerator, positive denominator) pair.
 
@@ -281,7 +277,7 @@ def _distance_pair(
     """
     if pattern.is_fully_wildcard():
         raise FullyWildcardPattern("<pattern>")
-    w1, w2, w3, w4 = weights
+    w1, w2, w3, w4 = DEFAULT_WEIGHTS
     a = 0
     if pattern.error_class is not None and pattern.error_class != observed.error_class:
         a += w1
@@ -303,13 +299,12 @@ def _nearest(
     exemplars: tuple[RecoveryExemplar, ...],
     observed: ErrorSignature,
     observed_tokens: frozenset[str],
-    weights: tuple[int, int, int, int],
 ) -> RecoveryExemplar:
     """Distance-then-id minimum in one pass, comparing n/d pairs by cross-multiplying."""
     best = exemplars[0]
-    best_n, best_d = _distance_pair(observed, observed_tokens, best.pattern, weights)
+    best_n, best_d = _distance_pair(observed, observed_tokens, best.pattern)
     for ex in exemplars[1:]:
-        n, d = _distance_pair(observed, observed_tokens, ex.pattern, weights)
+        n, d = _distance_pair(observed, observed_tokens, ex.pattern)
         lhs, rhs = n * best_d, best_n * d
         if lhs < rhs or (lhs == rhs and ex.id < best.id):
             best, best_n, best_d = ex, n, d
@@ -317,10 +312,7 @@ def _nearest(
 
 
 def retrieve_top_k(
-    bank: ExemplarBank,
-    observed: ErrorSignature,
-    k: int = 1,
-    weights: tuple[int, int, int, int] = DEFAULT_WEIGHTS,
+    bank: ExemplarBank, observed: ErrorSignature, k: int = 1
 ) -> list[RecoveryExemplar]:
     """The k nearest exemplars, distance-then-id ordered (deterministic).
 
@@ -330,26 +322,22 @@ def retrieve_top_k(
         raise ConfigError("cannot retrieve from an empty bank")
     tokens = message_tokens(observed.message)
     if k <= 1:
-        key = (weights, observed.error_class, observed.kind, observed.status_code, tokens)
+        key = (observed.error_class, observed.kind, observed.status_code, tokens)
         nearest = bank.nearest_memo.get(key)
         if nearest is None:
-            nearest = _nearest(bank.exemplars, observed, tokens, weights)
+            nearest = _nearest(bank.exemplars, observed, tokens)
             bank.nearest_memo[key] = nearest
         return [nearest]
     ranked = sorted(
         bank.exemplars,
-        key=lambda ex: (Fraction(*_distance_pair(observed, tokens, ex.pattern, weights)), ex.id),
+        key=lambda ex: (Fraction(*_distance_pair(observed, tokens, ex.pattern)), ex.id),
     )
     return ranked[:k]
 
 
-def retrieve(
-    bank: ExemplarBank,
-    observed: ErrorSignature,
-    weights: tuple[int, int, int, int] = DEFAULT_WEIGHTS,
-) -> RecoveryExemplar:
+def retrieve(bank: ExemplarBank, observed: ErrorSignature) -> RecoveryExemplar:
     """The nearest exemplar; ties broken by lexicographically smallest id."""
-    return retrieve_top_k(bank, observed, 1, weights)[0]
+    return retrieve_top_k(bank, observed)[0]
 
 
 # --- dictionary loading -------------------------------------------------------
@@ -394,13 +382,16 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
         kinds = [pattern_doc.get("kind")]
 
     messages: dict = pattern_doc.get("messages", {})
+    listed_tokens = pattern_doc.get("message_tokens")
+    if listed_tokens is not None and not isinstance(listed_tokens, list):
+        raise TypeError("'message_tokens' must be a list")  # a string would split per character
     exemplars = []
     for kind in kinds:
         tokens = None
         if kind is not None and kind in messages:
             tokens = message_tokens(messages[kind])
-        elif pattern_doc.get("message_tokens") is not None:
-            tokens = frozenset(pattern_doc["message_tokens"])
+        elif listed_tokens is not None:
+            tokens = frozenset(listed_tokens)
         status = pattern_doc.get("status_code")
         if status is None and kind is not None:
             status = _kind_status(kind)

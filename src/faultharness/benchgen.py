@@ -25,7 +25,6 @@ from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass
 class SuiteSpec:
     n_episodes: int
     master_seed: int = 0
-    class_distribution: dict[ErrorClass, float] | None = None
     clean_fraction: float = 0.2
     held_out_kinds: frozenset[str] = frozenset()
 
@@ -34,9 +33,6 @@ class SuiteSpec:
             raise ConfigError("n_episodes must be positive")
         if not 0 <= self.clean_fraction < 1:
             raise ConfigError("clean_fraction must be within [0, 1)")
-        if self.class_distribution is not None:
-            if any(w <= 0 for w in self.class_distribution.values()):
-                raise ConfigError("class weights must be positive")
         for kind in self.held_out_kinds:
             if kind not in CATALOG:
                 raise ConfigError(f"held-out kind {kind!r} is not in the catalog")
@@ -45,9 +41,6 @@ class SuiteSpec:
         return {
             "n_episodes": self.n_episodes,
             "master_seed": self.master_seed,
-            "class_distribution": None
-            if self.class_distribution is None
-            else {c.value: w for c, w in self.class_distribution.items()},
             "clean_fraction": self.clean_fraction,
             "held_out_kinds": sorted(self.held_out_kinds),
         }
@@ -113,19 +106,6 @@ class EpisodeCard:
         )
 
 
-def _apportion(total: int, weights: dict[ErrorClass, float]) -> dict[ErrorClass, int]:
-    """Largest-remainder apportionment; counts match weights within +-1."""
-    classes = sorted(weights, key=lambda c: c.value)
-    weight_sum = sum(weights[c] for c in classes)
-    quotas = {c: total * weights[c] / weight_sum for c in classes}
-    counts = {c: int(quotas[c]) for c in classes}
-    leftover = total - sum(counts.values())
-    by_remainder = sorted(classes, key=lambda c: (-(quotas[c] - counts[c]), c.value))
-    for c in by_remainder[:leftover]:
-        counts[c] += 1
-    return counts
-
-
 def _kind_pool(held_out: frozenset[str]) -> dict[ErrorClass, list[str]]:
     """Injectable kinds per class; held-out suites inject only held-out kinds."""
     pool: dict[ErrorClass, list[str]] = {}
@@ -142,17 +122,10 @@ def generate_suite(
     tasks: tuple[TaskTemplate, ...],
     spec: SuiteSpec,
 ) -> list[EpisodeCard]:
-    """Deterministic suite with per-class coverage within +-1 of the weights."""
+    """Deterministic suite covering each injectable class equally, within +-1."""
     if not tasks:
         raise PoolExhausted("empty task pool")
     pool = _kind_pool(spec.held_out_kinds)
-    weights = spec.class_distribution or {c: 1.0 for c in pool}
-    missing = set(weights) - set(pool)
-    if missing:
-        raise ConfigError(
-            "no injectable kinds for class(es): "
-            + ", ".join(sorted(c.value for c in missing))
-        )
 
     n_clean = round(spec.n_episodes * spec.clean_fraction)
     n_fail = spec.n_episodes - n_clean
@@ -161,11 +134,12 @@ def generate_suite(
             f"{n_clean} clean episodes requested but only {len(tasks)} tasks exist"
         )
 
-    class_counts = _apportion(n_fail, weights)
+    # every class gets an equal share; the first classes by name take the remainder
+    per_class, extra = divmod(n_fail, len(pool))
     slots: list[str | None] = []
-    for error_class in sorted(class_counts, key=lambda c: c.value):
+    for rank, error_class in enumerate(sorted(pool, key=lambda c: c.value)):
         kinds = pool[error_class]
-        for j in range(class_counts[error_class]):
+        for j in range(per_class + (rank < extra)):
             slots.append(kinds[j % len(kinds)])
     slots.extend([None] * n_clean)
 
@@ -251,7 +225,7 @@ def suite_from_lines(lines) -> list[EpisodeCard]:
             continue
         try:
             cards.append(EpisodeCard.from_json(json.loads(line)))
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (ValueError, LookupError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"suite line {number}: not an episode card ({exc!r})") from exc
     return cards
 

@@ -25,7 +25,6 @@ from .benchgen import (
     EpisodeCard,
     SuiteSpec,
     generalization_split,
-    generate_suite,
     read_suite,
     suite_manifest,
     write_suite,

@@ -93,24 +93,19 @@ def terminal_from_json(doc: dict) -> Terminal:
 
 @dataclass(frozen=True)
 class InjectionPlan:
-    """Deterministic injection recipe; kind=None means a clean episode."""
+    """Deterministic injection recipe: at most one fault, of `kind`, on tool
+    call `turn_index`; kind=None means a clean episode."""
 
     seed: int
     kind: str | None = None
     manifestation: Manifestation | None = None
     turn_index: int = 1
-    cascade: tuple[str, int] | None = None  # (kind, tool-call ordinal)
 
     def __post_init__(self):
         if self.turn_index < 1:
             raise ValueError("turn_index must be >= 1")
         if self.kind is not None and self.manifestation is None:
             raise ValueError("injection plans must pin a manifestation")
-        if self.cascade is not None:
-            if self.kind is None:
-                raise ValueError("cascade requires a primary injection")
-            if self.cascade[1] <= self.turn_index:
-                raise ValueError("cascade turn must follow the primary turn")
 
     @property
     def is_clean(self) -> bool:
@@ -121,22 +116,19 @@ class InjectionPlan:
         if self.kind is not None:
             doc["kind"] = self.kind
             doc["manifestation"] = self.manifestation.value
-        if self.cascade is not None:
-            doc["cascade"] = {"kind": self.cascade[0], "turn_index": self.cascade[1]}
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "InjectionPlan":
-        cascade = None
-        if doc.get("cascade"):
-            cascade = (doc["cascade"]["kind"], doc["cascade"]["turn_index"])
+        if "cascade" in doc:
+            # refused rather than ignored: the card would run as a one-fault card
+            raise ValueError("plan field 'cascade' is not supported; a plan injects one fault")
         kind = doc.get("kind")
         return cls(
             seed=doc["seed"],
             kind=kind,
             manifestation=Manifestation.parse(doc["manifestation"]) if kind else None,
             turn_index=doc.get("turn_index", 1),
-            cascade=cascade,
         )
 
 

@@ -254,16 +254,17 @@ def _randrange_chunks(rng: random.Random, n: int):
 
 
 BOOTSTRAP_METRICS = ("tsr", "rr", "csr", "es")
+BOOTSTRAP_CONFIDENCE = 0.95
 
 
 def bootstrap_ci(
     grades: list[EpisodeGrade],
     metric: str | tuple[str, ...],
     n_resamples: int = 1000,
-    confidence: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float] | dict[str, tuple[float, float]]:
-    """Percentile bootstrap CI over episode-level resampling with replacement.
+    """Percentile bootstrap CI, at `BOOTSTRAP_CONFIDENCE`, over episode-level
+    resampling with replacement.
 
     One resample stream per call scores all of `BOOTSTRAP_METRICS`, pairing the
     CIs across metrics and across runs with the same seed and episode count.
@@ -294,7 +295,7 @@ def bootstrap_ci(
         if e:  # rr and csr are undefined on a resample without failures
             rr.append(r / e)
             csr.append(1 - h / e)
-    tail = (1 - confidence) / 2
+    tail = (1 - BOOTSTRAP_CONFIDENCE) / 2
     cis = {name: (_percentile(v, tail), _percentile(v, 1 - tail))
            for name, v in zip(wanted, map(sorted, wanted.values())) if v}
     if isinstance(metric, str) and not cis:
@@ -322,12 +323,14 @@ def pearson_r(xs: list[float], ys: list[float]) -> float | None:
     return cov / math.sqrt(var_x * var_y)
 
 
-def correlations(series: dict[str, list[float]], pairs=None) -> dict[str, float | None]:
-    """Pearson r for each named pair (default: all unordered pairs)."""
+def correlations(series: dict[str, list[float]]) -> dict[str, float | None]:
+    """Pearson r for every unordered pair of series, keyed "a:b" with a < b."""
     names = sorted(series)
-    if pairs is None:
-        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    return {f"{a}:{b}": pearson_r(series[a], series[b]) for a, b in pairs}
+    return {
+        f"{a}:{b}": pearson_r(series[a], series[b])
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+    }
 
 
 def grade_series(grades: list[EpisodeGrade]) -> dict[str, list[float]]:

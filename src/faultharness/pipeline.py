@@ -253,15 +253,18 @@ class RuleBasedTeacher:
         return turns
 
 
+# model turns a remote repair may take before it counts as failed
+REMOTE_TEACHER_MAX_TURNS = 8
+
+
 class RemoteTeacher:
     """Chat-endpoint repair: the model proposes grammar-valid turns, the
     harness simulates tool responses from the toolset scripts."""
 
     name = "remote"
 
-    def __init__(self, endpoint: EndpointConfig, max_turns: int = 8):
+    def __init__(self, endpoint: EndpointConfig):
         self._client = ChatEndpoint(endpoint)
-        self._max_turns = max_turns
 
     def continuation(self, request: RepairRequest) -> list[TeacherTurn]:
         turns: list[TeacherTurn] = []
@@ -278,7 +281,7 @@ class RemoteTeacher:
                 "Input format, then finish.",
             },
         )
-        for _ in range(self._max_turns):
+        for _ in range(REMOTE_TEACHER_MAX_TURNS):
             try:
                 text = self._client.complete(messages)
                 parsed = parse_action(text)

@@ -1,6 +1,8 @@
 """Episode execution: scripted tools, deterministic fault injection, simulated
 time, retry budgets, and trajectory logging.
 
+A plan injects at most one fault, on the tool call its `turn_index` counts
+to; every identical reissue of that call meets the same fault until it clears.
 World model for injected faults, read from each kind's catalog row
 (`data/catalog.json`, on `taxonomy.FailureKind`):
 
@@ -176,11 +178,14 @@ def wrap_response(payload: str) -> str:
 # --- configuration ---------------------------------------------------------------
 
 
+# simulated milliseconds each turn adds to the episode clock
+TURN_COST_MS = 100
+
+
 @dataclass(frozen=True)
 class SimConfig:
     max_steps: int = 20
     retry_budget_per_error: int = 3
-    turn_cost_ms: int = 100
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -188,8 +193,6 @@ class SimConfig:
             raise ConfigError("max_steps must be >= 3")
         if not 1 <= self.retry_budget_per_error <= 4:
             raise ConfigError("retry_budget_per_error must be within [1, 4]")
-        if self.turn_cost_ms < 0:
-            raise ConfigError("turn_cost_ms must be non-negative")
 
 
 class SimClock:
@@ -545,7 +548,7 @@ def run_episode(
     n_decisions = 0
 
     def append(role: str, content: str) -> None:
-        clock.advance(config.turn_cost_ms)
+        clock.advance(TURN_COST_MS)
         traj.turns.append(Turn(role=role, content=content, simulated_time_ms=clock.now))
 
     def execute_call(
@@ -569,15 +572,10 @@ def run_episode(
                 return _scripted(tool, key, index)
             return fault.rendered, fault.signature_at(index)
 
-        if not plan.is_clean and call_ordinal == plan.turn_index:
-            kind, manifestation = plan.kind, plan.manifestation
-        elif plan.cascade is not None and call_ordinal == plan.cascade[1]:
-            kind = plan.cascade[0]
-            manifestation = CATALOG[kind].default_manifestation
-        else:
+        if plan.is_clean or call_ordinal != plan.turn_index:
             return _scripted(tool, key, index)
         fault = faults[key] = _make_fault(
-            kind, manifestation, key, tool, plan.seed, call_ordinal, index
+            plan.kind, plan.manifestation, key, tool, plan.seed, call_ordinal, index
         )
         return fault.rendered, fault.signature
 

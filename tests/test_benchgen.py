@@ -27,6 +27,35 @@ def test_70_cards_uniform_is_10_per_class(tasks):
     assert len(counts) == 7
 
 
+@pytest.mark.parametrize(
+    "n_episodes, held_out, expected",
+    [
+        # 74 = 7 * 10 + 4: the first four classes by name take one extra card
+        (74, frozenset(), {
+            ErrorClass.ARGUMENT_HALLUCINATION: 11,
+            ErrorClass.INVALID_INTERMEDIATE_REASONING: 11,
+            ErrorClass.INVALID_TOOL_INVOCATION: 11,
+            ErrorClass.OUTPUT_HALLUCINATION: 11,
+            ErrorClass.PARTIAL_EXECUTION: 10,
+            ErrorClass.REENTRANT_FAILURE: 10,
+            ErrorClass.TOOL_HALLUCINATION: 10,
+        }),
+        # held-out pool of two classes: ReentrantFailure sorts first
+        (33, frozenset({"http_404", "http_503"}), {
+            ErrorClass.REENTRANT_FAILURE: 17,
+            ErrorClass.TOOL_HALLUCINATION: 16,
+        }),
+    ],
+    ids=["seven-classes", "two-held-out-classes"],
+)
+def test_remainder_cards_go_to_first_classes_by_name(tasks, n_episodes, held_out, expected):
+    spec = SuiteSpec(
+        n_episodes=n_episodes, master_seed=7, clean_fraction=0.0, held_out_kinds=held_out
+    )
+    cards = generate_suite(tasks, spec)
+    assert Counter(CATALOG[c.plan.kind].error_class for c in cards) == expected
+
+
 def test_clean_fraction_split(tasks):
     cards = generate_suite(tasks, SuiteSpec(n_episodes=100, master_seed=3, clean_fraction=0.2))
     clean = [c for c in cards if c.plan.is_clean]

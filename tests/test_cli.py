@@ -224,10 +224,20 @@ def test_gen_suite_pool_exhausted_exits_2(runner, tmp_path):
     _assert_clean_failure(result, "Error:")
 
 
+_DUPLICATE_TOOLS_CARD = json.dumps({
+    "episode_id": "dup", "prompt": "p", "steps": [], "plan": {"seed": 1},
+    "tools": [{"name": "lookup"}, {"name": "lookup"}],
+})
+
+
 @pytest.mark.parametrize(
     "bad_line, fragment",
-    [('{"foo": 1}', "episode_id"), ("not json at all", "JSONDecodeError")],
-    ids=["missing-key", "not-json"],
+    [
+        ('{"foo": 1}', "episode_id"),
+        ("not json at all", "JSONDecodeError"),
+        (_DUPLICATE_TOOLS_CARD, "tool names must be unique"),
+    ],
+    ids=["missing-key", "not-json", "duplicate-tools"],
 )
 def test_evaluate_malformed_suite_line_exits_2(runner, tmp_path, bad_line, fragment):
     suite = _gen(runner, tmp_path, n=3, seed=5)
@@ -235,6 +245,19 @@ def test_evaluate_malformed_suite_line_exits_2(runner, tmp_path, bad_line, fragm
     suite.write_text("\n".join([good[0], "", bad_line, *good[1:]]) + "\n")
     result = _evaluate(runner, tmp_path, suite)
     _assert_clean_failure(result, "suite line 3", fragment)
+
+
+def test_evaluate_cascade_plan_exits_2(runner, tmp_path):
+    # a plan injects one fault; a card asking for a second is refused rather
+    # than run as a one-fault card
+    suite = _gen(runner, tmp_path, n=3, seed=5, extra=["--clean-fraction", "0"])
+    lines = suite.read_text().splitlines()
+    card = json.loads(lines[1])
+    card["plan"]["cascade"] = {"kind": "http_429", "turn_index": card["plan"]["turn_index"] + 1}
+    lines[1] = json.dumps(card)
+    suite.write_text("\n".join(lines) + "\n")
+    result = _evaluate(runner, tmp_path, suite)
+    _assert_clean_failure(result, "suite line 2", "cascade")
 
 
 def test_evaluate_bank_missing_classes_exits_2(runner, tmp_path):
@@ -312,8 +335,16 @@ def _assert_no_traceback(result, *fragments):
                                        "script": [{"action": "terminate_gracefully"}]}]}),
             ["bank entry 0 (odd)", "'kinds' must be a list"],
         ),
+        (
+            json.dumps({"exemplars": [{"id": "odd",
+                                       "pattern": {"error_class": "ReentrantFailure",
+                                                   "message_tokens": "rate limit"},
+                                       "script": [{"action": "terminate_gracefully"}]}]}),
+            ["bank entry 0 (odd)", "'message_tokens' must be a list"],
+        ),
     ],
-    ids=["not-json", "list", "entry-not-object", "unknown-action", "kinds-string"],
+    ids=["not-json", "list", "entry-not-object", "unknown-action", "kinds-string",
+         "message-tokens-string"],
 )
 def test_evaluate_malformed_bank_exits_2(runner, tmp_path, text, fragments):
     suite = _gen(runner, tmp_path, n=2, seed=5)

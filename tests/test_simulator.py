@@ -34,7 +34,6 @@ from faultharness.protocol import ProtocolViolation, ToolCall, render_action
 from faultharness.simulator import (
     SimClock,
     SimConfig,
-    ToolRegistry,
     ToolSpec,
     advance_backoff,
     canonical_call_key,
@@ -284,41 +283,6 @@ def test_malformed_agent_tolerated_once_then_abandoned():
     assert sig.error_class.value == "InvalidIntermediateReasoning"
 
 
-def test_cascade_injects_second_failure(bank):
-    from faultharness.agents import TaskStep
-
-    tools = []
-    steps = []
-    for name in ("alpha", "beta"):
-        args = {"q": name}
-        tools.append(
-            ToolSpec(
-                name=name, description="", parameters={},
-                scripted_responses={
-                    canonical_call_key(name, args): f'{{"out":"{name}"}}'
-                },
-                capability=name,
-            )
-        )
-        steps.append(TaskStep(tool=name, arguments=args))
-    registry = ToolRegistry(tools=tuple(tools))
-    # seed 1: http_500 persists for 1 retry, so calls run:
-    # 1 alpha fails, 2 retry fails, 3 retry succeeds, 4 beta (cascade)
-    plan = InjectionPlan(
-        seed=1,
-        kind="http_500",
-        manifestation=CATALOG["http_500"].default_manifestation,
-        turn_index=1,
-        cascade=("http_429", 4),
-    )
-    policy = make_policy("paladin", steps=tuple(steps))
-    traj = run_episode("task", registry, policy, plan, SimConfig(), bank=bank)
-    assert isinstance(traj.terminal, Finished)
-    contents = [t.content for t in traj.turns if t.role == "function"]
-    assert any("Unexpected server error" in c for c in contents)
-    assert any("Rate limit exceeded" in c for c in contents)
-
-
 def test_step_budget_exhaustion():
     registry, steps = make_registry()
 
@@ -351,11 +315,6 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         InjectionPlan(seed=1, kind="http_500",
                       manifestation=Manifestation.ERROR_PAYLOAD, turn_index=0)
-    with pytest.raises(ValueError):
-        InjectionPlan(
-            seed=1, kind="http_500", manifestation=Manifestation.ERROR_PAYLOAD,
-            turn_index=3, cascade=("http_429", 2),
-        )
 
 
 def test_unknown_tool_yields_not_found_failure():
