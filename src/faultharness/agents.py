@@ -37,7 +37,7 @@ from .protocol import (
 )
 from .remote import ChatEndpoint, EndpointConfig
 from .seeds import rng_for
-from .simulator import ToolRegistry, canonical_call_key, trace_view
+from .simulator import ToolRegistry, ToolSpec, canonical_call_key, trace_view
 from .taxonomy import ErrorSignature
 
 
@@ -142,7 +142,7 @@ class VanillaPolicy(ScriptedPolicy):
         return GiveUp(
             report=(
                 f"Could not complete the task: {step.tool} failed "
-                f"({error.message or error.kind})."
+                f"({error.detail})."
             ),
             thought="The tool call failed; stopping.",
         )
@@ -169,16 +169,14 @@ class ReflectPolicy(ScriptedPolicy):
             return GiveUp(
                 report=(
                     f"Could not complete the task: {step.tool} still failing "
-                    f"after {retries_done} retries ({error.message or error.kind})."
+                    f"after {retries_done} retries ({error.detail})."
                 ),
                 thought="Retries exhausted; giving up.",
             )
         call = ToolCall(name=step.tool, arguments=step.arguments)
         if retries_done + 1 == self._budget:
             return RecoveryStep(
-                action=ReformatArguments(
-                    hint="re-check parameter formatting against the schema"
-                ),
+                action=ReformatArguments(),
                 thought=(
                     f"The call to {step.tool} keeps failing; re-checking the "
                     "argument formatting and re-issuing the corrected call."
@@ -197,56 +195,37 @@ class ReflectPolicy(ScriptedPolicy):
 # --- script executor (shared by the retrieval-guided policies) -------------------------
 
 
-@dataclass(frozen=True)
-class _PlannedStep:
-    action: RecoveryAction
-    target: str  # "reissue" | "switch" | "terminate"
-
-
 def _flatten_script(
     script: tuple[RecoveryAction, ...],
     budget: int,
     has_alternative: bool,
-) -> list[_PlannedStep]:
-    """Bound a script into an executable step sequence.
+) -> list[RecoveryAction]:
+    """Bound a script into the sequence of actions to execute.
 
     Same-call reissues are capped at the retry budget; scripts that run out
     without success escalate to a tool switch (when possible) then graceful
     termination.
     """
-    planned: list[_PlannedStep] = []
+    planned: list[RecoveryAction] = []
     reissues = 0
     switched = False
-    terminated = False
     for action in script:
         if isinstance(action, TerminateGracefully):
-            planned.append(_PlannedStep(action, "terminate"))
-            terminated = True
-            break
+            planned.append(action)
+            return planned
         if isinstance(action, SwitchTool):
             if has_alternative:
-                planned.append(_PlannedStep(action, "switch"))
+                planned.append(action)
                 switched = True
             continue
-        if isinstance(action, RetryWithBackoff):
-            for _ in range(action.max_attempts):
-                if reissues < budget:
-                    planned.append(_PlannedStep(action, "reissue"))
-                    reissues += 1
-            continue
-        if isinstance(
-            action,
-            (ReformatArguments, ValidateAndReissue, LenientParse, RefreshCredentials,
-             WaitUntilHealthy),
-        ):
-            if reissues < budget:
-                planned.append(_PlannedStep(action, "reissue"))
-                reissues += 1
-            continue
-    if not terminated:
-        if has_alternative and not switched:
-            planned.append(_PlannedStep(SwitchTool(strategy="alternative"), "switch"))
-        planned.append(_PlannedStep(TerminateGracefully(), "terminate"))
+        # every other action reissues the failed call, a backoff up to its attempts
+        repeats = action.max_attempts if isinstance(action, RetryWithBackoff) else 1
+        for _ in range(min(repeats, budget - reissues)):
+            planned.append(action)
+            reissues += 1
+    if has_alternative and not switched:
+        planned.append(SwitchTool())
+    planned.append(TerminateGracefully())
     return planned
 
 
@@ -268,55 +247,38 @@ _ACTION_THOUGHTS = {
 
 
 def _execute_planned(
-    planned: list[_PlannedStep],
+    planned: list[RecoveryAction],
     position: int,
     failed_call: ToolCall,
     error: ErrorSignature,
-    tools: ToolRegistry,
+    alternative: ToolSpec | None,
 ) -> AgentAction:
     if position >= len(planned):
         # defensive: scripts always end in terminate
         return GiveUp(
-            report=f"Could not complete the step using {failed_call.name}: "
-            f"{error.message or error.kind}",
+            report=TerminateGracefully().report_for(failed_call.name, error),
             thought="Recovery options exhausted.",
         )
-    step = planned[position]
-    if step.target == "terminate":
-        report_template = getattr(step.action, "report", "") or (
-            "Could not complete the step using {tool}: {error}"
-        )
-        report = report_template.format(
-            tool=failed_call.name, error=error.message or error.kind
-        )
+    action = planned[position]
+    if isinstance(action, TerminateGracefully):
         return RecoveryStep(
-            action=step.action,
+            action=action,
             thought=(
                 f"The failure on {failed_call.name} is not recoverable here; "
                 "stopping with an honest report."
             ),
-            report=report,
+            report=action.report_for(failed_call.name, error),
         )
-    if step.target == "switch":
-        alternative = tools.alternative_for(failed_call.name)
-        if alternative is None:
-            return RecoveryStep(
-                action=TerminateGracefully(),
-                thought="No alternative tool is registered; stopping with an "
-                "honest report.",
-                report=f"Could not complete the step using {failed_call.name}: "
-                f"{error.message or error.kind}",
-            )
+    if isinstance(action, SwitchTool):  # planned only when there is an alternative
         return RecoveryStep(
-            action=step.action,
+            action=action,
             thought=_ACTION_THOUGHTS[SwitchTool]
             + f" ({failed_call.name} -> {alternative.name})",
             call=ToolCall(name=alternative.name, arguments=failed_call.arguments),
         )
-    thought = _ACTION_THOUGHTS.get(type(step.action), "Attempting recovery.")
     return RecoveryStep(
-        action=step.action,
-        thought=f"{thought} (failed call: {failed_call.name}, "
+        action=action,
+        thought=f"{_ACTION_THOUGHTS[type(action)]} (failed call: {failed_call.name}, "
         f"error: {error.kind})",
         call=failed_call,
     )
@@ -336,12 +298,11 @@ class PaladinPolicy(ScriptedPolicy):
         view = trace_view(context)
         event_start, _ = view.failure_run
         position = view.recovery_steps_since(event_start)
+        alternative = tools.alternative_for(step.tool)
         planned = _flatten_script(
-            script,
-            budget=self._budget,
-            has_alternative=tools.alternative_for(step.tool) is not None,
+            script, budget=self._budget, has_alternative=alternative is not None
         )
-        return _execute_planned(planned, position, failed_call, error, tools)
+        return _execute_planned(planned, position, failed_call, error, alternative)
 
     def _script_for(
         self, error: ErrorSignature, bank: ExemplarBank | None
@@ -450,16 +411,16 @@ class RemoteChatPolicy:
         """Map a recovery-tagged model call onto the action vocabulary."""
         failed = trace_view(context).last_failed_call()
         if failed is None:
-            return ValidateAndReissue(check="payload")
+            return ValidateAndReissue()
         if failed.name != call.name:
-            return SwitchTool(strategy="alternative")
+            return SwitchTool()
         if canonical_call_key(failed.name, failed.arguments) == canonical_call_key(
             call.name, call.arguments
         ):
             return RetryWithBackoff(
                 max_attempts=1, base_delay_ms=0, cap_ms=0, respect_retry_after=False
             )
-        return ReformatArguments(hint="model-adjusted arguments")
+        return ReformatArguments()
 
 
 # --- factory ---------------------------------------------------------------------------

@@ -3,6 +3,16 @@
 The shipped dictionary groups failure kinds into branches that share one
 script (e.g. all auth statuses terminate); `load_bank` expands each branch
 into one exemplar per member kind so pattern matching stays first-class.
+
+A script step is `{"action": <tag>, ...}` plus the action's optional fields:
+`retry_with_backoff` takes `max_attempts` (int in [1, 4]), `base_delay_ms` and
+`cap_ms` (ints >= 0) and `respect_retry_after` (bool); `terminate_gracefully`
+takes `report` (str with `{tool}` and `{error}` slots; empty means the default);
+`wait_until_healthy` takes `poll_interval_ms` (int > 0); the other five take
+none. Older bank files give `reformat_arguments` a `hint`, `switch_tool` a
+`strategy`, `validate_and_reissue` a `check` and `wait_until_healthy` a
+`max_wait_ms`. Nothing read them, so loading drops them; any other unknown key
+is an error.
 """
 
 from __future__ import annotations
@@ -32,6 +42,16 @@ from .taxonomy import (
 # --- recovery actions --------------------------------------------------------
 
 
+def _require(action, kind: type, *names: str) -> None:
+    """TypeError unless each named field of `action` is a `kind`; a bool is no int."""
+    for name in names:
+        value = getattr(action, name)
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise TypeError(
+                f"{type(action).__name__}.{name} must be {kind.__name__}, not {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class RetryWithBackoff:
     max_attempts: int = 3
@@ -40,6 +60,8 @@ class RetryWithBackoff:
     respect_retry_after: bool = False
 
     def __post_init__(self):
+        _require(self, int, "max_attempts", "base_delay_ms", "cap_ms")
+        _require(self, bool, "respect_retry_after")
         if not 1 <= self.max_attempts <= 4:
             raise ValueError("max_attempts must be within [1, 4]")
         if self.base_delay_ms < 0 or self.cap_ms < 0:
@@ -53,16 +75,12 @@ class RetryWithBackoff:
 
 @dataclass(frozen=True)
 class ReformatArguments:
-    hint: str
+    pass
 
 
 @dataclass(frozen=True)
 class SwitchTool:
-    strategy: str = "alternative"
-
-    def __post_init__(self):
-        if self.strategy not in ("alternative", "fallback"):
-            raise ValueError(f"unknown switch strategy {self.strategy!r}")
+    pass
 
 
 @dataclass(frozen=True)
@@ -72,11 +90,7 @@ class RefreshCredentials:
 
 @dataclass(frozen=True)
 class ValidateAndReissue:
-    check: str = "payload"
-
-    def __post_init__(self):
-        if self.check not in ("url", "payload", "headers", "params"):
-            raise ValueError(f"unknown check {self.check!r}")
+    pass
 
 
 @dataclass(frozen=True)
@@ -84,19 +98,29 @@ class LenientParse:
     pass
 
 
+_DEFAULT_REPORT = "Could not complete the step using {tool}: {error}"
+
+
 @dataclass(frozen=True)
 class TerminateGracefully:
-    report: str = "Could not complete the step using {tool}: {error}"
+    report: str = _DEFAULT_REPORT
+
+    def __post_init__(self):
+        _require(self, str, "report")
+
+    def report_for(self, tool: str, error: ErrorSignature) -> str:
+        """The report for `tool` failing with `error`; an empty report is the default one."""
+        return (self.report or _DEFAULT_REPORT).format(tool=tool, error=error.detail)
 
 
 @dataclass(frozen=True)
 class WaitUntilHealthy:
     poll_interval_ms: int = 500
-    max_wait_ms: int = 8000
 
     def __post_init__(self):
-        if self.poll_interval_ms <= 0 or self.max_wait_ms < self.poll_interval_ms:
-            raise ValueError("invalid wait bounds")
+        _require(self, int, "poll_interval_ms")
+        if self.poll_interval_ms <= 0:
+            raise ValueError("poll_interval_ms must be positive")
 
 
 RecoveryAction = (
@@ -122,17 +146,6 @@ _ACTION_TAGS: dict[str, type] = {
 }
 _TAG_BY_TYPE = {cls: tag for tag, cls in _ACTION_TAGS.items()}
 
-# Actions that re-execute a call and can therefore complete the step; scripts
-# must end with one of these or with TerminateGracefully (never with a purely
-# preparatory action).
-_SUCCESS_TERMINAL = (
-    RetryWithBackoff,
-    SwitchTool,
-    ValidateAndReissue,
-    LenientParse,
-    WaitUntilHealthy,
-)
-
 
 def action_to_json(action: RecoveryAction) -> dict:
     doc = {"action": _TAG_BY_TYPE[type(action)]}
@@ -141,12 +154,22 @@ def action_to_json(action: RecoveryAction) -> dict:
     return doc
 
 
+# the one field each of these actions had in older bank files; nothing read it
+_DROPPED_KEYS = {
+    ReformatArguments: "hint",
+    SwitchTool: "strategy",
+    ValidateAndReissue: "check",
+    WaitUntilHealthy: "max_wait_ms",
+}
+
+
 def action_from_json(doc: dict) -> RecoveryAction:
     tag = doc.get("action")
     if tag not in _ACTION_TAGS:
         raise ValueError(f"unknown recovery action {tag!r}")
-    params = {k: v for k, v in doc.items() if k != "action"}
-    return _ACTION_TAGS[tag](**params)
+    cls = _ACTION_TAGS[tag]
+    dropped = _DROPPED_KEYS.get(cls)
+    return cls(**{k: v for k, v in doc.items() if k not in ("action", dropped)})
 
 
 # --- patterns and exemplars ---------------------------------------------------
@@ -366,7 +389,8 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
     if not script_docs:
         raise EmptyScript(entry_id)
     script = tuple(action_from_json(doc) for doc in script_docs)
-    if not isinstance(script[-1], (TerminateGracefully, *_SUCCESS_TERMINAL)):
+    # every other action re-executes a call and can complete the step
+    if isinstance(script[-1], (ReformatArguments, RefreshCredentials)):
         raise ValueError("script must end with TerminateGracefully or a success-terminal action")
 
     rationale = entry.get("rationale", "")

@@ -165,15 +165,14 @@ class RuleBasedTeacher:
         giveup_payload = json.dumps(
             {
                 "return_type": "give_up_and_report",
-                "report": f"Could not complete the step using {failed_call.name}: "
-                f"{request.error.message or request.error.kind}",
+                "report": TerminateGracefully().report_for(failed_call.name, request.error),
             },
             ensure_ascii=False,
         )
         slots = {
             "tool": failed_call.name,
             "alt_tool": alt.name if alt else failed_call.name,
-            "error": request.error.message or request.error.kind,
+            "error": request.error.detail,
             "args": json.dumps(failed_call.arguments, sort_keys=True, ensure_ascii=False),
             "success_response": wrap_response(
                 self._success_payload(request, failed_call)
@@ -220,19 +219,14 @@ class RuleBasedTeacher:
         request: RepairRequest,
         failed_call: ToolCall,
     ) -> list[TeacherTurn]:
-        error_text = request.error.message or request.error.kind
         turns: list[TeacherTurn] = []
         for action in exemplar.script:
             if isinstance(action, TerminateGracefully):
-                report = (action.report or "Could not complete the step using "
-                          "{tool}: {error}").format(
-                    tool=failed_call.name, error=error_text
-                )
                 step = RecoveryStep(
                     action=action,
                     thought=f"The failure on {failed_call.name} is not recoverable; "
                     "stopping with an honest report.",
-                    report=report,
+                    report=action.report_for(failed_call.name, request.error),
                 )
                 turns.append(_teacher_says(render_action(step)))
                 return turns

@@ -137,6 +137,11 @@ class ErrorSignature:
         if self.manifestation is Manifestation.ERROR_PAYLOAD and not self.message:
             raise ValueError("ErrorPayload signatures carry a non-empty message")
 
+    @property
+    def detail(self) -> str:
+        """What a report quotes of the failure: its message, or else its kind."""
+        return self.message or self.kind
+
     def to_json(self) -> dict:
         out = {
             "error_class": self.error_class.value,

@@ -6,7 +6,6 @@ from faultharness.bank import load_shipped_bank
 from faultharness.agents import TaskStep, make_policy
 from faultharness.episode import ROLE_ASSISTANT, InjectionPlan
 from faultharness.errors import AgentProtocolError
-from faultharness.metrics import grade_episode
 from faultharness.protocol import parse_action
 from faultharness.simulator import (
     SimConfig,
@@ -16,7 +15,7 @@ from faultharness.simulator import (
     run_episode,
 )
 from faultharness.tasks import builtin_task_pool
-from faultharness.taxonomy import CATALOG, Manifestation, detect_failure
+from faultharness.taxonomy import CATALOG, detect_failure
 
 
 @pytest.fixture(scope="session")

@@ -10,25 +10,17 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from faultharness.agents import make_policy, oracle_gate
-from faultharness.bank import (
-    DEFAULT_WEIGHTS,
-    RetryWithBackoff,
-    load_shipped_bank,
-    retrieve,
-    similarity_distance,
-)
+from faultharness.bank import DEFAULT_WEIGHTS, RetryWithBackoff, retrieve
 from faultharness.benchgen import SuiteSpec, generalization_split, generate_suite
 from faultharness.cli import main as cli_main
 from faultharness.episode import trajectory_from_line, trajectory_to_line
 from faultharness.metrics import EpisodeGrade, aggregate, bootstrap_ci, grade_episode
 from faultharness.simulator import SimClock, advance_backoff, run_episode
-from faultharness.tasks import builtin_task_pool
 from faultharness.taxonomy import (
     CATALOG,
     ErrorSignature,

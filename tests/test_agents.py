@@ -7,14 +7,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import make_registry, run_simple
-from faultharness.agents import (
-    RemoteChatPolicy,
-    TaskStep,
-    make_policy,
-    oracle_gate,
-    synthesize_answer,
-)
-from faultharness.bank import RetryWithBackoff, SwitchTool, ValidateAndReissue
+from faultharness.agents import RemoteChatPolicy, make_policy, oracle_gate
+from faultharness.bank import ExemplarBank, RecoveryExemplar, SignaturePattern, ValidateAndReissue
 from faultharness.episode import (
     Abandoned,
     Finished,
@@ -22,14 +16,7 @@ from faultharness.episode import (
     InjectionPlan,
 )
 from faultharness.errors import ConfigError
-from faultharness.protocol import (
-    Finish,
-    GiveUp,
-    ProtocolViolation,
-    RecoveryStep,
-    ToolCall,
-    parse_action,
-)
+from faultharness.protocol import RecoveryStep, parse_action
 from faultharness.remote import EndpointConfig
 from faultharness.simulator import SimConfig, run_episode, trace_view
 from faultharness.taxonomy import CATALOG
@@ -188,6 +175,36 @@ def test_paladin_404_without_alternative_terminates(bank):
         "paladin", kind="http_404", plan_seed=2, bank=bank, with_backup=False
     )
     assert isinstance(traj.terminal, GracefulFailure)
+
+
+def _reissue_only_bank():
+    """One exemplar for http_404 whose script ends without terminating."""
+    exemplar = RecoveryExemplar(
+        id="reissue_only",
+        pattern=SignaturePattern(kind="http_404"),
+        script=(ValidateAndReissue(),),
+    )
+    return ExemplarBank(exemplars=(exemplar,))
+
+
+def test_paladin_script_without_terminate_escalates_to_switch():
+    traj, _, _ = run_simple("paladin", kind="http_404", plan_seed=2, bank=_reissue_only_bank())
+    assert isinstance(traj.terminal, Finished)
+    calls = [
+        (parsed.is_recovery, parsed.call.name)
+        for turn in traj.assistant_turns
+        if (parsed := parse_action(turn.content)).call is not None
+    ]
+    assert calls == [(False, "lookup"), (True, "lookup"), (True, "lookup_backup")]
+
+
+def test_paladin_script_without_terminate_ends_with_default_report():
+    traj, _, _ = run_simple(
+        "paladin", kind="http_404", plan_seed=2, bank=_reissue_only_bank(), with_backup=False
+    )
+    assert isinstance(traj.terminal, GracefulFailure)
+    message = trace_view(traj).first_failure[1].message
+    assert traj.terminal.report == f"Could not complete the step using lookup: {message}"
 
 
 def test_paladin_never_finishes_after_unresolved_error(bank):

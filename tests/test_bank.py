@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from fractions import Fraction
 
@@ -11,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from faultharness.bank import (
     DEFAULT_WEIGHTS,
     ExemplarBank,
-    RecoveryExemplar,
     RetryWithBackoff,
     SignaturePattern,
     TerminateGracefully,
+    WaitUntilHealthy,
     action_from_json,
     action_to_json,
-    load_bank,
     load_shipped_bank,
     parse_bank,
     retrieve,
@@ -416,16 +414,64 @@ def test_action_json_roundtrip():
     actions = [
         {"action": "retry_with_backoff", "max_attempts": 4, "base_delay_ms": 250,
          "cap_ms": 4000, "respect_retry_after": True},
-        {"action": "reformat_arguments", "hint": "fix it"},
-        {"action": "switch_tool", "strategy": "fallback"},
+        {"action": "reformat_arguments"},
+        {"action": "switch_tool"},
         {"action": "refresh_credentials"},
-        {"action": "validate_and_reissue", "check": "url"},
+        {"action": "validate_and_reissue"},
         {"action": "lenient_parse"},
         {"action": "terminate_gracefully", "report": "r"},
-        {"action": "wait_until_healthy", "poll_interval_ms": 100, "max_wait_ms": 900},
+        {"action": "wait_until_healthy", "poll_interval_ms": 100},
     ]
     for doc in actions:
         assert action_to_json(action_from_json(doc)) == doc
+
+
+# the fields older bank files set on these actions, which loading drops
+_DROPPED_FIELDS = {
+    "reformat_arguments": {"hint": "fix the argument formatting"},
+    "switch_tool": {"strategy": "fallback"},
+    "validate_and_reissue": {"check": "url"},
+    "wait_until_healthy": {"max_wait_ms": 9000},
+}
+
+
+def test_entry_with_dropped_fields_parses_equal_without_them():
+    script = [{"action": tag} for tag in _DROPPED_FIELDS] + [{"action": "lenient_parse"}]
+    older = [{**step, **_DROPPED_FIELDS.get(step["action"], {})} for step in script]
+
+    def bank_of(steps):
+        entry = _entry("e", script=steps)
+        return parse_bank({"version": "t", "exemplars": _full_coverage_entries() + [entry]})
+
+    assert older != script
+    assert bank_of(older) == bank_of(script)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [{"action": "switch_tool", "target": "x"}, {"action": "retry_with_backoff", "hint": "x"}],
+    ids=["unknown-key", "dropped-key-of-another-action"],
+)
+def test_entry_with_other_unknown_key_is_rejected(step):
+    entry = _entry("odd", script=[step, {"action": "terminate_gracefully"}])
+    doc = {"version": "t", "exemplars": _full_coverage_entries() + [entry]}
+    with pytest.raises(ConfigError, match=r"bank entry 7 \(odd\)"):
+        parse_bank(doc)
+
+
+@pytest.mark.parametrize(
+    "action, fields",
+    [
+        (RetryWithBackoff, {"max_attempts": True}),
+        (RetryWithBackoff, {"cap_ms": 8000.0}),
+        (RetryWithBackoff, {"respect_retry_after": 1}),
+        (TerminateGracefully, {"report": None}),
+        (WaitUntilHealthy, {"poll_interval_ms": "500"}),
+    ],
+)
+def test_action_fields_are_type_checked(action, fields):
+    with pytest.raises(TypeError, match=f"{action.__name__}.{next(iter(fields))} must be"):
+        action(**fields)
 
 
 def test_retry_attempts_bounded():

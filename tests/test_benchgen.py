@@ -7,7 +7,6 @@ import pytest
 
 from faultharness.bank import similarity_distance
 from faultharness.benchgen import (
-    EpisodeCard,
     SuiteSpec,
     generalization_split,
     generate_suite,

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 
 from faultharness.cli import main
+
+SHIPPED_BANK = resources.files("faultharness.data").joinpath("recovery_bank.json")
 
 
 @pytest.fixture
@@ -352,6 +354,33 @@ def test_evaluate_malformed_bank_exits_2(runner, tmp_path, text, fragments):
     bank.write_text(text)
     result = _evaluate(runner, tmp_path, suite, "--bank", str(bank))
     _assert_no_traceback(result, *fragments)
+
+
+@pytest.mark.parametrize(
+    "tag, field, value",
+    [
+        ("retry_with_backoff", "max_attempts", 2.5),
+        ("retry_with_backoff", "base_delay_ms", 1.5),
+        ("terminate_gracefully", "report", 5),
+        ("retry_with_backoff", "respect_retry_after", "yes"),
+    ],
+    ids=["float-attempts", "float-delay", "int-report", "string-flag"],
+)
+def test_evaluate_mistyped_action_field_exits_2(runner, tmp_path, tag, field, value):
+    doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
+    steps = [
+        (index, entry["id"], step)
+        for index, entry in enumerate(doc["exemplars"])
+        for step in entry["script"]
+        if step["action"] == tag
+    ]
+    for _, _, step in steps:
+        step[field] = value
+    index, entry_id, _ = steps[0]
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    result = _evaluate(runner, tmp_path, _gen(runner, tmp_path), "--bank", str(bank))
+    _assert_no_traceback(result, f"bank entry {index} ({entry_id})", f".{field} must be")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 from faultharness import agents
 from faultharness.agents import make_policy, oracle_gate
-from faultharness.benchgen import SuiteSpec, generate_suite
+from faultharness.bank import load_bank
+from faultharness.benchgen import SuiteSpec, generate_suite, read_suite
 from faultharness.cli import main
 from faultharness.episode import dumps_canonical, trajectory_to_line
 from faultharness.metrics import grade_episode
@@ -36,6 +37,29 @@ GRADES = {
     "reflect": "4fdd2b57a5c0d419117b1f346dfe04276d4c37c2722e25608d5c6aeea50829e0",
     "critic": "6e51818f6751b8ea3c7bb56f4c526cd0a1df090c5045995ecc4f7e554f43fe92",
     "paladin": "9cab888922a8b81a5fd421958910f787ea32f07119442170eacabe59aae12b60",
+}
+
+# (trajectories, grades) of 60-card `gen-suite --seed 1337 --hold-out KIND` suites,
+# run against the pruned bank that gen-suite writes beside the suite and read back:
+# every retrieved exemplar is of another kind, while on the desk suite every one
+# is of the injected kind
+HELD_OUT = {
+    ("malformed_json", "critic"): (
+        "7de851d45c362acb1deb8f02e473afe5a70de1669184a32fe15c57e05c54497e",
+        "4c37095fbf503b9881392fad0f0a76b99ed666c141e8d22810e39f28f0aff64b",
+    ),
+    ("malformed_json", "paladin"): (
+        "1356ac4b008227d599d30ba0e77578abd910ea7f1238a2c242c8e3f1ed6aee8b",
+        "8caf062bd3c60f6a18f49ebccac0b846b84640d9a33e04c8b3d0fdc6b404729a",
+    ),
+    ("timeout", "critic"): (
+        "4ad6fdeb5a23364edb6843388875fc32ef4753c49bd7297e503c2f7ffe577fe9",
+        "f67ac22360faa575a0a42182936610b2043fe6d816c68a4a753331c8999caa9a",
+    ),
+    ("timeout", "paladin"): (
+        "476c224a1d1cfb927214a8939ce92009096a94eadf4df6525dd7b6b3692ab79a",
+        "354da6d4c3f2128a227a6ce60c8e4258e222f37f6abe55247683d4359c7ad268",
+    ),
 }
 
 # report.json from `evaluate --agent paladin --seed 42`, desk suite of 200 cards, seed 1337
@@ -102,6 +126,30 @@ def test_critic_draws_each_oracle_gate_once(desk_cards, bank, monkeypatch):
     assert (trajectories, grades) == (TRAJECTORIES["critic"], GRADES["critic"])
     assert len(draws) == events > 0
     assert len(set(draws)) == len(draws)
+
+
+@pytest.fixture(scope="module")
+def held_out_suites(tmp_path_factory):
+    """Kind -> (cards, pruned bank read back from the file gen-suite wrote)."""
+    tmp = tmp_path_factory.mktemp("held-out")
+    suites = {}
+    for kind in sorted({kind for kind, _ in HELD_OUT}):
+        suite = tmp / f"{kind}.jsonl"
+        result = CliRunner().invoke(
+            main,
+            ["gen-suite", "--n", "60", "--seed", "1337", "--hold-out", kind,
+             "--out", str(suite)],
+        )
+        assert result.exit_code == 0, result.output
+        suites[kind] = (read_suite(suite), load_bank(f"{suite}.bank.json"))
+    return suites
+
+
+@pytest.mark.parametrize("kind, agent", sorted(HELD_OUT))
+def test_held_out_digests(held_out_suites, kind, agent):
+    cards, pruned = held_out_suites[kind]
+    trajectories, grades, _ = _run_desk(cards, agent, pruned)
+    assert (trajectories, grades) == HELD_OUT[kind, agent]
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks over the package, its tests and the benchmark, with the
+standard library only."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ from pathlib import Path
 import faultharness
 
 PACKAGE_DIR = Path(faultharness.__file__).parent
+REPO_DIR = Path(__file__).resolve().parent.parent
+SCANNED_DIRS = (PACKAGE_DIR, REPO_DIR / "tests", REPO_DIR / "bench")
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -58,8 +61,9 @@ def test_unused_imports_finds_only_unreferenced_names():
 
 def test_no_module_imports_a_name_it_never_uses():
     found = {
-        path.name: names
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        f"{directory.name}/{path.name}": names
+        for directory in SCANNED_DIRS
+        for path in sorted(directory.glob("*.py"))
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not found, f"unused top-level imports: {found}"

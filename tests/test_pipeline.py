@@ -1,13 +1,10 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from click.testing import CliRunner
 
-from conftest import assert_facts_match_texts, make_registry, run_simple, view_state
-from faultharness.agents import make_policy
+from conftest import assert_facts_match_texts, run_simple, view_state
 from faultharness.episode import (
     Finished,
     GracefulFailure,
@@ -18,7 +15,6 @@ from faultharness.episode import (
 )
 from faultharness.errors import InsufficientTraces, MalformedTrace, TeacherFailure
 from faultharness.pipeline import (
-    Corpus,
     CorpusSpec,
     CorpusTrace,
     RepairRequest,
@@ -30,7 +26,7 @@ from faultharness.pipeline import (
     repair,
     truncate_at_failure,
 )
-from faultharness.simulator import SimConfig, TraceView, run_episode, trace_view
+from faultharness.simulator import TraceView, trace_view
 from faultharness.taxonomy import CATALOG
 
 
