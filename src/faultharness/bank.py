@@ -7,12 +7,12 @@ into one exemplar per member kind so pattern matching stays first-class.
 A script step is `{"action": <tag>, ...}` plus the action's optional fields:
 `retry_with_backoff` takes `max_attempts` (int in [1, 4]), `base_delay_ms` and
 `cap_ms` (ints >= 0) and `respect_retry_after` (bool); `terminate_gracefully`
-takes `report` (str with `{tool}` and `{error}` slots; empty means the default);
-`wait_until_healthy` takes `poll_interval_ms` (int > 0); the other five take
-none. Older bank files give `reformat_arguments` a `hint`, `switch_tool` a
-`strategy`, `validate_and_reissue` a `check` and `wait_until_healthy` a
-`max_wait_ms`. Nothing read them, so loading drops them; any other unknown key
-is an error.
+takes `report` (str whose only slots are `{tool}` and `{error}`; empty means
+the default); `wait_until_healthy` takes `poll_interval_ms` (int > 0); the
+other five take none. Older bank files give `reformat_arguments` a `hint`,
+`switch_tool` a `strategy`, `validate_and_reissue` a `check` and
+`wait_until_healthy` a `max_wait_ms`. Nothing read them, so loading drops them;
+any other unknown key is an error.
 """
 
 from __future__ import annotations
@@ -107,6 +107,13 @@ class TerminateGracefully:
 
     def __post_init__(self):
         _require(self, str, "report")
+        try:  # `report_for` fills both slots with strs; a bad slot fails here, not mid-run
+            self.report.format(tool="tool", error="error")
+        except (LookupError, AttributeError, ValueError, TypeError) as exc:
+            raise ValueError(
+                f"TerminateGracefully.report {self.report!r} does not format with "
+                f"only {{tool}} and {{error}}: {exc!r}"
+            ) from None
 
     def report_for(self, tool: str, error: ErrorSignature) -> str:
         """The report for `tool` failing with `error`; an empty report is the default one."""

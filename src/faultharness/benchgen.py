@@ -157,6 +157,8 @@ def generate_suite(
             task = task_order[(idx + offset) % len(task_order)]
             if kind_id is None:
                 turn: int | None = None
+            elif len(task.steps) == 1:
+                turn = 1  # randrange(1) is 0 whatever the generator draws
             else:
                 turn = 1 + random.Random(
                     derive_seed(episode_seed, offset)
@@ -238,7 +240,10 @@ def write_suite(path, cards: list[EpisodeCard]) -> None:
 
 def read_suite(path) -> list[EpisodeCard]:
     with open(path, encoding="utf-8") as fh:
-        return suite_from_lines(fh)
+        try:
+            return suite_from_lines(fh)
+        except UnicodeDecodeError as exc:  # raised by the file, between lines
+            raise ConfigError(f"suite file {path} is not UTF-8: {exc}") from None
 
 
 def suite_manifest(spec: SuiteSpec, cards: list[EpisodeCard], bank_version: str) -> dict:

@@ -125,7 +125,7 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
             "version": f"{bank.version}-heldout",
             "exemplars": [ex.to_json() for ex in visible_bank.exemplars],
         }
-        bank_path.write_text(json.dumps(bank_doc, sort_keys=True, indent=2) + "\n")
+        bank_path.write_text(dumps_canonical(bank_doc) + "\n", encoding="utf-8")
         click.echo(f"pruned bank: {bank_path} ({len(visible_bank)} exemplars)")
     failures = sum(1 for c in cards if not c.plan.is_clean)
     click.echo(
@@ -167,13 +167,15 @@ def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
 
 
 @main.command("evaluate")
-@click.option("--suite", type=click.Path(exists=True), required=True)
+@click.option("--suite", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option(
     "--agent",
     type=click.Choice(["vanilla", "toolbench", "reflect", "critic", "paladin", "remote"]),
     required=True,
 )
-@click.option("--bank", "bank_path", type=click.Path(exists=True), default=None)
+@click.option(
+    "--bank", "bank_path", type=click.Path(exists=True, dir_okay=False), default=None
+)
 @click.option("--no-retrieval", is_flag=True, help="Remove the bank handle (ablation).")
 @click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
@@ -421,8 +423,8 @@ def _read_report(path) -> dict:
 
 
 @main.command("report-diff")
-@click.argument("report_a", type=click.Path(exists=True))
-@click.argument("report_b", type=click.Path(exists=True))
+@click.argument("report_a", type=click.Path(exists=True, dir_okay=False))
+@click.argument("report_b", type=click.Path(exists=True, dir_okay=False))
 def cmd_report_diff(report_a, report_b):
     """Print per-metric deltas between two report.json files."""
     a, b = _read_report(report_a), _read_report(report_b)

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .bank import RecoveryAction, TerminateGracefully
+from .encoders import ARGS_TEXT
 from .episode import RECOVERY_PREFIX
 from .errors import AgentProtocolError
 
@@ -77,7 +78,7 @@ AgentAction = ToolCall | Finish | GiveUp | RecoveryStep | ProtocolViolation
 
 
 def _args_text(arguments: dict) -> str:
-    return json.dumps(arguments, sort_keys=True, separators=(", ", ": "), ensure_ascii=False)
+    return ARGS_TEXT.encode(arguments)
 
 
 def render_action(action: AgentAction) -> str:

@@ -18,12 +18,17 @@ The clock is simulated and integer-valued; nothing ever sleeps.
 
 Each turn's facts are worked out once, by the code that writes the turn. The
 simulator hands the episode's `TraceView` the call of every assistant turn it
-renders and the signature of every tool response it serves: a scripted
-payload is classified once when served, an injected fault once when it is
-made, and a wrapped success is known to be one. The view classifies only what
-no writer told it. `TraceView.fork` starts a derived trajectory (a truncated
-prefix, or a prefix with turns appended) from those facts instead of a fresh
-pass over the trace.
+renders and the signature of every tool response it serves: an injected fault
+is classified once when it is made, and a wrapped success is known to be one.
+A scripted payload's text is classified and wrapped once per process
+(`_wrapped_success`, memoized on the text); a payload that is itself a failure
+body is classified again on each serve, for its tool and turn. The view
+classifies only what no writer told it. `TraceView.fork` starts a derived
+trajectory (a truncated prefix, or a prefix with turns appended) from those
+facts instead of a fresh pass over the trace.
+
+Every compact JSON text (call keys, wrappers, error bodies) comes from the
+prebuilt encoders in `encoders`, not from a `json.dumps` call per text.
 
 Each decision's random generator is seeded on its first draw, to the stream
 `rng_for(episode seed, decision index)` gives; most decisions draw nothing.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from .bank import (
@@ -55,6 +61,7 @@ from .episode import (
     Turn,
 )
 from . import protocol
+from .encoders import CANONICAL, COMPACT_ASCII
 from .errors import AgentProtocolError, ConfigError, TransportError
 from .protocol import (
     Finish,
@@ -90,8 +97,7 @@ PROTOCOL_ERROR_BODY = (
 
 def canonical_call_key(name: str, arguments: dict) -> str:
     """Tool name + sorted, whitespace-normalized argument JSON."""
-    args = json.dumps(arguments, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return f"{name}({args})"
+    return f"{name}({CANONICAL.encode(arguments)})"
 
 
 @dataclass(frozen=True)
@@ -169,10 +175,21 @@ class ToolRegistry:
 
 def wrap_response(payload: str) -> str:
     """Standard function-turn wrapper for successful tool output."""
-    return json.dumps(
-        {"error": "", "response": payload}, sort_keys=True, separators=(",", ":"),
-        ensure_ascii=False,
-    )
+    return CANONICAL.encode({"error": "", "response": payload})
+
+
+@lru_cache(maxsize=4096)
+def _wrapped_success(payload: str) -> str | None:
+    """`wrap_response(payload)`, or None if `payload` is itself a failure body.
+
+    Memoized per payload text: whether a text is a failure does not depend on
+    the tool or turn it is served on. `detect_failure` is looked up in this
+    module at call time, so a wrapper installed on it sees each real
+    classification.
+    """
+    if detect_failure(payload, "", 0) is not None:
+        return None
+    return wrap_response(payload)
 
 
 # --- configuration ---------------------------------------------------------------
@@ -238,14 +255,11 @@ def render_failure(
         partial = {k: payload[k] for k in keys}
     else:
         partial = {}
-    return json.dumps(
+    return CANONICAL.encode(
         {
             "error": "Partial response: transfer interrupted before completion",
-            "response": json.dumps(partial, sort_keys=True, separators=(",", ":")),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
+            "response": COMPACT_ASCII.encode(partial),
+        }
     )
 
 
@@ -558,11 +572,7 @@ def run_episode(
         nonlocal call_ordinal
         tool = tools.get(call.name)
         if tool is None:
-            text = json.dumps(
-                {"error": f"Tool '{call.name}' not found in registry"},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+            text = COMPACT_ASCII.encode({"error": f"Tool '{call.name}' not found in registry"})
             return text, detect_failure(text, call.name, index)
         call_ordinal += 1
 
@@ -582,18 +592,16 @@ def run_episode(
     def _scripted(tool: ToolSpec, key: str, index: int) -> tuple[str, ErrorSignature | None]:
         payload = tool.scripted_responses.get(key)
         if payload is None:
-            text = json.dumps(
-                {"error": "No scripted response for this request", "status": 400},
-                sort_keys=True,
-                separators=(",", ":"),
+            text = COMPACT_ASCII.encode(
+                {"error": "No scripted response for this request", "status": 400}
             )
             return text, detect_failure(text, tool.name, index)
-        # a payload that is itself a failure body models a permanently
-        # failing tool; serve it raw so it stays classifiable
-        signature = detect_failure(payload, tool.name, index)
-        if signature is not None:
-            return payload, signature
-        return wrap_response(payload), None  # a wrapped payload is always a success
+        wrapped = _wrapped_success(payload)
+        if wrapped is None:
+            # a payload that is itself a failure body models a permanently
+            # failing tool; serve it raw so it stays classifiable
+            return payload, detect_failure(payload, tool.name, index)
+        return wrapped, None  # a wrapped payload is always a success
 
     while True:
         # every decision that does not end the episode writes one assistant

@@ -7,10 +7,10 @@ data) so tool-switch recovery is exercisable on any step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .agents import TaskStep
+from .encoders import COMPACT_ASCII
 from .simulator import ToolRegistry, ToolSpec, canonical_call_key
 
 
@@ -38,7 +38,7 @@ def _build_template(slug: str, prompt: str, steps_spec) -> TaskTemplate:
     tools: list[ToolSpec] = []
     steps: list[TaskStep] = []
     for tool_name, capability, args, payload in steps_spec:
-        payload_text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload_text = COMPACT_ASCII.encode(payload)
         parameters = {k: {"type": _json_type(v), "required": True} for k, v in args.items()}
         backup_name = f"{tool_name}_backup"
         tools.append(

@@ -384,6 +384,51 @@ def test_evaluate_mistyped_action_field_exits_2(runner, tmp_path, tag, field, va
 
 
 @pytest.mark.parametrize(
+    "report",
+    ["Could not use {tool} or {backup}: {error}", "{tool} failed: {}", "{tool.x}: {error}",
+     "{tool} failed {"],
+    ids=["unknown-slot", "positional-slot", "attribute-slot", "lone-brace"],
+)
+def test_evaluate_report_with_bad_slot_exits_2(runner, tmp_path, report):
+    doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
+    steps = [
+        (index, entry["id"], step)
+        for index, entry in enumerate(doc["exemplars"])
+        for step in entry["script"]
+        if step["action"] == "terminate_gracefully"
+    ]
+    for _, _, step in steps:
+        step["report"] = report
+    index, entry_id, _ = steps[0]
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    result = _evaluate(runner, tmp_path, _gen(runner, tmp_path), "--bank", str(bank))
+    _assert_no_traceback(result, f"bank entry {index} ({entry_id})", "TerminateGracefully.report")
+
+
+def test_evaluate_non_utf8_suite_exits_2(runner, tmp_path):
+    suite = tmp_path / "suite.jsonl"
+    suite.write_bytes(b"\xff\xfe{}\n")
+    result = _evaluate(runner, tmp_path, suite)
+    _assert_no_traceback(result, "suite file", "suite.jsonl", "is not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["suite", "bank", "report-diff"])
+def test_directory_as_input_file_exits_2(runner, tmp_path, command):
+    directory = tmp_path / "inputs"
+    directory.mkdir()
+    if command == "report-diff":
+        result = runner.invoke(main, ["report-diff", str(directory), str(directory)])
+    elif command == "bank":
+        suite = _gen(runner, tmp_path, n=2, seed=5)
+        result = _evaluate(runner, tmp_path, suite, "--bank", str(directory))
+    else:
+        result = _evaluate(runner, tmp_path, directory)
+    _assert_no_traceback(result, "is a directory")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
     "text, fragment",
     [
         ("{not json", "is not JSON"),

@@ -1,4 +1,4 @@
-"""Golden digests: the bytes every agent and the corpus builder produce.
+"""Golden digests: the bytes every agent, gen-suite and the corpus builder produce.
 
 A refactor that keeps behaviour keeps these digests. A change that moves one
 must say so and update the value here together with its reason.
@@ -19,6 +19,7 @@ from faultharness.cli import main
 from faultharness.episode import dumps_canonical, trajectory_to_line
 from faultharness.metrics import grade_episode
 from faultharness.simulator import run_episode
+from faultharness.taxonomy import CATALOG
 
 EVAL_SEED = 42
 
@@ -60,6 +61,28 @@ HELD_OUT = {
         "476c224a1d1cfb927214a8939ce92009096a94eadf4df6525dd7b6b3692ab79a",
         "354da6d4c3f2128a227a6ce60c8e4258e222f37f6abe55247683d4359c7ad268",
     ),
+}
+
+# suite files gen-suite writes: `--n 200 --seed 1337`, and `--n 60 --seed 1337
+# --hold-out KIND` for each catalog kind
+DESK_SUITE = "acb6f62ac6cc8eb749b5bdd25d32874997dc09100142f5d2a423a9b4fe2a97af"
+
+HELD_OUT_SUITES = {
+    "dns_error": "d4fcf3ddc00de5c339de84350a8f58bb72888245045a40e2406ddec91d4dd55d",
+    "http_400": "0292fc2ed96d7be62bbf7be420787f6428c20f540a9d08191febdb305fe6e458",
+    "http_401": "28d1156d4f77943370b542293df97a2e9aa2b40fbe1d6329b6e0c695cbbad561",
+    "http_403": "eb8a3919edf779e1fcdb024a6186eac5a039045b6dd47aaa98661e1cbca3bc95",
+    "http_404": "58e15cc668b7be7d574afa394110dc70ba0dfc57772e1386acc2f987d0360a8e",
+    "http_407": "5c5cf3fc187cfee24a28650268fda373fb19a40b5ec84cbe54fa9b3f4540d1dc",
+    "http_422": "b18e2cf3b2c91f75665126ec7d9962f977869e1d8848eb62a4de2a178ff8f632",
+    "http_429": "ac9442e083c81b910519dc300ecc529f971c6b39303ac2452091ae1402bb8558",
+    "http_500": "dab7815341a9edf6e7bbb8ef6f2b73c0a38aafa98231e50c110784f7374bdbd4",
+    "http_503": "a7d2538757220df4b229dc373b7b159bd352fd8446c040b358111894f845f144",
+    "inconsistent_state": "03a97cadb98052672d241b2eccdc80f02cd304adee27b0a0844739a3d5398609",
+    "malformed_json": "8d7260dfdd2525e765476c819ba6c746cbc45d5ce49b1bb62b29ba1db8d07c3a",
+    "partial_output": "806a5ff527e9bd34f2e54f00ae5068bc2712350c1edf567959ceb0066c1d43dd",
+    "schema_violation": "e52147473a372ef4fcb8daea11997c3f5621c112ee6ab2c32183081c074242d3",
+    "timeout": "984d4ee7fa855db8e064de4d48513e0dbc133f7055ab41dddc5d315012eb4ba1",
 }
 
 # report.json from `evaluate --agent paladin --seed 42`, desk suite of 200 cards, seed 1337
@@ -150,6 +173,23 @@ def test_held_out_digests(held_out_suites, kind, agent):
     cards, pruned = held_out_suites[kind]
     trajectories, grades, _ = _run_desk(cards, agent, pruned)
     assert (trajectories, grades) == HELD_OUT[kind, agent]
+
+
+def _suite_digest(tmp_path, *options):
+    suite = tmp_path / "suite.jsonl"
+    result = CliRunner().invoke(main, ["gen-suite", *options, "--out", str(suite)])
+    assert result.exit_code == 0, result.output
+    return hashlib.sha256(suite.read_bytes()).hexdigest()
+
+
+def test_desk_suite_file_digest(tmp_path):
+    assert _suite_digest(tmp_path, "--n", "200", "--seed", "1337") == DESK_SUITE
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_held_out_suite_file_digest(tmp_path, kind):
+    digest = _suite_digest(tmp_path, "--n", "60", "--seed", "1337", "--hold-out", kind)
+    assert digest == HELD_OUT_SUITES[kind]
 
 
 @pytest.fixture(scope="module")

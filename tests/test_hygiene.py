@@ -67,3 +67,39 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not found, f"unused top-level imports: {found}"
+
+
+def dumps_with_separators(source: str) -> list[int]:
+    """Lines of `json.dumps(...)` calls that pass `separators=`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and any(keyword.arg == "separators" for keyword in node.keywords)
+    ]
+
+
+def test_dumps_with_separators_finds_only_compact_calls():
+    source = (
+        "import json\n"
+        "a = json.dumps(x, sort_keys=True, indent=2)\n"
+        "b = json.dumps(x, separators=(',', ':'))\n"
+        "c = ENCODER.encode(x)\n"
+        "d = json.dumps(\n    x,\n    separators=(', ', ': '),\n)\n"
+    )
+    assert dumps_with_separators(source) == [3, 5]
+
+
+def test_compact_encodes_go_through_the_prebuilt_encoders():
+    # a compact form is one module-level encoder in faultharness.encoders,
+    # not a new encoder built per json.dumps call
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := dumps_with_separators(path.read_text(encoding="utf-8")))
+    }
+    assert not found, f"json.dumps with separators= (use faultharness.encoders): {found}"
