@@ -250,6 +250,9 @@ class ExemplarBank:
     # bank is. Token sets drop digits, so messages differing only in ids or
     # counters share one entry.
     nearest_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # token set per observed message, filled by `retrieve_top_k` the same way:
+    # a run's failure messages repeat across its retrievals.
+    tokens_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.exemplars)
@@ -346,11 +349,14 @@ def retrieve_top_k(
 ) -> list[RecoveryExemplar]:
     """The k nearest exemplars, distance-then-id ordered (deterministic).
 
-    The nearest one (k <= 1) is memoized on the bank.
+    The nearest one (k <= 1) and each message's token set are memoized on the
+    bank.
     """
     if not bank.exemplars:
         raise ConfigError("cannot retrieve from an empty bank")
-    tokens = message_tokens(observed.message)
+    tokens = bank.tokens_memo.get(observed.message)
+    if tokens is None:
+        tokens = bank.tokens_memo[observed.message] = message_tokens(observed.message)
     if k <= 1:
         key = (observed.error_class, observed.kind, observed.status_code, tokens)
         nearest = bank.nearest_memo.get(key)

@@ -1,4 +1,5 @@
-"""The package's compact JSON forms, one encoder each, built once at import.
+"""The compact JSON forms several modules share, one encoder each, built once
+at import.
 
 `json.dumps` with any option set builds a new `json.JSONEncoder` per call;
 a prebuilt encoder's `encode` gives the same text without that cost. Encoders
@@ -9,12 +10,12 @@ from __future__ import annotations
 
 import json
 
-# Sorted keys, no spaces, non-ASCII kept: artifact lines, call keys, wrappers.
-CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Sorted keys, no spaces, non-ASCII kept: every serialized artifact, call keys,
+# success wrappers and error texts.
+dumps_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
 
 # Sorted keys, no spaces, non-ASCII escaped: scripted payloads and the
 # simulator's own error bodies.
 COMPACT_ASCII = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-# Sorted keys, ", " and ": ": the Action Input of an assistant turn.
-ARGS_TEXT = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), ensure_ascii=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .encoders import CANONICAL
+from .encoders import dumps_canonical  # re-exported: artifact writers import it from here
 from .taxonomy import Manifestation
 
 RECOVERY_PREFIX = "Recovery:"
@@ -204,14 +204,6 @@ class Trajectory:
             turns=turns,
             terminal=terminal,
         )
-
-
-def dumps_canonical(doc: dict) -> str:
-    """Canonical JSON encoding used for every serialized artifact: sorted keys,
-    no spaces, non-ASCII kept. It calls the shared prebuilt encoder
-    (`encoders.CANONICAL`), which gives the same text as `json.dumps` with those
-    options without building an encoder per call."""
-    return CANONICAL.encode(doc)
 
 
 def trajectory_to_line(traj: Trajectory) -> str:

@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 
 from .bank import RecoveryAction, TerminateGracefully
-from .encoders import ARGS_TEXT
 from .episode import RECOVERY_PREFIX
 from .errors import AgentProtocolError
 
@@ -77,8 +76,8 @@ class RecoveryStep:
 AgentAction = ToolCall | Finish | GiveUp | RecoveryStep | ProtocolViolation
 
 
-def _args_text(arguments: dict) -> str:
-    return ARGS_TEXT.encode(arguments)
+# Sorted keys, ", " and ": ", non-ASCII kept: the Action Input of an assistant turn.
+_args_text = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), ensure_ascii=False).encode
 
 
 def render_action(action: AgentAction) -> str:

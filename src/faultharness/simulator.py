@@ -18,17 +18,15 @@ The clock is simulated and integer-valued; nothing ever sleeps.
 
 Each turn's facts are worked out once, by the code that writes the turn. The
 simulator hands the episode's `TraceView` the call of every assistant turn it
-renders and the signature of every tool response it serves: an injected fault
-is classified once when it is made, and a wrapped success is known to be one.
-A scripted payload's text is classified and wrapped once per process
-(`_wrapped_success`, memoized on the text); a payload that is itself a failure
-body is classified again on each serve, for its tool and turn. The view
-classifies only what no writer told it. `TraceView.fork` starts a derived
-trajectory (a truncated prefix, or a prefix with turns appended) from those
-facts instead of a fresh pass over the trace.
+renders and the signature of every tool response it serves: a scripted
+payload is classified once when served, an injected fault once when it is
+made, and a wrapped success is known to be one. The view classifies only what
+no writer told it. `TraceView.fork` starts a derived trajectory (a truncated
+prefix, or a prefix with turns appended) from those facts instead of a fresh
+pass over the trace.
 
 Every compact JSON text (call keys, wrappers, error bodies) comes from the
-prebuilt encoders in `encoders`, not from a `json.dumps` call per text.
+encoders built once in `encoders`, not from a `json.dumps` call per text.
 
 Each decision's random generator is seeded on its first draw, to the stream
 `rng_for(episode seed, decision index)` gives; most decisions draw nothing.
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 from .bank import (
@@ -61,7 +58,7 @@ from .episode import (
     Turn,
 )
 from . import protocol
-from .encoders import CANONICAL, COMPACT_ASCII
+from .encoders import COMPACT_ASCII, dumps_canonical
 from .errors import AgentProtocolError, ConfigError, TransportError
 from .protocol import (
     Finish,
@@ -97,7 +94,7 @@ PROTOCOL_ERROR_BODY = (
 
 def canonical_call_key(name: str, arguments: dict) -> str:
     """Tool name + sorted, whitespace-normalized argument JSON."""
-    return f"{name}({CANONICAL.encode(arguments)})"
+    return f"{name}({dumps_canonical(arguments)})"
 
 
 @dataclass(frozen=True)
@@ -175,21 +172,7 @@ class ToolRegistry:
 
 def wrap_response(payload: str) -> str:
     """Standard function-turn wrapper for successful tool output."""
-    return CANONICAL.encode({"error": "", "response": payload})
-
-
-@lru_cache(maxsize=4096)
-def _wrapped_success(payload: str) -> str | None:
-    """`wrap_response(payload)`, or None if `payload` is itself a failure body.
-
-    Memoized per payload text: whether a text is a failure does not depend on
-    the tool or turn it is served on. `detect_failure` is looked up in this
-    module at call time, so a wrapper installed on it sees each real
-    classification.
-    """
-    if detect_failure(payload, "", 0) is not None:
-        return None
-    return wrap_response(payload)
+    return dumps_canonical({"error": "", "response": payload})
 
 
 # --- configuration ---------------------------------------------------------------
@@ -255,7 +238,7 @@ def render_failure(
         partial = {k: payload[k] for k in keys}
     else:
         partial = {}
-    return CANONICAL.encode(
+    return dumps_canonical(
         {
             "error": "Partial response: transfer interrupted before completion",
             "response": COMPACT_ASCII.encode(partial),
@@ -596,12 +579,12 @@ def run_episode(
                 {"error": "No scripted response for this request", "status": 400}
             )
             return text, detect_failure(text, tool.name, index)
-        wrapped = _wrapped_success(payload)
-        if wrapped is None:
-            # a payload that is itself a failure body models a permanently
-            # failing tool; serve it raw so it stays classifiable
-            return payload, detect_failure(payload, tool.name, index)
-        return wrapped, None  # a wrapped payload is always a success
+        # a payload that is itself a failure body models a permanently
+        # failing tool; serve it raw so it stays classifiable
+        signature = detect_failure(payload, tool.name, index)
+        if signature is not None:
+            return payload, signature
+        return wrap_response(payload), None  # a wrapped payload is always a success
 
     while True:
         # every decision that does not end the episode writes one assistant

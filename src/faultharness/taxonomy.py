@@ -11,10 +11,9 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum, unique
-from functools import lru_cache
 from importlib import resources
 
-from .encoders import CANONICAL
+from .encoders import dumps_canonical
 
 
 @unique
@@ -175,13 +174,11 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 _DIGITS = re.compile(r"[0-9]+")
 
 
-@lru_cache(maxsize=4096)
 def message_tokens(message: str) -> frozenset[str]:
     """Normalized token set of a failure message.
 
     Lowercased, split on non-alphanumerics, digits stripped (messages embed
     volatile ids and counters that must not affect dedup or similarity).
-    Memoized: an episode's failure messages repeat across retrievals.
     """
     tokens = set()
     for raw in _TOKEN_SPLIT.split(message.lower()):
@@ -326,7 +323,7 @@ def _error_text(slot) -> str:
         return slot
     if isinstance(slot, dict) and isinstance(slot.get("message"), str) and slot["message"]:
         return slot["message"]
-    return CANONICAL.encode(slot)
+    return dumps_canonical(slot)
 
 
 def _classify_error_body(

@@ -292,6 +292,16 @@ def test_repeated_signature_returns_the_memoized_exemplar():
     assert len(fresh.nearest_memo) == 1
 
 
+def test_token_memo_holds_each_message_once_per_bank():
+    warm, cold = load_shipped_bank(), load_shipped_bank()
+    messages = ["Unexpected server error #4411", "unexpected  SERVER error #9"]
+    for message in messages * 2:
+        retrieve(warm, observed(message=message))
+    assert warm.tokens_memo == {m: message_tokens(m) for m in messages}
+    assert not cold.tokens_memo
+    assert not warm.without_kinds({"http_503"}).tokens_memo
+
+
 def test_pruned_bank_never_returns_a_removed_exemplar():
     parent = load_shipped_bank()
     obs = observed(kind="http_503", message="Service unavailable", status=503)

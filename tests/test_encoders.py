@@ -1,5 +1,5 @@
-"""The prebuilt JSON encoders and the scripted-payload memo give exactly the
-text their uncached forms give."""
+"""The prebuilt JSON encoders give exactly the text `json.dumps` gives with
+their call sites' options."""
 
 from __future__ import annotations
 
@@ -7,18 +7,16 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from faultharness import simulator
-from faultharness.encoders import ARGS_TEXT, CANONICAL, COMPACT_ASCII
-from faultharness.episode import dumps_canonical
+from faultharness.encoders import COMPACT_ASCII, dumps_canonical
 from faultharness.protocol import _args_text
 from faultharness.simulator import canonical_call_key, wrap_response
-from faultharness.taxonomy import _error_text, detect_failure
+from faultharness.taxonomy import _error_text
 
-# each encoder with the options of the `json.dumps` calls it replaces
+# each encoding function with the options of the `json.dumps` calls it replaces
 FORMS = (
-    (CANONICAL, {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}),
-    (COMPACT_ASCII, {"sort_keys": True, "separators": (",", ":")}),
-    (ARGS_TEXT, {"sort_keys": True, "separators": (", ", ": "), "ensure_ascii": False}),
+    (dumps_canonical, {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}),
+    (COMPACT_ASCII.encode, {"sort_keys": True, "separators": (",", ":")}),
+    (_args_text, {"sort_keys": True, "separators": (", ", ": "), "ensure_ascii": False}),
 )
 
 _texts = st.text() | st.sampled_from(
@@ -42,56 +40,17 @@ _objects = st.dictionaries(_texts, _docs, max_size=5)
 @settings(max_examples=200, deadline=None)
 @given(doc=_docs)
 def test_each_prebuilt_encoder_matches_json_dumps_with_its_options(doc):
-    for encoder, options in FORMS:
-        assert encoder.encode(doc) == json.dumps(doc, **options)
+    for encode, options in FORMS:
+        assert encode(doc) == json.dumps(doc, **options)
 
 
 @settings(max_examples=100, deadline=None)
 @given(doc=_objects, name=_texts, payload=_texts)
 def test_call_sites_match_json_dumps_with_their_options(doc, name, payload):
     canonical = {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}
-    assert dumps_canonical(doc) == json.dumps(doc, **canonical)
     assert canonical_call_key(name, doc) == f"{name}({json.dumps(doc, **canonical)})"
     assert wrap_response(payload) == json.dumps({"error": "", "response": payload}, **canonical)
     assert _error_text(doc) == (
         doc["message"] if isinstance(doc.get("message"), str) and doc["message"]
         else json.dumps(doc, **canonical)
     )
-    assert _args_text(doc) == json.dumps(
-        doc, sort_keys=True, separators=(", ", ": "), ensure_ascii=False
-    )
-
-
-_payloads = (
-    _texts
-    | _docs.map(json.dumps)
-    | st.builds(
-        lambda error, status: json.dumps({"error": error, "status": status}),
-        _texts, st.integers(100, 599) | _texts,
-    )
-    | st.sampled_from(['{"answer":7}', '{"error":""}', '{"error":"boom"}', "  ", "[1]", "{"])
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(payload=_payloads, tool=_texts, turn=st.integers(0, 40))
-def test_payload_memo_matches_uncached_classify_and_wrap(payload, tool, turn):
-    signature = detect_failure(payload, tool, turn)
-    expected = wrap_response(payload) if signature is None else None
-    for _ in range(2):  # a miss, then a hit
-        assert simulator._wrapped_success(payload) == expected
-
-
-def test_payload_memo_classifies_through_the_module_global(monkeypatch):
-    calls = []
-
-    def counting(raw, tool_name, turn_index):
-        calls.append(raw)
-        return detect_failure(raw, tool_name, turn_index)
-
-    monkeypatch.setattr(simulator, "detect_failure", counting)
-    payload = '{"memo_probe":"classified through simulator.detect_failure"}'
-    simulator._wrapped_success.cache_clear()
-    assert simulator._wrapped_success(payload) == wrap_response(payload)
-    assert simulator._wrapped_success(payload) == wrap_response(payload)
-    assert calls == [payload]
