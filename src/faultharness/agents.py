@@ -3,8 +3,9 @@ an adapter for external chat-completion models.
 
 Scripted policies are surrogates: they follow the task's intended call
 sequence and differ only in how they react to failures. All are pure
-functions of (trajectory so far, last error, seed), so episodes replay
-byte-identically.
+functions of (trajectory so far, seed), so episodes replay byte-identically.
+Every fact about past turns, the latest error included, comes from the
+trajectory's `trace.TraceView`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .protocol import (
 )
 from .remote import ChatEndpoint, EndpointConfig
 from .seeds import rng_for
-from .simulator import ToolRegistry, ToolSpec, canonical_call_key, trace_view
+from .simulator import ToolRegistry, ToolSpec, canonical_call_key
 from .taxonomy import ErrorSignature
+from .trace import trace_view
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,14 @@ class ScriptedPolicy:
     def decide(
         self,
         context: Trajectory,
-        last_error: ErrorSignature | None,
         tools: ToolRegistry,
         bank: ExemplarBank | None,
         rng,
     ) -> AgentAction:
-        if last_error is not None:
-            return self.on_error(context, last_error, tools, bank, rng)
-        n_done = trace_view(context).completed_steps
+        view = trace_view(context)
+        if view.last_error is not None:
+            return self.on_error(context, view.last_error, tools, bank, rng)
+        n_done = view.completed_steps
         if n_done >= len(self._steps):
             return Finish(
                 answer=synthesize_answer(context),
@@ -373,7 +375,6 @@ class RemoteChatPolicy:
     def decide(
         self,
         context: Trajectory,
-        last_error: ErrorSignature | None,
         tools: ToolRegistry,
         bank: ExemplarBank | None,
         rng,

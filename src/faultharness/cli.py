@@ -102,7 +102,7 @@ def main():
     multiple=True,
     help="Failure kind to hold out of the agent-visible bank (repeatable).",
 )
-@click.option("--out", type=click.Path(), default="suite.jsonl", show_default=True)
+@click.option("--out", type=click.Path(dir_okay=False), default="suite.jsonl", show_default=True)
 def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
     """Generate a deterministic evaluation suite (plus pruned bank if held out)."""
     seed = _resolve_seed(seed)
@@ -115,6 +115,7 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
     bank = load_shipped_bank()
     visible_bank, cards = generalization_split(spec, bank=bank)
     out_path = Path(out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_suite(out_path, cards)
     manifest = suite_manifest(spec, cards, bank.version)
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
@@ -180,7 +181,7 @@ def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
 @click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads; only the remote agent gains from more than 1.")
-@click.option("--out-dir", type=click.Path(), default="runs", show_default=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), default="runs", show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True, callback=_finite)
 @click.option("--n-resamples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--endpoint-url", default=None, help="Remote agent endpoint base URL.")
@@ -311,7 +312,7 @@ def cmd_evaluate(
     show_default=True,
 )
 @click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(), default="corpus", show_default=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), default="corpus", show_default=True)
 @click.option("--endpoint-url", default=None)
 @click.option("--endpoint-model", default="default")
 def cmd_build_corpus(

@@ -142,7 +142,7 @@ class Trajectory:
     plan: InjectionPlan
     turns: list[Turn] = field(default_factory=list)
     terminal: Terminal | None = None
-    # cache for simulator.trace_view; not part of the trajectory's value
+    # cache for trace.trace_view; not part of the trajectory's value
     view: object = field(default=None, init=False, repr=False, compare=False)
 
     def validate_roles(self) -> None:

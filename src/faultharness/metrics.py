@@ -24,8 +24,8 @@ from itertools import islice, repeat
 
 from .episode import Finished, Trajectory
 from .errors import ConfigError, EmptySuite, EpisodeMismatch
-from .simulator import trace_view
 from .taxonomy import CATALOG
+from .trace import trace_view
 
 _FAILURE_ACKNOWLEDGEMENTS = (
     "could not",

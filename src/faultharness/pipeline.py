@@ -43,14 +43,9 @@ from .protocol import (
     render_action,
 )
 from .remote import ChatEndpoint, EndpointConfig
-from .simulator import (
-    ToolRegistry,
-    canonical_call_key,
-    trace_prefix,
-    trace_view,
-    wrap_response,
-)
+from .simulator import TURN_COST_MS, ToolRegistry, canonical_call_key, wrap_response
 from .taxonomy import ErrorSignature, canonical_key
+from .trace import trace_prefix, trace_view
 
 
 def detect_first_failure(trace: Trajectory) -> tuple[int, ErrorSignature] | None:
@@ -89,7 +84,7 @@ def _teacher_says(content: str) -> TeacherTurn:
 
 
 def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
-    """`trace` plus the appended turns, 100 ms apart, with no terminal state.
+    """`trace` plus the appended turns, `TURN_COST_MS` apart, with no terminal state.
 
     The new trajectory's view starts from `trace`'s and is told each
     appended turn's known call or signature, so it reworks nothing.
@@ -98,13 +93,23 @@ def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
     view = extended.view
     clock = extended.turns[-1].simulated_time_ms
     for role, content, parsed, success in appended:
-        clock += 100
+        clock += TURN_COST_MS
         if parsed is not None:
             view.calls[len(extended.turns)] = parsed.call
         elif success:
             view.signatures[len(extended.turns)] = None
         extended.turns.append(Turn(role=role, content=content, simulated_time_ms=clock))
     return extended
+
+
+def _scripted_payload(toolset: ToolRegistry, call: ToolCall) -> str:
+    """The toolset's scripted payload for `call`; a bare success when it has none."""
+    tool = toolset.get(call.name)
+    if tool is not None:
+        payload = tool.scripted_responses.get(canonical_call_key(call.name, call.arguments))
+        if payload is not None:
+            return payload
+    return '{"status":"ok"}'
 
 
 @dataclass(frozen=True)
@@ -145,16 +150,6 @@ class RuleBasedTeacher:
             return self._render_template(exemplar, request, failed_call)
         return self._render_script(exemplar, request, failed_call)
 
-    def _success_payload(self, request: RepairRequest, call: ToolCall) -> str:
-        tool = request.toolset.get(call.name)
-        if tool is not None:
-            payload = tool.scripted_responses.get(
-                canonical_call_key(call.name, call.arguments)
-            )
-            if payload is not None:
-                return payload
-        return '{"status":"ok"}'
-
     def _render_template(
         self,
         exemplar: RecoveryExemplar,
@@ -175,7 +170,7 @@ class RuleBasedTeacher:
             "error": request.error.detail,
             "args": json.dumps(failed_call.arguments, sort_keys=True, ensure_ascii=False),
             "success_response": wrap_response(
-                self._success_payload(request, failed_call)
+                _scripted_payload(request.toolset, failed_call)
             ),
             "giveup_input": giveup_payload,
         }
@@ -239,7 +234,7 @@ class RuleBasedTeacher:
             turns.append(_teacher_says(render_action(step)))
             turns.append(TeacherTurn(
                 ROLE_FUNCTION,
-                wrap_response(self._success_payload(request, failed_call)),
+                wrap_response(_scripted_payload(request.toolset, failed_call)),
                 success=True,
             ))
             break  # teacher writes the successful recovery, one corrective step
@@ -285,14 +280,7 @@ class RemoteTeacher:
             messages.append({"role": "assistant", "content": text})
             if parsed.is_terminal:
                 return turns
-            call = parsed.call
-            tool = request.toolset.get(call.name)
-            payload = None
-            if tool is not None:
-                payload = tool.scripted_responses.get(
-                    canonical_call_key(call.name, call.arguments)
-                )
-            response = wrap_response(payload if payload is not None else '{"status":"ok"}')
+            response = wrap_response(_scripted_payload(request.toolset, parsed.call))
             turns.append(TeacherTurn(ROLE_FUNCTION, response, success=True))
             messages.append({"role": "function", "content": response})
         raise TeacherFailure("remote teacher did not terminate the trace")
@@ -357,18 +345,11 @@ def finalize(task: str, toolset: ToolRegistry, trace: Trajectory) -> Trajectory:
     ):
         return trace
 
-    finished = trace_prefix(trace, len(trace.turns))
     finish = Finish(
-        answer=synthesize_answer(finished),
+        answer=synthesize_answer(trace),
         thought="All steps succeeded; reporting the retrieved data.",
     )
-    finished.turns.append(
-        Turn(
-            role=ROLE_ASSISTANT,
-            content=render_action(finish),
-            simulated_time_ms=finished.turns[-1].simulated_time_ms + 100,
-        )
-    )
+    finished = _extend(trace, [TeacherTurn(ROLE_ASSISTANT, render_action(finish))])
     finished.terminal = Finished(answer=finish.answer)
     return finished
 

@@ -18,8 +18,9 @@ from faultharness.episode import (
 from faultharness.errors import ConfigError
 from faultharness.protocol import RecoveryStep, parse_action
 from faultharness.remote import EndpointConfig
-from faultharness.simulator import SimConfig, run_episode, trace_view
+from faultharness.simulator import SimConfig, run_episode
 from faultharness.taxonomy import CATALOG
+from faultharness.trace import trace_view
 
 
 # --- vanilla ---------------------------------------------------------------------
@@ -309,9 +310,7 @@ def test_remote_policy_recovery_tagged_turn(stub_server):
     ]
     registry, _ = make_registry()
     policy = RemoteChatPolicy(EndpointConfig(base_url=stub_server))
-    action = policy.decide(
-        _context_with_failure(registry), None, registry, None, None
-    )
+    action = policy.decide(_context_with_failure(registry), registry, None, None)
     assert isinstance(action, RecoveryStep)
     assert action.call.name == "lookup"
 

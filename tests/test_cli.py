@@ -312,6 +312,47 @@ def test_remote_models_get_distinct_run_dirs(runner, tmp_path):
     assert models == {"model-a", "model-b"}
 
 
+# --- output paths -------------------------------------------------------------------
+
+
+def test_gen_suite_creates_missing_parent_directory(runner, tmp_path):
+    out = tmp_path / "nodir" / "s.jsonl"
+    result = runner.invoke(main, ["gen-suite", "--n", "3", "--seed", "1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_gen_suite_out_that_is_a_directory_exits_2(runner, tmp_path):
+    out = tmp_path / "d"
+    out.mkdir()
+    result = runner.invoke(main, ["gen-suite", "--n", "3", "--seed", "1", "--out", str(out)])
+    _assert_no_traceback(result, "is a directory")
+    assert sorted(tmp_path.rglob("*")) == [out]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-corpus"])
+def test_out_dir_that_is_a_file_exits_2_before_any_episode(runner, tmp_path, monkeypatch,
+                                                           command):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    out = tmp_path / "f"
+    out.write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran before --out-dir was checked")
+
+    monkeypatch.setattr("faultharness.cli.run_episode", no_episodes)
+    if command == "evaluate":
+        result = _evaluate(runner, tmp_path, suite, out="f")
+    else:
+        result = runner.invoke(
+            main, ["build-corpus", "--target", "10", "--seed", "0", "--out-dir", str(out)]
+        )
+    _assert_no_traceback(result, "is a file")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert out.read_text() == "kept\n"
+
+
 # --- malformed input files exit 2 with a message -------------------------------------
 
 

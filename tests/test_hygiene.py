@@ -103,3 +103,46 @@ def test_compact_encodes_go_through_the_prebuilt_encoders():
         if (lines := dumps_with_separators(path.read_text(encoding="utf-8")))
     }
     assert not found, f"json.dumps with separators= (use faultharness.encoders): {found}"
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that a module imports, relatively or by full name."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+            found.update(parts[1] for parts in names if parts[0] == "faultharness" and parts[1:])
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "faultharness":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # `from . import a, b` names modules
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_package_imports_finds_relative_and_absolute_forms():
+    source = (
+        "import json\n"
+        "import faultharness.bank\n"
+        "from . import protocol, taxonomy\n"
+        "from .episode import Turn\n"
+        "from faultharness.errors import ConfigError\n"
+        "from faultharness import seeds\n"
+    )
+    expected = {"bank", "protocol", "taxonomy", "episode", "errors", "seeds"}
+    assert package_imports(source) == expected
+
+
+def test_trace_view_and_grader_do_not_import_the_simulator():
+    # the view of what happened on a turn, and the grader that reads it, know
+    # nothing of the world that produced the turn
+    def imports_of(module: str) -> set[str]:
+        return package_imports((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+
+    assert imports_of("trace") <= {"episode", "errors", "protocol", "taxonomy"}
+    assert "simulator" not in imports_of("metrics")

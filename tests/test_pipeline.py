@@ -26,8 +26,8 @@ from faultharness.pipeline import (
     repair,
     truncate_at_failure,
 )
-from faultharness.simulator import TraceView, trace_view
 from faultharness.taxonomy import CATALOG
+from faultharness.trace import TraceView, trace_view
 
 
 def failing_trace(kind="http_429", plan_seed=5):
@@ -329,11 +329,10 @@ def _refuse(*args):
 @pytest.mark.parametrize("kind", sorted(CATALOG))
 def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank, monkeypatch):
     import faultharness.pipeline as pipeline
-    import faultharness.simulator as simulator
 
     traj, registry = failing_trace(kind)
     turn_index, sig = detect_first_failure(traj)
-    monkeypatch.setattr(simulator, "detect_failure", _refuse)
+    monkeypatch.setattr("faultharness.taxonomy.detect_failure", _refuse)
     parses = _Counter(pipeline.parse_action)
     monkeypatch.setattr(pipeline, "parse_action", parses)
     monkeypatch.setattr("faultharness.protocol.parse_action", _refuse)
@@ -351,10 +350,9 @@ def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank,
 
 def test_finalize_parses_only_the_final_turn_of_a_simulated_trace(monkeypatch):
     import faultharness.pipeline as pipeline
-    import faultharness.simulator as simulator
 
     traj, registry, _ = run_simple("vanilla", kind=None)
-    monkeypatch.setattr(simulator, "detect_failure", _refuse)
+    monkeypatch.setattr("faultharness.taxonomy.detect_failure", _refuse)
     parses = _Counter(pipeline.parse_action)
     monkeypatch.setattr(pipeline, "parse_action", parses)
     assert finalize("task", registry, traj) is traj

@@ -37,15 +37,13 @@ from faultharness.simulator import (
     ToolSpec,
     advance_backoff,
     canonical_call_key,
-    TraceView,
     render_failure,
     run_episode,
-    trace_prefix,
-    trace_view,
     wrap_response,
 )
 from faultharness.seeds import LazyRandom, rng_for
 from faultharness.taxonomy import CATALOG, Manifestation, classify_raw_failure, detect_failure
+from faultharness.trace import TraceView, trace_prefix, trace_view
 
 
 def tool_for_render(payload='{"a":1,"b":2,"c":3,"d":4}'):
@@ -242,7 +240,7 @@ class StubbornRetrier:
     def __init__(self, steps):
         self._steps = steps
 
-    def decide(self, context, last_error, tools, bank, rng):
+    def decide(self, context, tools, bank, rng):
         step = self._steps[0]
         return ToolCall(name=step.tool, arguments=step.arguments, thought="again")
 
@@ -264,7 +262,7 @@ def test_retry_budget_enforced_on_stubborn_agent():
 class MalformedAgent:
     name = "malformed"
 
-    def decide(self, context, last_error, tools, bank, rng):
+    def decide(self, context, tools, bank, rng):
         return ProtocolViolation(text="let me think about this...")
 
 
@@ -289,7 +287,7 @@ def test_step_budget_exhaustion():
     class Ditherer:
         name = "ditherer"
 
-        def decide(self, context, last_error, tools, bank, rng):
+        def decide(self, context, tools, bank, rng):
             return ToolCall(name="lookup", arguments={"q": "x"}, thought="again")
 
     traj = run_episode(
@@ -323,8 +321,8 @@ def test_unknown_tool_yields_not_found_failure():
     class WrongTool:
         name = "wrong"
 
-        def decide(self, context, last_error, tools, bank, rng):
-            if last_error is not None:
+        def decide(self, context, tools, bank, rng):
+            if trace_view(context).last_error is not None:
                 from faultharness.protocol import GiveUp
                 return GiveUp(report="could not find tool", thought="stop")
             return ToolCall(name="ghost_tool", arguments={}, thought="call ghost")
@@ -356,6 +354,33 @@ def test_trace_view_built_during_the_episode_matches_a_fresh_one(bank):
     assert fresh.view is None
     assert _facts(trace_view(traj)) == _facts(trace_view(fresh))
     assert len(trace_view(fresh).failure_events(lambda tool: tool)) == 1
+
+
+def test_fresh_trace_view_classifies_and_parses_through_the_modules(bank, monkeypatch):
+    # the benchmark counts calls by wrapping these two functions on their own
+    # modules; a view that reached them by another name would go uncounted
+    import faultharness.protocol as protocol
+    import faultharness.taxonomy as taxonomy
+
+    traj, _, _ = run_simple("reflect", kind="http_401", plan_seed=3, bank=bank)
+    fresh = trajectory_from_line(trajectory_to_line(traj))
+    counts = {"detect_failure": 0, "parse_action": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(taxonomy, "detect_failure")
+    count(protocol, "parse_action")
+    view = TraceView(fresh.turns).update()
+    function_turns = sum(1 for turn in fresh.turns if turn.role == ROLE_FUNCTION)
+    assert len(view.responses) == function_turns > 1
+    assert counts == {"detect_failure": len(view.responses), "parse_action": len(view.calls)}
 
 
 def test_trace_view_reads_only_appended_turns():
@@ -471,9 +496,9 @@ class _RngSpy:
         self.policy = policy
         self.decisions = []  # (whether the decision followed an error, its generator)
 
-    def decide(self, context, last_error, tools, bank, rng):
-        self.decisions.append((last_error is not None, rng))
-        return self.policy.decide(context, last_error, tools, bank, rng)
+    def decide(self, context, tools, bank, rng):
+        self.decisions.append((trace_view(context).last_error is not None, rng))
+        return self.policy.decide(context, tools, bank, rng)
 
 
 def _spied_episode(agent, kind, bank):
