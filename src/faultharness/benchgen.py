@@ -17,7 +17,7 @@ from .bank import ExemplarBank, load_shipped_bank
 from .episode import InjectionPlan, dumps_canonical
 from .errors import ConfigError, PoolExhausted
 from .seeds import SEED_MIXER, derive_seed
-from .simulator import SimConfig, ToolRegistry, canonical_call_key
+from .simulator import ToolRegistry, canonical_call_key
 from .tasks import TaskTemplate, builtin_task_pool
 from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass
 
@@ -58,13 +58,6 @@ class EpisodeCard:
     retry_budget: int = 3
     max_steps: int = 20
     task_slug: str = ""
-
-    def sim_config(self, rng_seed: int = 0) -> SimConfig:
-        return SimConfig(
-            max_steps=self.max_steps,
-            retry_budget_per_error=self.retry_budget,
-            rng_seed=rng_seed,
-        )
 
     def final_step_payload(self) -> dict:
         step = self.steps[-1]

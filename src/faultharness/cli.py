@@ -29,7 +29,7 @@ from .benchgen import (
     suite_manifest,
     write_suite,
 )
-from .episode import InjectionPlan, dumps_canonical, trajectory_to_line
+from .episode import Trajectory, dumps_canonical, trajectory_to_line
 from .errors import ConfigError, FaultHarnessError
 from .metrics import (
     BOOTSTRAP_METRICS,
@@ -41,23 +41,10 @@ from .metrics import (
     report_csv_rows,
     report_to_json_text,
 )
-from .pipeline import (
-    CorpusSpec,
-    CorpusTrace,
-    RepairRequest,
-    RuleBasedTeacher,
-    RemoteTeacher,
-    compose_corpus,
-    detect_first_failure,
-    finalize,
-    repair,
-    truncate_at_failure,
-)
+from .pipeline import CorpusSpec, RuleBasedTeacher, RemoteTeacher, build_corpus
 from .remote import EndpointConfig, TOKEN_ENV_VAR
 from .seeds import derive_seed
-from .simulator import run_episode
-from .tasks import builtin_task_pool
-from .taxonomy import CATALOG
+from .simulator import SimConfig, run_episode
 
 RUN_SEED_STREAM = 0xE7A1
 
@@ -74,6 +61,14 @@ class HarnessFailure(click.ClickException):
     """A harness error reported as a message, exiting with code 2."""
 
     exit_code = 2
+
+
+def _make_dir(path: Path) -> None:
+    """Create `path` and its missing parents; exit 2 naming it when that fails."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise HarnessFailure(f"cannot create directory {path}: {exc.strerror}") from exc
 
 
 class _HarnessGroup(click.Group):
@@ -112,10 +107,10 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
         clean_fraction=clean_fraction,
         held_out_kinds=frozenset(hold_out),
     )
+    out_path = Path(out)
+    _make_dir(out_path.parent)
     bank = load_shipped_bank()
     visible_bank, cards = generalization_split(spec, bank=bank)
-    out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_suite(out_path, cards)
     manifest = suite_manifest(spec, cards, bank.version)
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
@@ -146,25 +141,20 @@ def _finite(ctx, param, value):
     return value
 
 
-def _run_card(card: EpisodeCard, agent_name: str, bank, seed: int, endpoint):
+def run_card(
+    card: EpisodeCard, agent: str, bank, seed: int, endpoint: EndpointConfig | None = None
+) -> Trajectory:
+    """One card's episode under the named agent, its budgets and evaluation seed `seed`."""
     policy = make_policy(
-        agent_name,
-        steps=card.steps,
-        retry_budget=card.retry_budget,
-        gate_seed=seed,
-        endpoint=endpoint,
+        agent, card.steps, card.retry_budget, gate_seed=seed, endpoint=endpoint
     )
-    traj = run_episode(
-        prompt=card.prompt,
-        tools=card.tools,
-        agent=policy,
-        plan=card.plan,
-        config=card.sim_config(rng_seed=seed),
-        bank=bank,
-        episode_id=card.episode_id,
+    config = SimConfig(
+        max_steps=card.max_steps, retry_budget_per_error=card.retry_budget, rng_seed=seed
     )
-    grade = grade_episode(traj, card)
-    return traj, grade
+    return run_episode(
+        card.prompt, card.tools, policy, card.plan, config,
+        bank=bank, episode_id=card.episode_id,
+    )
 
 
 @main.command("evaluate")
@@ -220,27 +210,6 @@ def cmd_evaluate(
             raise click.ClickException("remote agent requires --endpoint-url")
         endpoint = EndpointConfig(base_url=endpoint_url, model=endpoint_model)
 
-    def job(card: EpisodeCard):
-        return _run_card(card, agent, bank, seed, endpoint)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(job, cards))
-    else:
-        results = [job(card) for card in cards]
-
-    trajectories = [traj for traj, _ in results]
-    grades = [grade for _, grade in results]
-    report = aggregate(grades, alpha=alpha)
-    report.bootstrap = bootstrap_ci(
-        grades,
-        BOOTSTRAP_METRICS,
-        n_resamples=n_resamples,
-        seed=derive_seed(seed, RUN_SEED_STREAM, 0),
-    )
-    report.n_resamples = n_resamples
-    report.correlations = correlations(grade_series(grades))
-
     suite_bytes = Path(suite).read_bytes()
     flags = {
         "agent": agent,
@@ -259,7 +228,29 @@ def cmd_evaluate(
         suite_bytes + dumps_canonical(flags).encode("utf-8")
     ).hexdigest()[:12]
     run_dir = Path(out_dir) / f"run-{run_hash}"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(run_dir)
+
+    def job(card: EpisodeCard):
+        traj = run_card(card, agent, bank, seed, endpoint)
+        return traj, grade_episode(traj, card)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(job, cards))
+    else:
+        results = [job(card) for card in cards]
+
+    trajectories = [traj for traj, _ in results]
+    grades = [grade for _, grade in results]
+    report = aggregate(grades, alpha=alpha)
+    report.bootstrap = bootstrap_ci(
+        grades,
+        BOOTSTRAP_METRICS,
+        n_resamples=n_resamples,
+        seed=derive_seed(seed, RUN_SEED_STREAM, 0),
+    )
+    report.n_resamples = n_resamples
+    report.correlations = correlations(grade_series(grades))
 
     (run_dir / "trajectories.jsonl").write_text(
         "".join(trajectory_to_line(t) + "\n" for t in trajectories)
@@ -335,59 +326,9 @@ def cmd_build_corpus(
         teacher_backend = RuleBasedTeacher(bank)
 
     spec = CorpusSpec(target_size=target, recovery_fraction=recovery_fraction, seed=seed)
-    n_recovery = round(target * recovery_fraction)
-    n_clean = target - n_recovery
-
-    tasks = builtin_task_pool()
-    kinds = sorted(CATALOG)
-    repaired: list[CorpusTrace] = []
-    quarantine: list[str] = []
-    i = 0
-    while len(repaired) < n_recovery and i < n_recovery * 4:
-        task = tasks[i % len(tasks)]
-        kind = CATALOG[kinds[i % len(kinds)]]
-        episode_seed = derive_seed(seed, 0xC0, i)
-        i += 1
-        plan = InjectionPlan(
-            seed=episode_seed,
-            kind=kind.identifier,
-            manifestation=kind.default_manifestation,
-            turn_index=1,
-        )
-        policy = make_policy("toolbench", steps=task.steps)
-        traj = run_episode(task.prompt, task.tools, policy, plan)
-        found = detect_first_failure(traj)
-        if found is None:
-            continue
-        turn_index, signature = found
-        truncated = truncate_at_failure(traj, turn_index)
-        request = RepairRequest(
-            task=task.prompt, toolset=task.tools, truncated_trace=truncated,
-            error=signature,
-        )
-        try:
-            fixed = repair(request, teacher_backend)
-        except FaultHarnessError as exc:
-            quarantine.append(
-                dumps_canonical(
-                    {"episode_id": traj.episode_id, "reason": str(exc)}
-                )
-            )
-            continue
-        repaired.append(CorpusTrace(trace=fixed, signature=signature))
-
-    clean: list[CorpusTrace] = []
-    for j in range(n_clean):
-        task = tasks[j % len(tasks)]
-        episode_seed = derive_seed(seed, 0xC1, j)
-        policy = make_policy("vanilla", steps=task.steps)
-        traj = run_episode(task.prompt, task.tools, policy, InjectionPlan(seed=episode_seed))
-        clean.append(CorpusTrace(trace=finalize(task.prompt, task.tools, traj), signature=None))
-
-    corpus = compose_corpus(repaired, clean, spec, dictionary_version=bank.version)
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
+    corpus, quarantine = build_corpus(spec, teacher_backend, dictionary_version=bank.version)
     (out / "corpus.jsonl").write_text("".join(line + "\n" for line in corpus.lines()))
     (out / "spans.json").write_text(
         json.dumps(corpus.spans, sort_keys=True, indent=2) + "\n"
@@ -398,7 +339,7 @@ def cmd_build_corpus(
     if quarantine:
         (out / "quarantine.jsonl").write_text("".join(q + "\n" for q in quarantine))
     click.echo(
-        f"corpus: {out / 'corpus.jsonl'} ({n_recovery} recovery + {n_clean} clean, "
+        f"corpus: {out / 'corpus.jsonl'} ({spec.n_recovery} recovery + {spec.n_clean} clean, "
         f"seed={seed}, quarantined={len(quarantine)})"
     )
 

@@ -9,9 +9,11 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .agents import synthesize_answer
+from . import simulator  # run_episode via the module: a wrapper installed there sees every call
+from .agents import make_policy, synthesize_answer
 from .bank import (
     ExemplarBank,
     RecoveryExemplar,
@@ -21,6 +23,7 @@ from .bank import (
 from .episode import (
     Finished,
     GracefulFailure,
+    InjectionPlan,
     RECOVERY_PREFIX,
     ROLE_ASSISTANT,
     ROLE_FUNCTION,
@@ -30,6 +33,7 @@ from .episode import (
 )
 from .errors import (
     AgentProtocolError,
+    FaultHarnessError,
     InsufficientTraces,
     MalformedTrace,
     TeacherFailure,
@@ -43,8 +47,10 @@ from .protocol import (
     render_action,
 )
 from .remote import ChatEndpoint, EndpointConfig
+from .seeds import derive_seed
 from .simulator import TURN_COST_MS, ToolRegistry, canonical_call_key, wrap_response
-from .taxonomy import ErrorSignature, canonical_key
+from .tasks import builtin_task_pool
+from .taxonomy import CATALOG, ErrorSignature, canonical_key
 from .trace import trace_prefix, trace_view
 
 
@@ -114,7 +120,6 @@ def _scripted_payload(toolset: ToolRegistry, call: ToolCall) -> str:
 
 @dataclass(frozen=True)
 class RepairRequest:
-    task: str
     toolset: ToolRegistry
     truncated_trace: Trajectory
     error: ErrorSignature
@@ -314,7 +319,7 @@ def repair(request: RepairRequest, teacher) -> Trajectory:
 # --- finalize ----------------------------------------------------------------------------
 
 
-def finalize(task: str, toolset: ToolRegistry, trace: Trajectory) -> Trajectory:
+def finalize(trace: Trajectory) -> Trajectory:
     """Audit a clean trace: grammar-valid, zero recovery tags, ends with
     Finish (appended from the last successful output when missing)."""
     failure = detect_first_failure(trace)
@@ -382,12 +387,21 @@ class CorpusSpec:
         if self.target_size < 2:
             raise ValueError("target_size must be at least 2")
 
+    @property
+    def n_recovery(self) -> int:
+        return round(self.target_size * self.recovery_fraction)
+
+    @property
+    def n_clean(self) -> int:
+        return self.target_size - self.n_recovery
+
 
 @dataclass(frozen=True)
 class CorpusTrace:
     trace: Trajectory
     signature: ErrorSignature | None  # injected signature for repaired traces
 
+    @cached_property
     def dedup_key(self) -> str:
         task_hash = hashlib.sha256(
             self.trace.turns[1].content.encode("utf-8")
@@ -414,14 +428,13 @@ def compose_corpus(
     dictionary_version: str = "0",
 ) -> Corpus:
     """Seeded 80/20-style composition with signature+task dedup."""
-    n_recovery = round(spec.target_size * spec.recovery_fraction)
-    n_clean = spec.target_size - n_recovery
+    n_recovery, n_clean = spec.n_recovery, spec.n_clean
 
     def dedup(pool: list[CorpusTrace]) -> list[CorpusTrace]:
         seen: set[str] = set()
         out = []
         for item in pool:
-            key = item.dedup_key()
+            key = item.dedup_key
             if key in seen:
                 continue
             seen.add(key)
@@ -453,3 +466,58 @@ def compose_corpus(
         "dictionary_version": dictionary_version,
     }
     return Corpus(traces=traces, spans=spans, manifest=manifest)
+
+
+def build_corpus(
+    spec: CorpusSpec, teacher, dictionary_version: str
+) -> tuple[Corpus, list[str]]:
+    """The composed corpus and one JSON line per quarantined (teacher-refused) repair.
+
+    Attempt `i` injects catalog kind `i` into built-in task `i` (both modulo
+    their pool) until the repairs hold `spec.n_recovery` distinct dedup keys,
+    or for at most four times that many attempts.
+    """
+    tasks = builtin_task_pool()
+    kinds = sorted(CATALOG)
+    repaired: list[CorpusTrace] = []
+    distinct: set[str] = set()
+    quarantine: list[str] = []
+    for i in range(spec.n_recovery * 4):
+        if len(distinct) >= spec.n_recovery:
+            break
+        task = tasks[i % len(tasks)]
+        kind = CATALOG[kinds[i % len(kinds)]]
+        plan = InjectionPlan(
+            seed=derive_seed(spec.seed, 0xC0, i),
+            kind=kind.identifier,
+            manifestation=kind.default_manifestation,
+            turn_index=1,
+        )
+        policy = make_policy("toolbench", steps=task.steps)
+        traj = simulator.run_episode(task.prompt, task.tools, policy, plan)
+        found = detect_first_failure(traj)
+        if found is None:
+            continue
+        turn_index, signature = found
+        truncated = truncate_at_failure(traj, turn_index)
+        request = RepairRequest(toolset=task.tools, truncated_trace=truncated, error=signature)
+        try:
+            fixed = repair(request, teacher)
+        except FaultHarnessError as exc:
+            quarantine.append(
+                dumps_canonical({"episode_id": traj.episode_id, "reason": str(exc)})
+            )
+            continue
+        item = CorpusTrace(trace=fixed, signature=signature)
+        repaired.append(item)
+        distinct.add(item.dedup_key)
+
+    clean: list[CorpusTrace] = []
+    for j in range(spec.n_clean):
+        task = tasks[j % len(tasks)]
+        policy = make_policy("vanilla", steps=task.steps)
+        plan = InjectionPlan(seed=derive_seed(spec.seed, 0xC1, j))
+        traj = simulator.run_episode(task.prompt, task.tools, policy, plan)
+        clean.append(CorpusTrace(trace=finalize(traj), signature=None))
+
+    return compose_corpus(repaired, clean, spec, dictionary_version), quarantine

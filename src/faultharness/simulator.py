@@ -268,9 +268,7 @@ def advance_backoff(
 @dataclass
 class _ActiveFault:
     kind: FailureKind
-    manifestation: Manifestation
     call_key: str
-    tool_name: str
     rendered: str
     persist_retries: int
     retry_after_ms: int | None
@@ -318,9 +316,7 @@ def _make_fault(
         retry_after = rng_for(seed, ordinal, 7).randrange(400, 2001)
     return _ActiveFault(
         kind=kind,
-        manifestation=manifestation,
         call_key=call_key,
-        tool_name=tool.name,
         rendered=rendered,
         persist_retries=persist,
         retry_after_ms=retry_after,
@@ -359,7 +355,7 @@ def run_episode(
     episode_seed = derive_seed(plan.seed, config.rng_seed)
 
     call_ordinal = 0
-    faults: dict[str, _ActiveFault] = {}
+    fault: _ActiveFault | None = None  # the plan's one fault, once injected
     last_failed_key: str | None = None
     consecutive_retries = 0
     malformed_turns = 0
@@ -373,22 +369,21 @@ def run_episode(
         call: ToolCall, key: str, action_tag: str | None, index: int
     ) -> tuple[str, ErrorSignature | None]:
         """The response to `call`, written at turn `index`, and its signature."""
-        nonlocal call_ordinal
+        nonlocal call_ordinal, fault
         tool = tools.get(call.name)
         if tool is None:
             text = COMPACT_ASCII.encode({"error": f"Tool '{call.name}' not found in registry"})
             return text, detect_failure(text, call.name, index)
         call_ordinal += 1
 
-        fault = faults.get(key)
-        if fault is not None and not fault.cleared:
+        if fault is not None and fault.call_key == key and not fault.cleared:
             if fault.on_reissue(action_tag):
                 return _scripted(tool, key, index)
             return fault.rendered, fault.signature_at(index)
 
         if plan.is_clean or call_ordinal != plan.turn_index:
             return _scripted(tool, key, index)
-        fault = faults[key] = _make_fault(
+        fault = _make_fault(
             plan.kind, plan.manifestation, key, tool, plan.seed, call_ordinal, index
         )
         return fault.rendered, fault.signature
@@ -466,8 +461,7 @@ def run_episode(
         # waits happen between the recovery declaration and the reissued call
         if isinstance(action, RecoveryStep):
             retry_after = None
-            fault = faults.get(key)
-            if fault is not None and not fault.cleared:
+            if fault is not None and fault.call_key == key and not fault.cleared:
                 retry_after = fault.retry_after_ms
             if isinstance(action.action, RetryWithBackoff):
                 advance_backoff(

@@ -14,13 +14,13 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from faultharness.agents import make_policy, oracle_gate
+from faultharness.agents import oracle_gate
 from faultharness.bank import DEFAULT_WEIGHTS, RetryWithBackoff, retrieve
 from faultharness.benchgen import SuiteSpec, generalization_split, generate_suite
-from faultharness.cli import main as cli_main
+from faultharness.cli import main as cli_main, run_card
 from faultharness.episode import trajectory_from_line, trajectory_to_line
 from faultharness.metrics import EpisodeGrade, aggregate, bootstrap_ci, grade_episode
-from faultharness.simulator import SimClock, advance_backoff, run_episode
+from faultharness.simulator import SimClock, advance_backoff
 from faultharness.taxonomy import (
     CATALOG,
     ErrorSignature,
@@ -38,21 +38,7 @@ def _passed(n: int, detail: str):
 
 
 def _run_suite(cards, agent, bank, seed=EVAL_SEED):
-    grades = []
-    for card in cards:
-        policy = make_policy(
-            agent, steps=card.steps, retry_budget=card.retry_budget, gate_seed=seed
-        )
-        traj = run_episode(
-            card.prompt,
-            card.tools,
-            policy,
-            card.plan,
-            card.sim_config(rng_seed=seed),
-            bank=bank,
-            episode_id=card.episode_id,
-        )
-        grades.append(grade_episode(traj, card))
+    grades = [grade_episode(run_card(card, agent, bank, seed), card) for card in cards]
     return aggregate(grades)
 
 
@@ -204,11 +190,7 @@ def test_criterion_4_injection_fidelity(tasks, bank):
     assert sorted(class_counts.values()) == [10] * 7
     fidelity = 0
     for card in cards:
-        policy = make_policy("paladin", steps=card.steps, retry_budget=card.retry_budget)
-        traj = run_episode(
-            card.prompt, card.tools, policy, card.plan,
-            card.sim_config(rng_seed=EVAL_SEED), bank=bank, episode_id=card.episode_id,
-        )
+        traj = run_card(card, "paladin", bank, EVAL_SEED)
         rendered = next(
             (
                 t.content

@@ -158,6 +158,21 @@ def test_build_corpus_rule_teacher(runner, tmp_path):
     assert manifest["counts"] == {"recovery": 8, "clean": 2, "total": 10}
 
 
+def test_build_corpus_counts_distinct_recovery_traces(runner, tmp_path):
+    # at seed 0 the first 128 repairs hold duplicate (signature, task) keys;
+    # the builder keeps trying until it holds 128 distinct ones
+    out = tmp_path / "corpus"
+    result = runner.invoke(
+        main, ["build-corpus", "--target", "160", "--seed", "0", "--out-dir", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "(128 recovery + 32 clean," in result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counts"] == {"recovery": 128, "clean": 32, "total": 160}
+    spans = json.loads((out / "spans.json").read_text())
+    assert sum(1 for s in spans.values() if s) == 128
+
+
 def test_build_corpus_remote_without_token_fails(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("FAULTHARNESS_API_TOKEN", raising=False)
     result = runner.invoke(
@@ -342,6 +357,7 @@ def test_out_dir_that_is_a_file_exits_2_before_any_episode(runner, tmp_path, mon
         raise AssertionError("an episode ran before --out-dir was checked")
 
     monkeypatch.setattr("faultharness.cli.run_episode", no_episodes)
+    monkeypatch.setattr("faultharness.simulator.run_episode", no_episodes)
     if command == "evaluate":
         result = _evaluate(runner, tmp_path, suite, out="f")
     else:
@@ -351,6 +367,36 @@ def test_out_dir_that_is_a_file_exits_2_before_any_episode(runner, tmp_path, mon
     _assert_no_traceback(result, "is a file")
     assert sorted(tmp_path.rglob("*")) == before
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["gen-suite", "evaluate", "build-corpus"])
+def test_out_path_under_a_file_exits_2_before_any_work(runner, tmp_path, monkeypatch,
+                                                       command):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    blocker = tmp_path / "f"
+    blocker.write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was made")
+
+    monkeypatch.setattr("faultharness.cli.generalization_split", no_work)
+    monkeypatch.setattr("faultharness.cli.run_episode", no_work)
+    monkeypatch.setattr("faultharness.simulator.run_episode", no_work)
+    if command == "gen-suite":
+        result = runner.invoke(
+            main, ["gen-suite", "--n", "3", "--seed", "1", "--out", str(blocker / "s.jsonl")]
+        )
+    elif command == "evaluate":
+        result = _evaluate(runner, tmp_path, suite, out="f/sub")
+    else:
+        result = runner.invoke(
+            main, ["build-corpus", "--target", "10", "--seed", "0",
+                   "--out-dir", str(blocker / "sub")]
+        )
+    _assert_no_traceback(result, "cannot create directory", str(blocker))
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept\n"
 
 
 # --- malformed input files exit 2 with a message -------------------------------------

@@ -12,13 +12,12 @@ import pytest
 from click.testing import CliRunner
 
 from faultharness import agents
-from faultharness.agents import make_policy, oracle_gate
+from faultharness.agents import oracle_gate
 from faultharness.bank import load_bank
 from faultharness.benchgen import SuiteSpec, generate_suite, read_suite
-from faultharness.cli import main
+from faultharness.cli import main, run_card
 from faultharness.episode import dumps_canonical, trajectory_to_line
 from faultharness.metrics import grade_episode
-from faultharness.simulator import run_episode
 from faultharness.taxonomy import CATALOG
 
 EVAL_SEED = 42
@@ -106,18 +105,7 @@ def _run_desk(cards, agent, bank):
     grades = hashlib.sha256()
     events = 0
     for card in cards:
-        policy = make_policy(
-            agent, steps=card.steps, retry_budget=card.retry_budget, gate_seed=EVAL_SEED
-        )
-        traj = run_episode(
-            prompt=card.prompt,
-            tools=card.tools,
-            agent=policy,
-            plan=card.plan,
-            config=card.sim_config(rng_seed=EVAL_SEED),
-            bank=bank,
-            episode_id=card.episode_id,
-        )
+        traj = run_card(card, agent, bank, EVAL_SEED)
         trajectories.update((trajectory_to_line(traj) + "\n").encode("utf-8"))
         grade = grade_episode(traj, card)
         grades.update((dumps_canonical(grade.to_json()) + "\n").encode("utf-8"))

@@ -146,3 +146,57 @@ def test_trace_view_and_grader_do_not_import_the_simulator():
 
     assert imports_of("trace") <= {"episode", "errors", "protocol", "taxonomy"}
     assert "simulator" not in imports_of("metrics")
+
+
+def names_imported_from(source: str, module: str) -> set[str]:
+    """Names that the imports reaching the package's `module` bind; an import of
+    the module itself yields the module's own name."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and module in package_imports(ast.unparse(node))
+        for alias in node.names
+    }
+
+
+def calls_of(source: str, name: str) -> list[int]:
+    """Lines that call a function or method named `name`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+
+
+def test_names_imported_from_and_calls_of_find_every_form():
+    source = (
+        "import faultharness.pipeline\n"
+        "from . import pipeline, seeds\n"
+        "from .pipeline import CorpusSpec\n"
+        "from faultharness.pipeline import build_corpus as bc\n"
+        "from .simulator import run_episode\n"
+        "card.sim_config(rng_seed=1)\n"
+        "sim_config()\n"
+        "x = card.sim_config\n"
+    )
+    assert names_imported_from(source, "pipeline") == {
+        "faultharness.pipeline", "pipeline", "seeds", "CorpusSpec", "build_corpus"
+    }
+    assert calls_of(source, "sim_config") == [6, 7]
+
+
+def test_cli_reaches_the_corpus_loop_and_the_card_wiring_through_one_function_each():
+    # the corpus loop lives in pipeline.build_corpus and a card's policy and
+    # budgets in cli.run_card; the command bodies only parse flags and write files
+    cli_source = (PACKAGE_DIR / "cli.py").read_text(encoding="utf-8")
+    assert names_imported_from(cli_source, "pipeline") == {
+        "CorpusSpec", "RuleBasedTeacher", "RemoteTeacher", "build_corpus"
+    }
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if (lines := calls_of(path.read_text(encoding="utf-8"), "sim_config"))
+    }
+    assert not found, f"sim_config calls (use cli.run_card): {found}"

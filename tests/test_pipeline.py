@@ -80,7 +80,6 @@ def _repair_setup(kind: str, bank, plan_seed=5):
     turn_index, sig = detect_first_failure(traj)
     truncated = truncate_at_failure(traj, turn_index)
     request = RepairRequest(
-        task=traj.turns[1].content,
         toolset=registry,
         truncated_trace=truncated,
         error=sig,
@@ -145,26 +144,26 @@ def test_repair_empty_bank_is_teacher_failure(bank):
 
 
 def test_finalize_idempotent_on_complete_trace():
-    traj, registry, _ = run_simple("vanilla", kind=None)
-    out = finalize("task", registry, traj)
+    traj, _, _ = run_simple("vanilla", kind=None)
+    out = finalize(traj)
     assert trajectory_to_line(out) == trajectory_to_line(traj)
 
 
 def test_finalize_appends_missing_finish():
-    traj, registry, _ = run_simple("vanilla", kind=None)
+    traj, _, _ = run_simple("vanilla", kind=None)
     headless = Trajectory(
         episode_id=traj.episode_id, plan=traj.plan, turns=traj.turns[:-1]
     )
-    out = finalize("task", registry, headless)
+    out = finalize(headless)
     assert isinstance(out.terminal, Finished)
     assert out.turns[-1].role == "assistant"
     assert "answer=7" in out.terminal.answer
 
 
 def test_finalize_rejects_failure_traces():
-    traj, registry = failing_trace("http_500")
+    traj, _ = failing_trace("http_500")
     with pytest.raises(MalformedTrace):
-        finalize("task", registry, traj)
+        finalize(traj)
 
 
 # --- recovery spans -----------------------------------------------------------------
@@ -227,13 +226,13 @@ def _pools(bank, n_rec=12, n_clean=5):
         repaired.append(CorpusTrace(trace=fixed, signature=request.error))
     clean = []
     for j in range(n_clean):
-        traj, registry, _ = run_simple("vanilla", kind=None, plan_seed=200 + j)
+        traj, _, _ = run_simple("vanilla", kind=None, plan_seed=200 + j)
         traj.turns[1] = Turn(role="user", content=f"clean task {j}", simulated_time_ms=0)
         traj = Trajectory(
             episode_id=f"cln-{j:03d}", plan=traj.plan, turns=traj.turns,
             terminal=traj.terminal,
         )
-        clean.append(CorpusTrace(trace=finalize("t", registry, traj), signature=None))
+        clean.append(CorpusTrace(trace=finalize(traj), signature=None))
     return repaired, clean
 
 
@@ -292,6 +291,7 @@ def test_corpus_spec_validation():
 
 def test_corpus_traces_hold_only_true_facts(tmp_path, monkeypatch):
     import faultharness.cli as cli
+    import faultharness.pipeline as pipeline
 
     composed = []
 
@@ -299,7 +299,7 @@ def test_corpus_traces_hold_only_true_facts(tmp_path, monkeypatch):
         composed.extend(item.trace for item in repaired + clean)
         return compose_corpus(repaired, clean, spec, dictionary_version)
 
-    monkeypatch.setattr(cli, "compose_corpus", capture)
+    monkeypatch.setattr(pipeline, "compose_corpus", capture)
     result = CliRunner().invoke(
         cli.main,
         ["build-corpus", "--target", "150", "--seed", "0", "--out-dir", str(tmp_path)],
@@ -337,7 +337,6 @@ def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank,
     monkeypatch.setattr(pipeline, "parse_action", parses)
     monkeypatch.setattr("faultharness.protocol.parse_action", _refuse)
     request = RepairRequest(
-        task=traj.turns[1].content,
         toolset=registry,
         truncated_trace=truncate_at_failure(traj, turn_index),
         error=sig,
@@ -351,9 +350,9 @@ def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank,
 def test_finalize_parses_only_the_final_turn_of_a_simulated_trace(monkeypatch):
     import faultharness.pipeline as pipeline
 
-    traj, registry, _ = run_simple("vanilla", kind=None)
+    traj, _, _ = run_simple("vanilla", kind=None)
     monkeypatch.setattr("faultharness.taxonomy.detect_failure", _refuse)
     parses = _Counter(pipeline.parse_action)
     monkeypatch.setattr(pipeline, "parse_action", parses)
-    assert finalize("task", registry, traj) is traj
+    assert finalize(traj) is traj
     assert parses.calls == 1

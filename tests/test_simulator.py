@@ -16,6 +16,7 @@ from conftest import (
 from faultharness.agents import make_policy
 from faultharness.bank import RetryWithBackoff
 from faultharness.benchgen import SuiteSpec, generate_suite
+from faultharness.cli import run_card
 from faultharness.episode import (
     ROLE_ASSISTANT,
     ROLE_FUNCTION,
@@ -430,18 +431,7 @@ def desk_trajectories(tasks, bank):
     trajectories = []
     for agent, with_bank in DESK_RUNS:
         for card in cards:
-            policy = make_policy(
-                agent, steps=card.steps, retry_budget=card.retry_budget, gate_seed=42
-            )
-            trajectories.append(run_episode(
-                prompt=card.prompt,
-                tools=card.tools,
-                agent=policy,
-                plan=card.plan,
-                config=card.sim_config(rng_seed=42),
-                bank=bank if with_bank else None,
-                episode_id=card.episode_id,
-            ))
+            trajectories.append(run_card(card, agent, bank if with_bank else None, 42))
     return trajectories
 
 
