@@ -10,8 +10,6 @@ trajectory's `trace.TraceView`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bank import (
     ExemplarBank,
     LenientParse,
@@ -39,21 +37,9 @@ from .protocol import (
 from .remote import ChatEndpoint, EndpointConfig
 from .seeds import rng_for
 from .simulator import ToolRegistry, ToolSpec, canonical_call_key
+from .tasks import TaskStep
 from .taxonomy import ErrorSignature
 from .trace import trace_view
-
-
-@dataclass(frozen=True)
-class TaskStep:
-    tool: str
-    arguments: dict
-
-    def to_json(self) -> dict:
-        return {"tool": self.tool, "arguments": self.arguments}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TaskStep":
-        return cls(tool=doc["tool"], arguments=doc["arguments"])
 
 
 # --- answers ---------------------------------------------------------------------

@@ -12,13 +12,12 @@ import json
 import random
 from dataclasses import dataclass
 
-from .agents import TaskStep
 from .bank import ExemplarBank, load_shipped_bank
 from .episode import InjectionPlan, dumps_canonical
 from .errors import ConfigError, PoolExhausted
 from .seeds import SEED_MIXER, derive_seed
-from .simulator import ToolRegistry, canonical_call_key
-from .tasks import TaskTemplate, builtin_task_pool
+from .simulator import SimConfig, ToolRegistry, canonical_call_key
+from .tasks import TaskStep, TaskTemplate, builtin_task_pool
 from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass
 
 @dataclass(frozen=True)
@@ -58,6 +57,10 @@ class EpisodeCard:
     retry_budget: int = 3
     max_steps: int = 20
     task_slug: str = ""
+
+    def __post_init__(self):
+        # the budgets must be ones an episode can run under
+        SimConfig(max_steps=self.max_steps, retry_budget_per_error=self.retry_budget)
 
     def final_step_payload(self) -> dict:
         step = self.steps[-1]

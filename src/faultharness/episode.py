@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .encoders import dumps_canonical  # re-exported: artifact writers import it from here
-from .taxonomy import Manifestation
+from .taxonomy import CATALOG, Manifestation
 
 RECOVERY_PREFIX = "Recovery:"
 
@@ -103,8 +103,13 @@ class InjectionPlan:
     turn_index: int = 1
 
     def __post_init__(self):
-        if self.turn_index < 1:
-            raise ValueError("turn_index must be >= 1")
+        # the type is checked first: bools and floats are refused too
+        if type(self.seed) is not int:
+            raise ValueError(f"plan seed must be an int, not {self.seed!r}")
+        if type(self.turn_index) is not int or self.turn_index < 1:
+            raise ValueError(f"plan turn_index must be an int >= 1, not {self.turn_index!r}")
+        if self.kind is not None and self.kind not in CATALOG:
+            raise ValueError(f"unknown failure kind {self.kind!r}")
         if self.kind is not None and self.manifestation is None:
             raise ValueError("injection plans must pin a manifestation")
 

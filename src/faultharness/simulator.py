@@ -182,10 +182,12 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_steps < 3:
-            raise ConfigError("max_steps must be >= 3")
-        if not 1 <= self.retry_budget_per_error <= 4:
-            raise ConfigError("retry_budget_per_error must be within [1, 4]")
+        # the type is checked first: bools and floats are refused too
+        budget = self.retry_budget_per_error
+        if type(self.max_steps) is not int or self.max_steps < 3:
+            raise ConfigError(f"max_steps must be an int >= 3, not {self.max_steps!r}")
+        if type(budget) is not int or not 1 <= budget <= 4:
+            raise ConfigError(f"retry_budget_per_error must be an int within [1, 4], not {budget!r}")
 
 
 class SimClock:
@@ -272,16 +274,9 @@ class _ActiveFault:
     rendered: str
     persist_retries: int
     retry_after_ms: int | None
-    signature: ErrorSignature | None  # `rendered` classified at its first serve
+    signature: ErrorSignature | None  # `rendered` classified once, when made
     retries: int = 0
     cleared: bool = False
-
-    def signature_at(self, turn_index: int) -> ErrorSignature | None:
-        """The signature of `rendered` served again at `turn_index`."""
-        sig = self.signature
-        if sig is None or sig.turn_index == turn_index:
-            return sig
-        return replace(sig, turn_index=turn_index)
 
     def on_reissue(self, action_tag: str | None) -> bool:
         """Register one reissue of the uncleared faulted call; True if it now succeeds."""
@@ -301,12 +296,9 @@ def _make_fault(
     tool: ToolSpec,
     seed: int,
     ordinal: int,
-    turn_index: int,
 ) -> _ActiveFault:
-    """The fault injected at call `ordinal`, first served at `turn_index`."""
-    kind = CATALOG.get(kind_id)
-    if kind is None:
-        raise ConfigError(f"cannot inject unknown failure kind {kind_id!r}")
+    """The fault injected at call `ordinal`."""
+    kind = CATALOG[kind_id]
     rendered = render_failure(kind, manifestation, tool, derive_seed(seed, ordinal))
     persist = 0
     if kind.persistence is not None:
@@ -320,7 +312,7 @@ def _make_fault(
         rendered=rendered,
         persist_retries=persist,
         retry_after_ms=retry_after,
-        signature=detect_failure(rendered, tool.name, turn_index),
+        signature=detect_failure(rendered),
     )
 
 
@@ -366,38 +358,36 @@ def run_episode(
         traj.turns.append(Turn(role=role, content=content, simulated_time_ms=clock.now))
 
     def execute_call(
-        call: ToolCall, key: str, action_tag: str | None, index: int
+        call: ToolCall, key: str, action_tag: str | None
     ) -> tuple[str, ErrorSignature | None]:
-        """The response to `call`, written at turn `index`, and its signature."""
+        """The response to `call` and its signature."""
         nonlocal call_ordinal, fault
         tool = tools.get(call.name)
         if tool is None:
             text = COMPACT_ASCII.encode({"error": f"Tool '{call.name}' not found in registry"})
-            return text, detect_failure(text, call.name, index)
+            return text, detect_failure(text)
         call_ordinal += 1
 
         if fault is not None and fault.call_key == key and not fault.cleared:
             if fault.on_reissue(action_tag):
-                return _scripted(tool, key, index)
-            return fault.rendered, fault.signature_at(index)
+                return _scripted(tool, key)
+            return fault.rendered, fault.signature
 
         if plan.is_clean or call_ordinal != plan.turn_index:
-            return _scripted(tool, key, index)
-        fault = _make_fault(
-            plan.kind, plan.manifestation, key, tool, plan.seed, call_ordinal, index
-        )
+            return _scripted(tool, key)
+        fault = _make_fault(plan.kind, plan.manifestation, key, tool, plan.seed, call_ordinal)
         return fault.rendered, fault.signature
 
-    def _scripted(tool: ToolSpec, key: str, index: int) -> tuple[str, ErrorSignature | None]:
+    def _scripted(tool: ToolSpec, key: str) -> tuple[str, ErrorSignature | None]:
         payload = tool.scripted_responses.get(key)
         if payload is None:
             text = COMPACT_ASCII.encode(
                 {"error": "No scripted response for this request", "status": 400}
             )
-            return text, detect_failure(text, tool.name, index)
+            return text, detect_failure(text)
         # a payload that is itself a failure body models a permanently
         # failing tool; serve it raw so it stays classifiable
-        signature = detect_failure(payload, tool.name, index)
+        signature = detect_failure(payload)
         if signature is not None:
             return payload, signature
         return wrap_response(payload), None  # a wrapped payload is always a success
@@ -474,7 +464,7 @@ def run_episode(
             elif isinstance(action.action, WaitUntilHealthy):
                 clock.advance(action.action.poll_interval_ms)
 
-        response, signature = execute_call(call, key, action_tag, len(traj.turns))
+        response, signature = execute_call(call, key, action_tag)
         view.signatures[len(traj.turns)] = signature
         append(ROLE_FUNCTION, response)
 

@@ -9,9 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import TaskStep
 from .encoders import COMPACT_ASCII
 from .simulator import ToolRegistry, ToolSpec, canonical_call_key
+
+
+@dataclass(frozen=True)
+class TaskStep:
+    tool: str
+    arguments: dict
+
+    def to_json(self) -> dict:
+        return {"tool": self.tool, "arguments": self.arguments}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "TaskStep":
+        return cls(tool=doc["tool"], arguments=doc["arguments"])
 
 
 @dataclass(frozen=True)

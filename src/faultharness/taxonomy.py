@@ -116,19 +116,21 @@ CATALOG_VERSION, CATALOG = _load_shipped_catalog()
 
 @dataclass(frozen=True)
 class ErrorSignature:
-    """Canonical description of one observed runtime failure."""
+    """Canonical description of one failing tool response, made from its text.
+
+    A signature says what the failure is: its class, kind, message, HTTP
+    status and how it was rendered. It does not say where it was seen; the
+    same text always yields an equal signature, whichever tool served it on
+    whichever turn. Positions live in `trace.TraceView.responses`.
+    """
 
     error_class: ErrorClass
     kind: str
     message: str
-    tool_name: str
-    turn_index: int
     status_code: int | None = None
     manifestation: Manifestation = Manifestation.ERROR_PAYLOAD
 
     def __post_init__(self):
-        if self.turn_index < 0:
-            raise ValueError("turn_index must be non-negative")
         is_http = self.kind.startswith("http_")
         if is_http and self.status_code is None:
             raise ValueError("http_* signatures require a status_code")
@@ -143,31 +145,6 @@ class ErrorSignature:
     def detail(self) -> str:
         """What a report quotes of the failure: its message, or else its kind."""
         return self.message or self.kind
-
-    def to_json(self) -> dict:
-        out = {
-            "error_class": self.error_class.value,
-            "kind": self.kind,
-            "message": self.message,
-            "tool_name": self.tool_name,
-            "turn_index": self.turn_index,
-            "manifestation": self.manifestation.value,
-        }
-        if self.status_code is not None:
-            out["status_code"] = self.status_code
-        return out
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ErrorSignature":
-        return cls(
-            error_class=ErrorClass.parse(doc["error_class"]),
-            kind=doc["kind"],
-            message=doc["message"],
-            tool_name=doc["tool_name"],
-            turn_index=doc["turn_index"],
-            status_code=doc.get("status_code"),
-            manifestation=Manifestation.parse(doc.get("manifestation", "ErrorPayload")),
-        )
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -232,11 +209,14 @@ def _looks_like_success(body: dict) -> bool:
     return not body.get("error")
 
 
-def detect_failure(raw: str, tool_name: str, turn_index: int) -> ErrorSignature | None:
+def detect_failure(raw: str) -> ErrorSignature | None:
     """Classify `raw` if it is a failure; None for a normal tool response.
 
-    A normal response is a JSON object whose "error" slot is empty or absent
-    and which carries no status marker. Never raises, whatever the text.
+    The answer depends on the text alone. A normal response is a JSON object
+    whose "error" slot is empty or absent, whatever else it holds: a "status"
+    field does not make it a failure, not even `{"error": "", "status": 500}`.
+    JSON that is not an object is normal too. Empty text is a silent failure,
+    and any other text that is not JSON is a failure. Never raises.
     """
     stripped = raw.strip()
     if not stripped:
@@ -244,41 +224,37 @@ def detect_failure(raw: str, tool_name: str, turn_index: int) -> ErrorSignature 
             error_class=ErrorClass.INVALID_TOOL_INVOCATION,
             kind=UNKNOWN_KIND,
             message="",
-            tool_name=tool_name,
-            turn_index=turn_index,
             manifestation=Manifestation.SILENT_FAILURE,
         )
     try:
         body = json.loads(stripped)
     except (ValueError, RecursionError):  # nesting too deep to parse is unparseable too
-        return _classify_unparseable(stripped, tool_name, turn_index)
+        return _classify_unparseable(stripped)
     if isinstance(body, dict):
         if _looks_like_success(body):
             return None
-        return _classify_error_body(body, stripped, tool_name, turn_index)
+        return _classify_error_body(body, stripped)
     # bare scalars/arrays are not something the renderer emits
     return None
 
 
-def classify_raw_failure(raw: str, tool_name: str, turn_index: int) -> ErrorSignature:
+def classify_raw_failure(raw: str) -> ErrorSignature:
     """Total classifier: failures map to a signature, anything else to "unknown".
 
     Round-trip property: text produced by the simulator's own renderer (at the
     kind's default manifestation) classifies back to the injected kind.
     """
-    sig = detect_failure(raw, tool_name, turn_index)
+    sig = detect_failure(raw)
     if sig is not None:
         return sig
     return ErrorSignature(
         error_class=ErrorClass.INVALID_TOOL_INVOCATION,
         kind=UNKNOWN_KIND,
         message=raw.strip()[:200] or "unclassified output",
-        tool_name=tool_name,
-        turn_index=turn_index,
     )
 
 
-def _classify_unparseable(text: str, tool_name: str, turn_index: int) -> ErrorSignature:
+def _classify_unparseable(text: str) -> ErrorSignature:
     lowered = text.lower()
     kind = None
     if "timeout" in lowered:
@@ -294,8 +270,6 @@ def _classify_unparseable(text: str, tool_name: str, turn_index: int) -> ErrorSi
             error_class=CATALOG[kind].error_class,
             kind=kind,
             message=text[:200],
-            tool_name=tool_name,
-            turn_index=turn_index,
         )
     if text[0] in "{[":
         # unparseable JSON-looking text: a truncated/corrupted body
@@ -303,16 +277,12 @@ def _classify_unparseable(text: str, tool_name: str, turn_index: int) -> ErrorSi
             error_class=ErrorClass.OUTPUT_HALLUCINATION,
             kind="malformed_json",
             message=text[:200],
-            tool_name=tool_name,
-            turn_index=turn_index,
             manifestation=Manifestation.MALFORMED_OUTPUT,
         )
     return ErrorSignature(
         error_class=ErrorClass.INVALID_TOOL_INVOCATION,
         kind=UNKNOWN_KIND,
         message=text[:200],
-        tool_name=tool_name,
-        turn_index=turn_index,
     )
 
 
@@ -326,9 +296,7 @@ def _error_text(slot) -> str:
     return dumps_canonical(slot)
 
 
-def _classify_error_body(
-    body: dict, raw: str, tool_name: str, turn_index: int
-) -> ErrorSignature:
+def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
     error_text = _error_text(body["error"])
     status = body.get("status")
     if isinstance(status, str) and status.isascii() and status.isdigit():
@@ -338,8 +306,6 @@ def _classify_error_body(
             error_class=status_error_class(status),
             kind=f"http_{status}",
             message=error_text or f"HTTP {status}",
-            tool_name=tool_name,
-            turn_index=turn_index,
             status_code=status,
         )
     lowered = error_text.lower()
@@ -360,7 +326,5 @@ def _classify_error_body(
         error_class=error_class,
         kind=kind,
         message=error_text or raw[:200],
-        tool_name=tool_name,
-        turn_index=turn_index,
         manifestation=manifestation,
     )

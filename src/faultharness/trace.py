@@ -1,13 +1,17 @@
 """One view of what happened on each turn of a trajectory.
 
+A signature describes a tool response's text and nothing else; the view
+records where each response was seen: its turn index, and the tool of the
+nearest assistant call before it.
+
 Each turn's facts are worked out once, by the code that writes the turn. The
 simulator hands the episode's `TraceView` the call of every assistant turn it
 renders and the signature of every tool response it serves: a scripted
 payload is classified once when served, an injected fault once when it is
-made, and a wrapped success is known to be one. The view classifies only what
-no writer told it. `TraceView.fork` starts a derived trajectory (a truncated
-prefix, or a prefix with turns appended) from those facts instead of a fresh
-pass over the trace.
+made (every failing reissue of it serves that one signature), and a wrapped
+success is known to be one. The view classifies only what no writer told it.
+`TraceView.fork` starts a derived trajectory (a truncated prefix, or a prefix
+with turns appended) from those facts instead of a fresh pass over the trace.
 
 Agents, the grader and the corpus pipeline read turn facts only from here.
 `taxonomy.detect_failure` and `protocol.parse_action` are called through their
@@ -42,13 +46,15 @@ _UNCLASSIFIED = object()  # a function turn no writer recorded a signature for
 class TraceView:
     """What happened on each turn of one trajectory, worked out once.
 
-    Each function turn is classified once, with the tool name of the nearest
-    assistant call before it; each assistant turn is parsed at most once,
-    when a call is asked of it. Where the code that wrote a turn already
-    knows its facts, it records them before `update` reaches the turn:
-    `calls[i]` for an assistant turn's call, `signatures[i]` for a function
-    turn's signature (None for a success). The view then neither parses nor
-    classifies that turn. `update` resumes where the last update stopped, so
+    Each function turn's text is classified once, into a signature that
+    describes the text alone. The view records where it was seen:
+    `responses` holds each function turn's index, the tool of the nearest
+    assistant call before it, and its signature. Each assistant turn is
+    parsed at most once, when a call is asked of it. Where the code that
+    wrote a turn already knows its facts, it records them before `update`
+    reaches the turn: `calls[i]` for an assistant turn's call,
+    `signatures[i]` for a function turn's signature (None for a success).
+    The view then neither parses nor classifies that turn. `update` resumes where the last update stopped, so
     turns must only ever be appended.
 
     `fork(n)` is the view of a copy of the first n turns, for a trajectory
@@ -85,7 +91,7 @@ class TraceView:
                 tool = call.name if call else ""
                 sig = self.signatures.pop(i, _UNCLASSIFIED)
                 if sig is _UNCLASSIFIED:
-                    sig = taxonomy.detect_failure(turn.content, tool, i)
+                    sig = taxonomy.detect_failure(turn.content)
                 self.responses.append((i, tool, sig))
                 self.last_error = sig
                 if sig is None:

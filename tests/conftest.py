@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from faultharness.bank import load_shipped_bank
-from faultharness.agents import TaskStep, make_policy
+from faultharness.agents import make_policy
 from faultharness.episode import ROLE_ASSISTANT, InjectionPlan
 from faultharness.errors import AgentProtocolError
 from faultharness.protocol import parse_action
@@ -14,7 +14,7 @@ from faultharness.simulator import (
     canonical_call_key,
     run_episode,
 )
-from faultharness.tasks import builtin_task_pool
+from faultharness.tasks import TaskStep, builtin_task_pool
 from faultharness.taxonomy import CATALOG, detect_failure
 
 
@@ -107,5 +107,5 @@ def assert_facts_match_texts(view):
         except AgentProtocolError:
             parsed = None
         assert call == parsed, i
-    for i, tool, sig in view.responses:
-        assert sig == detect_failure(view.turns[i].content, tool, i), i
+    for i, _, sig in view.responses:
+        assert sig == detect_failure(view.turns[i].content), i

@@ -136,8 +136,6 @@ def test_criterion_2_retrieval_oracle_equivalence(bank):
             error_class=kind.error_class,
             kind=kind_id,
             message=" ".join(rng.sample(words, rng.randint(1, 6))),
-            tool_name="lookup",
-            turn_index=rng.randint(1, 9),
             status_code=kind.http_status,
         )
         if retrieve(bank, obs).id == _oracle_argmin(bank, obs):
@@ -195,12 +193,12 @@ def test_criterion_4_injection_fidelity(tasks, bank):
             (
                 t.content
                 for t in traj.turns
-                if t.role == "function" and detect_failure(t.content, "", 0) is not None
+                if t.role == "function" and detect_failure(t.content) is not None
             ),
             None,
         )
         assert rendered is not None
-        sig = classify_raw_failure(rendered, "", 0)
+        sig = classify_raw_failure(rendered)
         if sig.kind == card.plan.kind:
             fidelity += 1
     assert fidelity == 70
@@ -297,7 +295,7 @@ def test_criterion_9_backoff_compliance(bank):
         kind = CATALOG[kind_id]
         obs = ErrorSignature(
             error_class=kind.error_class, kind=kind_id, message="x",
-            tool_name="t", turn_index=1, status_code=kind.http_status,
+            status_code=kind.http_status,
         )
         exemplar = retrieve(bank, obs)
         first = exemplar.script[0]
@@ -307,7 +305,7 @@ def test_criterion_9_backoff_compliance(bank):
     # 500 row retries without requiring the header
     obs_500 = ErrorSignature(
         error_class=CATALOG["http_500"].error_class, kind="http_500",
-        message="Unexpected server error", tool_name="t", turn_index=1,
+        message="Unexpected server error",
         status_code=500,
     )
     assert isinstance(retrieve(bank, obs_500).script[0], RetryWithBackoff)
@@ -316,7 +314,7 @@ def test_criterion_9_backoff_compliance(bank):
         kind = CATALOG[kind_id]
         obs = ErrorSignature(
             error_class=kind.error_class, kind=kind_id, message="x",
-            tool_name="t", turn_index=1, status_code=kind.http_status,
+            status_code=kind.http_status,
         )
         script = retrieve(bank, obs).script
         assert not any(isinstance(a, RetryWithBackoff) for a in script)

@@ -45,8 +45,6 @@ def observed(kind="http_500", message="Unexpected server error", status=500,
         error_class=error_class,
         kind=kind,
         message=message,
-        tool_name="lookup",
-        turn_index=3,
         status_code=status,
     )
 
@@ -98,8 +96,6 @@ def _random_signature(rng: random.Random) -> ErrorSignature:
         error_class=kind.error_class,
         kind=kind_id,
         message=" ".join(words),
-        tool_name="lookup",
-        turn_index=rng.randint(1, 9),
         status_code=kind.http_status,
     )
 
@@ -144,8 +140,6 @@ def test_retrieve_exact_pattern_copy_returns_that_exemplar(bank):
         error_class=exemplar.pattern.error_class,
         kind=exemplar.pattern.kind,
         message="Rate limit exceeded",
-        tool_name="lookup",
-        turn_index=1,
         status_code=exemplar.pattern.status_code,
     )
     assert retrieve(bank, obs).id == "rate_limited"
@@ -184,8 +178,6 @@ def test_catalog_kind_coverage_within_w4(bank):
             error_class=kind.error_class,
             kind=kind_id,
             message="probe message",
-            tool_name="lookup",
-            turn_index=1,
             status_code=kind.http_status,
         )
         best = retrieve(bank, obs)
@@ -261,13 +253,13 @@ def _signatures(draw) -> ErrorSignature:
     if draw(st.booleans()) and draw(st.booleans()):
         return ErrorSignature(
             error_class=ErrorClass.INVALID_TOOL_INVOCATION, kind="unknown", message="",
-            tool_name="lookup", turn_index=1, manifestation=Manifestation.SILENT_FAILURE,
+            manifestation=Manifestation.SILENT_FAILURE,
         )
     kind = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
     words = draw(st.lists(st.sampled_from(_WORDS + ["503", "#17"]), min_size=1, max_size=6))
     return ErrorSignature(
         error_class=kind.error_class, kind=kind.identifier, message=" ".join(words),
-        tool_name="lookup", turn_index=draw(st.integers(1, 9)), status_code=kind.http_status,
+        status_code=kind.http_status,
     )
 
 
@@ -285,9 +277,7 @@ def test_retrieval_equals_exhaustive_fraction_oracle(bank, data):
 def test_repeated_signature_returns_the_memoized_exemplar():
     fresh = load_shipped_bank()
     first = retrieve(fresh, observed(message="Unexpected server error #4411"))
-    again = retrieve(fresh, dataclasses.replace(
-        observed(message="unexpected  SERVER error #9"), tool_name="other", turn_index=7
-    ))
+    again = retrieve(fresh, observed(message="unexpected  SERVER error #9"))
     assert again is first
     assert len(fresh.nearest_memo) == 1
 

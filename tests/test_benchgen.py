@@ -158,8 +158,6 @@ def test_generalization_holds_out_kind(tasks, bank):
         error_class=ErrorClass.REENTRANT_FAILURE,
         kind="http_503",
         message="Service unavailable due to overload or maintenance",
-        tool_name="lookup",
-        turn_index=3,
         status_code=503,
     )
     fallback = retrieve(pruned, obs)

@@ -247,14 +247,40 @@ _DUPLICATE_TOOLS_CARD = json.dumps({
 })
 
 
+def _card_line(plan=None, **fields):
+    """A well-formed one-step card, with `plan` and `fields` set over its own."""
+    card = {
+        "episode_id": "e", "prompt": "p",
+        "tools": [{"name": "lookup", "scripted_responses": {"lookup({})": "{}"}}],
+        "steps": [{"tool": "lookup", "arguments": {}}],
+        "plan": {"seed": 1, "kind": "http_500", "manifestation": "ErrorPayload",
+                 "turn_index": 1, **(plan or {})},
+        **fields,
+    }
+    return json.dumps(card)
+
+
 @pytest.mark.parametrize(
     "bad_line, fragment",
     [
         ('{"foo": 1}', "episode_id"),
         ("not json at all", "JSONDecodeError"),
         (_DUPLICATE_TOOLS_CARD, "tool names must be unique"),
+        (_card_line(retry_budget="3"), "retry_budget_per_error must be an int within [1, 4]"),
+        (_card_line(retry_budget=True), "retry_budget_per_error must be an int within [1, 4]"),
+        (_card_line(max_steps=None), "max_steps must be an int >= 3"),
+        (_card_line(max_steps=20.5), "max_steps must be an int >= 3"),
+        (_card_line(max_steps=2), "max_steps must be an int >= 3, not 2"),
+        (_card_line(plan={"seed": "x"}), "plan seed must be an int"),
+        (_card_line(plan={"seed": 1.5}), "plan seed must be an int"),
+        (_card_line(plan={"turn_index": "2"}), "plan turn_index must be an int >= 1"),
+        (_card_line(plan={"kind": "bogus"}), "unknown failure kind 'bogus'"),
     ],
-    ids=["missing-key", "not-json", "duplicate-tools"],
+    ids=[
+        "missing-key", "not-json", "duplicate-tools", "budget-str", "budget-bool",
+        "steps-null", "steps-float", "steps-range", "seed-str", "seed-float",
+        "turn-str", "kind-unknown",
+    ],
 )
 def test_evaluate_malformed_suite_line_exits_2(runner, tmp_path, bad_line, fragment):
     suite = _gen(runner, tmp_path, n=3, seed=5)
@@ -262,6 +288,8 @@ def test_evaluate_malformed_suite_line_exits_2(runner, tmp_path, bad_line, fragm
     suite.write_text("\n".join([good[0], "", bad_line, *good[1:]]) + "\n")
     result = _evaluate(runner, tmp_path, suite)
     _assert_clean_failure(result, "suite line 3", fragment)
+    # refused when read: no episode ran and no run directory was made
+    assert not (tmp_path / "runs").exists()
 
 
 def test_evaluate_cascade_plan_exits_2(runner, tmp_path):

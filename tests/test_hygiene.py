@@ -146,6 +146,10 @@ def test_trace_view_and_grader_do_not_import_the_simulator():
 
     assert imports_of("trace") <= {"episode", "errors", "protocol", "taxonomy"}
     assert "simulator" not in imports_of("metrics")
+    # a task step is data that tasks and suite cards carry; building them
+    # needs no policy, and with it no remote transport
+    assert "agents" not in imports_of("tasks")
+    assert "agents" not in imports_of("benchgen")
 
 
 def names_imported_from(source: str, module: str) -> set[str]:

@@ -208,7 +208,7 @@ def test_injected_failure_classifies_back_to_plan_kind(bank):
         failure_turn = next(
             t for t in traj.turns if t.role == "function"
         )
-        sig = classify_raw_failure(failure_turn.content, "lookup", 3)
+        sig = classify_raw_failure(failure_turn.content)
         assert sig.kind == kind_id
 
 
@@ -278,7 +278,7 @@ def test_malformed_agent_tolerated_once_then_abandoned():
         if t.role == "function" and "Invalid action format" in t.content
     ]
     assert len(protocol_errors) == 1  # first violation recorded, second aborts
-    sig = classify_raw_failure(protocol_errors[0].content, "", 0)
+    sig = classify_raw_failure(protocol_errors[0].content)
     assert sig.error_class.value == "InvalidIntermediateReasoning"
 
 
@@ -330,7 +330,7 @@ def test_unknown_tool_yields_not_found_failure():
 
     traj = run_episode("task", registry, WrongTool(), InjectionPlan(seed=3), SimConfig())
     failure = next(t for t in traj.turns if t.role == "function")
-    sig = classify_raw_failure(failure.content, "ghost_tool", 3)
+    sig = classify_raw_failure(failure.content)
     assert sig.error_class.value == "ToolHallucination"
 
 
@@ -449,6 +449,35 @@ def test_desk_forks_equal_fresh_views_of_every_prefix(desk_trajectories):
             assert view_state(forked) == view_state(TraceView(traj.turns[:n]).update())
 
 
+def test_desk_failing_reissues_of_a_fault_serve_its_one_signature(desk_trajectories):
+    # a signature describes the text alone, so every failing serve of an
+    # injected fault carries the one signature the fault was made with
+    def key_of_call_before(view, index):
+        call = view.call_before(index)
+        return call and canonical_call_key(call.name, call.arguments)
+
+    runs = len(desk_trajectories) // len(DESK_RUNS)
+    start = DESK_RUNS.index(("paladin", True)) * runs
+    retried = 0
+    for traj in desk_trajectories[start:start + runs]:
+        view = trace_view(traj)
+        if view.first_failure is None:
+            continue
+        first, signature = view.first_failure
+        assert signature.kind == traj.plan.kind  # the first failure is the injected fault
+        text, key = view.turns[first].content, key_of_call_before(view, first)
+        serves = [
+            sig for i, _, sig in view.responses
+            if sig is not None
+            and view.turns[i].content == text
+            and key_of_call_before(view, i) == key
+        ]
+        if len(serves) > 1:
+            retried += 1
+            assert all(sig is signature for sig in serves), traj.episode_id
+    assert retried > 0
+
+
 def test_trace_prefix_keeps_no_reference_to_its_parent_view(bank):
     traj, _, _ = run_simple("paladin", kind="http_503", bank=bank)
     parent = weakref.ref(trace_view(traj))
@@ -460,9 +489,9 @@ def test_trace_prefix_keeps_no_reference_to_its_parent_view(bank):
     assert prefix.terminal is None and len(prefix.turns) == 4
 
 
-@given(payload=st.text(), tool=st.text(max_size=12), index=st.integers(0, 10_000))
-def test_wrapped_payload_never_classifies_as_failure(payload, tool, index):
-    assert detect_failure(wrap_response(payload), tool, index) is None
+@given(payload=st.text())
+def test_wrapped_payload_never_classifies_as_failure(payload):
+    assert detect_failure(wrap_response(payload)) is None
 
 
 @given(

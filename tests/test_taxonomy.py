@@ -28,8 +28,6 @@ def sig(kind="http_500", message="Unexpected server error", status=500, **kw):
         error_class=ErrorClass.REENTRANT_FAILURE,
         kind=kind,
         message=message,
-        tool_name="lookup",
-        turn_index=3,
         status_code=status,
     )
     defaults.update(kw)
@@ -58,7 +56,7 @@ def test_http_status_only_on_http_kinds():
 
 def test_classify_rate_limit_payload():
     raw = '{"error": "Rate limit exceeded", "status": 429}'
-    result = classify_raw_failure(raw, "lookup", 3)
+    result = classify_raw_failure(raw)
     assert result.kind == "http_429"
     assert result.error_class is ErrorClass.REENTRANT_FAILURE
     assert result.status_code == 429
@@ -66,26 +64,27 @@ def test_classify_rate_limit_payload():
 
 
 def test_classify_empty_string_is_silent_unknown():
-    result = classify_raw_failure("", "lookup", 3)
+    result = classify_raw_failure("")
     assert result.kind == "unknown"
     assert result.manifestation is Manifestation.SILENT_FAILURE
 
 
 def test_classify_json_parse_exception_text():
-    result = classify_raw_failure("SyntaxError: JSON.parse_error", "lookup", 3)
+    result = classify_raw_failure("SyntaxError: JSON.parse_error")
     assert result.kind == "malformed_json"
     assert result.error_class is ErrorClass.OUTPUT_HALLUCINATION
 
 
 def test_classify_is_total_on_junk():
-    result = classify_raw_failure("complete nonsense output", "lookup", 3)
+    result = classify_raw_failure("complete nonsense output")
     assert result.kind == "unknown"
     assert result.error_class is ErrorClass.INVALID_TOOL_INVOCATION
 
 
 def test_detect_failure_none_for_wrapped_success():
-    assert detect_failure('{"error": "", "response": "{}"}', "lookup", 2) is None
-    assert detect_failure('{"status": "on time", "gate": "D42"}', "lookup", 2) is None
+    assert detect_failure('{"error": "", "response": "{}"}') is None
+    assert detect_failure('{"status": "on time", "gate": "D42"}') is None
+    assert detect_failure('{"error": "", "status": 500}') is None
 
 
 _TOOL = ToolSpec(
@@ -99,7 +98,7 @@ _TOOL = ToolSpec(
 def test_roundtrip_every_catalog_kind_at_default_manifestation():
     for kind in CATALOG.values():
         rendered = render_failure(kind, kind.default_manifestation, _TOOL, seed=9)
-        result = classify_raw_failure(rendered, "lookup", 3)
+        result = classify_raw_failure(rendered)
         assert result.kind == kind.identifier, (kind.identifier, rendered)
         assert result.error_class is kind.error_class
 
@@ -124,7 +123,7 @@ def test_fault_table_agrees_with_the_shipped_bank(bank):
     budget = SimConfig().retry_budget_per_error
     for kind in CATALOG.values():
         rendered = render_failure(kind, kind.default_manifestation, _TOOL, seed=9)
-        observed = detect_failure(rendered, "lookup", 3)
+        observed = detect_failure(rendered)
         tags = {_TAG_BY_TYPE[type(action)] for action in retrieve(bank, observed).script}
         name = kind.identifier
         if kind.fixes:
@@ -151,7 +150,7 @@ def test_fault_table_agrees_with_the_shipped_bank(bank):
     ids=["int-error-slot", "object-error-slot", "deep-nesting"],
 )
 def test_detect_failure_never_raises(raw, kind, message):
-    found = detect_failure(raw, "lookup", 2)
+    found = detect_failure(raw)
     assert found is not None
     assert (found.kind, found.message) == (kind, message)
 
@@ -164,7 +163,7 @@ def test_detect_failure_never_raises(raw, kind, message):
 )
 def test_error_body_status_may_be_a_digit_string(status, kind):
     raw = '{"error": "Service unavailable", "status": %s}' % status
-    found = detect_failure(raw, "lookup", 2)
+    found = detect_failure(raw)
     assert found.kind == kind
     if kind == "http_503":
         assert (found.status_code, found.error_class) == (503, ErrorClass.REENTRANT_FAILURE)
@@ -193,7 +192,7 @@ def _raw_tool_outputs():
 @settings(max_examples=250, deadline=None)
 @given(raw=_raw_tool_outputs())
 def test_detect_failure_is_total(raw):
-    found = detect_failure(raw, "lookup", 2)
+    found = detect_failure(raw)
     if found is None:
         return
     assert (
@@ -246,16 +245,9 @@ def test_signature_validation_rules():
         sig(status=None)  # http kind without a status
     with pytest.raises(ValueError):
         sig(message="")  # ErrorPayload requires a message
-    with pytest.raises(ValueError):
-        sig(turn_index=-1)
-
-
-def test_signature_json_roundtrip():
-    original = sig()
-    assert ErrorSignature.from_json(original.to_json()) == original
 
 
 def test_classify_unknown_http_status_maps_by_range():
-    result = classify_raw_failure('{"error": "Bad gateway", "status": 502}', "t", 1)
+    result = classify_raw_failure('{"error": "Bad gateway", "status": 502}')
     assert result.kind == "http_502"
     assert result.error_class is ErrorClass.REENTRANT_FAILURE
