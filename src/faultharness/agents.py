@@ -10,6 +10,8 @@ trajectory's `trace.TraceView`.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .bank import (
     ExemplarBank,
     LenientParse,
@@ -34,12 +36,14 @@ from .protocol import (
     ToolCall,
     parse_action,
 )
-from .remote import ChatEndpoint, EndpointConfig
 from .seeds import rng_for
 from .simulator import ToolRegistry, ToolSpec, canonical_call_key
 from .tasks import TaskStep
 from .taxonomy import ErrorSignature
 from .trace import trace_view
+
+if TYPE_CHECKING:
+    from .remote import EndpointConfig
 
 
 # --- answers ---------------------------------------------------------------------
@@ -356,6 +360,8 @@ class RemoteChatPolicy:
     name = "remote"
 
     def __init__(self, endpoint: EndpointConfig):
+        from .remote import ChatEndpoint  # only remote runs need the transport
+
         self._client = ChatEndpoint(endpoint)
 
     def decide(

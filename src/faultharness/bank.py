@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from .errors import (
     ConfigError,
@@ -481,13 +482,17 @@ def parse_bank(doc: dict) -> ExemplarBank:
     return bank
 
 
-def load_bank(path) -> ExemplarBank:
-    """Load and validate a dictionary file, expanding branch groups."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"bank file {path} is not JSON: {exc}") from None
+def load_bank(path, data: bytes | None = None) -> ExemplarBank:
+    """Load and validate a dictionary file, expanding branch groups.
+
+    `data`, when given, is the file's bytes, already read.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"bank file {path} is not JSON: {exc}") from None
     return parse_bank(doc)
 
 

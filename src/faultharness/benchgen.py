@@ -8,9 +8,11 @@ are stripped from the bank the agents see, leaving injection untouched.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 from .bank import ExemplarBank, load_shipped_bank
 from .episode import InjectionPlan, dumps_canonical
@@ -59,8 +61,28 @@ class EpisodeCard:
     task_slug: str = ""
 
     def __post_init__(self):
+        # A card's rules are checked when it is built, so a malformed card in a
+        # suite file is refused while the file is read, with its line number. A
+        # tool's and a step's own field types are checked where each is built.
+        for name, value in (
+            ("episode_id", self.episode_id), ("prompt", self.prompt),
+            ("task_slug", self.task_slug),
+        ):
+            if type(value) is not str:
+                raise ConfigError(f"{name} must be a string, not {value!r}")
         # the budgets must be ones an episode can run under
         SimConfig(max_steps=self.max_steps, retry_budget_per_error=self.retry_budget)
+        if not self.tools:
+            raise ConfigError("a card needs at least one tool")
+        if not self.steps:
+            raise ConfigError("a card needs at least one task step")
+        for step in self.steps:
+            if self.tools.get(step.tool) is None:
+                raise ConfigError(f"step tool {step.tool!r} is not among the card's tools")
+        if not self.plan.is_clean and self.plan.turn_index > self.max_steps:
+            raise ConfigError(
+                f"plan turn_index {self.plan.turn_index} exceeds max_steps {self.max_steps}"
+            )
 
     def final_step_payload(self) -> dict:
         step = self.steps[-1]
@@ -234,12 +256,16 @@ def write_suite(path, cards: list[EpisodeCard]) -> None:
             fh.write(line + "\n")
 
 
-def read_suite(path) -> list[EpisodeCard]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return suite_from_lines(fh)
-        except UnicodeDecodeError as exc:  # raised by the file, between lines
-            raise ConfigError(f"suite file {path} is not UTF-8: {exc}") from None
+def read_suite(path, data: bytes | None = None) -> list[EpisodeCard]:
+    """The cards of suite file `path`; `data`, when given, is its bytes, already read."""
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"suite file {path} is not UTF-8: {exc}") from None
+    # newline=None: lines end at \n, \r\n or \r, as when reading the file as text
+    return suite_from_lines(io.StringIO(text, newline=None))
 
 
 def suite_manifest(spec: SuiteSpec, cards: list[EpisodeCard], bank_version: str) -> dict:

@@ -4,6 +4,13 @@ Subcommands: gen-suite, evaluate, build-corpus, report-diff. All randomness
 flows from explicit --seed flags; a missing seed is generated, printed, and
 recorded in the output manifest. Output directories are content-addressed by
 run hash so distinct runs never overwrite each other.
+
+Each command runs in a fresh process, so this module imports at module level
+only what every command uses. A module that one command needs on one code
+path is imported inside that path: `pipeline` by build-corpus, `remote` by
+the remote agent and the remote teacher, `concurrent.futures` by
+`evaluate --jobs` above 1, and `secrets` when --seed is missing. Type hints
+reach them through `TYPE_CHECKING` imports.
 """
 
 from __future__ import annotations
@@ -12,10 +19,9 @@ import hashlib
 import json
 import math
 import os
-import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
@@ -41,10 +47,11 @@ from .metrics import (
     report_csv_rows,
     report_to_json_text,
 )
-from .pipeline import CorpusSpec, RuleBasedTeacher, RemoteTeacher, build_corpus
-from .remote import EndpointConfig, TOKEN_ENV_VAR
 from .seeds import derive_seed
 from .simulator import SimConfig, run_episode
+
+if TYPE_CHECKING:
+    from .remote import EndpointConfig
 
 RUN_SEED_STREAM = 0xE7A1
 
@@ -52,6 +59,8 @@ RUN_SEED_STREAM = 0xE7A1
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
+    import secrets
+
     generated = secrets.randbits(32)
     click.echo(f"seed not given; generated seed={generated}")
     return generated
@@ -197,20 +206,28 @@ def cmd_evaluate(
 ):
     """Run every card through the simulator, grade, aggregate, write reports."""
     seed = _resolve_seed(seed)
-    cards = read_suite(suite)
+    # each input file is read once: its bytes are both parsed and hashed
+    suite_bytes = Path(suite).read_bytes()
+    cards = read_suite(suite, suite_bytes)
     if not cards:
         raise click.ClickException("suite file holds no cards")
     bank = None
+    bank_bytes = None
     if not no_retrieval:
-        bank = load_bank(bank_path) if bank_path else load_shipped_bank()
+        if bank_path:
+            bank_bytes = Path(bank_path).read_bytes()
+            bank = load_bank(bank_path, bank_bytes)
+        else:
+            bank = load_shipped_bank()
     bank_version = "disabled" if bank is None else bank.version
     endpoint = None
     if agent == "remote":
         if not endpoint_url:
             raise click.ClickException("remote agent requires --endpoint-url")
+        from .remote import EndpointConfig
+
         endpoint = EndpointConfig(base_url=endpoint_url, model=endpoint_model)
 
-    suite_bytes = Path(suite).read_bytes()
     flags = {
         "agent": agent,
         "seed": seed,
@@ -220,8 +237,8 @@ def cmd_evaluate(
         "n_resamples": n_resamples,
         "suite": Path(suite).name,
     }
-    if bank_path and bank is not None:
-        flags["bank_sha256"] = hashlib.sha256(Path(bank_path).read_bytes()).hexdigest()
+    if bank_bytes is not None:
+        flags["bank_sha256"] = hashlib.sha256(bank_bytes).hexdigest()
     if endpoint is not None:
         flags.update(endpoint_url=endpoint.base_url, endpoint_model=endpoint.model)
     run_hash = hashlib.sha256(
@@ -235,6 +252,8 @@ def cmd_evaluate(
         return traj, grade_episode(traj, card)
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(job, cards))
     else:
@@ -310,9 +329,13 @@ def cmd_build_corpus(
     target, recovery_fraction, teacher, seed, out_dir, endpoint_url, endpoint_model
 ):
     """Build a recovery-annotated corpus with spans and manifest."""
+    from .pipeline import CorpusSpec, RuleBasedTeacher, RemoteTeacher, build_corpus
+
     seed = _resolve_seed(seed)
     bank = load_shipped_bank()
     if teacher == "remote":
+        from .remote import EndpointConfig, TOKEN_ENV_VAR
+
         if not endpoint_url:
             raise click.ClickException("--teacher remote requires --endpoint-url")
         if not os.environ.get(TOKEN_ENV_VAR):

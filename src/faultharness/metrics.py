@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
@@ -306,21 +307,42 @@ def bootstrap_ci(
 # --- correlations ------------------------------------------------------------------------
 
 
+def _as_integers(values) -> dict:
+    """Each distinct value as an exact integer, all scaled by one common factor."""
+    ratios = {v: v.as_integer_ratio() for v in set(values)}
+    scale = math.lcm(*(d for _, d in ratios.values()))
+    return {v: n * (scale // d) for v, (n, d) in ratios.items()}
+
+
 def pearson_r(xs: list[float], ys: list[float]) -> float | None:
-    """Pearson correlation; None when either series has zero variance."""
+    """Pearson correlation; None when either series has zero variance.
+
+    The sums are exact: each float is taken as the rational it stores, scaled
+    to an integer, and each distinct (x, y) pair is added once, times its
+    count. r squared is rounded to a float once and takes one `math.sqrt`, so
+    r does not depend on how the interpreter's `sum` adds floats.
+    """
     if len(xs) != len(ys):
         raise ValueError("paired series must have equal length")
     n = len(xs)
     if n < 2:
         return None
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    x_int, y_int = _as_integers(xs), _as_integers(ys)
+    sx = sy = sxx = syy = sxy = 0
+    for (x, y), count in Counter(zip(xs, ys)).items():
+        xi, yi = x_int[x], y_int[y]
+        sx += count * xi
+        sy += count * yi
+        sxx += count * xi * xi
+        syy += count * yi * yi
+        sxy += count * xi * yi
+    # n times the sums of deviation products, in scaled units: both factors cancel in r
+    cov = n * sxy - sx * sy
+    var_x = n * sxx - sx * sx
+    var_y = n * syy - sy * sy
     if var_x == 0 or var_y == 0:
         return None
-    return cov / math.sqrt(var_x * var_y)
+    return math.copysign(math.sqrt(cov * cov / (var_x * var_y)), cov)
 
 
 def correlations(series: dict[str, list[float]]) -> dict[str, float | None]:

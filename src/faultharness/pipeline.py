@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import simulator  # run_episode via the module: a wrapper installed there sees every call
 from .agents import make_policy, synthesize_answer
@@ -46,12 +46,14 @@ from .protocol import (
     parse_action,
     render_action,
 )
-from .remote import ChatEndpoint, EndpointConfig
 from .seeds import derive_seed
 from .simulator import TURN_COST_MS, ToolRegistry, canonical_call_key, wrap_response
 from .tasks import builtin_task_pool
 from .taxonomy import CATALOG, ErrorSignature, canonical_key
 from .trace import trace_prefix, trace_view
+
+if TYPE_CHECKING:
+    from .remote import EndpointConfig
 
 
 def detect_first_failure(trace: Trajectory) -> tuple[int, ErrorSignature] | None:
@@ -258,6 +260,8 @@ class RemoteTeacher:
     name = "remote"
 
     def __init__(self, endpoint: EndpointConfig):
+        from .remote import ChatEndpoint  # only remote runs need the transport
+
         self._client = ChatEndpoint(endpoint)
 
     def continuation(self, request: RepairRequest) -> list[TeacherTurn]:

@@ -98,6 +98,23 @@ class ToolSpec:
     scripted_responses: dict[str, str]
     capability: str = ""
 
+    def __post_init__(self):
+        # each field has its JSON type, so a tool read from a suite file is refused
+        # when the card is read rather than when its episode runs
+        for name, value, kind in (
+            ("name", self.name, str), ("description", self.description, str),
+            ("capability", self.capability, str), ("parameters", self.parameters, dict),
+            ("scripted_responses", self.scripted_responses, dict),
+        ):
+            if type(value) is not kind:
+                noun = "a string" if kind is str else "an object"
+                raise ConfigError(f"tool {name} must be {noun}, not {value!r}")
+        for text in self.scripted_responses.values():
+            if type(text) is not str:
+                raise ConfigError(
+                    f"tool {self.name!r}: a scripted response is not a string: {text!r}"
+                )
+
     def capability_tag(self) -> str:
         return self.capability or self.name
 

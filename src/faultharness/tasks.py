@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .encoders import COMPACT_ASCII
+from .errors import ConfigError
 from .simulator import ToolRegistry, ToolSpec, canonical_call_key
 
 
@@ -17,6 +18,12 @@ from .simulator import ToolRegistry, ToolSpec, canonical_call_key
 class TaskStep:
     tool: str
     arguments: dict
+
+    def __post_init__(self):
+        if type(self.tool) is not str or type(self.arguments) is not dict:
+            raise ConfigError(
+                f"a step needs a string tool and object arguments, not {self.to_json()!r}"
+            )
 
     def to_json(self) -> dict:
         return {"tool": self.tool, "arguments": self.arguments}

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import re
+import subprocess
+import sys
+from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import faultharness
 from faultharness.cli import main
 
 SHIPPED_BANK = resources.files("faultharness.data").joinpath("recovery_bank.json")
@@ -40,6 +48,64 @@ def test_gen_suite_rerun_is_byte_identical(runner, tmp_path):
     a = _gen(runner, tmp_path / "a", n=21, seed=9)
     b = _gen(runner, tmp_path / "b", n=21, seed=9)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_suite_without_seed_prints_records_and_replays_the_generated_seed(
+    runner, tmp_path
+):
+    out = tmp_path / "a" / "suite.jsonl"
+    result = runner.invoke(main, ["gen-suite", "--n", "5", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    match = re.search(r"^seed not given; generated seed=(\d+)$", result.output, re.MULTILINE)
+    assert match, result.output
+    seed = int(match.group(1))
+    manifest = json.loads((tmp_path / "a" / "suite.jsonl.manifest.json").read_text())
+    assert manifest["spec"]["master_seed"] == seed
+    again = _gen(runner, tmp_path / "b", n=5, seed=seed)
+    assert again.read_bytes() == out.read_bytes()
+
+
+# modules that only one command needs, on one code path (see the cli.py docstring)
+_DEFERRED_MODULES = (
+    "faultharness.pipeline", "faultharness.remote", "concurrent.futures", "secrets",
+    "requests",
+)
+
+_STARTUP_PROBE = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+deferred = json.loads(sys.argv[2])
+import faultharness.cli as cli
+
+def loaded():
+    return [m for m in deferred if m in sys.modules]
+
+seen = {"import": loaded()}
+for argv in (
+    ["gen-suite", "--n", "6", "--seed", "1", "--out", "suite.jsonl"],
+    ["evaluate", "--suite", "suite.jsonl", "--agent", "paladin", "--jobs", "1",
+     "--seed", "1", "--n-resamples", "5"],
+):
+    try:
+        cli.main.main(argv, standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code in (None, 0), exc.code
+seen["commands"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_startup_imports_no_command_only_module(tmp_path):
+    # every CLI call is a fresh process: what the module imports, each command pays
+    src = str(Path(faultharness.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, src, json.dumps(_DEFERRED_MODULES)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "commands": []}
+    assert list((tmp_path / "runs").glob("run-*/report.json"))
 
 
 def test_gen_suite_holdout_writes_pruned_bank(runner, tmp_path):
@@ -275,11 +341,28 @@ def _card_line(plan=None, **fields):
         (_card_line(plan={"seed": 1.5}), "plan seed must be an int"),
         (_card_line(plan={"turn_index": "2"}), "plan turn_index must be an int >= 1"),
         (_card_line(plan={"kind": "bogus"}), "unknown failure kind 'bogus'"),
+        (_card_line(plan={"turn_index": 99}), "plan turn_index 99 exceeds max_steps 20"),
+        (_card_line(steps=[]), "a card needs at least one task step"),
+        (_card_line(tools=[]), "a card needs at least one tool"),
+        (_card_line(steps=[{"tool": "missing", "arguments": {}}]),
+         "step tool 'missing' is not among the card's tools"),
+        (_card_line(steps=[{"tool": "lookup", "arguments": []}]),
+         "a step needs a string tool and object arguments"),
+        (_card_line(episode_id=5), "episode_id must be a string, not 5"),
+        (_card_line(prompt=None), "prompt must be a string, not None"),
+        (_card_line(task_slug=["t"]), "task_slug must be a string"),
+        (_card_line(tools=[{"name": "lookup", "scripted_responses": {"lookup({})": 5}}]),
+         "a scripted response is not a string: 5"),
+        (_card_line(tools=[{"name": 7}]), "tool name must be a string, not 7"),
+        (_card_line(tools=[{"name": "lookup", "parameters": []}]),
+         "tool parameters must be an object"),
     ],
     ids=[
         "missing-key", "not-json", "duplicate-tools", "budget-str", "budget-bool",
         "steps-null", "steps-float", "steps-range", "seed-str", "seed-float",
-        "turn-str", "kind-unknown",
+        "turn-str", "kind-unknown", "turn-beyond-budget", "steps-empty", "tools-empty",
+        "step-tool-unknown", "arguments-list", "id-int", "prompt-null", "slug-list",
+        "response-int", "tool-name-int", "parameters-list",
     ],
 )
 def test_evaluate_malformed_suite_line_exits_2(runner, tmp_path, bad_line, fragment):
@@ -519,6 +602,24 @@ def test_evaluate_report_with_bad_slot_exits_2(runner, tmp_path, report):
     bank.write_text(json.dumps(doc))
     result = _evaluate(runner, tmp_path, _gen(runner, tmp_path), "--bank", str(bank))
     _assert_no_traceback(result, f"bank entry {index} ({entry_id})", "TerminateGracefully.report")
+
+
+def test_evaluate_opens_the_suite_and_the_bank_once(runner, tmp_path, monkeypatch):
+    # their bytes are both parsed and hashed into the run hash
+    suite = _gen(runner, tmp_path, n=6, seed=5, extra=["--hold-out", "timeout"])
+    bank = tmp_path / "suite.jsonl.bank.json"
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    result = _evaluate(runner, tmp_path, suite, "--bank", str(bank))
+    assert result.exit_code == 0, result.output
+    assert (opened[str(suite)], opened[str(bank)]) == (1, 1)
 
 
 def test_evaluate_non_utf8_suite_exits_2(runner, tmp_path):

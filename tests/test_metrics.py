@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain, islice
 
 import numpy as np
@@ -457,6 +460,41 @@ def test_pearson_matches_closed_form_oracle():
     ours = pearson_r(xs, ys)
     oracle = float(np.corrcoef(xs, ys)[0, 1])
     assert abs(ours - oracle) <= 1e-9
+
+
+def _float_pearson(xs, ys, add):
+    """The textbook float formula, every sum taken by `add`."""
+    n = len(xs)
+    mean_x, mean_y = add(xs) / n, add(ys) / n
+    cov = add([(x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)])
+    var_x = add([(x - mean_x) ** 2 for x in xs])
+    var_y = add([(y - mean_y) ** 2 for y in ys])
+    return cov / math.sqrt(var_x * var_y)
+
+
+def test_pearson_is_exact_where_float_sum_and_fsum_disagree():
+    # a grade-like series: recovery r/e against efficiency 1/steps. The builtin
+    # `sum` of CPython 3.11 and earlier adds floats left to right; from 3.12 it
+    # compensates, which `math.fsum` stands in for here
+    xs = [1.0, 0.5, 1 / 3, 1.0]
+    ys = [1 / 8, 1 / 3, 1 / 9, 1 / 9]
+    left_to_right = partial(reduce, operator.add)
+    assert left_to_right(xs) != math.fsum(xs)
+    by_left_to_right = _float_pearson(xs, ys, left_to_right)
+    by_fsum = _float_pearson(xs, ys, math.fsum)
+    assert by_left_to_right != by_fsum
+
+    # the exact value, rounded to a float once (as r squared) before one sqrt
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mean_x, mean_y = sum(fx) / len(fx), sum(fy) / len(fy)
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(fx, fy))
+    r2 = cov * cov / (sum((x - mean_x) ** 2 for x in fx) * sum((y - mean_y) ** 2 for y in fy))
+    exact = -math.sqrt(r2)
+    assert cov < 0
+    assert pearson_r(xs, ys) == exact == -0.3760239895292997
+    assert exact not in (by_left_to_right, by_fsum)
+    # nor does the order of the pairs matter
+    assert pearson_r(xs[::-1], ys[::-1]) == exact
 
 
 def test_pearson_zero_variance_is_none():
