@@ -64,8 +64,6 @@ def synthesize_answer(traj: Trajectory) -> str:
 class ScriptedPolicy:
     """Follows the task's call plan; subclasses define failure behavior."""
 
-    name = "scripted"
-
     def __init__(self, steps: tuple[TaskStep, ...], retry_budget: int = 3):
         if not steps:
             raise ConfigError("scripted policies need at least one task step")
@@ -115,7 +113,6 @@ class ScriptedPolicy:
 class VanillaPolicy(ScriptedPolicy):
     """No recovery behavior at all: hallucinate success or give up."""
 
-    name = "vanilla"
     hallucination_probability = 0.5
 
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
@@ -143,15 +140,12 @@ class VanillaPolicy(ScriptedPolicy):
 class ToolBenchPolicy(VanillaPolicy):
     """Competent on clean traces, gives up on any error (no hallucination)."""
 
-    name = "toolbench"
     hallucination_probability = 0.0
 
 
 class ReflectPolicy(ScriptedPolicy):
     """Blind call-level self-correction: retry up to the budget, reformat on
     the final attempt, never switch tools, then give up."""
-
-    name = "reflect"
 
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
         step = self._current_step(context)
@@ -281,8 +275,6 @@ class PaladinPolicy(ScriptedPolicy):
     order, with escalation to tool switch then graceful termination. Never
     claims success after an unresolved failure."""
 
-    name = "paladin"
-
     def on_error(self, context, error, tools, bank, rng) -> AgentAction:
         step = self._current_step(context)
         failed_call = ToolCall(name=step.tool, arguments=step.arguments)
@@ -320,8 +312,6 @@ class CriticPolicy(ScriptedPolicy):
     otherwise behaves like the reflect baseline. At most `retry_budget`
     recovery attempts per error."""
 
-    name = "critic"
-
     def __init__(
         self,
         steps: tuple[TaskStep, ...],
@@ -356,8 +346,6 @@ class CriticPolicy(ScriptedPolicy):
 
 class RemoteChatPolicy:
     """Drives an external chat-completion model through the action grammar."""
-
-    name = "remote"
 
     def __init__(self, endpoint: EndpointConfig):
         from .remote import ChatEndpoint  # only remote runs need the transport

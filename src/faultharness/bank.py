@@ -4,6 +4,12 @@ The shipped dictionary groups failure kinds into branches that share one
 script (e.g. all auth statuses terminate); `load_bank` expands each branch
 into one exemplar per member kind so pattern matching stays first-class.
 
+A kind's class and status are the taxonomy's (`taxonomy.kind_class` and
+`taxonomy.kind_status`). An entry that binds an error class must bind the
+class the taxonomy gives each of its kinds, where the taxonomy gives one;
+an entry that does not is refused when the bank is loaded. The shipped bank
+is read by the same loader as a `--bank` file.
+
 A script step is `{"action": <tag>, ...}` plus the action's optional fields:
 `retry_with_backoff` takes `max_attempts` (int in [1, 4]), `base_delay_ms` and
 `cap_ms` (ints >= 0) and `respect_retry_after` (bool); `terminate_gracefully`
@@ -21,7 +27,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
@@ -33,11 +38,12 @@ from .errors import (
     UnknownErrorClass,
 )
 from .taxonomy import (
-    CATALOG,
+    DATA_DIR,
     ErrorClass,
     ErrorSignature,
+    kind_class,
+    kind_status,
     message_tokens,
-    status_error_class,
 )
 
 # --- recovery actions --------------------------------------------------------
@@ -196,18 +202,10 @@ class SignaturePattern:
         return self.error_class is None and self.kind is None
 
     def implied_class(self) -> ErrorClass | None:
-        """Bound class, or the class the bound kind maps to in the catalog."""
+        """Bound class, or the class the taxonomy gives the bound kind."""
         if self.error_class is not None:
             return self.error_class
-        if self.kind is not None:
-            if self.kind in CATALOG:
-                return CATALOG[self.kind].error_class
-            if self.kind.startswith("http_"):
-                try:
-                    return status_error_class(int(self.kind.split("_", 1)[1]))
-                except ValueError:
-                    return None
-        return None
+        return None if self.kind is None else kind_class(self.kind)
 
     def to_json(self) -> dict:
         out: dict = {}
@@ -380,14 +378,6 @@ def retrieve(bank: ExemplarBank, observed: ErrorSignature) -> RecoveryExemplar:
 # --- dictionary loading -------------------------------------------------------
 
 
-def _kind_status(kind: str) -> int | None:
-    if kind.startswith("http_"):
-        tail = kind.split("_", 1)[1]
-        if tail.isdigit():
-            return int(tail)
-    return None
-
-
 def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
     entry_id = str(entry.get("id", "<missing id>"))
     pattern_doc = dict(entry.get("pattern", {}))
@@ -395,7 +385,7 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
     error_class = None
     if class_label is not None:
         try:
-            error_class = ErrorClass.parse(class_label)
+            error_class = ErrorClass(class_label)
         except ValueError:
             raise UnknownErrorClass(entry_id, class_label) from None
 
@@ -430,9 +420,15 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
             tokens = message_tokens(messages[kind])
         elif listed_tokens is not None:
             tokens = frozenset(listed_tokens)
+        if error_class is not None and kind is not None:
+            known = kind_class(kind)
+            if known is not None and known is not error_class:
+                raise ValueError(
+                    f"kind {kind!r} is {known.value} in the taxonomy, not {error_class.value}"
+                )
         status = pattern_doc.get("status_code")
         if status is None and kind is not None:
-            status = _kind_status(kind)
+            status = kind_status(kind)
         pattern = SignaturePattern(
             error_class=error_class,
             kind=kind,
@@ -491,15 +487,10 @@ def load_bank(path, data: bytes | None = None) -> ExemplarBank:
         data = Path(path).read_bytes()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"bank file {path} is not JSON: {exc}") from None
     return parse_bank(doc)
 
 
 def load_shipped_bank() -> ExemplarBank:
-    doc = json.loads(
-        resources.files("faultharness.data")
-        .joinpath("recovery_bank.json")
-        .read_text("utf-8")
-    )
-    return parse_bank(doc)
+    return load_bank(DATA_DIR / "recovery_bank.json")

@@ -70,6 +70,8 @@ class EpisodeCard:
         ):
             if type(value) is not str:
                 raise ConfigError(f"{name} must be a string, not {value!r}")
+        if not self.episode_id:  # grading matches a trajectory to its card by this id
+            raise ConfigError("episode_id must not be empty")
         # the budgets must be ones an episode can run under
         SimConfig(max_steps=self.max_steps, retry_budget_per_error=self.retry_budget)
         if not self.tools:
@@ -245,7 +247,9 @@ def suite_from_lines(lines) -> list[EpisodeCard]:
             continue
         try:
             cards.append(EpisodeCard.from_json(json.loads(line)))
-        except (ValueError, LookupError, TypeError, AttributeError, ConfigError) as exc:
+        except (
+            ValueError, RecursionError, LookupError, TypeError, AttributeError, ConfigError
+        ) as exc:  # RecursionError: JSON nested too deep to parse
             raise ConfigError(f"suite line {number}: not an episode card ({exc!r})") from exc
     return cards
 

@@ -376,7 +376,7 @@ _DIFF_METRICS = ("tsr", "rr", "csr", "es", "composite")
 def _read_report(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"report {path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"report {path} is not a JSON object")

@@ -133,7 +133,7 @@ class InjectionPlan:
         return cls(
             seed=doc["seed"],
             kind=kind,
-            manifestation=Manifestation.parse(doc["manifestation"]) if kind else None,
+            manifestation=Manifestation(doc["manifestation"]) if kind else None,
             turn_index=doc.get("turn_index", 1),
         )
 

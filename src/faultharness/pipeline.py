@@ -140,8 +140,6 @@ class RuleBasedTeacher:
     from the exemplar's script.
     """
 
-    name = "rule"
-
     def __init__(self, bank: ExemplarBank):
         if not len(bank):
             raise TeacherFailure("rule-based teacher needs a non-empty bank")
@@ -256,8 +254,6 @@ REMOTE_TEACHER_MAX_TURNS = 8
 class RemoteTeacher:
     """Chat-endpoint repair: the model proposes grammar-valid turns, the
     harness simulates tool responses from the toolset scripts."""
-
-    name = "remote"
 
     def __init__(self, endpoint: EndpointConfig):
         from .remote import ChatEndpoint  # only remote runs need the transport

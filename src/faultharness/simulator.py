@@ -352,7 +352,7 @@ def run_episode(
         raise ConfigError("plan.turn_index exceeds the step budget")
 
     traj = Trajectory(
-        episode_id=episode_id or f"ep-{plan.seed:016x}",
+        episode_id=f"ep-{plan.seed:016x}" if episode_id is None else episode_id,
         plan=plan,
         turns=[
             Turn(role=ROLE_SYSTEM, content=SYSTEM_PROMPT, simulated_time_ms=0),

@@ -3,6 +3,12 @@
 The taxonomy is fixed at seven classes. The catalog maps concrete failure
 kinds (HTTP statuses, timeouts, malformed bodies, ...) onto those classes and
 ships as a versioned JSON file so suites and corpora can pin its version.
+
+This module is the one place that maps a kind to its HTTP status and to its
+class: `kind_status` is the only parser of the `http_<N>` spelling, and
+`kind_class` answers for catalog rows, for every `http_` status and for the
+kinds only the classifier names. The catalog, the classifier, signatures and
+the recovery bank all read both facts from here.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum, unique
-from importlib import resources
+from pathlib import Path
 
 from .encoders import dumps_canonical
 
@@ -28,13 +34,6 @@ class ErrorClass(Enum):
     INVALID_INTERMEDIATE_REASONING = "InvalidIntermediateReasoning"
     REENTRANT_FAILURE = "ReentrantFailure"
 
-    @classmethod
-    def parse(cls, label: str) -> "ErrorClass":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown error class {label!r}")
-
 
 @unique
 class Manifestation(Enum):
@@ -45,12 +44,20 @@ class Manifestation(Enum):
     SILENT_FAILURE = "SilentFailure"      # empty/absent response
     PARTIAL_OUTPUT = "PartialOutput"      # truncated but valid body
 
-    @classmethod
-    def parse(cls, label: str) -> "Manifestation":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown manifestation {label!r}")
+
+def _ascii_number(text: str) -> int | None:
+    """The number `text` spells in ASCII digits alone, else None."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than `int` converts (sys.get_int_max_str_digits)
+        return None
+
+
+def kind_status(kind: str) -> int | None:
+    """N for an `http_N` kind (N in ASCII digits); None for any other kind."""
+    return _ascii_number(kind[5:]) if kind.startswith("http_") else None
 
 
 @dataclass(frozen=True)
@@ -69,17 +76,13 @@ class FailureKind:
     error_class: ErrorClass
     default_manifestation: Manifestation
     example_output: str
-    http_status: int | None = None
     persistence: tuple[int, int] | None = None
     retry_after: bool = False
     fixes: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        is_http = self.identifier.startswith("http_")
-        if is_http != (self.http_status is not None):
-            raise ValueError(
-                f"{self.identifier}: http_status present iff identifier starts with http_"
-            )
+    @property
+    def http_status(self) -> int | None:
+        return kind_status(self.identifier)
 
 
 UNKNOWN_KIND = "unknown"
@@ -91,10 +94,9 @@ def _parse_catalog(doc: dict) -> tuple[str, dict[str, FailureKind]]:
     for entry in doc["failures"]:
         kind = FailureKind(
             identifier=entry["identifier"],
-            error_class=ErrorClass.parse(entry["error_class"]),
-            default_manifestation=Manifestation.parse(entry["default_manifestation"]),
+            error_class=ErrorClass(entry["error_class"]),
+            default_manifestation=Manifestation(entry["default_manifestation"]),
             example_output=entry["example_output"],
-            http_status=entry.get("http_status"),
             persistence=tuple(entry["persistence"]) if "persistence" in entry else None,
             retry_after=entry.get("retry_after", False),
             fixes=frozenset(entry.get("fixes", ())),
@@ -105,11 +107,11 @@ def _parse_catalog(doc: dict) -> tuple[str, dict[str, FailureKind]]:
     return str(doc.get("version", "0")), kinds
 
 
+DATA_DIR = Path(__file__).parent / "data"
+
+
 def _load_shipped_catalog() -> tuple[str, dict[str, FailureKind]]:
-    doc = json.loads(
-        resources.files("faultharness.data").joinpath("catalog.json").read_text("utf-8")
-    )
-    return _parse_catalog(doc)
+    return _parse_catalog(json.loads((DATA_DIR / "catalog.json").read_text("utf-8")))
 
 
 CATALOG_VERSION, CATALOG = _load_shipped_catalog()
@@ -131,11 +133,11 @@ class ErrorSignature:
     manifestation: Manifestation = Manifestation.ERROR_PAYLOAD
 
     def __post_init__(self):
-        is_http = self.kind.startswith("http_")
-        if is_http and self.status_code is None:
-            raise ValueError("http_* signatures require a status_code")
-        if not is_http and self.status_code is not None:
-            raise ValueError("status_code only allowed on http_* signatures")
+        expected = kind_status(self.kind)
+        if self.status_code != expected:
+            raise ValueError(
+                f"kind {self.kind!r} carries status_code {expected!r}, not {self.status_code!r}"
+            )
         if self.status_code is not None and not 100 <= self.status_code <= 599:
             raise ValueError("status_code out of range")
         if self.manifestation is Manifestation.ERROR_PAYLOAD and not self.message:
@@ -185,6 +187,8 @@ _STATUS_CLASS: dict[int, ErrorClass] = {
     413: ErrorClass.ARGUMENT_HALLUCINATION,
     414: ErrorClass.ARGUMENT_HALLUCINATION,
     415: ErrorClass.ARGUMENT_HALLUCINATION,
+    423: ErrorClass.REENTRANT_FAILURE,
+    424: ErrorClass.REENTRANT_FAILURE,
     425: ErrorClass.REENTRANT_FAILURE,
     428: ErrorClass.INVALID_INTERMEDIATE_REASONING,
     431: ErrorClass.ARGUMENT_HALLUCINATION,
@@ -201,6 +205,41 @@ def status_error_class(status: int) -> ErrorClass:
     if 500 <= status <= 599:
         return ErrorClass.REENTRANT_FAILURE
     return ErrorClass.INVALID_TOOL_INVOCATION
+
+
+# the kinds that only the classifier names; every other kind it names is a
+# catalog row or an http_ status
+_CLASSIFIER_KIND_CLASS: dict[str, ErrorClass] = {
+    UNKNOWN_KIND: ErrorClass.INVALID_TOOL_INVOCATION,
+    PROTOCOL_ERROR_KIND: ErrorClass.INVALID_INTERMEDIATE_REASONING,
+    "tool_not_found": ErrorClass.TOOL_HALLUCINATION,
+}
+
+
+def kind_class(kind: str) -> ErrorClass | None:
+    """The class of `kind`: its catalog row's, else its status's for an `http_`
+    kind, else the classifier's own; None for a kind the taxonomy does not know."""
+    row = CATALOG.get(kind)
+    if row is not None:
+        return row.error_class
+    status = kind_status(kind)
+    if status is not None:
+        return status_error_class(status)
+    return _CLASSIFIER_KIND_CLASS.get(kind)
+
+
+def _signature(
+    kind: str, message: str, manifestation: Manifestation = Manifestation.ERROR_PAYLOAD
+) -> ErrorSignature:
+    """The signature of a failure the classifier named `kind`; its class and
+    status are the kind's own."""
+    return ErrorSignature(
+        error_class=kind_class(kind),
+        kind=kind,
+        message=message,
+        status_code=kind_status(kind),
+        manifestation=manifestation,
+    )
 
 
 def _looks_like_success(body: dict) -> bool:
@@ -220,12 +259,7 @@ def detect_failure(raw: str) -> ErrorSignature | None:
     """
     stripped = raw.strip()
     if not stripped:
-        return ErrorSignature(
-            error_class=ErrorClass.INVALID_TOOL_INVOCATION,
-            kind=UNKNOWN_KIND,
-            message="",
-            manifestation=Manifestation.SILENT_FAILURE,
-        )
+        return _signature(UNKNOWN_KIND, "", Manifestation.SILENT_FAILURE)
     try:
         body = json.loads(stripped)
     except (ValueError, RecursionError):  # nesting too deep to parse is unparseable too
@@ -247,11 +281,7 @@ def classify_raw_failure(raw: str) -> ErrorSignature:
     sig = detect_failure(raw)
     if sig is not None:
         return sig
-    return ErrorSignature(
-        error_class=ErrorClass.INVALID_TOOL_INVOCATION,
-        kind=UNKNOWN_KIND,
-        message=raw.strip()[:200] or "unclassified output",
-    )
+    return _signature(UNKNOWN_KIND, raw.strip()[:200] or "unclassified output")
 
 
 def _classify_unparseable(text: str) -> ErrorSignature:
@@ -266,24 +296,11 @@ def _classify_unparseable(text: str) -> ErrorSignature:
     elif "validationerror" in lowered or "is not of type" in lowered:
         kind = "schema_violation"
     if kind is not None:
-        return ErrorSignature(
-            error_class=CATALOG[kind].error_class,
-            kind=kind,
-            message=text[:200],
-        )
+        return _signature(kind, text[:200])
     if text[0] in "{[":
         # unparseable JSON-looking text: a truncated/corrupted body
-        return ErrorSignature(
-            error_class=ErrorClass.OUTPUT_HALLUCINATION,
-            kind="malformed_json",
-            message=text[:200],
-            manifestation=Manifestation.MALFORMED_OUTPUT,
-        )
-    return ErrorSignature(
-        error_class=ErrorClass.INVALID_TOOL_INVOCATION,
-        kind=UNKNOWN_KIND,
-        message=text[:200],
-    )
+        return _signature("malformed_json", text[:200], Manifestation.MALFORMED_OUTPUT)
+    return _signature(UNKNOWN_KIND, text[:200])
 
 
 def _error_text(slot) -> str:
@@ -299,32 +316,22 @@ def _error_text(slot) -> str:
 def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
     error_text = _error_text(body["error"])
     status = body.get("status")
-    if isinstance(status, str) and status.isascii() and status.isdigit():
-        status = int(status)
+    if isinstance(status, str):
+        status = _ascii_number(status)
     if isinstance(status, int) and 100 <= status <= 599:
-        return ErrorSignature(
-            error_class=status_error_class(status),
-            kind=f"http_{status}",
-            message=error_text or f"HTTP {status}",
-            status_code=status,
-        )
+        return _signature(f"http_{status}", error_text or f"HTTP {status}")
     lowered = error_text.lower()
     manifestation = Manifestation.ERROR_PAYLOAD
     if "partial" in lowered or "truncat" in lowered or "interrupted" in lowered:
-        kind, error_class = "partial_output", CATALOG["partial_output"].error_class
+        kind = "partial_output"
         if "response" in body:
             manifestation = Manifestation.PARTIAL_OUTPUT
     elif "state conflict" in lowered or "contradict" in lowered:
-        kind, error_class = "inconsistent_state", CATALOG["inconsistent_state"].error_class
+        kind = "inconsistent_state"
     elif "invalid action format" in lowered:
-        kind, error_class = PROTOCOL_ERROR_KIND, ErrorClass.INVALID_INTERMEDIATE_REASONING
+        kind = PROTOCOL_ERROR_KIND
     elif "not found" in lowered or "does not exist" in lowered:
-        kind, error_class = "tool_not_found", ErrorClass.TOOL_HALLUCINATION
+        kind = "tool_not_found"
     else:
-        kind, error_class = UNKNOWN_KIND, ErrorClass.INVALID_TOOL_INVOCATION
-    return ErrorSignature(
-        error_class=error_class,
-        kind=kind,
-        message=error_text or raw[:200],
-        manifestation=manifestation,
-    )
+        kind = UNKNOWN_KIND
+    return _signature(kind, error_text or raw[:200], manifestation)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -32,9 +33,11 @@ from faultharness.errors import (
 )
 from faultharness.taxonomy import (
     CATALOG,
+    DATA_DIR,
     ErrorClass,
     ErrorSignature,
     Manifestation,
+    classify_raw_failure,
     message_tokens,
 )
 
@@ -184,6 +187,26 @@ def test_catalog_kind_coverage_within_w4(bank):
         d = similarity_distance(obs, best.pattern)
         assert d <= DEFAULT_WEIGHTS[3], (kind_id, best.id, d)
         assert best.pattern.kind == kind_id
+
+
+def _shipped_http_messages():
+    doc = json.loads((DATA_DIR / "recovery_bank.json").read_text("utf-8"))
+    params = []
+    for entry in doc["exemplars"]:
+        for kind, message in entry["pattern"].get("messages", {}).items():
+            if kind.startswith("http_"):
+                exemplar_id = entry["id"] if len(entry["kinds"]) == 1 else f"{entry['id']}__{kind}"
+                params.append(pytest.param(exemplar_id, kind, message, id=exemplar_id))
+    return params
+
+
+@pytest.mark.parametrize("exemplar_id, kind, message", _shipped_http_messages())
+def test_shipped_http_exemplar_is_retrieved_by_its_own_response(bank, exemplar_id, kind,
+                                                               message):
+    # the classifier and the bank give a status one class, so a tool that
+    # answers with an exemplar's own message and status gets that exemplar
+    raw = f'{{"error": "{message}", "status": {kind.removeprefix("http_")}}}'
+    assert retrieve(bank, classify_raw_failure(raw)).id == exemplar_id
 
 
 def test_zero_distance_dominance(bank):

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
 import builtins
+import copy
 import io
 import json
+import operator
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import faultharness
 from faultharness.cli import main
+from faultharness.taxonomy import ErrorClass
 
 SHIPPED_BANK = resources.files("faultharness.data").joinpath("recovery_bank.json")
 
@@ -349,6 +355,7 @@ def _card_line(plan=None, **fields):
         (_card_line(steps=[{"tool": "lookup", "arguments": []}]),
          "a step needs a string tool and object arguments"),
         (_card_line(episode_id=5), "episode_id must be a string, not 5"),
+        (_card_line(episode_id=""), "episode_id must not be empty"),
         (_card_line(prompt=None), "prompt must be a string, not None"),
         (_card_line(task_slug=["t"]), "task_slug must be a string"),
         (_card_line(tools=[{"name": "lookup", "scripted_responses": {"lookup({})": 5}}]),
@@ -361,7 +368,7 @@ def _card_line(plan=None, **fields):
         "missing-key", "not-json", "duplicate-tools", "budget-str", "budget-bool",
         "steps-null", "steps-float", "steps-range", "seed-str", "seed-float",
         "turn-str", "kind-unknown", "turn-beyond-budget", "steps-empty", "tools-empty",
-        "step-tool-unknown", "arguments-list", "id-int", "prompt-null", "slug-list",
+        "step-tool-unknown", "arguments-list", "id-int", "id-empty", "prompt-null", "slug-list",
         "response-int", "tool-name-int", "parameters-list",
     ],
 )
@@ -554,6 +561,20 @@ def test_evaluate_malformed_bank_exits_2(runner, tmp_path, text, fragments):
     _assert_no_traceback(result, *fragments)
 
 
+def test_evaluate_bank_class_disagreeing_with_the_taxonomy_exits_2(runner, tmp_path):
+    doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
+    index = next(i for i, e in enumerate(doc["exemplars"]) if e["id"] == "resource_locked")
+    doc["exemplars"][index]["pattern"]["error_class"] = "InvalidToolInvocation"
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    result = _evaluate(runner, tmp_path, _gen(runner, tmp_path), "--bank", str(bank))
+    _assert_no_traceback(
+        result, f"bank entry {index} (resource_locked)",
+        "kind 'http_423' is ReentrantFailure in the taxonomy, not InvalidToolInvocation",
+    )
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "tag, field, value",
     [
@@ -644,6 +665,24 @@ def test_directory_as_input_file_exits_2(runner, tmp_path, command):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", ["suite", "bank", "report-diff"])
+def test_deeply_nested_json_input_exits_2(runner, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000 + "\n")
+    if command == "report-diff":
+        result = runner.invoke(main, ["report-diff", str(deep), str(deep)])
+        fragments = ["report", "deep.json is not JSON"]
+    elif command == "bank":
+        suite = _gen(runner, tmp_path, n=2, seed=5)
+        result = _evaluate(runner, tmp_path, suite, "--bank", str(deep))
+        fragments = ["bank file", "deep.json is not JSON"]
+    else:
+        result = _evaluate(runner, tmp_path, deep)
+        fragments = ["suite line 1", "RecursionError"]
+    _assert_no_traceback(result, *fragments)
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -660,6 +699,109 @@ def test_report_diff_malformed_report_exits_2(runner, tmp_path, text, fragment):
     bad.write_text(text)
     result = runner.invoke(main, ["report-diff", str(good), str(bad)])
     _assert_no_traceback(result, "bad.json", fragment)
+
+
+# One field of a valid input, changed by a type swap, an empty value, an
+# out-of-range number or a deleted key. Every such input either runs or exits 2
+# with a message; none ends in a traceback or exit 1.
+
+_DELETE = object()
+_MUTANTS = (
+    None, True, 0, -1, 2**64, 1.5, float("inf"), "", "x", [], {}, ["x"], {"x": 1}, _DELETE,
+)
+
+
+def _paths(doc, prefix=()):
+    """The path of `doc` and of every value nested in it."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(data, doc, paths, mutants=_MUTANTS):
+    """A copy of `doc` with the value at one of `paths` replaced or deleted."""
+    path = data.draw(st.sampled_from(paths), label="path")
+    mutant = data.draw(st.sampled_from(mutants), label="mutant")
+    doc = copy.deepcopy(doc)
+    if not path:
+        return {} if mutant is _DELETE else mutant
+    *parents, last = path
+    owner = reduce(operator.getitem, parents, doc)
+    if mutant is _DELETE:
+        del owner[last]
+    else:
+        owner[last] = mutant
+    return doc
+
+
+def _assert_runs_or_exits_2(result, *fragments):
+    assert isinstance(result.exception, SystemExit) or result.exception is None, result.output
+    assert result.exit_code in (0, 2), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        for fragment in fragments:
+            assert fragment in result.output
+
+
+_PROPERTY = settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_evaluate_any_one_field_change_to_a_card_runs_or_exits_2(runner, data):
+    card = json.loads(_card_line())
+    card = _mutated(data, card, list(_paths(card)))
+    with tempfile.TemporaryDirectory() as scratch:
+        suite = Path(scratch) / "suite.jsonl"
+        suite.write_text(json.dumps(card) + "\n")
+        result = _evaluate(runner, Path(scratch), suite)
+        _assert_runs_or_exits_2(result, "suite line 1")
+        assert (result.exit_code == 0) == (Path(scratch) / "runs").exists()
+
+
+@pytest.fixture(scope="module")
+def ten_card_suite(tmp_path_factory):
+    return _gen(CliRunner(), tmp_path_factory.mktemp("suite"), n=10, seed=5)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_evaluate_any_one_field_change_to_a_bank_entry_runs_or_exits_2(runner, ten_card_suite,
+                                                                      data):
+    doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
+    index = data.draw(st.integers(0, len(doc["exemplars"]) - 1), label="entry")
+    paths = [("exemplars", index, *path) for path in _paths(doc["exemplars"][index])]
+    # a class label of the taxonomy's own that need not be the entry's kinds' class
+    classes = tuple(c.value for c in ErrorClass)
+    doc = _mutated(data, doc, paths, _MUTANTS + classes)
+    with tempfile.TemporaryDirectory() as scratch:
+        bank = Path(scratch) / "bank.json"
+        bank.write_text(json.dumps(doc))
+        result = _evaluate(runner, Path(scratch), ten_card_suite, "--bank", str(bank))
+        _assert_runs_or_exits_2(result)
+        assert (result.exit_code == 0) == (Path(scratch) / "runs").exists()
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_report_diff_any_one_field_change_runs_or_exits_2(runner, data):
+    report = {"tsr": 0.5, "rr": 0.25, "csr": 1.0, "es": 0.3, "composite": 0.4,
+              "n_episodes": 3, "bootstrap": {"tsr": [0.1, 0.9]}}
+    changed = _mutated(data, report, list(_paths(report)))
+    with tempfile.TemporaryDirectory() as scratch:
+        good, bad = Path(scratch) / "good.json", Path(scratch) / "bad.json"
+        good.write_text(json.dumps(report))
+        bad.write_text(json.dumps(changed))
+        result = runner.invoke(main, ["report-diff", str(good), str(bad)])
+        _assert_runs_or_exits_2(result, "bad.json")
 
 
 # --- out-of-range options exit 2 with a message --------------------------------------

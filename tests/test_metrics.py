@@ -7,7 +7,6 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, islice
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -258,6 +257,8 @@ def test_bootstrap_single_resample_is_degenerate():
 
 def _oracle_bootstrap(grades, seed, n_resamples=1000, confidence=0.95):
     """Independent implementation: same seed protocol, numpy percentiles."""
+    import numpy as np  # imported here so the other tests collect where numpy cannot load
+
     rng = random.Random(seed)
     n = len(grades)
     stats = []
@@ -454,6 +455,8 @@ def test_pearson_negation_is_minus_one():
 
 
 def test_pearson_matches_closed_form_oracle():
+    import numpy as np
+
     rng = random.Random(31)
     xs = [rng.gauss(0, 1) for _ in range(50)]
     ys = [0.8 * x + 0.2 * rng.gauss(0, 1) for x in xs]

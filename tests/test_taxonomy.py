@@ -19,6 +19,8 @@ from faultharness.taxonomy import (
     canonical_key,
     classify_raw_failure,
     detect_failure,
+    kind_class,
+    kind_status,
     message_tokens,
 )
 
@@ -37,7 +39,7 @@ def sig(kind="http_500", message="Unexpected server error", status=500, **kw):
 def test_exactly_seven_error_classes():
     assert len(ErrorClass) == 7
     with pytest.raises(ValueError):
-        ErrorClass.parse("NetworkGremlin")
+        ErrorClass("NetworkGremlin")
 
 
 def test_catalog_covers_required_kinds_and_all_classes():
@@ -158,8 +160,10 @@ def test_detect_failure_never_raises(raw, kind, message):
 @pytest.mark.parametrize(
     "status, kind",
     [('"503"', "http_503"), ("503", "http_503"), ('"5o3"', "unknown"),
-     ('"\\u0665\\u0660\\u0663"', "unknown"), ('"99"', "unknown")],
-    ids=["digit-string", "int", "not-digits", "non-ascii-digits", "out-of-range"],
+     ('"\\u0665\\u0660\\u0663"', "unknown"), ('"99"', "unknown"),
+     ('"%s"' % ("9" * 5000), "unknown")],
+    ids=["digit-string", "int", "not-digits", "non-ascii-digits", "out-of-range",
+         "more-digits-than-int-converts"],
 )
 def test_error_body_status_may_be_a_digit_string(status, kind):
     raw = '{"error": "Service unavailable", "status": %s}' % status
@@ -244,7 +248,30 @@ def test_signature_validation_rules():
     with pytest.raises(ValueError):
         sig(status=None)  # http kind without a status
     with pytest.raises(ValueError):
+        sig(status=404)  # a status other than the one the kind names
+    with pytest.raises(ValueError):
         sig(message="")  # ErrorPayload requires a message
+
+
+@pytest.mark.parametrize(
+    "kind, status, error_class",
+    [
+        ("http_404", 404, ErrorClass.TOOL_HALLUCINATION),  # a catalog row
+        ("http_423", 423, ErrorClass.REENTRANT_FAILURE),  # a status outside the catalog
+        ("http_599", 599, ErrorClass.REENTRANT_FAILURE),  # by range
+        ("timeout", None, ErrorClass.REENTRANT_FAILURE),
+        ("tool_not_found", None, ErrorClass.TOOL_HALLUCINATION),  # the classifier's own
+        (PROTOCOL_ERROR_KIND, None, ErrorClass.INVALID_INTERMEDIATE_REASONING),
+        (UNKNOWN_KIND, None, ErrorClass.INVALID_TOOL_INVOCATION),
+        ("ssl_error", None, None),  # a bank-only kind
+        ("http_abc", None, None),
+        ("http_\u0664\u0660\u0664", None, None),  # non-ASCII digits spell no status
+        ("http_", None, None),
+    ],
+)
+def test_kind_status_and_class(kind, status, error_class):
+    assert kind_status(kind) == status
+    assert kind_class(kind) is error_class
 
 
 def test_classify_unknown_http_status_maps_by_range():
