@@ -5,10 +5,14 @@ script (e.g. all auth statuses terminate); `load_bank` expands each branch
 into one exemplar per member kind so pattern matching stays first-class.
 
 A kind's class and status are the taxonomy's (`taxonomy.kind_class` and
-`taxonomy.kind_status`). An entry that binds an error class must bind the
-class the taxonomy gives each of its kinds, where the taxonomy gives one;
-an entry that does not is refused when the bank is loaded. The shipped bank
-is read by the same loader as a `--bank` file.
+`taxonomy.kind_status`); a pattern stores neither and reads its kind's status
+from there. An entry that binds an error class must bind the class the
+taxonomy gives each of its kinds, where the taxonomy gives one; an entry that
+does not is refused when the bank is loaded. Older bank files, such as pruned
+banks written by `gen-suite --hold-out`, give a pattern a `status_code`:
+loading drops it when it is the status of the pattern's kind and refuses
+any other value. The shipped bank is read by the same loader as a `--bank`
+file.
 
 A script step is `{"action": <tag>, ...}` plus the action's optional fields:
 `retry_with_backoff` takes `max_attempts` (int in [1, 4]), `base_delay_ms` and
@@ -23,10 +27,13 @@ any other unknown key is an error.
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -191,12 +198,16 @@ def action_from_json(doc: dict) -> RecoveryAction:
 
 @dataclass(frozen=True)
 class SignaturePattern:
-    """Error-signature template; unbound fields are wildcards."""
+    """Error-signature template; unbound fields are wildcards. A bound kind
+    binds its status too."""
 
     error_class: ErrorClass | None = None
     kind: str | None = None
-    status_code: int | None = None
     message_tokens: frozenset[str] | None = None
+
+    @cached_property
+    def status_code(self) -> int | None:
+        return None if self.kind is None else kind_status(self.kind)
 
     def is_fully_wildcard(self) -> bool:
         return self.error_class is None and self.kind is None
@@ -213,8 +224,6 @@ class SignaturePattern:
             out["error_class"] = self.error_class.value
         if self.kind is not None:
             out["kind"] = self.kind
-        if self.status_code is not None:
-            out["status_code"] = self.status_code
         if self.message_tokens is not None:
             out["message_tokens"] = sorted(self.message_tokens)
         return out
@@ -244,10 +253,10 @@ class RecoveryExemplar:
 class ExemplarBank:
     exemplars: tuple[RecoveryExemplar, ...]
     version: str = "0"
-    # nearest exemplar per (class, kind, status, message tokens), filled
-    # by `retrieve_top_k`; outside equality and repr, so it never changes what a
-    # bank is. Token sets drop digits, so messages differing only in ids or
-    # counters share one entry.
+    # nearest exemplar per (kind, message tokens), filled by `retrieve_top_k`;
+    # outside equality and repr, so it never changes what a bank is. Token
+    # sets drop digits, so messages differing only in ids or counters share
+    # one entry.
     nearest_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # token set per observed message, filled by `retrieve_top_k` the same way:
     # a run's failure messages repeat across its retrievals.
@@ -327,47 +336,33 @@ def _distance_pair(
     return a * union + w4 * (union - inter), union
 
 
-def _nearest(
-    exemplars: tuple[RecoveryExemplar, ...],
-    observed: ErrorSignature,
-    observed_tokens: frozenset[str],
-) -> RecoveryExemplar:
-    """Distance-then-id minimum in one pass, comparing n/d pairs by cross-multiplying."""
-    best = exemplars[0]
-    best_n, best_d = _distance_pair(observed, observed_tokens, best.pattern)
-    for ex in exemplars[1:]:
-        n, d = _distance_pair(observed, observed_tokens, ex.pattern)
-        lhs, rhs = n * best_d, best_n * d
-        if lhs < rhs or (lhs == rhs and ex.id < best.id):
-            best, best_n, best_d = ex, n, d
-    return best
-
-
 def retrieve_top_k(
     bank: ExemplarBank, observed: ErrorSignature, k: int = 1
 ) -> list[RecoveryExemplar]:
     """The k nearest exemplars, distance-then-id ordered (deterministic).
 
-    The nearest one (k <= 1) and each message's token set are memoized on the
-    bank.
+    Every k ranks by one exact key: each distance's numerator scaled to the
+    least common multiple of the denominators, then the id. The nearest one
+    (k <= 1) and each message's token set are memoized on the bank.
     """
     if not bank.exemplars:
         raise ConfigError("cannot retrieve from an empty bank")
     tokens = bank.tokens_memo.get(observed.message)
     if tokens is None:
         tokens = bank.tokens_memo[observed.message] = message_tokens(observed.message)
+    key = (observed.kind, tokens)
+    if k <= 1 and key in bank.nearest_memo:
+        return [bank.nearest_memo[key]]
+    pairs = [_distance_pair(observed, tokens, ex.pattern) for ex in bank.exemplars]
+    scale = math.lcm(*(d for _, d in pairs))
+    keys = [(n * (scale // d), ex.id) for (n, d), ex in zip(pairs, bank.exemplars)]
+    ranked = [
+        bank.exemplars[i]
+        for i in heapq.nsmallest(max(k, 1), range(len(keys)), key=keys.__getitem__)
+    ]
     if k <= 1:
-        key = (observed.error_class, observed.kind, observed.status_code, tokens)
-        nearest = bank.nearest_memo.get(key)
-        if nearest is None:
-            nearest = _nearest(bank.exemplars, observed, tokens)
-            bank.nearest_memo[key] = nearest
-        return [nearest]
-    ranked = sorted(
-        bank.exemplars,
-        key=lambda ex: (Fraction(*_distance_pair(observed, tokens, ex.pattern)), ex.id),
-    )
-    return ranked[:k]
+        bank.nearest_memo[key] = ranked[0]
+    return ranked
 
 
 def retrieve(bank: ExemplarBank, observed: ErrorSignature) -> RecoveryExemplar:
@@ -426,15 +421,14 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
                 raise ValueError(
                     f"kind {kind!r} is {known.value} in the taxonomy, not {error_class.value}"
                 )
-        status = pattern_doc.get("status_code")
-        if status is None and kind is not None:
-            status = kind_status(kind)
-        pattern = SignaturePattern(
-            error_class=error_class,
-            kind=kind,
-            status_code=status,
-            message_tokens=tokens,
-        )
+        if "status_code" in pattern_doc:  # older files state the kind's status; drop it
+            status = pattern_doc["status_code"]
+            expected = None if kind is None else kind_status(kind)
+            if type(status) is not int or status != expected:
+                raise ValueError(
+                    f"status_code {status!r} is not the status of kind {kind!r} ({expected!r})"
+                )
+        pattern = SignaturePattern(error_class=error_class, kind=kind, message_tokens=tokens)
         if pattern.is_fully_wildcard():
             raise FullyWildcardPattern(entry_id)
         ex_id = entry_id if len(kinds) == 1 else f"{entry_id}__{kind}"

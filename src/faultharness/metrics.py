@@ -25,7 +25,7 @@ from itertools import islice, repeat
 
 from .episode import Finished, Trajectory
 from .errors import ConfigError, EmptySuite, EpisodeMismatch
-from .taxonomy import CATALOG
+from .taxonomy import kind_class
 from .trace import trace_view
 
 _FAILURE_ACKNOWLEDGEMENTS = (
@@ -104,10 +104,7 @@ def grade_episode(traj: Trajectory, card) -> EpisodeGrade:
             task_success = False
 
     steps = max(1, len(traj.assistant_turns))
-    label = "clean"
-    if traj.plan.kind is not None:
-        kind = CATALOG.get(traj.plan.kind)
-        label = kind.error_class.value if kind else traj.plan.kind
+    label = "clean" if traj.plan.kind is None else kind_class(traj.plan.kind).value
     return EpisodeGrade(
         task_success=task_success,
         failures_encountered=encountered,

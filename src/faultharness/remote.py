@@ -29,10 +29,9 @@ class EndpointConfig:
     model: str = "default"
     timeout_ms: int = 30000
     max_retries: int = 2  # retries of 429, 5xx and transport errors
-    token_env: str = TOKEN_ENV_VAR
 
     def auth_token(self) -> str | None:
-        return os.environ.get(self.token_env)
+        return os.environ.get(TOKEN_ENV_VAR)
 
 
 def _retry_after_ms(value: str | None) -> int | None:

@@ -7,8 +7,9 @@ ships as a versioned JSON file so suites and corpora can pin its version.
 This module is the one place that maps a kind to its HTTP status and to its
 class: `kind_status` is the only parser of the `http_<N>` spelling, and
 `kind_class` answers for catalog rows, for every `http_` status and for the
-kinds only the classifier names. The catalog, the classifier, signatures and
-the recovery bank all read both facts from here.
+kinds only the classifier names. Neither fact is stored anywhere else: an
+`ErrorSignature` and a bank pattern hold a kind and read its class and status
+through these two functions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import cached_property
 from pathlib import Path
 
 from .encoders import dumps_canonical
@@ -80,10 +82,6 @@ class FailureKind:
     retry_after: bool = False
     fixes: frozenset[str] = frozenset()
 
-    @property
-    def http_status(self) -> int | None:
-        return kind_status(self.identifier)
-
 
 UNKNOWN_KIND = "unknown"
 PROTOCOL_ERROR_KIND = "protocol_error"
@@ -120,28 +118,33 @@ CATALOG_VERSION, CATALOG = _load_shipped_catalog()
 class ErrorSignature:
     """Canonical description of one failing tool response, made from its text.
 
-    A signature says what the failure is: its class, kind, message, HTTP
-    status and how it was rendered. It does not say where it was seen; the
-    same text always yields an equal signature, whichever tool served it on
-    whichever turn. Positions live in `trace.TraceView.responses`.
+    A signature holds what the text says: the failure's kind, its message and
+    how it was rendered. Its class and HTTP status are the kind's own
+    (`kind_class`, `kind_status`), read once per signature, so they cannot
+    disagree with the kind. It does not say where it was seen; the same text
+    always yields an equal signature, whichever tool served it on whichever
+    turn. Positions live in `trace.TraceView.responses`.
     """
 
-    error_class: ErrorClass
     kind: str
     message: str
-    status_code: int | None = None
     manifestation: Manifestation = Manifestation.ERROR_PAYLOAD
 
     def __post_init__(self):
-        expected = kind_status(self.kind)
-        if self.status_code != expected:
-            raise ValueError(
-                f"kind {self.kind!r} carries status_code {expected!r}, not {self.status_code!r}"
-            )
+        if self.error_class is None:
+            raise ValueError(f"kind {self.kind!r} has no class in the taxonomy")
         if self.status_code is not None and not 100 <= self.status_code <= 599:
             raise ValueError("status_code out of range")
         if self.manifestation is Manifestation.ERROR_PAYLOAD and not self.message:
             raise ValueError("ErrorPayload signatures carry a non-empty message")
+
+    @cached_property
+    def error_class(self) -> ErrorClass:
+        return kind_class(self.kind)
+
+    @cached_property
+    def status_code(self) -> int | None:
+        return kind_status(self.kind)
 
     @property
     def detail(self) -> str:
@@ -195,7 +198,7 @@ _STATUS_CLASS: dict[int, ErrorClass] = {
     451: ErrorClass.INVALID_TOOL_INVOCATION,
     501: ErrorClass.INVALID_TOOL_INVOCATION,
     505: ErrorClass.INVALID_TOOL_INVOCATION,
-    **{k.http_status: k.error_class for k in CATALOG.values() if k.http_status is not None},
+    **{kind_status(k): c.error_class for k, c in CATALOG.items() if kind_status(k) is not None},
 }
 
 
@@ -228,20 +231,6 @@ def kind_class(kind: str) -> ErrorClass | None:
     return _CLASSIFIER_KIND_CLASS.get(kind)
 
 
-def _signature(
-    kind: str, message: str, manifestation: Manifestation = Manifestation.ERROR_PAYLOAD
-) -> ErrorSignature:
-    """The signature of a failure the classifier named `kind`; its class and
-    status are the kind's own."""
-    return ErrorSignature(
-        error_class=kind_class(kind),
-        kind=kind,
-        message=message,
-        status_code=kind_status(kind),
-        manifestation=manifestation,
-    )
-
-
 def _looks_like_success(body: dict) -> bool:
     # the error slot is the failure marker; bodies without one (or with an
     # empty one) are ordinary payloads even if they carry a "status" field
@@ -259,7 +248,7 @@ def detect_failure(raw: str) -> ErrorSignature | None:
     """
     stripped = raw.strip()
     if not stripped:
-        return _signature(UNKNOWN_KIND, "", Manifestation.SILENT_FAILURE)
+        return ErrorSignature(UNKNOWN_KIND, "", Manifestation.SILENT_FAILURE)
     try:
         body = json.loads(stripped)
     except (ValueError, RecursionError):  # nesting too deep to parse is unparseable too
@@ -281,7 +270,7 @@ def classify_raw_failure(raw: str) -> ErrorSignature:
     sig = detect_failure(raw)
     if sig is not None:
         return sig
-    return _signature(UNKNOWN_KIND, raw.strip()[:200] or "unclassified output")
+    return ErrorSignature(UNKNOWN_KIND, raw.strip()[:200] or "unclassified output")
 
 
 def _classify_unparseable(text: str) -> ErrorSignature:
@@ -296,11 +285,11 @@ def _classify_unparseable(text: str) -> ErrorSignature:
     elif "validationerror" in lowered or "is not of type" in lowered:
         kind = "schema_violation"
     if kind is not None:
-        return _signature(kind, text[:200])
+        return ErrorSignature(kind, text[:200])
     if text[0] in "{[":
         # unparseable JSON-looking text: a truncated/corrupted body
-        return _signature("malformed_json", text[:200], Manifestation.MALFORMED_OUTPUT)
-    return _signature(UNKNOWN_KIND, text[:200])
+        return ErrorSignature("malformed_json", text[:200], Manifestation.MALFORMED_OUTPUT)
+    return ErrorSignature(UNKNOWN_KIND, text[:200])
 
 
 def _error_text(slot) -> str:
@@ -319,7 +308,7 @@ def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
     if isinstance(status, str):
         status = _ascii_number(status)
     if isinstance(status, int) and 100 <= status <= 599:
-        return _signature(f"http_{status}", error_text or f"HTTP {status}")
+        return ErrorSignature(f"http_{status}", error_text or f"HTTP {status}")
     lowered = error_text.lower()
     manifestation = Manifestation.ERROR_PAYLOAD
     if "partial" in lowered or "truncat" in lowered or "interrupted" in lowered:
@@ -334,4 +323,4 @@ def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
         kind = "tool_not_found"
     else:
         kind = UNKNOWN_KIND
-    return _signature(kind, error_text or raw[:200], manifestation)
+    return ErrorSignature(kind, error_text or raw[:200], manifestation)

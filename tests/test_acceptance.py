@@ -131,12 +131,8 @@ def test_criterion_2_retrieval_oracle_equivalence(bank):
     agree = 0
     for _ in range(1000):
         kind_id = rng.choice(sorted(CATALOG))
-        kind = CATALOG[kind_id]
         obs = ErrorSignature(
-            error_class=kind.error_class,
-            kind=kind_id,
-            message=" ".join(rng.sample(words, rng.randint(1, 6))),
-            status_code=kind.http_status,
+            kind=kind_id, message=" ".join(rng.sample(words, rng.randint(1, 6)))
         )
         if retrieve(bank, obs).id == _oracle_argmin(bank, obs):
             agree += 1
@@ -292,30 +288,18 @@ def test_criterion_9_backoff_compliance(bank):
         assert advance_backoff(SimClock(), 10, pol, None, seed) <= 8000
     # exact Retry-After adoption for the respecting policies (429/503 rows)
     for kind_id in ("http_429", "http_503"):
-        kind = CATALOG[kind_id]
-        obs = ErrorSignature(
-            error_class=kind.error_class, kind=kind_id, message="x",
-            status_code=kind.http_status,
-        )
+        obs = ErrorSignature(kind=kind_id, message="x")
         exemplar = retrieve(bank, obs)
         first = exemplar.script[0]
         assert isinstance(first, RetryWithBackoff) and first.respect_retry_after
         clock = SimClock()
         assert advance_backoff(clock, 1, first, 1200, seed=5) == 1200
     # 500 row retries without requiring the header
-    obs_500 = ErrorSignature(
-        error_class=CATALOG["http_500"].error_class, kind="http_500",
-        message="Unexpected server error",
-        status_code=500,
-    )
+    obs_500 = ErrorSignature(kind="http_500", message="Unexpected server error")
     assert isinstance(retrieve(bank, obs_500).script[0], RetryWithBackoff)
     # auth scripts carry zero retry actions
     for kind_id in ("http_401", "http_403"):
-        kind = CATALOG[kind_id]
-        obs = ErrorSignature(
-            error_class=kind.error_class, kind=kind_id, message="x",
-            status_code=kind.http_status,
-        )
+        obs = ErrorSignature(kind=kind_id, message="x")
         script = retrieve(bank, obs).script
         assert not any(isinstance(a, RetryWithBackoff) for a in script)
     _passed(9, "full-jitter bounds, cap dominance, exact Retry-After, retry-free auth scripts")

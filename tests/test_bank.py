@@ -42,14 +42,8 @@ from faultharness.taxonomy import (
 )
 
 
-def observed(kind="http_500", message="Unexpected server error", status=500,
-             error_class=ErrorClass.REENTRANT_FAILURE):
-    return ErrorSignature(
-        error_class=error_class,
-        kind=kind,
-        message=message,
-        status_code=status,
-    )
+def observed(kind="http_500", message="Unexpected server error"):
+    return ErrorSignature(kind=kind, message=message)
 
 
 def test_distance_identity_is_zero():
@@ -57,7 +51,6 @@ def test_distance_identity_is_zero():
     pattern = SignaturePattern(
         error_class=obs.error_class,
         kind=obs.kind,
-        status_code=obs.status_code,
         message_tokens=message_tokens(obs.message),
     )
     assert similarity_distance(obs, pattern) == 0
@@ -68,7 +61,6 @@ def test_distance_disjoint_tokens_is_w4():
     pattern = SignaturePattern(
         error_class=obs.error_class,
         kind=obs.kind,
-        status_code=obs.status_code,
         message_tokens=frozenset({"unexpected", "server", "glitch"}),
     )
     assert similarity_distance(obs, pattern) == DEFAULT_WEIGHTS[3]
@@ -89,18 +81,12 @@ def test_distance_rejects_fully_wildcard_pattern():
 
 def _random_signature(rng: random.Random) -> ErrorSignature:
     kind_id = rng.choice(sorted(CATALOG))
-    kind = CATALOG[kind_id]
     words = rng.sample(
         ["rate", "limit", "server", "error", "request", "timed", "out", "invalid",
          "key", "resource", "schema", "truncated", "conflict", "gateway"],
         k=rng.randint(1, 5),
     )
-    return ErrorSignature(
-        error_class=kind.error_class,
-        kind=kind_id,
-        message=" ".join(words),
-        status_code=kind.http_status,
-    )
+    return ErrorSignature(kind=kind_id, message=" ".join(words))
 
 
 def _oracle_ranking(bank: ExemplarBank, obs: ErrorSignature) -> list[str]:
@@ -139,17 +125,12 @@ def test_retrieve_matches_bruteforce_oracle_on_small_bank(bank):
 
 def test_retrieve_exact_pattern_copy_returns_that_exemplar(bank):
     exemplar = bank.by_id("rate_limited")
-    obs = ErrorSignature(
-        error_class=exemplar.pattern.error_class,
-        kind=exemplar.pattern.kind,
-        message="Rate limit exceeded",
-        status_code=exemplar.pattern.status_code,
-    )
+    obs = ErrorSignature(kind=exemplar.pattern.kind, message="Rate limit exceeded")
     assert retrieve(bank, obs).id == "rate_limited"
 
 
 def test_shipped_429_script_respects_retry_after(bank):
-    obs = observed(kind="http_429", message="Rate limit exceeded", status=429)
+    obs = observed(kind="http_429", message="Rate limit exceeded")
     exemplar = retrieve(bank, obs)
     first = exemplar.script[0]
     assert isinstance(first, RetryWithBackoff)
@@ -157,12 +138,7 @@ def test_shipped_429_script_respects_retry_after(bank):
 
 
 def test_shipped_auth_script_terminates_without_retry(bank):
-    obs = observed(
-        kind="http_401",
-        message="Invalid API key provided",
-        status=401,
-        error_class=ErrorClass.INVALID_TOOL_INVOCATION,
-    )
+    obs = observed(kind="http_401", message="Invalid API key provided")
     exemplar = retrieve(bank, obs)
     assert isinstance(exemplar.script[-1], TerminateGracefully)
     assert not any(isinstance(a, RetryWithBackoff) for a in exemplar.script)
@@ -176,13 +152,8 @@ def test_shipped_bank_size_and_coverage(bank):
 
 def test_catalog_kind_coverage_within_w4(bank):
     # every catalog kind retrieves an exemplar matched on class and kind
-    for kind_id, kind in CATALOG.items():
-        obs = ErrorSignature(
-            error_class=kind.error_class,
-            kind=kind_id,
-            message="probe message",
-            status_code=kind.http_status,
-        )
+    for kind_id in CATALOG:
+        obs = ErrorSignature(kind=kind_id, message="probe message")
         best = retrieve(bank, obs)
         d = similarity_distance(obs, best.pattern)
         assert d <= DEFAULT_WEIGHTS[3], (kind_id, best.id, d)
@@ -210,7 +181,7 @@ def test_shipped_http_exemplar_is_retrieved_by_its_own_response(bank, exemplar_i
 
 
 def test_zero_distance_dominance(bank):
-    obs = observed(kind="http_429", message="Rate limit exceeded", status=429)
+    obs = observed(kind="http_429", message="Rate limit exceeded")
     best = retrieve(bank, obs)
     zero = [
         ex.id
@@ -233,8 +204,7 @@ def test_retrieve_deterministic_across_reloads(bank):
 
 def test_top_k_is_distance_then_id_ordered(bank):
     obs = observed(kind="http_503",
-                   message="Service unavailable due to overload or maintenance",
-                   status=503)
+                   message="Service unavailable due to overload or maintenance")
     top = retrieve_top_k(bank, obs, k=3)
     distances = [similarity_distance(obs, ex.pattern) for ex in top]
     assert distances == sorted(distances)
@@ -274,16 +244,11 @@ def _banks(draw, shipped: ExemplarBank) -> ExemplarBank:
 def _signatures(draw) -> ErrorSignature:
     """A catalog kind with a message of bank words and digits, or a silent failure."""
     if draw(st.booleans()) and draw(st.booleans()):
-        return ErrorSignature(
-            error_class=ErrorClass.INVALID_TOOL_INVOCATION, kind="unknown", message="",
-            manifestation=Manifestation.SILENT_FAILURE,
-        )
-    kind = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+        return ErrorSignature(kind="unknown", message="",
+                              manifestation=Manifestation.SILENT_FAILURE)
+    kind = draw(st.sampled_from(sorted(CATALOG)))
     words = draw(st.lists(st.sampled_from(_WORDS + ["503", "#17"]), min_size=1, max_size=6))
-    return ErrorSignature(
-        error_class=kind.error_class, kind=kind.identifier, message=" ".join(words),
-        status_code=kind.http_status,
-    )
+    return ErrorSignature(kind=kind, message=" ".join(words))
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,7 +282,7 @@ def test_token_memo_holds_each_message_once_per_bank():
 
 def test_pruned_bank_never_returns_a_removed_exemplar():
     parent = load_shipped_bank()
-    obs = observed(kind="http_503", message="Service unavailable", status=503)
+    obs = observed(kind="http_503", message="Service unavailable")
     assert retrieve(parent, obs).pattern.kind == "http_503"
     pruned = parent.without_kinds({"http_503"})
     assert not pruned.nearest_memo
@@ -479,6 +444,18 @@ def test_entry_with_other_unknown_key_is_rejected(step):
     entry = _entry("odd", script=[step, {"action": "terminate_gracefully"}])
     doc = {"version": "t", "exemplars": _full_coverage_entries() + [entry]}
     with pytest.raises(ConfigError, match=r"bank entry 7 \(odd\)"):
+        parse_bank(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, status",
+    [("http_500", "500"), ("http_500", 503), ("http_500", True), ("timeout", 500), (None, 500)],
+    ids=["string", "other-status", "bool", "kind-without-status", "no-kind"],
+)
+def test_pattern_status_other_than_its_kinds_is_rejected(kind, status):
+    entry = _entry("odd", kind=kind, status_code=status)
+    doc = {"version": "t", "exemplars": _full_coverage_entries() + [entry]}
+    with pytest.raises(ConfigError, match=r"bank entry 7 \(odd\): status_code"):
         parse_bank(doc)
 
 

@@ -155,10 +155,7 @@ def test_generalization_holds_out_kind(tasks, bank):
     from faultharness.taxonomy import ErrorSignature
 
     obs = ErrorSignature(
-        error_class=ErrorClass.REENTRANT_FAILURE,
-        kind="http_503",
-        message="Service unavailable due to overload or maintenance",
-        status_code=503,
+        kind="http_503", message="Service unavailable due to overload or maintenance"
     )
     fallback = retrieve(pruned, obs)
     assert fallback.pattern.error_class is ErrorClass.REENTRANT_FAILURE

@@ -19,8 +19,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import faultharness
+from faultharness.bank import load_bank, load_shipped_bank, parse_bank
 from faultharness.cli import main
-from faultharness.taxonomy import ErrorClass
+from faultharness.taxonomy import ErrorClass, kind_status
 
 SHIPPED_BANK = resources.files("faultharness.data").joinpath("recovery_bank.json")
 
@@ -119,11 +120,21 @@ def test_gen_suite_holdout_writes_pruned_bank(runner, tmp_path):
         runner, tmp_path, n=7, seed=3,
         extra=["--hold-out", "http_503", "--clean-fraction", "0"],
     )
-    bank_doc = json.loads((tmp_path / "suite.jsonl.bank.json").read_text())
+    bank_path = tmp_path / "suite.jsonl.bank.json"
+    bank_doc = json.loads(bank_path.read_text())
     kinds = {ex["pattern"].get("kind") for ex in bank_doc["exemplars"]}
     assert "http_503" not in kinds
+    assert not any("status_code" in ex["pattern"] for ex in bank_doc["exemplars"])
     cards = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(c["plan"]["kind"] == "http_503" for c in cards)
+    expected = load_shipped_bank().without_kinds({"http_503"}).exemplars
+    assert load_bank(bank_path).exemplars == expected
+    # the form written before patterns stopped storing a status loads the same
+    for ex in bank_doc["exemplars"]:
+        status = kind_status(ex["pattern"].get("kind", ""))
+        if status is not None:
+            ex["pattern"]["status_code"] = status
+    assert parse_bank(bank_doc).exemplars == expected
 
 
 def test_evaluate_writes_reports(runner, tmp_path):
@@ -561,17 +572,29 @@ def test_evaluate_malformed_bank_exits_2(runner, tmp_path, text, fragments):
     _assert_no_traceback(result, *fragments)
 
 
-def test_evaluate_bank_class_disagreeing_with_the_taxonomy_exits_2(runner, tmp_path):
+@pytest.mark.parametrize(
+    "entry_id, key, value, message",
+    [
+        ("resource_locked", "error_class", "InvalidToolInvocation",
+         "kind 'http_423' is ReentrantFailure in the taxonomy, not InvalidToolInvocation"),
+        # a status is the kind's own; an older file may state it, but only rightly
+        ("server_fault", "status_code", "500",
+         "status_code '500' is not the status of kind 'http_500' (500)"),
+        ("server_fault", "status_code", 503,
+         "status_code 503 is not the status of kind 'http_500' (500)"),
+    ],
+    ids=["class", "status-string", "status-other"],
+)
+def test_evaluate_bank_class_disagreeing_with_the_taxonomy_exits_2(
+    runner, tmp_path, entry_id, key, value, message
+):
     doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
-    index = next(i for i, e in enumerate(doc["exemplars"]) if e["id"] == "resource_locked")
-    doc["exemplars"][index]["pattern"]["error_class"] = "InvalidToolInvocation"
+    index = next(i for i, e in enumerate(doc["exemplars"]) if e["id"] == entry_id)
+    doc["exemplars"][index]["pattern"][key] = value
     bank = tmp_path / "bank.json"
     bank.write_text(json.dumps(doc))
     result = _evaluate(runner, tmp_path, _gen(runner, tmp_path), "--bank", str(bank))
-    _assert_no_traceback(
-        result, f"bank entry {index} (resource_locked)",
-        "kind 'http_423' is ReentrantFailure in the taxonomy, not InvalidToolInvocation",
-    )
+    _assert_no_traceback(result, f"bank entry {index} ({entry_id})", message)
     assert not (tmp_path / "runs").exists()
 
 
