@@ -261,6 +261,9 @@ class ExemplarBank:
     # token set per observed message, filled by `retrieve_top_k` the same way:
     # a run's failure messages repeat across its retrievals.
     tokens_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # per observed kind, the exemplars grouped by their class, kind and status
+    # mismatch weight, in ascending order; filled by `retrieve_top_k` the same way.
+    tiers_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.exemplars)
@@ -302,23 +305,16 @@ def similarity_distance(observed: ErrorSignature, pattern: SignaturePattern) -> 
     d = w1*[class mismatch] + w2*[kind mismatch] + w3*[status mismatch]
       + w4*(1 - Jaccard(message tokens)); wildcard pattern fields contribute 0.
     """
-    return Fraction(*_distance_pair(observed, message_tokens(observed.message), pattern))
+    return Fraction(*_distance_pair(
+        _mismatch(observed, pattern), message_tokens(observed.message), pattern.message_tokens
+    ))
 
 
-def _distance_pair(
-    observed: ErrorSignature,
-    observed_tokens: frozenset[str],
-    pattern: SignaturePattern,
-) -> tuple[int, int]:
-    """`similarity_distance` as an exact (numerator, positive denominator) pair.
-
-    With a mismatches, union size u and intersection size i of the token sets,
-    d = (a*u + w4*(u - i)) / u; it is (a, 1) when the pattern has no tokens or
-    the union is empty (Jaccard 1).
-    """
+def _mismatch(observed: ErrorSignature, pattern: SignaturePattern) -> int:
+    """The class, kind and status part of the distance: w1 + w2 + w3 at most."""
     if pattern.is_fully_wildcard():
         raise FullyWildcardPattern("<pattern>")
-    w1, w2, w3, w4 = DEFAULT_WEIGHTS
+    w1, w2, w3, _ = DEFAULT_WEIGHTS
     a = 0
     if pattern.error_class is not None and pattern.error_class != observed.error_class:
         a += w1
@@ -326,14 +322,40 @@ def _distance_pair(
         a += w2
     if pattern.status_code is not None and pattern.status_code != observed.status_code:
         a += w3
-    tokens = pattern.message_tokens
+    return a
+
+
+def _distance_pair(
+    a: int, observed_tokens: frozenset[str], tokens: frozenset[str] | None
+) -> tuple[int, int]:
+    """The distance for mismatch weight `a` and a pattern's `tokens`, as an exact
+    (numerator, positive denominator) pair.
+
+    With union size u and intersection size i of the token sets,
+    d = (a*u + w4*(u - i)) / u, which lies in [a, a + w4]; it is (a, 1) when
+    the pattern has no tokens or the union is empty (Jaccard 1).
+    """
     if tokens is None:
         return a, 1
     inter = len(observed_tokens & tokens)
     union = len(observed_tokens) + len(tokens) - inter
     if not union:
         return a, 1
-    return a * union + w4 * (union - inter), union
+    return a * union + DEFAULT_WEIGHTS[3] * (union - inter), union
+
+
+def _tiers(bank: ExemplarBank, observed: ErrorSignature) -> list:
+    """[(a, exemplars)] in ascending mismatch weight a, for the observed kind.
+
+    A signature's class and status are its kind's, so a is fixed per kind.
+    """
+    tiers = bank.tiers_memo.get(observed.kind)
+    if tiers is None:
+        grouped: dict[int, list[RecoveryExemplar]] = {}
+        for ex in bank.exemplars:
+            grouped.setdefault(_mismatch(observed, ex.pattern), []).append(ex)
+        tiers = bank.tiers_memo[observed.kind] = sorted(grouped.items())
+    return tiers
 
 
 def retrieve_top_k(
@@ -341,9 +363,13 @@ def retrieve_top_k(
 ) -> list[RecoveryExemplar]:
     """The k nearest exemplars, distance-then-id ordered (deterministic).
 
-    Every k ranks by one exact key: each distance's numerator scaled to the
-    least common multiple of the denominators, then the id. The nearest one
-    (k <= 1) and each message's token set are memoized on the bank.
+    Exemplars are scored one mismatch tier at a time, in ascending order, until
+    the k-th best distance is below the next tier's mismatch weight: no
+    exemplar of a later tier can then rank among the k. The scored ones rank
+    by one exact key, each distance's numerator scaled to the least common
+    multiple of the denominators, then the id. The tiers per observed kind,
+    the nearest one (k <= 1) and each message's token set are memoized on the
+    bank.
     """
     if not bank.exemplars:
         raise ConfigError("cannot retrieve from an empty bank")
@@ -353,12 +379,22 @@ def retrieve_top_k(
     key = (observed.kind, tokens)
     if k <= 1 and key in bank.nearest_memo:
         return [bank.nearest_memo[key]]
-    pairs = [_distance_pair(observed, tokens, ex.pattern) for ex in bank.exemplars]
-    scale = math.lcm(*(d for _, d in pairs))
-    keys = [(n * (scale // d), ex.id) for (n, d), ex in zip(pairs, bank.exemplars)]
+    n = max(k, 1)
+    tiers = _tiers(bank, observed)
+    scored: list[tuple[int, int, RecoveryExemplar]] = []
+    for index, (a, exemplars) in enumerate(tiers):
+        scored += (
+            (*_distance_pair(a, tokens, ex.pattern.message_tokens), ex) for ex in exemplars
+        )
+        if index + 1 < len(tiers):
+            below = tiers[index + 1][0]
+            if sum(num < below * den for num, den, _ in scored) >= n:
+                break
+    scale = math.lcm(*(den for _, den, _ in scored))
     ranked = [
-        bank.exemplars[i]
-        for i in heapq.nsmallest(max(k, 1), range(len(keys)), key=keys.__getitem__)
+        ex for _, _, ex in heapq.nsmallest(
+            n, scored, key=lambda s: (s[0] * (scale // s[1]), s[2].id)
+        )
     ]
     if k <= 1:
         bank.nearest_memo[key] = ranked[0]

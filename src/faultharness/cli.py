@@ -5,6 +5,12 @@ flows from explicit --seed flags; a missing seed is generated, printed, and
 recorded in the output manifest. Output directories are content-addressed by
 run hash so distinct runs never overwrite each other.
 
+`evaluate` writes each trajectory line as its episode ends, in card order, to
+a temporary file in the run directory, and publishes it as
+`trajectories.jsonl` by rename after the last episode; a run that stops early
+leaves no `trajectories.jsonl`. So its memory holds the cards, the grades and
+one episode, however many trajectories it writes.
+
 Each command runs in a fresh process, so this module imports at module level
 only what every command uses. A module that one command needs on one code
 path is imported inside that path: `pipeline` by build-corpus, `remote` by
@@ -166,6 +172,17 @@ def run_card(
     )
 
 
+def _in_card_order(job, cards, jobs: int):
+    """`job(card)` for each card, lazily and in card order; on `jobs` threads above 1."""
+    if jobs == 1:
+        yield from map(job, cards)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(job, cards)
+
+
 @main.command("evaluate")
 @click.option("--suite", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option(
@@ -206,17 +223,21 @@ def cmd_evaluate(
 ):
     """Run every card through the simulator, grade, aggregate, write reports."""
     seed = _resolve_seed(seed)
-    # each input file is read once: its bytes are both parsed and hashed
+    # each input file is read once: its bytes are parsed and hashed, then dropped
     suite_bytes = Path(suite).read_bytes()
     cards = read_suite(suite, suite_bytes)
     if not cards:
         raise click.ClickException("suite file holds no cards")
+    run_digest = hashlib.sha256(suite_bytes)
+    del suite_bytes
     bank = None
-    bank_bytes = None
+    bank_sha256 = None
     if not no_retrieval:
         if bank_path:
             bank_bytes = Path(bank_path).read_bytes()
             bank = load_bank(bank_path, bank_bytes)
+            bank_sha256 = hashlib.sha256(bank_bytes).hexdigest()
+            del bank_bytes
         else:
             bank = load_shipped_bank()
     bank_version = "disabled" if bank is None else bank.version
@@ -237,30 +258,31 @@ def cmd_evaluate(
         "n_resamples": n_resamples,
         "suite": Path(suite).name,
     }
-    if bank_bytes is not None:
-        flags["bank_sha256"] = hashlib.sha256(bank_bytes).hexdigest()
+    if bank_sha256 is not None:
+        flags["bank_sha256"] = bank_sha256
     if endpoint is not None:
         flags.update(endpoint_url=endpoint.base_url, endpoint_model=endpoint.model)
-    run_hash = hashlib.sha256(
-        suite_bytes + dumps_canonical(flags).encode("utf-8")
-    ).hexdigest()[:12]
+    run_digest.update(dumps_canonical(flags).encode("utf-8"))
+    run_hash = run_digest.hexdigest()[:12]
     run_dir = Path(out_dir) / f"run-{run_hash}"
     _make_dir(run_dir)
 
     def job(card: EpisodeCard):
         traj = run_card(card, agent, bank, seed, endpoint)
-        return traj, grade_episode(traj, card)
+        return trajectory_to_line(traj), grade_episode(traj, card)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    grades = []
+    partial = run_dir / "trajectories.jsonl.partial"
+    try:
+        with open(partial, "w") as fh:
+            for line, grade in _in_card_order(job, cards, jobs):
+                fh.write(line + "\n")
+                grades.append(grade)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, run_dir / "trajectories.jsonl")
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(job, cards))
-    else:
-        results = [job(card) for card in cards]
-
-    trajectories = [traj for traj, _ in results]
-    grades = [grade for _, grade in results]
     report = aggregate(grades, alpha=alpha)
     report.bootstrap = bootstrap_ci(
         grades,
@@ -271,9 +293,6 @@ def cmd_evaluate(
     report.n_resamples = n_resamples
     report.correlations = correlations(grade_series(grades))
 
-    (run_dir / "trajectories.jsonl").write_text(
-        "".join(trajectory_to_line(t) + "\n" for t in trajectories)
-    )
     (run_dir / "grades.jsonl").write_text(
         "".join(dumps_canonical(g.to_json()) + "\n" for g in grades)
     )
@@ -352,7 +371,9 @@ def cmd_build_corpus(
     out = Path(out_dir)
     _make_dir(out)
     corpus, quarantine = build_corpus(spec, teacher_backend, dictionary_version=bank.version)
-    (out / "corpus.jsonl").write_text("".join(line + "\n" for line in corpus.lines()))
+    with open(out / "corpus.jsonl", "w") as fh:
+        for line in corpus.lines():
+            fh.write(line + "\n")
     (out / "spans.json").write_text(
         json.dumps(corpus.spans, sort_keys=True, indent=2) + "\n"
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -105,6 +106,32 @@ def test_cards_are_self_contained(tasks):
         assert card.steps
         assert card.final_step_payload()
         assert card.retry_budget == 3
+
+
+def test_read_suite_ends_lines_at_newline_and_carriage_return_only(tasks, tmp_path):
+    cards = generate_suite(tasks, SuiteSpec(n_episodes=4, master_seed=4))
+    cards[1] = dataclasses.replace(cards[1], prompt=cards[1].prompt + " \u2028 \x85 \x0c end")
+    lines = suite_to_lines(cards)
+    assert "\u2028" in lines[1] and "\x85" in lines[1]  # written raw, inside a string
+    path = tmp_path / "suite.jsonl"
+    path.write_bytes(
+        (lines[0] + "\r\n\r\n" + lines[1] + "\r" + lines[2] + "\n\r" + lines[3]).encode("utf-8")
+    )
+    assert suite_to_lines(read_suite(path)) == lines
+
+    # a blank line counts; the JSON error sees the line's end as a newline
+    truncated = lines[2][:-1]
+    path.write_bytes((lines[0] + "\r\r" + lines[1] + "\r" + truncated + "\r\n").encode("utf-8"))
+    with pytest.raises(ConfigError) as excinfo:
+        read_suite(path)
+    assert str(excinfo.value) == (
+        "suite line 4: not an episode card (JSONDecodeError(\"Expecting ',' delimiter: "
+        f"line 2 column 1 (char {len(truncated) + 1})\"))"  # just past the newline
+    )
+
+    path.write_bytes(b"\xff" + (lines[0] + "\n").encode("utf-8"))
+    with pytest.raises(ConfigError, match="is not UTF-8"):
+        read_suite(path)
 
 
 # A failure card as older releases wrote it: with the grader's `guidelines`

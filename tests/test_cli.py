@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from collections import Counter
 from functools import reduce
 from importlib import resources
@@ -20,7 +21,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import faultharness
 from faultharness.bank import load_bank, load_shipped_bank, parse_bank
-from faultharness.cli import main
+from faultharness.cli import main, run_card
+from faultharness.errors import ConfigError
 from faultharness.taxonomy import ErrorClass, kind_status
 
 SHIPPED_BANK = resources.files("faultharness.data").joinpath("recovery_bank.json")
@@ -221,6 +223,42 @@ def test_evaluate_jobs_match_serial(runner, tmp_path):
         run_dir = next((tmp_path / out).iterdir())
         outputs.append((run_dir / "trajectories.jsonl").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_evaluate_holds_one_trajectory_at_a_time(runner, tmp_path, monkeypatch):
+    # each trajectory is written as its episode ends, then dropped
+    suite = _gen(runner, tmp_path, n=14, seed=5)
+    earlier = []
+    alive_at_call = []
+
+    def tracking_run_card(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in earlier))
+        trajectory = run_card(*args, **kwargs)
+        earlier.append(weakref.ref(trajectory))
+        return trajectory
+
+    monkeypatch.setattr("faultharness.cli.run_card", tracking_run_card)
+    result = _evaluate(runner, tmp_path, suite, "--jobs", "1")
+    assert result.exit_code == 0, result.output
+    assert alive_at_call == [0] * 14
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_stopped_by_an_episode_leaves_no_trajectory_file(runner, tmp_path,
+                                                                  monkeypatch, jobs):
+    suite = _gen(runner, tmp_path, n=14, seed=5)
+    calls = iter(range(1, 15))  # next() on a range iterator is atomic across threads
+
+    def third_fails(*args, **kwargs):
+        if next(calls) == 3:
+            raise ConfigError("the third card cannot run")
+        return run_card(*args, **kwargs)
+
+    monkeypatch.setattr("faultharness.cli.run_card", third_fails)
+    result = _evaluate(runner, tmp_path, suite, "--jobs", jobs)
+    _assert_no_traceback(result, "the third card cannot run")
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert list(run_dir.iterdir()) == []
 
 
 def test_build_corpus_rule_teacher(runner, tmp_path):
