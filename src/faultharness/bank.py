@@ -23,6 +23,14 @@ other five take none. Older bank files give `reformat_arguments` a `hint`,
 `switch_tool` a `strategy`, `validate_and_reissue` a `check` and
 `wait_until_healthy` a `max_wait_ms`. Nothing read them, so loading drops them;
 any other unknown key is an error.
+
+A bank is refused with a `ConfigError`. Each rule an entry can break (an
+unknown class or action, an empty script, a pattern that binds neither a class
+nor a kind, a mistyped field, an exemplar id an earlier entry already gave)
+raises `ValueError` or `TypeError` while the entry is expanded, and
+`parse_bank` words it as `bank entry N (id): reason`. Only a file that is not
+a JSON object with an `exemplars` list, or a bank that leaves a class
+uncovered, is refused as a whole.
 """
 
 from __future__ import annotations
@@ -36,14 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DuplicateId,
-    EmptyScript,
-    FullyWildcardPattern,
-    HeldOutCoversClass,
-    UnknownErrorClass,
-)
+from .errors import ConfigError
 from .taxonomy import (
     DATA_DIR,
     ErrorClass,
@@ -199,18 +200,19 @@ def action_from_json(doc: dict) -> RecoveryAction:
 @dataclass(frozen=True)
 class SignaturePattern:
     """Error-signature template; unbound fields are wildcards. A bound kind
-    binds its status too."""
+    binds its status too. A pattern binds a class or a kind, or both."""
 
     error_class: ErrorClass | None = None
     kind: str | None = None
     message_tokens: frozenset[str] | None = None
 
+    def __post_init__(self):
+        if self.error_class is None and self.kind is None:
+            raise ValueError("pattern binds neither error_class nor kind")
+
     @cached_property
     def status_code(self) -> int | None:
         return None if self.kind is None else kind_status(self.kind)
-
-    def is_fully_wildcard(self) -> bool:
-        return self.error_class is None and self.kind is None
 
     def implied_class(self) -> ErrorClass | None:
         """Bound class, or the class the taxonomy gives the bound kind."""
@@ -280,13 +282,13 @@ class ExemplarBank:
     def without_kinds(self, kinds: set[str]) -> "ExemplarBank":
         """Bank with every exemplar matching one of `kinds` removed.
 
-        Raises HeldOutCoversClass if the removal empties an error class.
+        Raises ConfigError if the removal empties an error class.
         """
         kept = tuple(ex for ex in self.exemplars if ex.pattern.kind not in kinds)
         pruned = ExemplarBank(exemplars=kept, version=self.version)
         missing = set(ErrorClass) - pruned.covered_classes()
         if missing:
-            raise HeldOutCoversClass(
+            raise ConfigError(
                 "holding out "
                 + ", ".join(sorted(kinds))
                 + " empties class(es): "
@@ -312,8 +314,6 @@ def similarity_distance(observed: ErrorSignature, pattern: SignaturePattern) -> 
 
 def _mismatch(observed: ErrorSignature, pattern: SignaturePattern) -> int:
     """The class, kind and status part of the distance: w1 + w2 + w3 at most."""
-    if pattern.is_fully_wildcard():
-        raise FullyWildcardPattern("<pattern>")
     w1, w2, w3, _ = DEFAULT_WEIGHTS
     a = 0
     if pattern.error_class is not None and pattern.error_class != observed.error_class:
@@ -413,16 +413,11 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
     entry_id = str(entry.get("id", "<missing id>"))
     pattern_doc = dict(entry.get("pattern", {}))
     class_label = pattern_doc.get("error_class")
-    error_class = None
-    if class_label is not None:
-        try:
-            error_class = ErrorClass(class_label)
-        except ValueError:
-            raise UnknownErrorClass(entry_id, class_label) from None
+    error_class = None if class_label is None else ErrorClass(class_label)
 
     script_docs = entry.get("script", [])
     if not script_docs:
-        raise EmptyScript(entry_id)
+        raise ValueError("exemplar script is empty")
     script = tuple(action_from_json(doc) for doc in script_docs)
     # every other action re-executes a call and can complete the step
     if isinstance(script[-1], (ReformatArguments, RefreshCredentials)):
@@ -465,8 +460,6 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
                     f"status_code {status!r} is not the status of kind {kind!r} ({expected!r})"
                 )
         pattern = SignaturePattern(error_class=error_class, kind=kind, message_tokens=tokens)
-        if pattern.is_fully_wildcard():
-            raise FullyWildcardPattern(entry_id)
         ex_id = entry_id if len(kinds) == 1 else f"{entry_id}__{kind}"
         exemplars.append(
             RecoveryExemplar(
@@ -491,14 +484,14 @@ def parse_bank(doc: dict) -> ExemplarBank:
             raise ConfigError(f"bank entry {index} is not a JSON object: {entry!r}")
         try:
             expanded = _expand_entry(entry)
+            for ex in expanded:
+                if ex.id in seen:
+                    raise ValueError(f"duplicate exemplar id {ex.id!r}")
+                seen.add(ex.id)
         except (AttributeError, TypeError, ValueError) as exc:
             entry_id = entry.get("id", "<missing id>")
             raise ConfigError(f"bank entry {index} ({entry_id}): {exc}") from exc
-        for ex in expanded:
-            if ex.id in seen:
-                raise DuplicateId(ex.id)
-            seen.add(ex.id)
-            exemplars.append(ex)
+        exemplars += expanded
     bank = ExemplarBank(exemplars=tuple(exemplars), version=str(doc.get("version", "0")))
     missing = set(ErrorClass) - bank.covered_classes()
     if missing:

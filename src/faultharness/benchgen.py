@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .bank import ExemplarBank, load_shipped_bank
 from .episode import InjectionPlan, dumps_canonical
-from .errors import ConfigError, PoolExhausted
+from .errors import ConfigError
 from .seeds import SEED_MIXER, derive_seed
 from .simulator import SimConfig, ToolRegistry, canonical_call_key
 from .tasks import TaskStep, TaskTemplate, builtin_task_pool
@@ -143,13 +143,13 @@ def generate_suite(
 ) -> list[EpisodeCard]:
     """Deterministic suite covering each injectable class equally, within +-1."""
     if not tasks:
-        raise PoolExhausted("empty task pool")
+        raise ConfigError("empty task pool")
     pool = _kind_pool(spec.held_out_kinds)
 
     n_clean = round(spec.n_episodes * spec.clean_fraction)
     n_fail = spec.n_episodes - n_clean
     if n_clean > len(tasks):
-        raise PoolExhausted(
+        raise ConfigError(
             f"{n_clean} clean episodes requested but only {len(tasks)} tasks exist"
         )
 
@@ -208,7 +208,7 @@ def generate_suite(
             placed = True
             break
         if not placed:
-            raise PoolExhausted(
+            raise ConfigError(
                 "task pool exhausted after dedup; reduce n_episodes or widen the pool"
             )
     return cards

@@ -9,7 +9,10 @@ run hash so distinct runs never overwrite each other.
 a temporary file in the run directory, and publishes it as
 `trajectories.jsonl` by rename after the last episode; a run that stops early
 leaves no `trajectories.jsonl`. So its memory holds the cards, the grades and
-one episode, however many trajectories it writes.
+one episode, however many trajectories it writes; with `--jobs` above 1 it
+submits at most 2 x jobs cards ahead of the writer, so it holds at most that
+many episodes, running or waiting to be written. Every artifact is written as
+UTF-8, whatever the locale.
 
 Each command runs in a fresh process, so this module imports at module level
 only what every command uses. A module that one command needs on one code
@@ -26,6 +29,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,7 +48,6 @@ from .benchgen import (
 from .episode import Trajectory, dumps_canonical, trajectory_to_line
 from .errors import ConfigError, FaultHarnessError
 from .metrics import (
-    BOOTSTRAP_METRICS,
     aggregate,
     bootstrap_ci,
     correlations,
@@ -129,7 +132,9 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
     write_suite(out_path, cards)
     manifest = suite_manifest(spec, cards, bank.version)
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    manifest_path.write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
     if hold_out:
         bank_path = out_path.with_suffix(out_path.suffix + ".bank.json")
         bank_doc = {
@@ -173,14 +178,25 @@ def run_card(
 
 
 def _in_card_order(job, cards, jobs: int):
-    """`job(card)` for each card, lazily and in card order; on `jobs` threads above 1."""
+    """`job(card)` for each card, lazily and in card order; on `jobs` threads above 1,
+    with at most 2 x jobs cards submitted and not yet taken by the caller."""
     if jobs == 1:
         yield from map(job, cards)
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    window = deque()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(job, cards)
+        try:
+            for card in cards:
+                if len(window) == 2 * jobs:
+                    yield window.popleft().result()
+                window.append(pool.submit(job, card))
+            while window:
+                yield window.popleft().result()
+        finally:  # a failed or abandoned run starts no further card
+            for future in window:
+                future.cancel()
 
 
 @main.command("evaluate")
@@ -274,7 +290,7 @@ def cmd_evaluate(
     grades = []
     partial = run_dir / "trajectories.jsonl.partial"
     try:
-        with open(partial, "w") as fh:
+        with open(partial, "w", encoding="utf-8") as fh:
             for line, grade in _in_card_order(job, cards, jobs):
                 fh.write(line + "\n")
                 grades.append(grade)
@@ -285,24 +301,22 @@ def cmd_evaluate(
 
     report = aggregate(grades, alpha=alpha)
     report.bootstrap = bootstrap_ci(
-        grades,
-        BOOTSTRAP_METRICS,
-        n_resamples=n_resamples,
-        seed=derive_seed(seed, RUN_SEED_STREAM, 0),
+        grades, n_resamples=n_resamples, seed=derive_seed(seed, RUN_SEED_STREAM, 0)
     )
     report.n_resamples = n_resamples
     report.correlations = correlations(grade_series(grades))
 
     (run_dir / "grades.jsonl").write_text(
-        "".join(dumps_canonical(g.to_json()) + "\n" for g in grades)
+        "".join(dumps_canonical(g.to_json()) + "\n" for g in grades), encoding="utf-8"
     )
-    (run_dir / "report.json").write_text(report_to_json_text(report))
+    (run_dir / "report.json").write_text(report_to_json_text(report), encoding="utf-8")
     (run_dir / "report.csv").write_text(
-        "\n".join(report_csv_rows(report, Path(suite).name, agent)) + "\n"
+        "\n".join(report_csv_rows(report, Path(suite).name, agent)) + "\n", encoding="utf-8"
     )
     (run_dir / "manifest.json").write_text(
         json.dumps({"flags": flags, "run_hash": run_hash}, sort_keys=True, indent=2)
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
 
     doc = report.to_json()
@@ -371,17 +385,19 @@ def cmd_build_corpus(
     out = Path(out_dir)
     _make_dir(out)
     corpus, quarantine = build_corpus(spec, teacher_backend, dictionary_version=bank.version)
-    with open(out / "corpus.jsonl", "w") as fh:
+    with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
         for line in corpus.lines():
             fh.write(line + "\n")
     (out / "spans.json").write_text(
-        json.dumps(corpus.spans, sort_keys=True, indent=2) + "\n"
+        json.dumps(corpus.spans, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     (out / "manifest.json").write_text(
-        json.dumps(corpus.manifest, sort_keys=True, indent=2) + "\n"
+        json.dumps(corpus.manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     if quarantine:
-        (out / "quarantine.jsonl").write_text("".join(q + "\n" for q in quarantine))
+        (out / "quarantine.jsonl").write_text(
+            "".join(q + "\n" for q in quarantine), encoding="utf-8"
+        )
     click.echo(
         f"corpus: {out / 'corpus.jsonl'} ({spec.n_recovery} recovery + {spec.n_clean} clean, "
         f"seed={seed}, quarantined={len(quarantine)})"

@@ -1,4 +1,12 @@
-"""Exception types shared across the harness."""
+"""Exception types shared across the harness.
+
+A class is kept only while some `except` in the package names it: a refusal
+that nothing tells apart from its siblings is said by its message, not by a
+class of its own. A malformed input (a flag, a field value, a suite or bank
+file) raises `ConfigError`; a trace, teacher or grading failure raises
+`FaultHarnessError` itself. The CLI reports every `FaultHarnessError` as a
+message and exit code 2.
+"""
 
 from __future__ import annotations
 
@@ -8,41 +16,8 @@ class FaultHarnessError(Exception):
 
 
 class ConfigError(FaultHarnessError):
-    """Invalid or missing configuration (flags, env vars, field values)."""
+    """Invalid or missing configuration (flags, env vars, field values, input files)."""
 
-
-# --- recovery bank ----------------------------------------------------------
-
-class BankError(FaultHarnessError):
-    """Base class for dictionary/bank validation failures."""
-
-    def __init__(self, exemplar_id: str, message: str):
-        super().__init__(f"{exemplar_id}: {message}")
-        self.exemplar_id = exemplar_id
-
-
-class DuplicateId(BankError):
-    def __init__(self, exemplar_id: str):
-        super().__init__(exemplar_id, "duplicate exemplar id")
-
-
-class EmptyScript(BankError):
-    def __init__(self, exemplar_id: str):
-        super().__init__(exemplar_id, "exemplar script is empty")
-
-
-class FullyWildcardPattern(BankError):
-    def __init__(self, exemplar_id: str):
-        super().__init__(exemplar_id, "pattern binds neither error_class nor kind")
-
-
-class UnknownErrorClass(BankError):
-    def __init__(self, exemplar_id: str, label: str):
-        super().__init__(exemplar_id, f"unknown error class {label!r}")
-        self.label = label
-
-
-# --- simulator / agents -----------------------------------------------------
 
 class AgentProtocolError(FaultHarnessError):
     """Agent emitted text that does not parse under the action grammar."""
@@ -54,37 +29,3 @@ class TransportError(FaultHarnessError):
 
 class ProtocolError(FaultHarnessError):
     """Remote endpoint answered with a malformed wire payload."""
-
-
-# --- trace pipeline ---------------------------------------------------------
-
-class MalformedTrace(FaultHarnessError):
-    """Trace violates role ordering or the action grammar."""
-
-
-class TeacherFailure(FaultHarnessError):
-    """Repair teacher could not produce a valid continuation."""
-
-
-class InsufficientTraces(FaultHarnessError):
-    """A trace pool is too small for the requested corpus composition."""
-
-
-# --- benchgen ----------------------------------------------------------------
-
-class PoolExhausted(FaultHarnessError):
-    """Task pool too small for the requested suite size after dedup."""
-
-
-class HeldOutCoversClass(FaultHarnessError):
-    """Holding out these kinds would strip an entire class from the bank."""
-
-
-# --- metrics ------------------------------------------------------------------
-
-class EpisodeMismatch(FaultHarnessError):
-    """Trajectory and episode card do not belong together."""
-
-
-class EmptySuite(FaultHarnessError):
-    """No grades to aggregate."""

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 
 from .episode import Finished, Trajectory
-from .errors import ConfigError, EmptySuite, EpisodeMismatch
+from .errors import ConfigError, FaultHarnessError
 from .taxonomy import kind_class
 from .trace import trace_view
 
@@ -79,7 +79,7 @@ def _answer_asserts_failure_data(answer: str) -> bool:
 def grade_episode(traj: Trajectory, card) -> EpisodeGrade:
     """Rule-based grade of one trajectory against its episode card."""
     if traj.episode_id != card.episode_id:
-        raise EpisodeMismatch(
+        raise FaultHarnessError(
             f"trajectory {traj.episode_id} does not belong to card {card.episode_id}"
         )
 
@@ -172,7 +172,7 @@ def _rates(grades: list[EpisodeGrade], alpha: Fraction):
 def aggregate(grades: list[EpisodeGrade], alpha: float | Fraction = 1) -> MetricsReport:
     """Exact metric aggregation; RR/CSR are not-applicable on failure-free suites."""
     if not grades:
-        raise EmptySuite("no grades to aggregate")
+        raise FaultHarnessError("no grades to aggregate")
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise ConfigError("alpha must be finite")
     alpha_f = Fraction(alpha).limit_denominator(10**9)
@@ -256,23 +256,18 @@ BOOTSTRAP_CONFIDENCE = 0.95
 
 
 def bootstrap_ci(
-    grades: list[EpisodeGrade],
-    metric: str | tuple[str, ...],
-    n_resamples: int = 1000,
-    seed: int = 0,
-) -> tuple[float, float] | dict[str, tuple[float, float]]:
-    """Percentile bootstrap CI, at `BOOTSTRAP_CONFIDENCE`, over episode-level
-    resampling with replacement.
+    grades: list[EpisodeGrade], n_resamples: int = 1000, seed: int = 0
+) -> dict[str, tuple[float, float]]:
+    """Percentile bootstrap CIs, at `BOOTSTRAP_CONFIDENCE`, over episode-level
+    resampling with replacement: `{metric: (lo, hi)}` for each of
+    `BOOTSTRAP_METRICS` that some resample defines.
 
-    One resample stream per call scores all of `BOOTSTRAP_METRICS`, pairing the
-    CIs across metrics and across runs with the same seed and episode count.
-    One `metric` name gives `(lo, hi)` (`EmptySuite` if no resample defines it);
-    a tuple of names gives `{name: (lo, hi)}` for the names some resample defines.
+    One resample stream per call scores every metric, pairing the CIs across
+    metrics and across runs with the same seed and episode count.
     """
     if not grades:
-        raise EmptySuite("no grades to bootstrap")
+        raise FaultHarnessError("no grades to bootstrap")
     stats = {name: [] for name in BOOTSTRAP_METRICS}
-    wanted = {name: stats[name] for name in ((metric,) if isinstance(metric, str) else metric)}
     n = len(grades)
     col, bases = [0] * n, []
     # mixed radix: each base exceeds any resample's sum of its field, so no sum carries
@@ -294,11 +289,8 @@ def bootstrap_ci(
             rr.append(r / e)
             csr.append(1 - h / e)
     tail = (1 - BOOTSTRAP_CONFIDENCE) / 2
-    cis = {name: (_percentile(v, tail), _percentile(v, 1 - tail))
-           for name, v in zip(wanted, map(sorted, wanted.values())) if v}
-    if isinstance(metric, str) and not cis:
-        raise EmptySuite("metric undefined on every bootstrap resample")
-    return cis[metric] if isinstance(metric, str) else cis
+    return {name: (_percentile(v, tail), _percentile(v, 1 - tail))
+            for name, v in zip(stats, map(sorted, stats.values())) if v}
 
 
 # --- correlations ------------------------------------------------------------------------

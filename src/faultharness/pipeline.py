@@ -31,13 +31,7 @@ from .episode import (
     Turn,
     dumps_canonical,
 )
-from .errors import (
-    AgentProtocolError,
-    FaultHarnessError,
-    InsufficientTraces,
-    MalformedTrace,
-    TeacherFailure,
-)
+from .errors import AgentProtocolError, ConfigError, FaultHarnessError
 from .protocol import (
     Finish,
     ParsedAction,
@@ -61,7 +55,7 @@ def detect_first_failure(trace: Trajectory) -> tuple[int, ErrorSignature] | None
     try:
         trace.validate_roles()
     except ValueError as exc:
-        raise MalformedTrace(str(exc)) from exc
+        raise FaultHarnessError(str(exc)) from exc
     return trace_view(trace).first_failure
 
 
@@ -87,7 +81,7 @@ def _teacher_says(content: str) -> TeacherTurn:
     try:
         parsed = parse_action(content)
     except AgentProtocolError as exc:
-        raise TeacherFailure(f"teacher turn violates the grammar: {exc}") from exc
+        raise FaultHarnessError(f"teacher turn violates the grammar: {exc}") from exc
     return TeacherTurn(ROLE_ASSISTANT, content, parsed)
 
 
@@ -129,7 +123,7 @@ class RepairRequest:
     def __post_init__(self):
         last = self.truncated_trace.turns[-1]
         if last.role != ROLE_FUNCTION:
-            raise MalformedTrace("truncated trace must end at the failing turn")
+            raise FaultHarnessError("truncated trace must end at the failing turn")
 
 
 class RuleBasedTeacher:
@@ -142,7 +136,7 @@ class RuleBasedTeacher:
 
     def __init__(self, bank: ExemplarBank):
         if not len(bank):
-            raise TeacherFailure("rule-based teacher needs a non-empty bank")
+            raise FaultHarnessError("rule-based teacher needs a non-empty bank")
         self._bank = bank
 
     def continuation(self, request: RepairRequest) -> list[TeacherTurn]:
@@ -150,7 +144,7 @@ class RuleBasedTeacher:
         trace = request.truncated_trace
         failed_call = trace_view(trace).call_before(len(trace.turns) - 1)
         if failed_call is None:
-            raise TeacherFailure("cannot locate the failing call in the trace")
+            raise FaultHarnessError("cannot locate the failing call in the trace")
         if exemplar.dialogue_template:
             return self._render_template(exemplar, request, failed_call)
         return self._render_script(exemplar, request, failed_call)
@@ -219,30 +213,30 @@ class RuleBasedTeacher:
         request: RepairRequest,
         failed_call: ToolCall,
     ) -> list[TeacherTurn]:
-        turns: list[TeacherTurn] = []
-        for action in exemplar.script:
-            if isinstance(action, TerminateGracefully):
-                step = RecoveryStep(
-                    action=action,
-                    thought=f"The failure on {failed_call.name} is not recoverable; "
-                    "stopping with an honest report.",
-                    report=action.report_for(failed_call.name, request.error),
-                )
-                turns.append(_teacher_says(render_action(step)))
-                return turns
+        """The script's first action as one corrective step: a graceful stop, or
+        a re-issued call that succeeds, then Finish."""
+        action = exemplar.script[0]
+        if isinstance(action, TerminateGracefully):
             step = RecoveryStep(
                 action=action,
-                thought=f"{exemplar.rationale} Re-issuing the call to "
-                f"{failed_call.name}.",
-                call=failed_call,
+                thought=f"The failure on {failed_call.name} is not recoverable; "
+                "stopping with an honest report.",
+                report=action.report_for(failed_call.name, request.error),
             )
-            turns.append(_teacher_says(render_action(step)))
-            turns.append(TeacherTurn(
+            return [_teacher_says(render_action(step))]
+        step = RecoveryStep(
+            action=action,
+            thought=f"{exemplar.rationale} Re-issuing the call to {failed_call.name}.",
+            call=failed_call,
+        )
+        turns = [
+            _teacher_says(render_action(step)),
+            TeacherTurn(
                 ROLE_FUNCTION,
                 wrap_response(_scripted_payload(request.toolset, failed_call)),
                 success=True,
-            ))
-            break  # teacher writes the successful recovery, one corrective step
+            ),
+        ]
         turns.append(self._finish(request, turns))
         return turns
 
@@ -280,7 +274,7 @@ class RemoteTeacher:
                 text = self._client.complete(messages)
                 parsed = parse_action(text)
             except Exception as exc:  # transport, protocol, or grammar failure
-                raise TeacherFailure(f"remote teacher failed: {exc}") from exc
+                raise FaultHarnessError(f"remote teacher failed: {exc}") from exc
             turns.append(TeacherTurn(ROLE_ASSISTANT, text, parsed))
             messages.append({"role": "assistant", "content": text})
             if parsed.is_terminal:
@@ -288,7 +282,7 @@ class RemoteTeacher:
             response = wrap_response(_scripted_payload(request.toolset, parsed.call))
             turns.append(TeacherTurn(ROLE_FUNCTION, response, success=True))
             messages.append({"role": "function", "content": response})
-        raise TeacherFailure("remote teacher did not terminate the trace")
+        raise FaultHarnessError("remote teacher did not terminate the trace")
 
 
 def repair(request: RepairRequest, teacher) -> Trajectory:
@@ -296,10 +290,10 @@ def repair(request: RepairRequest, teacher) -> Trajectory:
     byte-for-byte and the first appended assistant turn carries the tag."""
     appended = teacher.continuation(request)
     if not appended:
-        raise TeacherFailure("teacher produced no continuation")
+        raise FaultHarnessError("teacher produced no continuation")
     first_assistant = next((t for t in appended if t.role == ROLE_ASSISTANT), None)
     if first_assistant is None or not first_assistant.content.startswith(RECOVERY_PREFIX):
-        raise TeacherFailure("first appended assistant turn must be recovery-tagged")
+        raise FaultHarnessError("first appended assistant turn must be recovery-tagged")
 
     terminal = None
     for turn in appended:
@@ -310,7 +304,7 @@ def repair(request: RepairRequest, teacher) -> Trajectory:
         elif turn.parsed.give_up is not None:
             terminal = GracefulFailure(report=turn.parsed.give_up.report)
     if terminal is None:
-        raise TeacherFailure("repaired trace must end in Finish or graceful failure")
+        raise FaultHarnessError("repaired trace must end in Finish or graceful failure")
     repaired = _extend(request.truncated_trace, appended)
     repaired.terminal = terminal
     return repaired
@@ -324,7 +318,7 @@ def finalize(trace: Trajectory) -> Trajectory:
     Finish (appended from the last successful output when missing)."""
     failure = detect_first_failure(trace)
     if failure is not None:
-        raise MalformedTrace(
+        raise FaultHarnessError(
             f"trace has a failure at turn {failure[0]}; route it to repair"
         )
     calls = trace_view(trace).calls
@@ -333,14 +327,14 @@ def finalize(trace: Trajectory) -> Trajectory:
         if turn.role != ROLE_ASSISTANT:
             continue
         if turn.is_recovery:
-            raise MalformedTrace("clean traces must not carry recovery tags")
+            raise FaultHarnessError("clean traces must not carry recovery tags")
         parsed = None
         if calls.get(i) is not None:
             continue  # a known call: the turn parses
         try:
             parsed = parse_action(turn.content)
         except AgentProtocolError as exc:
-            raise MalformedTrace(f"assistant turn violates the grammar: {exc}") from exc
+            raise FaultHarnessError(f"assistant turn violates the grammar: {exc}") from exc
 
     if (
         trace.turns[-1].role == ROLE_ASSISTANT
@@ -444,11 +438,11 @@ def compose_corpus(
     rec_pool = dedup(sorted(repaired, key=lambda t: t.trace.episode_id))
     clean_pool = dedup(sorted(clean, key=lambda t: t.trace.episode_id))
     if len(rec_pool) < n_recovery:
-        raise InsufficientTraces(
+        raise ConfigError(
             f"need {n_recovery} recovery traces, have {len(rec_pool)} after dedup"
         )
     if len(clean_pool) < n_clean:
-        raise InsufficientTraces(
+        raise ConfigError(
             f"need {n_clean} clean traces, have {len(clean_pool)} after dedup"
         )
 

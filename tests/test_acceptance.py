@@ -345,7 +345,7 @@ def test_criterion_11_bootstrap_correctness():
         )
         for _ in range(50)
     ]
-    lo, hi = bootstrap_ci(constant, "tsr", n_resamples=400, seed=1)
+    lo, hi = bootstrap_ci(constant, n_resamples=400, seed=1)["tsr"]
     assert lo == hi == 1.0
 
     covered = 0
@@ -361,7 +361,7 @@ def test_criterion_11_bootstrap_correctness():
             )
             for _ in range(200)
         ]
-        lo, hi = bootstrap_ci(grades, "tsr", n_resamples=500, seed=trial)
+        lo, hi = bootstrap_ci(grades, n_resamples=500, seed=trial)["tsr"]
         if lo <= 0.7 <= hi:
             covered += 1
     assert covered >= 93

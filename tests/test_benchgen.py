@@ -16,7 +16,7 @@ from faultharness.benchgen import (
     suite_manifest,
     suite_to_lines,
 )
-from faultharness.errors import ConfigError, HeldOutCoversClass, PoolExhausted
+from faultharness.errors import ConfigError
 from faultharness.taxonomy import CATALOG, ErrorClass
 
 
@@ -165,7 +165,7 @@ def test_old_suite_line_still_loads(tmp_path):
 
 
 def test_pool_exhaustion_on_oversized_clean_request(tasks):
-    with pytest.raises(PoolExhausted):
+    with pytest.raises(ConfigError, match="150 clean episodes requested but only 40 tasks exist"):
         generate_suite(tasks, SuiteSpec(n_episodes=300, master_seed=1, clean_fraction=0.5))
 
 
@@ -229,7 +229,7 @@ def test_generalization_rejects_class_wipeout(tasks):
         n_episodes=10, master_seed=1, clean_fraction=0.0,
         held_out_kinds=frozenset({"http_500"}),
     )
-    with pytest.raises(HeldOutCoversClass):
+    with pytest.raises(ConfigError, match="holding out http_500 empties class"):
         generalization_split(spec, tasks, minimal)
 
 

@@ -5,10 +5,12 @@ import copy
 import io
 import json
 import operator
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import threading
 import weakref
 from collections import Counter
 from functools import reduce
@@ -20,6 +22,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import faultharness
+from faultharness import cli
 from faultharness.bank import load_bank, load_shipped_bank, parse_bank
 from faultharness.cli import main, run_card
 from faultharness.errors import ConfigError
@@ -223,6 +226,67 @@ def test_evaluate_jobs_match_serial(runner, tmp_path):
         run_dir = next((tmp_path / out).iterdir())
         outputs.append((run_dir / "trajectories.jsonl").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_evaluate_jobs_start_at_most_two_cards_per_worker_ahead(runner, tmp_path, monkeypatch):
+    # the first card waits while the others may start; a writer that must wait
+    # for it bounds how many finished episodes pile up behind it
+    suite = _gen(runner, tmp_path, n=14, seed=5)
+    first_id = json.loads(suite.read_text(encoding="utf-8").splitlines()[0])["episode_id"]
+    jobs = 2
+    started = []
+    too_many = threading.Event()
+
+    def first_card_waits(card, *args, **kwargs):
+        started.append(card.episode_id)
+        if len(started) > 2 * jobs:
+            too_many.set()
+        if card.episode_id == first_id:
+            too_many.wait(timeout=1)
+        return run_card(card, *args, **kwargs)
+
+    in_card_order = cli._in_card_order
+    started_at_first_line = []
+
+    def recording_in_card_order(*args):
+        for item in in_card_order(*args):
+            started_at_first_line.append(len(started))
+            yield item
+
+    monkeypatch.setattr("faultharness.cli.run_card", first_card_waits)
+    monkeypatch.setattr("faultharness.cli._in_card_order", recording_in_card_order)
+    result = _evaluate(runner, tmp_path, suite, "--jobs", str(jobs))
+    assert result.exit_code == 0, result.output
+    assert len(started) == 14
+    assert started_at_first_line[0] <= 2 * jobs
+
+
+_ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+_UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "LANG": "C.UTF-8", "PYTHONUTF8": "1"}
+
+
+def test_evaluate_writes_the_same_utf8_artifacts_under_an_ascii_locale(runner, tmp_path):
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    card = json.loads(lines[0])
+    card["prompt"] += " café"
+    lines[0] = json.dumps(card, ensure_ascii=False)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(faultharness.__file__).resolve().parent.parent)
+    artifacts = []
+    for name, locale in (("ascii", _ASCII_LOCALE), ("utf8", _UTF8_LOCALE)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "faultharness.cli", "evaluate", "--suite", str(suite),
+             "--agent", "paladin", "--seed", "1", "--n-resamples", "5",
+             "--out-dir", str(tmp_path / name)],
+            env={**os.environ, "PYTHONPATH": src, **locale},
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        (run_dir,) = (tmp_path / name).iterdir()
+        artifacts.append({f.name: f.read_bytes() for f in sorted(run_dir.iterdir())})
+    assert "café".encode("utf-8") in artifacts[0]["trajectories.jsonl"]
+    assert artifacts[0] == artifacts[1]
 
 
 def test_evaluate_holds_one_trajectory_at_a_time(runner, tmp_path, monkeypatch):
@@ -637,6 +701,39 @@ def test_evaluate_bank_class_disagreeing_with_the_taxonomy_exits_2(
 
 
 @pytest.mark.parametrize(
+    "entry_id, change, reason",
+    [
+        ("upgrade_required", lambda e: e.update(id="arg_media"),
+         "duplicate exemplar id 'arg_media'"),
+        ("rate_limited", lambda e: e.update(script=[]), "exemplar script is empty"),
+        ("rate_limited", lambda e: e["pattern"].update(error_class="GremlinFailure"),
+         "'GremlinFailure' is not a valid ErrorClass"),
+        ("rate_limited", lambda e: e.update(kinds=[None], pattern={}),
+         "pattern binds neither error_class nor kind"),
+        ("rate_limited", lambda e: e["script"][0].update(action="dance"),
+         "unknown recovery action 'dance'"),
+        ("rate_limited", lambda e: e.update(kinds="http_429"), "'kinds' must be a list"),
+        ("resource_locked", lambda e: e["pattern"].update(error_class="InvalidToolInvocation"),
+         "kind 'http_423' is ReentrantFailure in the taxonomy, not InvalidToolInvocation"),
+        ("server_fault", lambda e: e["pattern"].update(status_code=503),
+         "status_code 503 is not the status of kind 'http_500' (500)"),
+    ],
+    ids=["duplicate-id", "empty-script", "unknown-class", "wildcard-pattern",
+         "unknown-action", "kinds-string", "class-contradicts-kind", "wrong-status"],
+)
+def test_evaluate_bank_entry_refusal_names_the_entry(runner, tmp_path, entry_id, change, reason):
+    doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
+    index = next(i for i, e in enumerate(doc["exemplars"]) if e["id"] == entry_id)
+    entry = doc["exemplars"][index]
+    change(entry)
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    result = _evaluate(runner, tmp_path, _gen(runner, tmp_path), "--bank", str(bank))
+    _assert_no_traceback(result, f"bank entry {index} ({entry['id']}): {reason}")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
     "tag, field, value",
     [
         ("retry_with_backoff", "max_attempts", 2.5),
@@ -847,7 +944,8 @@ def test_evaluate_any_one_field_change_to_a_bank_entry_runs_or_exits_2(runner, t
         bank = Path(scratch) / "bank.json"
         bank.write_text(json.dumps(doc))
         result = _evaluate(runner, Path(scratch), ten_card_suite, "--bank", str(bank))
-        _assert_runs_or_exits_2(result)
+        # every class has two entries or more, so one changed entry is refused by name
+        _assert_runs_or_exits_2(result, f"bank entry {index} ")
         assert (result.exit_code == 0) == (Path(scratch) / "runs").exists()
 
 

@@ -204,3 +204,34 @@ def test_cli_reaches_the_corpus_loop_and_the_card_wiring_through_one_function_ea
         if (lines := calls_of(path.read_text(encoding="utf-8"), "sim_config"))
     }
     assert not found, f"sim_config calls (use cli.run_card): {found}"
+
+
+def caught_names(source: str) -> set[str]:
+    """Names of the exception types that `except` clauses name, alone or in a tuple."""
+    caught = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {getattr(t, "attr", None) or getattr(t, "id", None) for t in types}
+    return caught
+
+
+def test_caught_names_finds_single_tuple_and_dotted_types():
+    source = (
+        "try:\n    f()\nexcept ConfigError:\n    pass\n"
+        "except (errors.TransportError, ValueError) as exc:\n    pass\n"
+        "except:\n    pass\n"
+        "raise ProtocolError('x')\n"
+    )
+    assert caught_names(source) == {"ConfigError", "TransportError", "ValueError"}
+
+
+def test_every_harness_exception_class_is_caught_somewhere():
+    # a class no `except` names tells nothing its message does not: raise a kept one
+    errors = ast.parse((PACKAGE_DIR / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    caught = set().union(*(
+        caught_names(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+    ))
+    assert not defined - caught, f"exception classes no except clause names: {defined - caught}"

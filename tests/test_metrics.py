@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_simple
-from faultharness.errors import EmptySuite, EpisodeMismatch
+from faultharness.errors import FaultHarnessError
 from faultharness.metrics import (
     EpisodeGrade,
     _percentile,
@@ -109,7 +109,7 @@ def test_grade_episode_mismatch():
     traj, registry, steps = run_simple("vanilla", kind=None)
     card = _card_for(traj, registry, steps)
     traj.episode_id = "someone-else"
-    with pytest.raises(EpisodeMismatch):
+    with pytest.raises(FaultHarnessError, match="does not belong to card"):
         grade_episode(traj, card)
 
 
@@ -161,7 +161,7 @@ def test_aggregate_composite():
 
 
 def test_aggregate_rejects_empty():
-    with pytest.raises(EmptySuite):
+    with pytest.raises(FaultHarnessError, match="no grades to aggregate"):
         aggregate([])
 
 
@@ -245,13 +245,13 @@ def test_per_class_breakdown():
 
 def test_bootstrap_zero_variance_collapses_to_point():
     grades = [grade(success=True, steps=3) for _ in range(30)]
-    lo, hi = bootstrap_ci(grades, "tsr", n_resamples=500, seed=7)
+    lo, hi = bootstrap_ci(grades, n_resamples=500, seed=7)["tsr"]
     assert lo == hi == 1.0
 
 
 def test_bootstrap_single_resample_is_degenerate():
     grades = [grade(success=i % 2 == 0) for i in range(10)]
-    lo, hi = bootstrap_ci(grades, "tsr", n_resamples=1, seed=3)
+    lo, hi = bootstrap_ci(grades, n_resamples=1, seed=3)["tsr"]
     assert lo == hi
 
 
@@ -275,7 +275,7 @@ def _oracle_bootstrap(grades, seed, n_resamples=1000, confidence=0.95):
 def test_bootstrap_matches_independent_oracle():
     rng = random.Random(11)
     grades = [grade(success=rng.random() < 0.7) for _ in range(200)]
-    lo, hi = bootstrap_ci(grades, "tsr", n_resamples=1000, seed=55)
+    lo, hi = bootstrap_ci(grades, n_resamples=1000, seed=55)["tsr"]
     olo, ohi = _oracle_bootstrap(grades, seed=55)
     assert abs(lo - olo) <= 0.005
     assert abs(hi - ohi) <= 0.005
@@ -284,13 +284,13 @@ def test_bootstrap_matches_independent_oracle():
 
 def test_bootstrap_skips_undefined_resamples():
     grades = [grade(enc=0)] * 5 + [grade(success=False, enc=1, rec=1)]
-    lo, hi = bootstrap_ci(grades, "rr", n_resamples=200, seed=1)
+    lo, hi = bootstrap_ci(grades, n_resamples=200, seed=1)["rr"]
     assert 0.0 <= lo <= hi <= 1.0
 
 
 def test_bootstrap_rejects_empty():
-    with pytest.raises(EmptySuite):
-        bootstrap_ci([], "tsr")
+    with pytest.raises(FaultHarnessError, match="no grades to bootstrap"):
+        bootstrap_ci([])
 
 
 # The bootstrap as it was written before per-episode counts: one randrange per
@@ -325,7 +325,7 @@ _LEGACY_SELECTORS = {"tsr": _legacy_tsr, "rr": _legacy_rr, "csr": _legacy_csr, "
 
 def _legacy_bootstrap_ci(grades, metric, n_resamples=1000, confidence=0.95, seed=0):
     if not grades:
-        raise EmptySuite("no grades to bootstrap")
+        raise FaultHarnessError("no grades to bootstrap")
     selector = _LEGACY_SELECTORS[metric]
     rng = random.Random(seed)
     n = len(grades)
@@ -336,7 +336,7 @@ def _legacy_bootstrap_ci(grades, metric, n_resamples=1000, confidence=0.95, seed
         if value is not None:
             stats.append(value)
     if not stats:
-        raise EmptySuite("metric undefined on every bootstrap resample")
+        raise FaultHarnessError("metric undefined on every bootstrap resample")
     stats.sort()
     tail = (1 - confidence) / 2
     return (_percentile(stats, tail), _percentile(stats, 1 - tail))
@@ -372,34 +372,9 @@ _EDGE_SIZES = st.sampled_from(
     seed=st.integers(0, 2**64),
     failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
 )
-def test_bootstrap_equals_randrange_oracle(data, n, n_resamples, seed, failure_share):
-    # failure_share 0 leaves rr/csr undefined on every resample, 0.05 on some
-    rng = random.Random(seed)
-    grades = [
-        data.draw(_episode_grades()) if rng.random() < failure_share
-        else grade(success=rng.random() < 0.6, steps=rng.randint(1, 12))
-        for _ in range(n)
-    ]
-    for metric in ("tsr", "rr", "csr", "es"):
-        try:
-            expected = _legacy_bootstrap_ci(grades, metric, n_resamples, seed=seed)
-        except EmptySuite:
-            with pytest.raises(EmptySuite):
-                bootstrap_ci(grades, metric, n_resamples, seed=seed)
-            continue
-        assert bootstrap_ci(grades, metric, n_resamples, seed=seed) == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    data=st.data(),
-    n=st.one_of(_EDGE_SIZES, st.integers(1, 300)),
-    n_resamples=st.integers(1, 50),
-    seed=st.integers(0, 2**64),
-    failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
-)
 def test_bootstrap_all_metrics_equal_randrange_oracle(data, n, n_resamples, seed, failure_share):
-    # one stream scores every metric: each CI equals its own single-metric oracle
+    # one stream scores every metric: each CI equals its own single-metric oracle;
+    # failure_share 0 leaves rr/csr undefined on every resample, 0.05 on some
     rng = random.Random(seed)
     grades = [
         data.draw(_episode_grades()) if rng.random() < failure_share
@@ -410,16 +385,9 @@ def test_bootstrap_all_metrics_equal_randrange_oracle(data, n, n_resamples, seed
     for metric in ("tsr", "rr", "csr", "es"):
         try:
             expected[metric] = _legacy_bootstrap_ci(grades, metric, n_resamples, seed=seed)
-        except EmptySuite:
+        except FaultHarnessError:
             pass
-    assert bootstrap_ci(grades, ("tsr", "rr", "csr", "es"), n_resamples, seed=seed) == expected
-
-
-def test_bootstrap_rejects_unknown_metric():
-    grades = [grade(success=True)]
-    for metric in ("f1", ("tsr", "f1")):
-        with pytest.raises(KeyError):
-            bootstrap_ci(grades, metric)
+    assert bootstrap_ci(grades, n_resamples, seed=seed) == expected
 
 
 def _first_indices(n, seed, count=5000):

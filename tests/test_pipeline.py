@@ -13,7 +13,7 @@ from faultharness.episode import (
     Turn,
     trajectory_to_line,
 )
-from faultharness.errors import InsufficientTraces, MalformedTrace, TeacherFailure
+from faultharness.errors import ConfigError, FaultHarnessError
 from faultharness.pipeline import (
     CorpusSpec,
     CorpusTrace,
@@ -71,7 +71,7 @@ def test_detect_rejects_malformed_role_order():
         plan=InjectionPlan(seed=1),
         turns=[Turn(role="user", content="u"), Turn(role="system", content="s")],
     )
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(FaultHarnessError):
         detect_first_failure(traj)
 
 
@@ -136,7 +136,7 @@ def test_repair_output_is_grammar_valid(bank):
 def test_repair_empty_bank_is_teacher_failure(bank):
     from faultharness.bank import ExemplarBank
 
-    with pytest.raises(TeacherFailure):
+    with pytest.raises(FaultHarnessError, match="needs a non-empty bank"):
         RuleBasedTeacher(ExemplarBank(exemplars=()))
 
 
@@ -162,7 +162,7 @@ def test_finalize_appends_missing_finish():
 
 def test_finalize_rejects_failure_traces():
     traj, _ = failing_trace("http_500")
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(FaultHarnessError, match="route it to repair"):
         finalize(traj)
 
 
@@ -248,7 +248,7 @@ def test_compose_corpus_hits_fraction_exactly(bank):
 def test_compose_corpus_dedups_duplicate_signatures(bank):
     repaired, clean = _pools(bank, n_rec=9)
     duplicate = repaired[0]
-    with pytest.raises(InsufficientTraces):
+    with pytest.raises(ConfigError, match="recovery traces, have 1 after dedup"):
         compose_corpus([duplicate] * 9, clean, CorpusSpec(target_size=10, seed=3))
 
 
