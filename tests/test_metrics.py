@@ -372,6 +372,33 @@ _EDGE_SIZES = st.sampled_from(
     seed=st.integers(0, 2**64),
     failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
 )
+def test_bootstrap_equals_randrange_oracle(data, n, n_resamples, seed, failure_share):
+    # failure_share 0 leaves rr/csr undefined on every resample, 0.05 on some;
+    # a metric undefined on every resample has no CI
+    rng = random.Random(seed)
+    grades = [
+        data.draw(_episode_grades()) if rng.random() < failure_share
+        else grade(success=rng.random() < 0.6, steps=rng.randint(1, 12))
+        for _ in range(n)
+    ]
+    cis = bootstrap_ci(grades, n_resamples, seed=seed)
+    for metric in ("tsr", "rr", "csr", "es"):
+        try:
+            expected = _legacy_bootstrap_ci(grades, metric, n_resamples, seed=seed)
+        except FaultHarnessError:
+            assert metric not in cis
+            continue
+        assert cis[metric] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(_EDGE_SIZES, st.integers(1, 300)),
+    n_resamples=st.integers(1, 50),
+    seed=st.integers(0, 2**64),
+    failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
 def test_bootstrap_all_metrics_equal_randrange_oracle(data, n, n_resamples, seed, failure_share):
     # one stream scores every metric: each CI equals its own single-metric oracle;
     # failure_share 0 leaves rr/csr undefined on every resample, 0.05 on some
