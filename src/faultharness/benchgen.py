@@ -95,7 +95,7 @@ class EpisodeCard:
             return {}
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # nesting too deep to parse is unparseable too
             return {}
         return payload if isinstance(payload, dict) else {}
 

@@ -6,7 +6,6 @@ traces, extract recovery-token spans, and compose seeded corpora.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +30,7 @@ from .episode import (
     Turn,
     dumps_canonical,
 )
+from .encoders import dumps_action_input, dumps_giveup_input
 from .errors import AgentProtocolError, ConfigError, FaultHarnessError
 from .protocol import (
     Finish,
@@ -156,18 +156,17 @@ class RuleBasedTeacher:
         failed_call: ToolCall,
     ) -> list[TeacherTurn]:
         alt = request.toolset.alternative_for(failed_call.name)
-        giveup_payload = json.dumps(
+        giveup_payload = dumps_giveup_input(
             {
                 "return_type": "give_up_and_report",
                 "report": TerminateGracefully().report_for(failed_call.name, request.error),
-            },
-            ensure_ascii=False,
+            }
         )
         slots = {
             "tool": failed_call.name,
             "alt_tool": alt.name if alt else failed_call.name,
             "error": request.error.detail,
-            "args": json.dumps(failed_call.arguments, sort_keys=True, ensure_ascii=False),
+            "args": dumps_action_input(failed_call.arguments),
             "success_response": wrap_response(
                 _scripted_payload(request.toolset, failed_call)
             ),

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .bank import RecoveryAction, TerminateGracefully
+from .encoders import dumps_action_input
 from .episode import RECOVERY_PREFIX
 from .errors import AgentProtocolError
 
@@ -76,31 +77,27 @@ class RecoveryStep:
 AgentAction = ToolCall | Finish | GiveUp | RecoveryStep | ProtocolViolation
 
 
-# Sorted keys, ", " and ": ", non-ASCII kept: the Action Input of an assistant turn.
-_args_text = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), ensure_ascii=False).encode
-
-
 def render_action(action: AgentAction) -> str:
     """Serialize an agent action to assistant-turn text."""
     if isinstance(action, ToolCall):
         return (
             f"Thought: {action.thought}\n"
             f"Action: {action.name}\n"
-            f"Action Input: {_args_text(action.arguments)}"
+            f"Action Input: {dumps_action_input(action.arguments)}"
         )
     if isinstance(action, Finish):
         payload = {"return_type": GIVE_ANSWER, "final_answer": action.answer}
         return (
             f"Thought: {action.thought}\n"
             f"Action: {FINISH_ACTION}\n"
-            f"Action Input: {_args_text(payload)}"
+            f"Action Input: {dumps_action_input(payload)}"
         )
     if isinstance(action, GiveUp):
         payload = {"return_type": GIVE_UP, "report": action.report}
         return (
             f"Thought: {action.thought}\n"
             f"Action: {FINISH_ACTION}\n"
-            f"Action Input: {_args_text(payload)}"
+            f"Action Input: {dumps_action_input(payload)}"
         )
     if isinstance(action, RecoveryStep):
         if action.call is not None:
@@ -155,7 +152,7 @@ def parse_action(text: str) -> ParsedAction:
     raw_input = match.group("input").strip()
     try:
         arguments = json.loads(raw_input)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep to parse is not valid either
         raise AgentProtocolError(f"Action Input is not valid JSON: {exc}") from exc
     if not isinstance(arguments, dict):
         raise AgentProtocolError("Action Input must be a JSON object")

@@ -100,7 +100,7 @@ def _completion_text(resp) -> str:
     try:
         payload = resp.json()
         content = payload["choices"][0]["message"]["content"]
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
         raise ProtocolError(f"malformed completion payload: {exc}") from exc
     if not isinstance(content, str):
         raise ProtocolError("completion content is not text")

@@ -19,8 +19,9 @@ The clock is simulated and integer-valued; nothing ever sleeps.
 The simulator records each turn's call or signature in the episode's
 `trace.TraceView` as it writes the turn; agents read every turn fact there.
 
-Every compact JSON text (call keys, wrappers, error bodies) comes from the
-encoders built once in `encoders`, not from a `json.dumps` call per text.
+Every compact JSON text (call keys, wrappers, error bodies) comes from a form
+of `encoders`, each one C encoder built once at import, not from a
+`json.dumps` call or a new encoder per text.
 
 Each decision's random generator is seeded on its first draw, to the stream
 `rng_for(episode seed, decision index)` gives; most decisions draw nothing.
@@ -50,7 +51,7 @@ from .episode import (
     Trajectory,
     Turn,
 )
-from .encoders import COMPACT_ASCII, dumps_canonical
+from .encoders import dumps_ascii, dumps_canonical
 from .errors import ConfigError, TransportError
 from .protocol import (
     Finish,
@@ -243,7 +244,7 @@ def render_failure(
     # delivered under a wrapper that marks the truncation.
     try:
         payload = json.loads(tool.first_response())
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # nesting too deep to parse is unparseable too
         payload = {}
     if isinstance(payload, dict):
         keys = list(payload)[: len(payload) // 2]
@@ -253,7 +254,7 @@ def render_failure(
     return dumps_canonical(
         {
             "error": "Partial response: transfer interrupted before completion",
-            "response": COMPACT_ASCII.encode(partial),
+            "response": dumps_ascii(partial),
         }
     )
 
@@ -381,7 +382,7 @@ def run_episode(
         nonlocal call_ordinal, fault
         tool = tools.get(call.name)
         if tool is None:
-            text = COMPACT_ASCII.encode({"error": f"Tool '{call.name}' not found in registry"})
+            text = dumps_ascii({"error": f"Tool '{call.name}' not found in registry"})
             return text, detect_failure(text)
         call_ordinal += 1
 
@@ -398,7 +399,7 @@ def run_episode(
     def _scripted(tool: ToolSpec, key: str) -> tuple[str, ErrorSignature | None]:
         payload = tool.scripted_responses.get(key)
         if payload is None:
-            text = COMPACT_ASCII.encode(
+            text = dumps_ascii(
                 {"error": "No scripted response for this request", "status": 400}
             )
             return text, detect_failure(text)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoders import COMPACT_ASCII
+from .encoders import dumps_ascii
 from .errors import ConfigError
 from .simulator import ToolRegistry, ToolSpec, canonical_call_key
 
@@ -57,7 +57,7 @@ def _build_template(slug: str, prompt: str, steps_spec) -> TaskTemplate:
     tools: list[ToolSpec] = []
     steps: list[TaskStep] = []
     for tool_name, capability, args, payload in steps_spec:
-        payload_text = COMPACT_ASCII.encode(payload)
+        payload_text = dumps_ascii(payload)
         parameters = {k: {"type": _json_type(v), "required": True} for k, v in args.items()}
         backup_name = f"{tool_name}_backup"
         tools.append(

@@ -148,7 +148,8 @@ class TraceView:
             try:
                 wrapper = json.loads(self.turns[i].content)
                 payload = json.loads(wrapper.get("response", "{}"))
-            except (json.JSONDecodeError, AttributeError):
+            except (json.JSONDecodeError, RecursionError, AttributeError, TypeError):
+                # unparseable, nested too deep, not an object, or a response that is not text
                 continue
             if isinstance(payload, dict):
                 return payload

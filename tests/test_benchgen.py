@@ -8,6 +8,7 @@ import pytest
 
 from faultharness.bank import similarity_distance
 from faultharness.benchgen import (
+    EpisodeCard,
     SuiteSpec,
     generalization_split,
     generate_suite,
@@ -151,6 +152,14 @@ OLD_CARD_LINE = (
     '{"gas_prices_backup({\\"state\\":\\"Ohio\\"})":"{\\"premium_usd\\":3.81,'
     '\\"regular_usd\\":3.09}"}}]}'
 )
+
+
+def test_final_step_payload_nested_too_deep_to_parse_is_empty():
+    doc = json.loads(OLD_CARD_LINE)
+    responses = doc["tools"][0]["scripted_responses"]
+    (key,) = responses
+    responses[key] = "[" * 100_000
+    assert EpisodeCard.from_json(doc).final_step_payload() == {}
 
 
 def test_old_suite_line_still_loads(tmp_path):

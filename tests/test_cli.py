@@ -26,6 +26,7 @@ from faultharness import cli
 from faultharness.bank import load_bank, load_shipped_bank, parse_bank
 from faultharness.cli import main, run_card
 from faultharness.errors import ConfigError
+from faultharness.simulator import canonical_call_key
 from faultharness.taxonomy import ErrorClass, kind_status
 
 SHIPPED_BANK = resources.files("faultharness.data").joinpath("recovery_bank.json")
@@ -272,19 +273,25 @@ def test_evaluate_writes_the_same_utf8_artifacts_under_an_ascii_locale(runner, t
     card["prompt"] += " café"
     lines[0] = json.dumps(card, ensure_ascii=False)
     suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    src = str(Path(faultharness.__file__).resolve().parent.parent)
+    # the package first, then whatever path the interpreter was started with
+    pythonpath = os.pathsep.join(filter(None, [
+        str(Path(faultharness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
+    ]))
     artifacts = []
     for name, locale in (("ascii", _ASCII_LOCALE), ("utf8", _UTF8_LOCALE)):
         proc = subprocess.run(
             [sys.executable, "-m", "faultharness.cli", "evaluate", "--suite", str(suite),
              "--agent", "paladin", "--seed", "1", "--n-resamples", "5",
              "--out-dir", str(tmp_path / name)],
-            env={**os.environ, "PYTHONPATH": src, **locale},
+            env={**os.environ, "PYTHONPATH": pythonpath, **locale},
             capture_output=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
         (run_dir,) = (tmp_path / name).iterdir()
         artifacts.append({f.name: f.read_bytes() for f in sorted(run_dir.iterdir())})
+    assert sorted(artifacts[0]) == [
+        "grades.jsonl", "manifest.json", "report.csv", "report.json", "trajectories.jsonl"
+    ]
     assert "café".encode("utf-8") in artifacts[0]["trajectories.jsonl"]
     assert artifacts[0] == artifacts[1]
 
@@ -839,6 +846,21 @@ def test_deeply_nested_json_input_exits_2(runner, tmp_path, command):
         fragments = ["suite line 1", "RecursionError"]
     _assert_no_traceback(result, *fragments)
     assert not (tmp_path / "runs").exists()
+
+
+def test_evaluate_runs_a_card_whose_final_response_is_nested_too_deep_to_parse(runner, tmp_path):
+    # the response is a failure the agent sees; the grader reads no expected payload from it
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    card = json.loads(lines[0])
+    step = card["steps"][-1]
+    (tool,) = [t for t in card["tools"] if t["name"] == step["tool"]]
+    tool["scripted_responses"][canonical_call_key(step["tool"], step["arguments"])] = "[" * 100_000
+    lines[0] = json.dumps(card)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = _evaluate(runner, tmp_path, suite)
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize(

@@ -69,8 +69,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not found, f"unused top-level imports: {found}"
 
 
-def dumps_with_separators(source: str) -> list[int]:
-    """Lines of `json.dumps(...)` calls that pass `separators=`."""
+def compact_dumps(source: str) -> list[int]:
+    """Lines of `json.dumps(...)` calls that pass no `indent=`, or `indent=None`:
+    each builds a new encoder for a compact text."""
+    def indented(call: ast.Call) -> bool:
+        return any(
+            keyword.arg == "indent"
+            and not (isinstance(keyword.value, ast.Constant) and keyword.value.value is None)
+            for keyword in call.keywords
+        )
+
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
@@ -79,30 +87,39 @@ def dumps_with_separators(source: str) -> list[int]:
         and node.func.attr == "dumps"
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "json"
-        and any(keyword.arg == "separators" for keyword in node.keywords)
+        and not indented(node)
     ]
 
 
-def test_dumps_with_separators_finds_only_compact_calls():
+def test_compact_dumps_finds_every_dumps_without_indent():
     source = (
         "import json\n"
         "a = json.dumps(x, sort_keys=True, indent=2)\n"
         "b = json.dumps(x, separators=(',', ':'))\n"
         "c = ENCODER.encode(x)\n"
         "d = json.dumps(\n    x,\n    separators=(', ', ': '),\n)\n"
+        "e = json.dumps(x, ensure_ascii=False)\n"
+        "f = json.dumps(x, indent=None)\n"
+        "g = dumps(x)\n"
     )
-    assert dumps_with_separators(source) == [3, 5]
+    assert compact_dumps(source) == [3, 5, 9, 10]
 
 
 def test_compact_encodes_go_through_the_prebuilt_encoders():
-    # a compact form is one module-level encoder in faultharness.encoders,
-    # not a new encoder built per json.dumps call
-    found = {
-        path.name: lines
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if (lines := dumps_with_separators(path.read_text(encoding="utf-8")))
+    # a compact form is one function built once in faultharness.encoders, not a
+    # new encoder built per json.dumps call or per module; the only json.dumps
+    # left are the indented artifact writers
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))
     }
-    assert not found, f"json.dumps with separators= (use faultharness.encoders): {found}"
+    found = {name: lines for name, source in sources.items() if (lines := compact_dumps(source))}
+    assert not found, f"json.dumps without indent= (use faultharness.encoders): {found}"
+    built = {
+        name: lines
+        for name, source in sources.items()
+        if name != "encoders.py" and (lines := calls_of(source, "JSONEncoder"))
+    }
+    assert not built, f"JSONEncoder built outside faultharness.encoders: {built}"
 
 
 def package_imports(source: str) -> set[str]:

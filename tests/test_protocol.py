@@ -72,6 +72,9 @@ def test_parse_rejects_prose():
 def test_parse_rejects_bad_json_input():
     with pytest.raises(AgentProtocolError):
         parse_action("Thought: x\nAction: lookup\nAction Input: {not json}")
+    # nested too deep to parse: refused the same way, not a RecursionError
+    with pytest.raises(AgentProtocolError, match="Action Input is not valid JSON"):
+        parse_action("Thought: x\nAction: lookup\nAction Input: " + "[" * 100_000)
 
 
 def test_parse_rejects_unknown_finish_return_type():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 import requests
 
-from faultharness.errors import TransportError
+from faultharness.errors import ProtocolError, TransportError
 from faultharness.remote import ChatEndpoint, EndpointConfig
 
 
@@ -15,6 +17,11 @@ class _Response:
 
     def json(self):
         return {"choices": [{"message": {"content": self._text}}]}
+
+
+class _TooDeepResponse(_Response):
+    def json(self):
+        return json.loads("[" * 100_000)  # as `requests` parses such a body: RecursionError
 
 
 def _endpoint(monkeypatch, replies, max_retries=2):
@@ -79,3 +86,10 @@ def test_transport_exception_is_retried(monkeypatch):
     )
     assert client.complete([]) == "done"
     assert len(calls) == 2 and len(sleeps) == 1
+
+
+def test_completion_nested_too_deep_to_parse_is_a_protocol_error(monkeypatch):
+    client, sleeps, calls = _endpoint(monkeypatch, [_TooDeepResponse(200)])
+    with pytest.raises(ProtocolError, match="malformed completion payload"):
+        client.complete([])
+    assert (len(calls), sleeps) == (1, [])

@@ -98,6 +98,14 @@ def test_render_partial_output_keeps_half_the_fields():
     assert "Partial" in body["error"]
 
 
+def test_render_partial_output_of_a_payload_nested_too_deep_keeps_no_fields():
+    tool = tool_for_render("[" * 100_000)
+    text = render_failure(
+        CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, tool, seed=3
+    )
+    assert json.loads(json.loads(text)["response"]) == {}
+
+
 def test_render_deterministic_per_seed():
     tool = tool_for_render()
     a = render_failure(CATALOG["malformed_json"], Manifestation.MALFORMED_OUTPUT, tool, 7)
@@ -382,6 +390,19 @@ def test_fresh_trace_view_classifies_and_parses_through_the_modules(bank, monkey
     function_turns = sum(1 for turn in fresh.turns if turn.role == ROLE_FUNCTION)
     assert len(view.responses) == function_turns > 1
     assert counts == {"detect_failure": len(view.responses), "parse_action": len(view.calls)}
+
+
+def test_last_success_payload_skips_a_response_it_cannot_read_as_an_object():
+    readable = '{"error":"","response":"{\\"a\\":1}"}'
+    unreadable = [
+        '{"error":"","response":{"a":1}}',  # a response that is not text
+        '{"error":"","response":"' + "[" * 100_000 + '"}',  # nested too deep to parse
+        '{"error":"","response":"[1]"}',  # not an object
+    ]
+    turns = [Turn(ROLE_FUNCTION, text) for text in [readable, *unreadable]]
+    view = TraceView(turns).update()
+    assert [sig for _, _, sig in view.responses] == [None] * 4  # each is a success
+    assert view.last_success_payload() == {"a": 1}
 
 
 def test_trace_view_reads_only_appended_turns():
