@@ -6,6 +6,12 @@ sequence and differ only in how they react to failures. All are pure
 functions of (trajectory so far, seed), so episodes replay byte-identically.
 Every fact about past turns, the latest error included, comes from the
 trajectory's `trace.TraceView`.
+
+Each scripted policy is built with the evaluation seed, and only two draw from
+it. Vanilla's coin, on a decision after a failure, comes from
+`rng_for(plan seed, evaluation seed, assistant turns so far)`; CRITIC's oracle
+gate is `oracle_gate(evaluation seed, plan seed, failure event turn)`, drawn
+once per failure event.
 """
 
 from __future__ import annotations
@@ -64,11 +70,12 @@ def synthesize_answer(traj: Trajectory) -> str:
 class ScriptedPolicy:
     """Follows the task's call plan; subclasses define failure behavior."""
 
-    def __init__(self, steps: tuple[TaskStep, ...], retry_budget: int = 3):
+    def __init__(self, steps: tuple[TaskStep, ...], retry_budget: int = 3, seed: int = 0):
         if not steps:
             raise ConfigError("scripted policies need at least one task step")
         self._steps = steps
         self._budget = retry_budget
+        self._seed = seed  # the evaluation seed
 
     # -- plan following
 
@@ -86,15 +93,11 @@ class ScriptedPolicy:
         return self._steps[min(n_done, len(self._steps) - 1)]
 
     def decide(
-        self,
-        context: Trajectory,
-        tools: ToolRegistry,
-        bank: ExemplarBank | None,
-        rng,
+        self, context: Trajectory, tools: ToolRegistry, bank: ExemplarBank | None
     ) -> AgentAction:
         view = trace_view(context)
         if view.last_error is not None:
-            return self.on_error(context, view.last_error, tools, bank, rng)
+            return self.on_error(context, view.last_error, tools, bank)
         n_done = view.completed_steps
         if n_done >= len(self._steps):
             return Finish(
@@ -103,7 +106,7 @@ class ScriptedPolicy:
             )
         return self._next_step_call(n_done)
 
-    def on_error(self, context, error, tools, bank, rng) -> AgentAction:
+    def on_error(self, context, error, tools, bank) -> AgentAction:
         raise NotImplementedError
 
 
@@ -115,12 +118,13 @@ class VanillaPolicy(ScriptedPolicy):
 
     hallucination_probability = 0.5
 
-    def on_error(self, context, error, tools, bank, rng) -> AgentAction:
+    def on_error(self, context, error, tools, bank) -> AgentAction:
         step = self._current_step(context)
-        # with probability 0 there is nothing to draw, and the decision's
-        # generator is never seeded
+        # with probability 0 there is nothing to draw, and nothing is seeded
         p = self.hallucination_probability
-        if p > 0 and rng.random() < p:
+        if p > 0 and rng_for(
+            context.plan.seed, self._seed, len(context.assistant_turns)
+        ).random() < p:
             return Finish(
                 answer=(
                     f"Task complete. {step.tool} returned the requested data: "
@@ -147,7 +151,7 @@ class ReflectPolicy(ScriptedPolicy):
     """Blind call-level self-correction: retry up to the budget, reformat on
     the final attempt, never switch tools, then give up."""
 
-    def on_error(self, context, error, tools, bank, rng) -> AgentAction:
+    def on_error(self, context, error, tools, bank) -> AgentAction:
         step = self._current_step(context)
         _, run_length = trace_view(context).failure_run
         retries_done = run_length - 1
@@ -275,7 +279,7 @@ class PaladinPolicy(ScriptedPolicy):
     order, with escalation to tool switch then graceful termination. Never
     claims success after an unresolved failure."""
 
-    def on_error(self, context, error, tools, bank, rng) -> AgentAction:
+    def on_error(self, context, error, tools, bank) -> AgentAction:
         step = self._current_step(context)
         failed_call = ToolCall(name=step.tool, arguments=step.arguments)
         script = self._script_for(error, bank)
@@ -301,9 +305,9 @@ class PaladinPolicy(ScriptedPolicy):
         )
 
 
-def oracle_gate(gate_seed: int, episode_seed: int, event_turn: int, p: float = 0.7) -> bool:
+def oracle_gate(eval_seed: int, plan_seed: int, event_turn: int, p: float = 0.7) -> bool:
     """Stable per-error-event draw deciding oracle access."""
-    return rng_for(gate_seed, 0xC41C, episode_seed, event_turn).random() < p
+    return rng_for(eval_seed, 0xC41C, plan_seed, event_turn).random() < p
 
 
 class CriticPolicy(ScriptedPolicy):
@@ -312,31 +316,25 @@ class CriticPolicy(ScriptedPolicy):
     otherwise behaves like the reflect baseline. At most `retry_budget`
     recovery attempts per error."""
 
-    def __init__(
-        self,
-        steps: tuple[TaskStep, ...],
-        retry_budget: int = 3,
-        gate_seed: int = 0,
-    ):
-        super().__init__(steps, retry_budget)
-        self._gate_seed = gate_seed
+    def __init__(self, steps: tuple[TaskStep, ...], retry_budget: int = 3, seed: int = 0):
+        super().__init__(steps, retry_budget, seed)
         self._reflect = ReflectPolicy(steps, retry_budget)
         self._paladin = PaladinPolicy(steps, retry_budget)
         # ((plan seed, event turn), gate) of the latest failure event: every
         # decision of one event reads the same gate
         self._last_gate: tuple[tuple[int, int] | None, bool] = (None, False)
 
-    def on_error(self, context, error, tools, bank, rng) -> AgentAction:
+    def on_error(self, context, error, tools, bank) -> AgentAction:
         event_turn, _ = trace_view(context).failure_run
         if bank is not None and self._gate(context.plan.seed, event_turn):
-            return self._paladin.on_error(context, error, tools, bank, rng)
-        return self._reflect.on_error(context, error, tools, None, rng)
+            return self._paladin.on_error(context, error, tools, bank)
+        return self._reflect.on_error(context, error, tools, None)
 
     def _gate(self, plan_seed: int, event_turn: int) -> bool:
         """Oracle access for one failure event, drawn once per event."""
         event, gate = self._last_gate
         if event != (plan_seed, event_turn):
-            gate = oracle_gate(self._gate_seed, plan_seed, event_turn)
+            gate = oracle_gate(self._seed, plan_seed, event_turn)
             self._last_gate = ((plan_seed, event_turn), gate)
         return gate
 
@@ -353,11 +351,7 @@ class RemoteChatPolicy:
         self._client = ChatEndpoint(endpoint)
 
     def decide(
-        self,
-        context: Trajectory,
-        tools: ToolRegistry,
-        bank: ExemplarBank | None,
-        rng,
+        self, context: Trajectory, tools: ToolRegistry, bank: ExemplarBank | None
     ) -> AgentAction:
         messages = [{"role": t.role, "content": t.content} for t in context.turns]
         try:
@@ -411,19 +405,20 @@ def make_policy(
     name: str,
     steps: tuple[TaskStep, ...],
     retry_budget: int = 3,
-    gate_seed: int = 0,
+    seed: int = 0,
     endpoint: EndpointConfig | None = None,
 ):
+    """The named policy; a scripted one draws from the evaluation seed `seed`."""
     if name == "vanilla":
-        return VanillaPolicy(steps, retry_budget)
+        return VanillaPolicy(steps, retry_budget, seed)
     if name == "toolbench":
-        return ToolBenchPolicy(steps, retry_budget)
+        return ToolBenchPolicy(steps, retry_budget, seed)
     if name == "reflect":
-        return ReflectPolicy(steps, retry_budget)
+        return ReflectPolicy(steps, retry_budget, seed)
     if name == "critic":
-        return CriticPolicy(steps, retry_budget, gate_seed=gate_seed)
+        return CriticPolicy(steps, retry_budget, seed)
     if name == "paladin":
-        return PaladinPolicy(steps, retry_budget)
+        return PaladinPolicy(steps, retry_budget, seed)
     if name == "remote":
         if endpoint is None:
             raise ConfigError("remote agent requires an endpoint config")

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .seeds import SEED_MIXER, derive_seed
 from .simulator import SimConfig, ToolRegistry, canonical_call_key
 from .tasks import TaskStep, TaskTemplate, builtin_task_pool
-from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass
+from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass, json_object
 
 @dataclass(frozen=True)
 class SuiteSpec:
@@ -93,11 +93,7 @@ class EpisodeCard:
         text = tool.scripted_responses.get(canonical_call_key(step.tool, step.arguments))
         if text is None:
             return {}
-        try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError):  # nesting too deep to parse is unparseable too
-            return {}
-        return payload if isinstance(payload, dict) else {}
+        return json_object(text) or {}
 
     def to_json(self) -> dict:
         return {

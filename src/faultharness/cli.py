@@ -165,9 +165,7 @@ def run_card(
     card: EpisodeCard, agent: str, bank, seed: int, endpoint: EndpointConfig | None = None
 ) -> Trajectory:
     """One card's episode under the named agent, its budgets and evaluation seed `seed`."""
-    policy = make_policy(
-        agent, card.steps, card.retry_budget, gate_seed=seed, endpoint=endpoint
-    )
+    policy = make_policy(agent, card.steps, card.retry_budget, seed=seed, endpoint=endpoint)
     config = SimConfig(
         max_steps=card.max_steps, retry_budget_per_error=card.retry_budget, rng_seed=seed
     )
@@ -243,7 +241,7 @@ def cmd_evaluate(
     suite_bytes = Path(suite).read_bytes()
     cards = read_suite(suite, suite_bytes)
     if not cards:
-        raise click.ClickException("suite file holds no cards")
+        raise ConfigError("suite file holds no cards")
     run_digest = hashlib.sha256(suite_bytes)
     del suite_bytes
     bank = None
@@ -260,7 +258,7 @@ def cmd_evaluate(
     endpoint = None
     if agent == "remote":
         if not endpoint_url:
-            raise click.ClickException("remote agent requires --endpoint-url")
+            raise ConfigError("remote agent requires --endpoint-url")
         from .remote import EndpointConfig
 
         endpoint = EndpointConfig(base_url=endpoint_url, model=endpoint_model)
@@ -370,9 +368,9 @@ def cmd_build_corpus(
         from .remote import EndpointConfig, TOKEN_ENV_VAR
 
         if not endpoint_url:
-            raise click.ClickException("--teacher remote requires --endpoint-url")
+            raise ConfigError("--teacher remote requires --endpoint-url")
         if not os.environ.get(TOKEN_ENV_VAR):
-            raise click.ClickException(
+            raise ConfigError(
                 f"--teacher remote requires the {TOKEN_ENV_VAR} environment variable"
             )
         teacher_backend = RemoteTeacher(

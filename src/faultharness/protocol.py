@@ -152,7 +152,7 @@ def parse_action(text: str) -> ParsedAction:
     raw_input = match.group("input").strip()
     try:
         arguments = json.loads(raw_input)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep to parse is not valid either
+    except (ValueError, RecursionError) as exc:  # any ValueError: an over-long integer too
         raise AgentProtocolError(f"Action Input is not valid JSON: {exc}") from exc
     if not isinstance(arguments, dict):
         raise AgentProtocolError("Action Input must be a JSON object")

@@ -34,26 +34,3 @@ def rng_for(master: int, *indices: int) -> random.Random:
     """A `random.Random` seeded from the derived child seed."""
     return random.Random(derive_seed(master, *indices))
 
-
-class LazyRandom:
-    """`rng_for(master, *indices)`, seeded on first use.
-
-    Any attribute other than its own slots reads through to that generator,
-    so it draws exactly the same stream. Seeding a `random.Random` costs far
-    more than most callers' draws, and many callers never draw at all.
-    """
-
-    __slots__ = ("_path", "_rng")
-
-    def __init__(self, master: int, *indices: int):
-        self._path = (master, *indices)
-        self._rng: random.Random | None = None
-
-    @property
-    def seeded(self) -> bool:
-        return self._rng is not None
-
-    def __getattr__(self, name: str):
-        if self._rng is None:
-            self._rng = rng_for(*self._path)
-        return getattr(self._rng, name)

@@ -23,13 +23,11 @@ Every compact JSON text (call keys, wrappers, error bodies) comes from a form
 of `encoders`, each one C encoder built once at import, not from a
 `json.dumps` call or a new encoder per text.
 
-Each decision's random generator is seeded on its first draw, to the stream
-`rng_for(episode seed, decision index)` gives; most decisions draw nothing.
+A fault's persistence and Retry-After are drawn in one place, `fault_life(plan)`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .bank import (
@@ -61,13 +59,14 @@ from .protocol import (
     ToolCall,
     render_action,
 )
-from .seeds import LazyRandom, derive_seed, rng_for
+from .seeds import derive_seed, rng_for
 from .taxonomy import (
     CATALOG,
     ErrorSignature,
     FailureKind,
     Manifestation,
     detect_failure,
+    json_object,
 )
 from .trace import trace_view
 
@@ -242,15 +241,8 @@ def render_failure(
         return base[:cut]
     # PartialOutput: first half of the normal payload's top-level fields,
     # delivered under a wrapper that marks the truncation.
-    try:
-        payload = json.loads(tool.first_response())
-    except (json.JSONDecodeError, RecursionError):  # nesting too deep to parse is unparseable too
-        payload = {}
-    if isinstance(payload, dict):
-        keys = list(payload)[: len(payload) // 2]
-        partial = {k: payload[k] for k in keys}
-    else:
-        partial = {}
+    payload = json_object(tool.first_response()) or {}
+    partial = {k: payload[k] for k in list(payload)[: len(payload) // 2]}
     return dumps_canonical(
         {
             "error": "Partial response: transfer interrupted before completion",
@@ -307,23 +299,29 @@ class _ActiveFault:
         return self.cleared
 
 
-def _make_fault(
-    kind_id: str,
-    manifestation: Manifestation,
-    call_key: str,
-    tool: ToolSpec,
-    seed: int,
-    ordinal: int,
-) -> _ActiveFault:
-    """The fault injected at call `ordinal`."""
-    kind = CATALOG[kind_id]
-    rendered = render_failure(kind, manifestation, tool, derive_seed(seed, ordinal))
+def fault_life(plan: InjectionPlan) -> tuple[int, int | None]:
+    """(persist_retries, retry_after_ms) of the fault `plan` injects.
+
+    A transient kind's fault fails `persist_retries` identical reissues, then
+    clears; other kinds draw 0. `retry_after_ms` is the Retry-After each of its
+    failures carries, None when its kind gives none.
+    """
+    kind = CATALOG[plan.kind]
     persist = 0
     if kind.persistence is not None:
-        persist = rng_for(seed, ordinal, 3).randint(*kind.persistence)
+        persist = rng_for(plan.seed, plan.turn_index, 3).randint(*kind.persistence)
     retry_after = None
     if kind.retry_after:
-        retry_after = rng_for(seed, ordinal, 7).randrange(400, 2001)
+        retry_after = rng_for(plan.seed, plan.turn_index, 7).randrange(400, 2001)
+    return persist, retry_after
+
+
+def _make_fault(plan: InjectionPlan, call_key: str, tool: ToolSpec) -> _ActiveFault:
+    """The fault `plan` injects on the call its `turn_index` counts to."""
+    kind = CATALOG[plan.kind]
+    seed = derive_seed(plan.seed, plan.turn_index)
+    rendered = render_failure(kind, plan.manifestation, tool, seed)
+    persist, retry_after = fault_life(plan)
     return _ActiveFault(
         kind=kind,
         call_key=call_key,
@@ -393,7 +391,7 @@ def run_episode(
 
         if plan.is_clean or call_ordinal != plan.turn_index:
             return _scripted(tool, key)
-        fault = _make_fault(plan.kind, plan.manifestation, key, tool, plan.seed, call_ordinal)
+        fault = _make_fault(plan, key, tool)
         return fault.rendered, fault.signature
 
     def _scripted(tool: ToolSpec, key: str) -> tuple[str, ErrorSignature | None]:
@@ -417,10 +415,9 @@ def run_episode(
             traj.terminal = StepBudgetExhausted()
             break
 
-        rng = LazyRandom(episode_seed, n_decisions)
         n_decisions += 1
         try:
-            action = agent.decide(traj, tools, bank, rng)
+            action = agent.decide(traj, tools, bank)
         except TransportError as exc:
             traj.terminal = Abandoned(reason=f"transport failure: {exc}")
             break

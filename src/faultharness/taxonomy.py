@@ -231,6 +231,20 @@ def kind_class(kind: str) -> ErrorClass | None:
     return _CLASSIFIER_KIND_CLASS.get(kind)
 
 
+def json_object(text: str) -> dict | None:
+    """`text` parsed, when it is a JSON object; None for anything else.
+
+    Every `ValueError` is unparseable text, not only a `JSONDecodeError`: an
+    integer longer than the interpreter's digit limit raises a plain one. So
+    is nesting too deep to parse.
+    """
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return value if isinstance(value, dict) else None
+
+
 def _looks_like_success(body: dict) -> bool:
     # the error slot is the failure marker; bodies without one (or with an
     # empty one) are ordinary payloads even if they carry a "status" field

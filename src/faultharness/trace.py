@@ -20,7 +20,6 @@ modules, so that wrappers installed on those modules see the view's calls.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +27,7 @@ from . import protocol, taxonomy
 from .episode import ROLE_ASSISTANT, ROLE_FUNCTION, Trajectory, Turn
 from .errors import AgentProtocolError
 from .protocol import ToolCall
-from .taxonomy import ErrorSignature
+from .taxonomy import ErrorSignature, json_object
 
 
 @dataclass(frozen=True)
@@ -145,13 +144,10 @@ class TraceView:
         for i, _, sig in reversed(self.responses):
             if sig is not None:
                 continue
-            try:
-                wrapper = json.loads(self.turns[i].content)
-                payload = json.loads(wrapper.get("response", "{}"))
-            except (json.JSONDecodeError, RecursionError, AttributeError, TypeError):
-                # unparseable, nested too deep, not an object, or a response that is not text
-                continue
-            if isinstance(payload, dict):
+            wrapper = json_object(self.turns[i].content)
+            response = None if wrapper is None else wrapper.get("response", "{}")
+            payload = json_object(response) if isinstance(response, str) else None
+            if payload is not None:
                 return payload
         return {}
 

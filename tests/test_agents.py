@@ -115,7 +115,7 @@ def test_critic_oracle_path_uses_bank_script(bank):
             seed=seed, kind="http_429",
             manifestation=CATALOG["http_429"].default_manifestation, turn_index=1,
         )
-        policy = make_policy("critic", steps=steps, gate_seed=0)
+        policy = make_policy("critic", steps=steps, seed=0)
         traj = run_episode("task", registry, policy, plan, SimConfig(), bank=bank)
         if traj.recovery_turns and "transient" in traj.recovery_turns[0].content:
             # oracle path: the 429 exemplar script starts with backoff retry
@@ -131,7 +131,7 @@ def test_critic_complement_path_behaves_like_reflect(bank):
             seed=seed, kind="http_404",
             manifestation=CATALOG["http_404"].default_manifestation, turn_index=1,
         )
-        policy = make_policy("critic", steps=steps, gate_seed=0)
+        policy = make_policy("critic", steps=steps, seed=0)
         traj = run_episode("task", registry, policy, plan, SimConfig(), bank=bank)
         if isinstance(traj.terminal, GracefulFailure) and len(traj.recovery_turns) == 3:
             return  # blind-retry path: 404 never recovers without a switch
@@ -310,7 +310,7 @@ def test_remote_policy_recovery_tagged_turn(stub_server):
     ]
     registry, _ = make_registry()
     policy = RemoteChatPolicy(EndpointConfig(base_url=stub_server))
-    action = policy.decide(_context_with_failure(registry), registry, None, None)
+    action = policy.decide(_context_with_failure(registry), registry, None)
     assert isinstance(action, RecoveryStep)
     assert action.call.name == "lookup"
 

@@ -375,8 +375,8 @@ def test_build_corpus_remote_without_token_fails(runner, tmp_path, monkeypatch):
             "--out-dir", str(tmp_path / "c"),
         ],
     )
-    assert result.exit_code != 0
-    assert "FAULTHARNESS_API_TOKEN" in result.output
+    _assert_no_traceback(result, "--teacher remote requires the FAULTHARNESS_API_TOKEN")
+    assert not (tmp_path / "c").exists()
 
 
 def test_build_corpus_rerun_identical(runner, tmp_path):
@@ -424,6 +424,31 @@ def _assert_clean_failure(result, *fragments):
     assert isinstance(result.exception, SystemExit), result.exception
     for fragment in fragments:
         assert fragment in result.output
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("empty suite", "suite file holds no cards"),
+        ("remote agent", "remote agent requires --endpoint-url"),
+        ("remote teacher", "--teacher remote requires --endpoint-url"),
+    ],
+    ids=["empty-suite", "remote-agent", "remote-teacher"],
+)
+def test_input_refusal_exits_2_before_any_output(runner, tmp_path, case, message):
+    # exit 1 is left to the --assert-min-* gates; a remote teacher without its
+    # token is test_build_corpus_remote_without_token_fails
+    if case == "empty suite":
+        suite = tmp_path / "empty.jsonl"
+        suite.write_text("", encoding="utf-8")
+        result = _evaluate(runner, tmp_path, suite)
+    elif case == "remote agent":
+        result = _evaluate(runner, tmp_path, _gen(runner, tmp_path, n=3, seed=5), agent="remote")
+    else:
+        result = runner.invoke(main, ["build-corpus", "--teacher", "remote", "--seed", "1",
+                                      "--out-dir", str(tmp_path / "runs")])
+    _assert_no_traceback(result, message)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_gen_suite_pool_exhausted_exits_2(runner, tmp_path):
@@ -859,6 +884,30 @@ def test_evaluate_runs_a_card_whose_final_response_is_nested_too_deep_to_parse(r
     lines[0] = json.dumps(card)
     suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = _evaluate(runner, tmp_path, suite)
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "agent, plan",
+    [("vanilla", None),
+     ("paladin", {"kind": "partial_output", "manifestation": "PartialOutput", "turn_index": 1})],
+    ids=["vanilla", "paladin-partial-output"],
+)
+def test_evaluate_runs_a_card_whose_responses_hold_an_integer_past_the_digit_limit(
+    runner, tmp_path, agent, plan
+):
+    # json.loads raises a plain ValueError for such a number, not a JSONDecodeError
+    suite = _gen(runner, tmp_path, n=5, seed=1)
+    card = json.loads(suite.read_text(encoding="utf-8").splitlines()[0])
+    for tool in card["tools"]:
+        tool["scripted_responses"] = dict.fromkeys(
+            tool["scripted_responses"], '{"value": ' + "9" * 5000 + "}"
+        )
+    if plan is not None:
+        card["plan"] = {"seed": card["plan"]["seed"], **plan}
+    suite.write_text(json.dumps(card) + "\n", encoding="utf-8")
+    result = _evaluate(runner, tmp_path, suite, agent=agent)
     assert result.exit_code == 0, result.output
     assert "Traceback" not in result.output
 

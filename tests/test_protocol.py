@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from faultharness.bank import RetryWithBackoff, TerminateGracefully
@@ -75,6 +77,17 @@ def test_parse_rejects_bad_json_input():
     # nested too deep to parse: refused the same way, not a RecursionError
     with pytest.raises(AgentProtocolError, match="Action Input is not valid JSON"):
         parse_action("Thought: x\nAction: lookup\nAction Input: " + "[" * 100_000)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter parses integers of any length")
+def test_parse_rejects_an_integer_past_the_digit_limit():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    text = 'Thought: x\nAction: lookup\nAction Input: {"q": ' + "9" * (_DIGIT_LIMIT + 1) + "}"
+    with pytest.raises(AgentProtocolError, match="Action Input is not valid JSON"):
+        parse_action(text)
 
 
 def test_parse_rejects_unknown_finish_return_type():

@@ -13,7 +13,7 @@ from conftest import (
     run_simple,
     view_state,
 )
-from faultharness.agents import make_policy
+from faultharness import agents
 from faultharness.bank import RetryWithBackoff
 from faultharness.benchgen import SuiteSpec, generate_suite
 from faultharness.cli import run_card
@@ -31,18 +31,20 @@ from faultharness.episode import (
     trajectory_to_line,
 )
 from faultharness.errors import ConfigError
-from faultharness.protocol import ProtocolViolation, ToolCall, render_action
+from faultharness.protocol import Finish, ProtocolViolation, RecoveryStep, ToolCall, render_action
+from faultharness.seeds import derive_seed, rng_for
 from faultharness.simulator import (
+    TURN_COST_MS,
     SimClock,
     SimConfig,
     ToolSpec,
     advance_backoff,
     canonical_call_key,
+    fault_life,
     render_failure,
     run_episode,
     wrap_response,
 )
-from faultharness.seeds import LazyRandom, rng_for
 from faultharness.taxonomy import CATALOG, Manifestation, classify_raw_failure, detect_failure
 from faultharness.trace import TraceView, trace_prefix, trace_view
 
@@ -249,7 +251,7 @@ class StubbornRetrier:
     def __init__(self, steps):
         self._steps = steps
 
-    def decide(self, context, tools, bank, rng):
+    def decide(self, context, tools, bank):
         step = self._steps[0]
         return ToolCall(name=step.tool, arguments=step.arguments, thought="again")
 
@@ -271,7 +273,7 @@ def test_retry_budget_enforced_on_stubborn_agent():
 class MalformedAgent:
     name = "malformed"
 
-    def decide(self, context, tools, bank, rng):
+    def decide(self, context, tools, bank):
         return ProtocolViolation(text="let me think about this...")
 
 
@@ -296,7 +298,7 @@ def test_step_budget_exhaustion():
     class Ditherer:
         name = "ditherer"
 
-        def decide(self, context, tools, bank, rng):
+        def decide(self, context, tools, bank):
             return ToolCall(name="lookup", arguments={"q": "x"}, thought="again")
 
     traj = run_episode(
@@ -330,7 +332,7 @@ def test_unknown_tool_yields_not_found_failure():
     class WrongTool:
         name = "wrong"
 
-        def decide(self, context, tools, bank, rng):
+        def decide(self, context, tools, bank):
             if trace_view(context).last_error is not None:
                 from faultharness.protocol import GiveUp
                 return GiveUp(report="could not find tool", thought="stop")
@@ -515,50 +517,74 @@ def test_wrapped_payload_never_classifies_as_failure(payload):
     assert detect_failure(wrap_response(payload)) is None
 
 
-@given(
-    master=st.integers(0, 2**64 - 1),
-    index=st.integers(0, 10**6),
-    n_draws=st.integers(0, 40),
+# --- seeding and the fault's life ---------------------------------------------------------
+
+
+def test_only_vanilla_seeds_a_generator_and_once_per_failure_episode(tasks, bank, monkeypatch):
+    cards = generate_suite(tasks, SuiteSpec(n_episodes=40, master_seed=3))
+    paths = []
+
+    def counting_rng_for(*path):
+        paths.append(path)
+        return rng_for(*path)
+
+    monkeypatch.setattr(agents, "rng_for", counting_rng_for)
+    for agent in ("toolbench", "reflect", "paladin"):
+        for card in cards:
+            run_card(card, agent, bank, 42)
+        assert paths == [], agent
+    failure_episodes = 0
+    for card in cards:
+        traj = run_card(card, "vanilla", bank, 42)
+        if trace_view(traj).first_failure is None:
+            assert paths == []
+            continue
+        failure_episodes += 1
+        # one draw, for the decision that wrote the last assistant turn: the stream
+        # rng_for(episode seed, assistant turns before it) the simulator once served
+        (path,) = paths
+        k = len(traj.assistant_turns) - 1
+        assert derive_seed(*path) == derive_seed(derive_seed(card.plan.seed, 42), k)
+        paths.clear()
+    assert 0 < failure_episodes < len(cards)
+
+
+class _SameCallRetrier:
+    """Reissues a failed call unchanged under a backoff that waits out a
+    Retry-After and adds no delay of its own; finishes once the step succeeds."""
+
+    RETRY = RetryWithBackoff(max_attempts=1, base_delay_ms=0, cap_ms=0, respect_retry_after=True)
+
+    def __init__(self, steps):
+        self._call = ToolCall(name=steps[0].tool, arguments=steps[0].arguments)
+
+    def decide(self, context, tools, bank):
+        view = trace_view(context)
+        if view.last_error is not None:
+            return RecoveryStep(action=self.RETRY, thought="retrying", call=self._call)
+        if view.completed_steps:
+            return Finish(answer="done")
+        return self._call
+
+
+@pytest.mark.parametrize(
+    "kind", sorted(k for k, f in CATALOG.items() if f.persistence is not None or f.retry_after)
 )
-def test_lazy_random_draws_the_rng_for_stream(master, index, n_draws):
-    lazy, eager = LazyRandom(master, index), rng_for(master, index)
-    assert not lazy.seeded
-    assert [lazy.random() for _ in range(n_draws)] == [eager.random() for _ in range(n_draws)]
-    assert lazy.randint(1, 6) == eager.randint(1, 6)
-    assert lazy.getrandbits(70) == eager.getrandbits(70)
-    assert lazy.seeded
-
-
-class _RngSpy:
-    """Passes each decision on to `policy`, keeping the generator it was given."""
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.decisions = []  # (whether the decision followed an error, its generator)
-
-    def decide(self, context, tools, bank, rng):
-        self.decisions.append((trace_view(context).last_error is not None, rng))
-        return self.policy.decide(context, tools, bank, rng)
-
-
-def _spied_episode(agent, kind, bank):
+def test_fault_life_is_what_an_episode_does(kind):
     registry, steps = make_registry()
-    spy = _RngSpy(make_policy(agent, steps=steps))
-    plan = InjectionPlan(
-        seed=3, kind=kind, manifestation=CATALOG[kind].default_manifestation, turn_index=1
-    )
-    run_episode("Look up x.", registry, spy, plan, bank=bank)
-    return spy.decisions
-
-
-@pytest.mark.parametrize("agent", ["toolbench", "reflect", "critic", "paladin"])
-def test_policies_that_never_draw_never_seed(agent, bank):
-    decisions = _spied_episode(agent, "http_500", bank)
-    assert any(after_error for after_error, _ in decisions)
-    assert not any(rng.seeded for _, rng in decisions)
-
-
-def test_vanilla_seeds_only_the_decisions_it_draws_for(bank):
-    decisions = _spied_episode("vanilla", "http_500", bank)
-    assert [rng.seeded for _, rng in decisions] == [after for after, _ in decisions]
-    assert any(after for after, _ in decisions)
+    for plan_seed in range(8):
+        plan = InjectionPlan(
+            seed=plan_seed, kind=kind, manifestation=CATALOG[kind].default_manifestation,
+            turn_index=1,
+        )
+        persist, retry_after = fault_life(plan)
+        assert (retry_after is not None) == CATALOG[kind].retry_after
+        traj = run_episode("task", registry, _SameCallRetrier(steps), plan, SimConfig())
+        assert isinstance(traj.terminal, Finished)
+        view = trace_view(traj)
+        failing = [i for i, _, sig in view.responses if sig is not None]
+        assert len(failing) - 1 == persist  # the injected failure, then the failing reissues
+        assert len(view.recoveries) == persist + 1
+        for i in view.recoveries:  # each reissue's response is the turn after it
+            waited = traj.turns[i + 1].simulated_time_ms - traj.turns[i].simulated_time_ms
+            assert waited == TURN_COST_MS + (retry_after or 0)
