@@ -549,6 +549,57 @@ def test_only_vanilla_seeds_a_generator_and_once_per_failure_episode(tasks, bank
     assert 0 < failure_episodes < len(cards)
 
 
+class _RngSpy:
+    """Passes each decision on to `policy`, keeping how many decision-stream
+    generators (`agents.rng_for` calls other than CRITIC's per-event oracle gate)
+    it seeded."""
+
+    def __init__(self, policy, paths):
+        self.policy = policy
+        self.paths = paths  # every path agents.rng_for was called with
+        self.decisions = []  # (whether the decision followed an error, its seeded paths)
+
+    def decide(self, context, tools, bank):
+        before = len(self.paths)
+        action = self.policy.decide(context, tools, bank)
+        seeded = [p for p in self.paths[before:] if p[1:2] != (0xC41C,)]
+        self.decisions.append((trace_view(context).last_error is not None, seeded))
+        return action
+
+
+def _spied_episode(agent, kind, bank, monkeypatch, eval_seed=42):
+    paths = []
+
+    def counting_rng_for(*path):
+        paths.append(path)
+        return rng_for(*path)
+
+    monkeypatch.setattr(agents, "rng_for", counting_rng_for)
+    registry, steps = make_registry()
+    spy = _RngSpy(agents.make_policy(agent, steps=steps, seed=eval_seed), paths)
+    plan = InjectionPlan(
+        seed=3, kind=kind, manifestation=CATALOG[kind].default_manifestation, turn_index=1
+    )
+    traj = run_episode("Look up x.", registry, spy, plan, bank=bank)
+    return spy.decisions, traj
+
+
+@pytest.mark.parametrize("agent", ["toolbench", "reflect", "critic", "paladin"])
+def test_policies_that_never_draw_never_seed(agent, bank, monkeypatch):
+    decisions, _ = _spied_episode(agent, "http_500", bank, monkeypatch)
+    assert any(after_error for after_error, _ in decisions)
+    assert not any(seeded for _, seeded in decisions)
+
+
+def test_vanilla_seeds_only_the_decisions_it_draws_for(bank, monkeypatch):
+    decisions, traj = _spied_episode("vanilla", "http_500", bank, monkeypatch)
+    assert [len(seeded) for _, seeded in decisions] == [int(after) for after, _ in decisions]
+    assert any(after for after, _ in decisions)
+    # the one draw is on rng_for(plan seed, eval seed, assistant turns before it)
+    (path,) = [p for _, seeded in decisions for p in seeded]
+    assert path == (3, 42, len(traj.assistant_turns) - 1)
+
+
 class _SameCallRetrier:
     """Reissues a failed call unchanged under a backoff that waits out a
     Retry-After and adds no delay of its own; finishes once the step succeeds."""
