@@ -11,6 +11,13 @@ Aggregation is exact (rationals). Bootstrap confidence intervals use
 episode-level percentile resampling with one resample stream per call: every
 metric is scored on the same resamples, so the CIs are paired across metrics,
 and across runs that bootstrap equally many episodes with the same seed.
+
+The resample stream is exactly repeated `random.randrange(n)`. Each grade
+field is split into bit planes, and eight planes share one byte of a plane
+table per episode. A resample's drawn indices look up their table bytes in
+one C call and become one integer, and a field's sum is the popcount of each
+of its planes, shifted by the plane's bit. Resamples are scored a block at a
+time, so memory is the resample floats plus one block of integers.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import compress, islice, repeat, starmap
+from operator import add, getitem, itemgetter, lshift, sub, truediv
 
 from .episode import Finished, Trajectory
 from .errors import ConfigError, FaultHarnessError
@@ -227,9 +235,11 @@ def _randrange_chunks(rng: random.Random, n: int):
     >= n; `getrandbits(k <= 32)` is the top k bits of the next 32-bit word. For
     k <= 8 one `getrandbits(32 * m)` holds m words, and its little-endian byte
     4i + 3 is the top byte of word i: one `translate` shifts and rejects the
-    whole batch, and the chunks are `bytes`. Larger n draws lists of
-    `getrandbits(k)` and filters them. Accepted values beyond the current
-    chunk carry over to the next one.
+    whole batch, and the chunks are `bytes`, which `bytes.translate` maps
+    through a 256-entry plane table. Larger n draws lists of `getrandbits(k)`
+    and filters them; a list chunk picks its entries of an n-entry plane table
+    through one `itemgetter`. Accepted values beyond the current chunk carry
+    over to the next one.
     """
     k = n.bit_length()
     if k <= 8:
@@ -251,8 +261,63 @@ def _randrange_chunks(rng: random.Random, n: int):
         del pool[:n]
 
 
+# resamples scored at once: only one block's chunks and plane integers are held
+_BLOCK = 128
+
+
+def _resample_sums(columns: list[list[int]], n_resamples: int, seed: int):
+    """Yield, a block of resamples at a time, each column's sum per resample.
+
+    `columns` holds equally long lists of non-negative integers, one entry per
+    episode, and the resamples are `_randrange_chunks(random.Random(seed), n)`.
+    Plane (column, bit) holds bit `bit` of every entry. Table t packs planes
+    8t to 8t + 7, one bit each, into a byte per episode. Looked up by a
+    resample's indices, a table gives n bytes, read as one little-endian
+    integer x; a plane's sum is then `(x & mask).bit_count()`, where mask has
+    the plane's bit set in every byte, and a column's sum adds its planes'
+    sums shifted by their bits.
+    """
+    n = len(columns[0])
+    tables: list[list[int]] = []
+    planes = []  # (table, column, bit, mask)
+    for column, values in enumerate(columns):
+        for bit in range(max(values).bit_length()):
+            t, pos = divmod(len(planes), 8)
+            if not pos:
+                tables.append([0] * n)
+            tables[t] = [b | (v >> bit & 1) << pos for b, v in zip(tables[t], values)]
+            planes.append((t, column, bit, int.from_bytes(bytes([1 << pos]) * n, "little")))
+    if n.bit_length() <= 8:  # bytes chunks: one translate per table
+        tables = [bytes(t).ljust(256, b"\0") for t in tables]
+
+        def packed(block):
+            return [map(bytes.translate, block, repeat(t)) for t in tables]
+    else:  # list chunks (n > 255 indices): one itemgetter finds every table's bytes
+        rows = list(map(bytes, zip(*tables)))
+        parts = [slice(t, None, len(tables)) for t in range(len(tables))]
+
+        def packed(block):
+            found = map(itemgetter.__call__, starmap(itemgetter, block), repeat(rows))
+            joined = list(map(b"".join, found))
+            return [map(getitem, joined, repeat(part)) for part in parts]
+    chunks = _randrange_chunks(random.Random(seed), n)
+    remaining = max(1, n_resamples)
+    while remaining:
+        block = list(islice(chunks, min(remaining, _BLOCK)))
+        remaining -= len(block)
+        xs = [list(map(int.from_bytes, p, repeat("little"))) for p in packed(block)]
+        sums = [[0] * len(block) for _ in columns]
+        for t, column, bit, mask in planes:
+            counts = map(int.bit_count, map(mask.__and__, xs[t]))
+            weighted = map(lshift, counts, repeat(bit)) if bit else counts
+            sums[column] = list(map(add, sums[column], weighted))
+        yield sums
+
+
 BOOTSTRAP_METRICS = ("tsr", "rr", "csr", "es")
 BOOTSTRAP_CONFIDENCE = 0.95
+_SUMMED_FIELDS = ("task_success", "failures_recovered", "hallucinated_success",
+                  "failures_encountered", "steps_taken")
 
 
 def bootstrap_ci(
@@ -263,31 +328,22 @@ def bootstrap_ci(
     `BOOTSTRAP_METRICS` that some resample defines.
 
     One resample stream per call scores every metric, pairing the CIs across
-    metrics and across runs with the same seed and episode count.
+    metrics and across runs with the same seed and episode count. The
+    resample sums of the five grade fields come from their bit-plane tables
+    (`_resample_sums`).
     """
     if not grades:
         raise FaultHarnessError("no grades to bootstrap")
     stats = {name: [] for name in BOOTSTRAP_METRICS}
     n = len(grades)
-    col, bases = [0] * n, []
-    # mixed radix: each base exceeds any resample's sum of its field, so no sum carries
-    for name in ("task_success", "failures_recovered", "hallucinated_success",
-                 "failures_encountered", "steps_taken"):
-        values = [int(getattr(g, name)) for g in grades]
-        bases.append(n * max(values) + 1)
-        col = [c * bases[-1] + v for c, v in zip(col, values)]
-    _, rec_base, halluc_base, enc_base, steps_base = bases
     tsr, rr, csr, es = stats.values()
-    for chunk in islice(_randrange_chunks(random.Random(seed), n), max(1, n_resamples)):
-        a, steps = divmod(sum(map(col.__getitem__, chunk)), steps_base)
-        a, e = divmod(a, enc_base)
-        a, h = divmod(a, halluc_base)
-        s, r = divmod(a, rec_base)
-        tsr.append(s / n)
-        es.append(n / steps)
-        if e:  # rr and csr are undefined on a resample without failures
-            rr.append(r / e)
-            csr.append(1 - h / e)
+    columns = [[int(getattr(g, name)) for g in grades] for name in _SUMMED_FIELDS]
+    for s, r, h, e, steps in _resample_sums(columns, n_resamples, seed):
+        tsr += map(truediv, s, repeat(n))
+        es += map(truediv, repeat(n), steps)
+        # rr and csr are undefined on a resample without failures
+        rr += map(truediv, compress(r, e), compress(e, e))
+        csr += map(sub, repeat(1), map(truediv, compress(h, e), compress(e, e)))
     tail = (1 - BOOTSTRAP_CONFIDENCE) / 2
     return {name: (_percentile(v, tail), _percentile(v, 1 - tail))
             for name, v in zip(stats, map(sorted, stats.values())) if v}

@@ -47,14 +47,17 @@ class Manifestation(Enum):
     PARTIAL_OUTPUT = "PartialOutput"      # truncated but valid body
 
 
+# CPython's limit on the digits `int` converts to or from text
+# (`sys.set_int_max_str_digits`) is 0, no limit, or at least 640; an integer
+# of at most this many characters converts under every limit.
+_INT_TEXT_MAX = 640
+
+
 def _ascii_number(text: str) -> int | None:
-    """The number `text` spells in ASCII digits alone, else None."""
-    if not (text.isascii() and text.isdigit()):
+    """The number `text` spells in at most `_INT_TEXT_MAX` ASCII digits, else None."""
+    if len(text) > _INT_TEXT_MAX or not (text.isascii() and text.isdigit()):
         return None
-    try:
-        return int(text)
-    except ValueError:  # more digits than `int` converts (sys.get_int_max_str_digits)
-        return None
+    return int(text)
 
 
 def kind_status(kind: str) -> int | None:
@@ -236,7 +239,9 @@ def json_object(text: str) -> dict | None:
 
     Every `ValueError` is unparseable text, not only a `JSONDecodeError`: an
     integer longer than the interpreter's digit limit raises a plain one. So
-    is nesting too deep to parse.
+    is nesting too deep to parse. An object holding such an integer is
+    therefore None here, and which integers are too long depends on the
+    limit; `detect_failure` alone reads such an object as JSON under any limit.
     """
     try:
         value = json.loads(text)
@@ -251,20 +256,31 @@ def _looks_like_success(body: dict) -> bool:
     return not body.get("error")
 
 
+def _int_or_digits(text: str) -> int | str:
+    """A JSON integer: an `int` if its text converts under every digit limit,
+    else the text itself, which no limit stops from being written back out."""
+    return int(text) if len(text) <= _INT_TEXT_MAX else text
+
+
+_FAILURE_DECODER = json.JSONDecoder(parse_int=_int_or_digits)
+
+
 def detect_failure(raw: str) -> ErrorSignature | None:
     """Classify `raw` if it is a failure; None for a normal tool response.
 
-    The answer depends on the text alone. A normal response is a JSON object
-    whose "error" slot is empty or absent, whatever else it holds: a "status"
-    field does not make it a failure, not even `{"error": "", "status": 500}`.
-    JSON that is not an object is normal too. Empty text is a silent failure,
-    and any other text that is not JSON is a failure. Never raises.
+    The answer depends on the text alone, not on the interpreter's digit
+    limit: an integer longer than `_INT_TEXT_MAX` characters is read as its
+    digit string. A normal response is a JSON object whose "error" slot is
+    empty or absent, whatever else it holds: a "status" field does not make it
+    a failure, not even `{"error": "", "status": 500}`. JSON that is not an
+    object is normal too. Empty text is a silent failure, and any other text
+    that is not JSON is a failure. Never raises.
     """
     stripped = raw.strip()
     if not stripped:
         return ErrorSignature(UNKNOWN_KIND, "", Manifestation.SILENT_FAILURE)
     try:
-        body = json.loads(stripped)
+        body = _FAILURE_DECODER.decode(stripped)
     except (ValueError, RecursionError):  # nesting too deep to parse is unparseable too
         return _classify_unparseable(stripped)
     if isinstance(body, dict):

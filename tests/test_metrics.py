@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, islice
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import run_simple
 from faultharness.errors import FaultHarnessError
 from faultharness.metrics import (
+    _BLOCK,
     EpisodeGrade,
     _percentile,
     _randrange_chunks,
@@ -363,18 +366,28 @@ _EDGE_SIZES = st.sampled_from(
     [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 257]
 )
 
+# (n, n_resamples): any n with few resamples, or a small n with resample counts
+# around the kernel's block seams, where one block of sums ends and the next begins
+_SIZES = st.one_of(
+    st.tuples(st.one_of(_EDGE_SIZES, st.integers(1, 300)), st.integers(1, 50)),
+    st.tuples(
+        st.one_of(st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16]), st.integers(1, 20)),
+        st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 1000]),
+    ),
+)
+
 
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
-    n=st.one_of(_EDGE_SIZES, st.integers(1, 300)),
-    n_resamples=st.integers(1, 50),
+    sizes=_SIZES,
     seed=st.integers(0, 2**64),
     failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
 )
-def test_bootstrap_equals_randrange_oracle(data, n, n_resamples, seed, failure_share):
+def test_bootstrap_equals_randrange_oracle(data, sizes, seed, failure_share):
     # failure_share 0 leaves rr/csr undefined on every resample, 0.05 on some;
     # a metric undefined on every resample has no CI
+    n, n_resamples = sizes
     rng = random.Random(seed)
     grades = [
         data.draw(_episode_grades()) if rng.random() < failure_share
@@ -394,14 +407,14 @@ def test_bootstrap_equals_randrange_oracle(data, n, n_resamples, seed, failure_s
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
-    n=st.one_of(_EDGE_SIZES, st.integers(1, 300)),
-    n_resamples=st.integers(1, 50),
+    sizes=_SIZES,
     seed=st.integers(0, 2**64),
     failure_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
 )
-def test_bootstrap_all_metrics_equal_randrange_oracle(data, n, n_resamples, seed, failure_share):
+def test_bootstrap_all_metrics_equal_randrange_oracle(data, sizes, seed, failure_share):
     # one stream scores every metric: each CI equals its own single-metric oracle;
     # failure_share 0 leaves rr/csr undefined on every resample, 0.05 on some
+    n, n_resamples = sizes
     rng = random.Random(seed)
     grades = [
         data.draw(_episode_grades()) if rng.random() < failure_share
@@ -415,6 +428,47 @@ def test_bootstrap_all_metrics_equal_randrange_oracle(data, n, n_resamples, seed
         except FaultHarnessError:
             pass
     assert bootstrap_ci(grades, n_resamples, seed=seed) == expected
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_bootstrap_list_chunks_cross_a_block_seam_as_the_oracle(n):
+    # n > 255 draws list chunks; 21 planes over three tables: steps up to 300,
+    # failures up to 20
+    rng = random.Random(n)
+    grades = []
+    for _ in range(n):
+        enc = rng.randint(0, 20)
+        rec = rng.randint(0, enc)
+        grades.append(grade(success=rng.random() < 0.6, enc=enc, rec=rec,
+                            halluc=rec < enc and rng.random() < 0.3, steps=rng.randint(1, 300)))
+    expected = {metric: _legacy_bootstrap_ci(grades, metric, _BLOCK + 1, seed=n)
+                for metric in ("tsr", "rr", "csr", "es")}
+    assert bootstrap_ci(grades, _BLOCK + 1, seed=n) == expected
+
+
+def _bootstrap_peak_bytes(grades, n_resamples):
+    tracemalloc.start()
+    try:
+        bootstrap_ci(grades, n_resamples, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_memory_grows_only_by_the_resample_floats():
+    # every resample defines all four metrics, so each of the four float lists
+    # holds one float per resample; the drawn indices are scored a block at a
+    # time, never held for every resample at once (that would be 200 bytes more
+    # per resample)
+    rng = random.Random(4)
+    grades = [grade(success=rng.random() < 0.6, enc=1, rec=rng.randint(0, 1),
+                    steps=rng.randint(2, 6)) for _ in range(200)]
+    few, many = 1000, 20000
+    growth = _bootstrap_peak_bytes(grades, many) - _bootstrap_peak_bytes(grades, few)
+    # a float and its list slot in each of four lists, and one slot of the sorted
+    # copy being read, with a list's over-allocation of up to 1/8
+    float_lists = (4 * (sys.getsizeof(0.5) + 8) + 8) * (many - few) * 9 // 8
+    assert growth <= float_lists + 256 * 1024, (growth, float_lists)
 
 
 def _first_indices(n, seed, count=5000):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,33 @@ def test_error_body_status_may_be_a_digit_string(status, kind):
     assert found.kind == kind
     if kind == "http_503":
         assert (found.status_code, found.error_class) == (503, ErrorClass.REENTRANT_FAILURE)
+
+
+# 700 digits: past the lowest digit limit CPython allows (640), within the
+# default one (4300); 5000: past the default too
+@pytest.mark.parametrize("digits", [700, 5000])
+@pytest.mark.parametrize(
+    "limit", [None, 0, 640, 4300], ids=["as-started", "no-limit", "lowest-limit", "default-limit"]
+)
+def test_an_integer_past_a_digit_limit_is_read_as_json(digits, limit):
+    # json.loads raises a plain ValueError for an integer past the limit; the text
+    # is still a JSON object, and its reading must not depend on the limit
+    if limit is not None:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no digit limit")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+    number = "9" * digits
+    try:
+        assert detect_failure('{"value": %s}' % number) is None
+        # the error slot's compact JSON would write the integer back out, which
+        # raises the same ValueError: its digits are written as a string
+        found = detect_failure('{"error": {"code": %s}}' % number)
+        assert found == ErrorSignature(UNKNOWN_KIND, '{"code":"%s"}' % number)
+        assert detect_failure('{"error": "x", "status": 5%s}' % number).kind == UNKNOWN_KIND
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(before)
 
 
 _JSON_VALUES = st.recursive(
