@@ -255,14 +255,10 @@ class RecoveryExemplar:
 class ExemplarBank:
     exemplars: tuple[RecoveryExemplar, ...]
     version: str = "0"
-    # nearest exemplar per (kind, message tokens), filled by `retrieve_top_k`;
-    # outside equality and repr, so it never changes what a bank is. Token
-    # sets drop digits, so messages differing only in ids or counters share
-    # one entry.
-    nearest_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # token set per observed message, filled by `retrieve_top_k` the same way:
-    # a run's failure messages repeat across its retrievals.
-    tokens_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the n nearest exemplars per (observed kind, message, n), filled by
+    # `retrieve_top_k`; outside equality and repr, so it never changes what a
+    # bank is. A signature's kind and message are all that retrieval reads.
+    ranked_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # per observed kind, the exemplars grouped by their class, kind and status
     # mismatch weight, in ascending order; filled by `retrieve_top_k` the same way.
     tiers_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -367,19 +363,17 @@ def retrieve_top_k(
     the k-th best distance is below the next tier's mismatch weight: no
     exemplar of a later tier can then rank among the k. The scored ones rank
     by one exact key, each distance's numerator scaled to the least common
-    multiple of the denominators, then the id. The tiers per observed kind,
-    the nearest one (k <= 1) and each message's token set are memoized on the
-    bank.
+    multiple of the denominators, then the id. The tiers per observed kind and
+    each ranking are memoized on the bank; k below 1 ranks one exemplar.
     """
     if not bank.exemplars:
         raise ConfigError("cannot retrieve from an empty bank")
-    tokens = bank.tokens_memo.get(observed.message)
-    if tokens is None:
-        tokens = bank.tokens_memo[observed.message] = message_tokens(observed.message)
-    key = (observed.kind, tokens)
-    if k <= 1 and key in bank.nearest_memo:
-        return [bank.nearest_memo[key]]
     n = max(k, 1)
+    key = (observed.kind, observed.message, n)
+    ranked = bank.ranked_memo.get(key)
+    if ranked is not None:
+        return list(ranked)
+    tokens = message_tokens(observed.message)
     tiers = _tiers(bank, observed)
     scored: list[tuple[int, int, RecoveryExemplar]] = []
     for index, (a, exemplars) in enumerate(tiers):
@@ -391,14 +385,12 @@ def retrieve_top_k(
             if sum(num < below * den for num, den, _ in scored) >= n:
                 break
     scale = math.lcm(*(den for _, den, _ in scored))
-    ranked = [
+    ranked = bank.ranked_memo[key] = [
         ex for _, _, ex in heapq.nsmallest(
             n, scored, key=lambda s: (s[0] * (scale // s[1]), s[2].id)
         )
     ]
-    if k <= 1:
-        bank.nearest_memo[key] = ranked[0]
-    return ranked
+    return list(ranked)
 
 
 def retrieve(bank: ExemplarBank, observed: ErrorSignature) -> RecoveryExemplar:

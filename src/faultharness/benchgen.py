@@ -8,6 +8,7 @@ are stripped from the bank the agents see, leaving injection untouched.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import dataclass
@@ -255,45 +256,24 @@ def write_suite(path, cards: list[EpisodeCard]) -> None:
             fh.write(line + "\n")
 
 
-def _text_lines(text: str):
-    """The lines of `text`, lazily; each ends in one \\n where it ended in \\n, \\r\\n
-    or \\r, as text-mode reading translates them.
-
-    No other character ends a line: `dumps_canonical` writes U+2028 and U+0085
-    raw inside strings. Each search for a character starts where the last one
-    for it stopped, so the work is linear in the length of the text.
-    """
-    start, size = 0, len(text)
-    newline = text.find("\n")
-    while start < size:
-        if newline != -1 and newline < start:
-            newline = text.find("\n", start)
-        cr = text.find("\r", start, size if newline == -1 else newline)
-        if cr != -1:
-            yield text[start:cr] + "\n"
-            start = cr + 2 if cr + 1 == newline else cr + 1
-        elif newline != -1:
-            yield text[start:newline + 1]
-            start = newline + 1
-        else:
-            yield text[start:]
-            return
-
-
 def read_suite(path, data: bytes | None = None) -> list[EpisodeCard]:
     """The cards of suite file `path`; `data`, when given, is its bytes, already read.
 
-    Lines end at \\n, \\r\\n or \\r and are numbered from 1, blank ones
-    included. The decoded text is split lazily, one line at a time, with no
-    second copy of the whole text.
+    Lines end at \\n, \\r\\n or \\r, as text-mode reading translates them, and
+    are numbered from 1, blank ones included; no other character ends a line,
+    since `dumps_canonical` writes U+2028 and U+0085 raw inside strings. The
+    bytes are decoded a chunk at a time as the lines are read, so no decoded
+    copy of the whole file is kept, and a line that is not an episode card is
+    refused before any invalid UTF-8 in a later chunk is met.
     """
     if data is None:
         data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"suite file {path} is not UTF-8: {exc}") from None
-    return suite_from_lines(_text_lines(text))
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None) as lines:
+        try:
+            return suite_from_lines(lines)
+        except UnicodeDecodeError as exc:
+            # no position: the decoder counts it from the start of its chunk
+            raise ConfigError(f"suite file {path} is not UTF-8: {exc.reason}") from None
 
 
 def suite_manifest(spec: SuiteSpec, cards: list[EpisodeCard], bank_version: str) -> dict:

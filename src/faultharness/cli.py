@@ -45,6 +45,7 @@ from .benchgen import (
     suite_manifest,
     write_suite,
 )
+from .encoders import dumps_indented
 from .episode import Trajectory, dumps_canonical, trajectory_to_line
 from .errors import ConfigError, FaultHarnessError
 from .metrics import (
@@ -132,9 +133,7 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
     write_suite(out_path, cards)
     manifest = suite_manifest(spec, cards, bank.version)
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    manifest_path.write_text(dumps_indented(manifest), encoding="utf-8")
     if hold_out:
         bank_path = out_path.with_suffix(out_path.suffix + ".bank.json")
         bank_doc = {
@@ -312,9 +311,7 @@ def cmd_evaluate(
         "\n".join(report_csv_rows(report, Path(suite).name, agent)) + "\n", encoding="utf-8"
     )
     (run_dir / "manifest.json").write_text(
-        json.dumps({"flags": flags, "run_hash": run_hash}, sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
+        dumps_indented({"flags": flags, "run_hash": run_hash}), encoding="utf-8"
     )
 
     doc = report.to_json()
@@ -386,12 +383,8 @@ def cmd_build_corpus(
     with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
         for line in corpus.lines():
             fh.write(line + "\n")
-    (out / "spans.json").write_text(
-        json.dumps(corpus.spans, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out / "manifest.json").write_text(
-        json.dumps(corpus.manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out / "spans.json").write_text(dumps_indented(corpus.spans), encoding="utf-8")
+    (out / "manifest.json").write_text(dumps_indented(corpus.manifest), encoding="utf-8")
     if quarantine:
         (out / "quarantine.jsonl").write_text(
             "".join(q + "\n" for q in quarantine), encoding="utf-8"

@@ -1,5 +1,5 @@
-"""The compact JSON forms several modules share, each one function built once at
-import.
+"""The JSON text forms several modules share: the compact ones, each one function
+built once at import, and the indented form of the files written for people.
 
 `json.dumps` with any option set builds a new `json.JSONEncoder` per call, and
 even a prebuilt encoder's `encode` builds a new C encoder and a dict of
@@ -17,6 +17,7 @@ threads may share them.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from json.encoder import (
     JSONEncoder,
@@ -75,3 +76,9 @@ dumps_action_input = _compact_form(sort_keys=True, separators=(", ", ": "), ensu
 # Keys in insertion order, ", " and ": ", non-ASCII kept: the give-up payload a
 # repair template quotes, whose `return_type` comes first.
 dumps_giveup_input = _compact_form(sort_keys=False, separators=(", ", ": "), ensure_ascii=False)
+
+
+def dumps_indented(obj: Any) -> str:
+    """Sorted keys, two-space indent, non-ASCII escaped, then a newline: the
+    manifests, `spans.json` and `report.json`."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -22,7 +22,6 @@ time, so memory is the resample floats plus one block of integers.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -31,6 +30,7 @@ from fractions import Fraction
 from itertools import compress, islice, repeat, starmap
 from operator import add, getitem, itemgetter, lshift, sub, truediv
 
+from .encoders import dumps_indented
 from .episode import Finished, Trajectory
 from .errors import ConfigError, FaultHarnessError
 from .taxonomy import kind_class
@@ -437,4 +437,4 @@ def report_csv_rows(report: MetricsReport, suite: str, agent: str) -> list[str]:
 
 
 def report_to_json_text(report: MetricsReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    return dumps_indented(report.to_json())

@@ -10,6 +10,12 @@ class: `kind_status` is the only parser of the `http_<N>` spelling, and
 kinds only the classifier names. Neither fact is stored anywhere else: an
 `ErrorSignature` and a bank pattern hold a kind and read its class and status
 through these two functions.
+
+It is also the one reader of tool text as JSON. `detect_failure`, which
+classifies a response, and `json_object`, through which the simulator, the
+trace and the grader read payloads, decode with the same decoder. It reads an
+integer longer than `_INT_TEXT_MAX` characters as its digit string, so what a
+text means does not depend on the interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -234,17 +240,24 @@ def kind_class(kind: str) -> ErrorClass | None:
     return _CLASSIFIER_KIND_CLASS.get(kind)
 
 
+def _int_or_digits(text: str) -> int | str:
+    """A JSON integer: an `int` if its text converts under every digit limit,
+    else the text itself, which no limit stops from being written back out."""
+    return int(text) if len(text) <= _INT_TEXT_MAX else text
+
+
+_TOOL_TEXT_DECODER = json.JSONDecoder(parse_int=_int_or_digits)
+
+
 def json_object(text: str) -> dict | None:
     """`text` parsed, when it is a JSON object; None for anything else.
 
-    Every `ValueError` is unparseable text, not only a `JSONDecodeError`: an
-    integer longer than the interpreter's digit limit raises a plain one. So
-    is nesting too deep to parse. An object holding such an integer is
-    therefore None here, and which integers are too long depends on the
-    limit; `detect_failure` alone reads such an object as JSON under any limit.
+    It reads tool text as `detect_failure` does, an integer longer than
+    `_INT_TEXT_MAX` characters as its digit string, so the answer depends on
+    the text alone. Nesting too deep to parse is unparseable text.
     """
     try:
-        value = json.loads(text)
+        value = _TOOL_TEXT_DECODER.decode(text)
     except (ValueError, RecursionError):
         return None
     return value if isinstance(value, dict) else None
@@ -256,31 +269,20 @@ def _looks_like_success(body: dict) -> bool:
     return not body.get("error")
 
 
-def _int_or_digits(text: str) -> int | str:
-    """A JSON integer: an `int` if its text converts under every digit limit,
-    else the text itself, which no limit stops from being written back out."""
-    return int(text) if len(text) <= _INT_TEXT_MAX else text
-
-
-_FAILURE_DECODER = json.JSONDecoder(parse_int=_int_or_digits)
-
-
 def detect_failure(raw: str) -> ErrorSignature | None:
     """Classify `raw` if it is a failure; None for a normal tool response.
 
-    The answer depends on the text alone, not on the interpreter's digit
-    limit: an integer longer than `_INT_TEXT_MAX` characters is read as its
-    digit string. A normal response is a JSON object whose "error" slot is
-    empty or absent, whatever else it holds: a "status" field does not make it
-    a failure, not even `{"error": "", "status": 500}`. JSON that is not an
-    object is normal too. Empty text is a silent failure, and any other text
-    that is not JSON is a failure. Never raises.
+    A normal response is a JSON object whose "error" slot is empty or absent,
+    whatever else it holds: a "status" field does not make it a failure, not
+    even `{"error": "", "status": 500}`. JSON that is not an object is normal
+    too. Empty text is a silent failure, and any other text that is not JSON
+    is a failure. The text is read as `json_object` reads it. Never raises.
     """
     stripped = raw.strip()
     if not stripped:
         return ErrorSignature(UNKNOWN_KIND, "", Manifestation.SILENT_FAILURE)
     try:
-        body = _FAILURE_DECODER.decode(stripped)
+        body = _TOOL_TEXT_DECODER.decode(stripped)
     except (ValueError, RecursionError):  # nesting too deep to parse is unparseable too
         return _classify_unparseable(stripped)
     if isinstance(body, dict):

@@ -260,22 +260,38 @@ def test_retrieval_equals_exhaustive_fraction_oracle(bank, data):
     assert [ex.id for ex in retrieve_top_k(drawn, obs, k=k)] == ranking[:k]
 
 
-def test_repeated_signature_returns_the_memoized_exemplar():
+def test_repeated_signature_returns_the_memoized_ranking():
     fresh = load_shipped_bank()
-    first = retrieve(fresh, observed(message="Unexpected server error #4411"))
-    again = retrieve(fresh, observed(message="unexpected  SERVER error #9"))
-    assert again is first
-    assert len(fresh.nearest_memo) == 1
+    obs = observed(message="Unexpected server error #4411")
+    first = retrieve_top_k(fresh, obs, k=2)
+    key = (obs.kind, obs.message, 2)
+    assert fresh.ranked_memo == {key: first}
+    fresh.ranked_memo[key] = first[::-1]  # a repeat reads the memo, not the bank
+    again = retrieve_top_k(fresh, obs, k=2)
+    assert again == first[::-1]
+    again.clear()  # each call gets its own list
+    assert retrieve_top_k(fresh, obs, k=2) == first[::-1]
+    assert retrieve(fresh, obs) is first[0]  # k = 1 is a key of its own
+    assert set(fresh.ranked_memo) == {key, (obs.kind, obs.message, 1)}
 
 
-def test_token_memo_holds_each_message_once_per_bank():
+def test_ranking_memo_holds_each_lookup_once_per_bank():
     warm, cold = load_shipped_bank(), load_shipped_bank()
     messages = ["Unexpected server error #4411", "unexpected  SERVER error #9"]
     for message in messages * 2:
         retrieve(warm, observed(message=message))
-    assert warm.tokens_memo == {m: message_tokens(m) for m in messages}
-    assert not cold.tokens_memo
-    assert not warm.without_kinds({"http_503"}).tokens_memo
+        retrieve_top_k(warm, observed(message=message), k=0)  # ranks one, as k = 1
+    assert set(warm.ranked_memo) == {("http_500", m, 1) for m in messages}
+    assert not cold.ranked_memo
+    assert not warm.without_kinds({"http_503"}).ranked_memo
+
+
+def test_messages_differing_only_in_digits_retrieve_the_same_exemplars(bank):
+    rng = random.Random(7)
+    for _ in range(30):
+        obs = _random_signature(rng)
+        numbered = dataclasses.replace(obs, message=f"{obs.message} #{rng.randrange(10**6)}")
+        assert retrieve_top_k(bank, numbered, k=3) == retrieve_top_k(bank, obs, k=3)
 
 
 def test_pruned_bank_never_returns_a_removed_exemplar():
@@ -283,7 +299,7 @@ def test_pruned_bank_never_returns_a_removed_exemplar():
     obs = observed(kind="http_503", message="Service unavailable")
     assert retrieve(parent, obs).pattern.kind == "http_503"
     pruned = parent.without_kinds({"http_503"})
-    assert not pruned.nearest_memo
+    assert not pruned.ranked_memo
     nearest = retrieve(pruned, obs)
     assert nearest.pattern.kind != "http_503"
     assert nearest in pruned.exemplars
@@ -294,7 +310,7 @@ def test_banks_compare_equal_whatever_their_memo_holds():
     rng = random.Random(11)
     for _ in range(20):
         retrieve(warm, _random_signature(rng))
-    assert warm.nearest_memo and not cold.nearest_memo
+    assert warm.ranked_memo and not cold.ranked_memo
     assert warm == cold
     assert repr(warm) == repr(cold)
 

@@ -135,6 +135,65 @@ def test_read_suite_ends_lines_at_newline_and_carriage_return_only(tasks, tmp_pa
         read_suite(path)
 
 
+# the bytes io.TextIOWrapper decodes at a time, and so the seam a suite's
+# reader must carry a line end or a character across
+CHUNK = 8192
+
+
+def _suite_lines(tasks, prompt_end="", shift=0):
+    """Three suite lines; the first card's prompt gains `shift` ASCII bytes, then
+    `prompt_end`, moving every later byte of the file by as much."""
+    cards = generate_suite(tasks, SuiteSpec(n_episodes=3, master_seed=4))
+    cards[0] = dataclasses.replace(cards[0], prompt=cards[0].prompt + "x" * shift + prompt_end)
+    return suite_to_lines(cards)
+
+
+def _lines_read(monkeypatch, path):
+    """Each line `read_suite` reads from `path`, as it hands them on to be parsed."""
+    seen = []
+
+    def record(lines):
+        seen.extend(lines)
+        return suite_from_lines(seen)
+
+    monkeypatch.setattr("faultharness.benchgen.suite_from_lines", record)
+    read_suite(path)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "char, end",
+    [("", "\r\n"), ("", "\r"), ("", "\n"),
+     ("\u00e9", "\n"), ("\u20ac", "\r\n"), ("\U0001f600", "\n")],
+    ids=["crlf", "cr", "lf", "2-byte-char", "3-byte-char", "4-byte-char"],
+)
+def test_read_suite_carries_a_line_end_or_a_character_across_the_chunk_seam(
+    tasks, tmp_path, monkeypatch, char, end
+):
+    seam = (char or end).encode("utf-8")  # its first byte ends the first chunk
+
+    def suite(shift):
+        lines = _suite_lines(tasks, char, shift)
+        return lines, (end.join(lines) + end).encode("utf-8")
+
+    lines, data = suite(CHUNK - 1 - suite(0)[1].index(seam))
+    assert data[CHUNK - 1:CHUNK - 1 + len(seam)] == seam
+    path = tmp_path / "suite.jsonl"
+    path.write_bytes(data)
+    assert _lines_read(monkeypatch, path) == [line + "\n" for line in lines]
+
+
+def test_read_suite_refuses_an_invalid_byte_past_the_first_chunk(tasks, tmp_path):
+    data = ("\n".join(_suite_lines(tasks, "\u00e9", shift=CHUNK)) + "\n").encode("utf-8")
+    at = data.rindex("\u00e9".encode("utf-8"))
+    assert at > CHUNK
+    path = tmp_path / "suite.jsonl"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])  # a lead byte becomes an invalid one
+    with pytest.raises(ConfigError, match="is not UTF-8") as excinfo:
+        read_suite(path)
+    assert "position" not in str(excinfo.value)  # the decoder counts from its chunk's start
+
+
 # A failure card as older releases wrote it: with the grader's `guidelines`
 # tags, and a `protocol` label as older suite specs carried.
 OLD_CARD_LINE = (

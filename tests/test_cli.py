@@ -888,28 +888,66 @@ def test_evaluate_runs_a_card_whose_final_response_is_nested_too_deep_to_parse(r
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize(
-    "agent, plan",
-    [("vanilla", None),
-     ("paladin", {"kind": "partial_output", "manifestation": "PartialOutput", "turn_index": 1})],
-    ids=["vanilla", "paladin-partial-output"],
-)
-def test_evaluate_runs_a_card_whose_responses_hold_an_integer_past_the_digit_limit(
-    runner, tmp_path, agent, plan
-):
-    # json.loads raises a plain ValueError for such a number, not a JSONDecodeError
+_PARTIAL_OUTPUT_PLAN = {"kind": "partial_output", "manifestation": "PartialOutput", "turn_index": 1}
+
+
+def _long_integer_suite(runner, tmp_path, plan):
+    """A 5-card suite whose first card's every response is one 5000-digit integer:
+    past CPython's default limit on integer digits (4300)."""
     suite = _gen(runner, tmp_path, n=5, seed=1)
-    card = json.loads(suite.read_text(encoding="utf-8").splitlines()[0])
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    card = json.loads(lines[0])
     for tool in card["tools"]:
         tool["scripted_responses"] = dict.fromkeys(
             tool["scripted_responses"], '{"value": ' + "9" * 5000 + "}"
         )
     if plan is not None:
         card["plan"] = {"seed": card["plan"]["seed"], **plan}
-    suite.write_text(json.dumps(card) + "\n", encoding="utf-8")
-    result = _evaluate(runner, tmp_path, suite, agent=agent)
+    lines[0] = json.dumps(card)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return suite
+
+
+@pytest.mark.parametrize(
+    "agent, plan",
+    [("vanilla", None), ("paladin", _PARTIAL_OUTPUT_PLAN)],
+    ids=["vanilla", "paladin-partial-output"],
+)
+def test_evaluate_runs_a_card_whose_responses_hold_an_integer_past_the_digit_limit(
+    runner, tmp_path, agent, plan
+):
+    # json.loads raises a plain ValueError for such a number, not a JSONDecodeError
+    result = _evaluate(runner, tmp_path, _long_integer_suite(runner, tmp_path, plan), agent=agent)
     assert result.exit_code == 0, result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "plan", [None, _PARTIAL_OUTPUT_PLAN], ids=["suite-plan", "partial-output"]
+)
+def test_evaluate_grades_an_integer_past_the_digit_limit_the_same_under_any_limit(
+    runner, tmp_path, plan
+):
+    # the classifier, the synthesized answer and the grader's expected payload
+    # all read the integer from the same text, so no limit may change a byte
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit")
+    suite = _long_integer_suite(runner, tmp_path, plan)
+    before = sys.get_int_max_str_digits()
+    artifacts = []
+    try:
+        # as started, then no limit, the lowest limit and the default one
+        for index, limit in enumerate((before, 0, 640, 4300)):
+            sys.set_int_max_str_digits(limit)
+            result = _evaluate(runner, tmp_path, suite, out=f"runs-{index}")
+            assert result.exit_code == 0, result.output
+            (run_dir,) = (tmp_path / f"runs-{index}").iterdir()
+            artifacts.append(
+                [(run_dir / name).read_bytes() for name in ("trajectories.jsonl", "grades.jsonl")]
+            )
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert artifacts[1:] == artifacts[:1] * 3
 
 
 @pytest.mark.parametrize(
