@@ -36,7 +36,6 @@ uncovered, is refused as a whole.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
+from .encoders import loads
 from .errors import ConfigError
 from .taxonomy import (
     DATA_DIR,
@@ -266,12 +266,6 @@ class ExemplarBank:
     def __len__(self) -> int:
         return len(self.exemplars)
 
-    def by_id(self, exemplar_id: str) -> RecoveryExemplar:
-        for ex in self.exemplars:
-            if ex.id == exemplar_id:
-                return ex
-        raise KeyError(exemplar_id)
-
     def covered_classes(self) -> set[ErrorClass]:
         return {c for ex in self.exemplars if (c := ex.pattern.implied_class())}
 
@@ -301,7 +295,8 @@ def similarity_distance(observed: ErrorSignature, pattern: SignaturePattern) -> 
 
     With (w1, w2, w3, w4) = `DEFAULT_WEIGHTS`,
     d = w1*[class mismatch] + w2*[kind mismatch] + w3*[status mismatch]
-      + w4*(1 - Jaccard(message tokens)); wildcard pattern fields contribute 0.
+      + w4*(1 - Jaccard(message tokens)); wildcard pattern fields contribute 0,
+    and so does the class when the observed kind has none (`unknown`).
     """
     return Fraction(*_distance_pair(
         _mismatch(observed, pattern), message_tokens(observed.message), pattern.message_tokens
@@ -312,7 +307,11 @@ def _mismatch(observed: ErrorSignature, pattern: SignaturePattern) -> int:
     """The class, kind and status part of the distance: w1 + w2 + w3 at most."""
     w1, w2, w3, _ = DEFAULT_WEIGHTS
     a = 0
-    if pattern.error_class is not None and pattern.error_class != observed.error_class:
+    if (
+        pattern.error_class is not None
+        and observed.error_class is not None
+        and pattern.error_class != observed.error_class
+    ):
         a += w1
     if pattern.kind is not None and pattern.kind != observed.kind:
         a += w2
@@ -501,8 +500,8 @@ def load_bank(path, data: bytes | None = None) -> ExemplarBank:
     if data is None:
         data = Path(path).read_bytes()
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        doc = loads(data.decode("utf-8"))
+    except ValueError as exc:  # not JSON or not UTF-8
         raise ConfigError(f"bank file {path} is not JSON: {exc}") from None
     return parse_bank(doc)
 

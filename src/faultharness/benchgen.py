@@ -9,13 +9,13 @@ are stripped from the bank the agents see, leaving injection untouched.
 from __future__ import annotations
 
 import io
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from .bank import ExemplarBank, load_shipped_bank
-from .episode import InjectionPlan, dumps_canonical
+from .encoders import dumps_canonical, loads
+from .episode import InjectionPlan
 from .errors import ConfigError
 from .seeds import SEED_MIXER, derive_seed
 from .simulator import SimConfig, ToolRegistry, canonical_call_key
@@ -242,10 +242,8 @@ def suite_from_lines(lines) -> list[EpisodeCard]:
         if not line.strip():
             continue
         try:
-            cards.append(EpisodeCard.from_json(json.loads(line)))
-        except (
-            ValueError, RecursionError, LookupError, TypeError, AttributeError, ConfigError
-        ) as exc:  # RecursionError: JSON nested too deep to parse
+            cards.append(EpisodeCard.from_json(loads(line)))
+        except (ValueError, LookupError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"suite line {number}: not an episode card ({exc!r})") from exc
     return cards
 

@@ -25,7 +25,6 @@ reach them through `TYPE_CHECKING` imports.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import sys
@@ -45,8 +44,8 @@ from .benchgen import (
     suite_manifest,
     write_suite,
 )
-from .encoders import dumps_indented
-from .episode import Trajectory, dumps_canonical, trajectory_to_line
+from .encoders import dumps_canonical, dumps_indented, loads
+from .episode import Trajectory, trajectory_to_line
 from .errors import ConfigError, FaultHarnessError
 from .metrics import (
     aggregate,
@@ -403,8 +402,8 @@ _DIFF_METRICS = ("tsr", "rr", "csr", "es", "composite")
 
 def _read_report(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        doc = loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON or not UTF-8
         raise ConfigError(f"report {path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"report {path} is not a JSON object")

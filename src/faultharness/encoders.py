@@ -1,5 +1,12 @@
-"""The JSON text forms several modules share: the compact ones, each one function
-built once at import, and the indented form of the files written for people.
+"""The program's one JSON reader and the JSON text forms several modules share:
+the compact ones and the indented form of the files written for people, each
+one function built once at import.
+
+`loads` reads every JSON text the program parses: tool text, suite lines, bank
+files, reports, trajectory lines and Action Input. It reads an integer longer
+than `INT_TEXT_MAX` characters as its digit string, so what a text means does
+not depend on the interpreter's digit limit, and it refuses every bad text,
+nesting too deep to parse included, with a `ValueError`.
 
 `json.dumps` with any option set builds a new `json.JSONEncoder` per call, and
 even a prebuilt encoder's `encode` builds a new C encoder and a dict of
@@ -26,6 +33,32 @@ from json.encoder import (
     encode_basestring_ascii,
 )
 from typing import Any
+
+# CPython's limit on the digits `int` converts to or from text
+# (`sys.set_int_max_str_digits`) is 0, no limit, or at least 640; an integer
+# of at most this many characters converts under every limit.
+INT_TEXT_MAX = 640
+
+
+def _int_or_digits(text: str) -> int | str:
+    """A JSON integer: an `int` if its text converts under every digit limit,
+    else the text itself, which no limit stops from being written back out."""
+    return int(text) if len(text) <= INT_TEXT_MAX else text
+
+
+_DECODER = json.JSONDecoder(parse_int=_int_or_digits)
+
+
+def loads(text: str) -> Any:
+    """`text` parsed as JSON; raises `ValueError` for any text that is not,
+    worded as `json.loads` words it, or for nesting too deep to parse."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deep to parse") from None
+
 
 _raise_unserializable = JSONEncoder().default
 
@@ -78,7 +111,10 @@ dumps_action_input = _compact_form(sort_keys=True, separators=(", ", ": "), ensu
 dumps_giveup_input = _compact_form(sort_keys=False, separators=(", ", ": "), ensure_ascii=False)
 
 
+_encode_indented = JSONEncoder(sort_keys=True, indent=2).encode
+
+
 def dumps_indented(obj: Any) -> str:
     """Sorted keys, two-space indent, non-ASCII escaped, then a newline: the
     manifests, `spans.json` and `report.json`."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _encode_indented(obj) + "\n"

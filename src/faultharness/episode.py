@@ -8,10 +8,9 @@ appears in serialized output, keeping files byte-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .encoders import dumps_canonical  # re-exported: artifact writers import it from here
+from .encoders import dumps_canonical, loads
 from .taxonomy import CATALOG, Manifestation
 
 RECOVERY_PREFIX = "Recovery:"
@@ -170,10 +169,6 @@ class Trajectory:
     def recovery_turns(self) -> list[Turn]:
         return [t for t in self.turns if t.is_recovery]
 
-    @property
-    def duration_ms(self) -> int:
-        return self.turns[-1].simulated_time_ms if self.turns else 0
-
     def to_json(self) -> dict:
         sidecar: dict = {
             "episode_id": self.episode_id,
@@ -216,4 +211,4 @@ def trajectory_to_line(traj: Trajectory) -> str:
 
 
 def trajectory_from_line(line: str) -> Trajectory:
-    return Trajectory.from_json(json.loads(line))
+    return Trajectory.from_json(loads(line))

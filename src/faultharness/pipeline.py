@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -28,9 +29,8 @@ from .episode import (
     ROLE_FUNCTION,
     Trajectory,
     Turn,
-    dumps_canonical,
 )
-from .encoders import dumps_action_input, dumps_giveup_input
+from .encoders import dumps_action_input, dumps_canonical, dumps_giveup_input
 from .errors import AgentProtocolError, ConfigError, FaultHarnessError
 from .protocol import (
     Finish,
@@ -126,6 +126,10 @@ class RepairRequest:
             raise FaultHarnessError("truncated trace must end at the failing turn")
 
 
+# a `{name}` slot of a dialogue template; a name the slot table lacks is left as written
+_SLOT = re.compile(r"\{(\w+)\}")
+
+
 class RuleBasedTeacher:
     """Deterministic repair from the exemplar bank.
 
@@ -174,9 +178,8 @@ class RuleBasedTeacher:
         }
         turns: list[TeacherTurn] = []
         for template_turn in exemplar.dialogue_template:
-            content = template_turn["value"]
-            for key, value in slots.items():
-                content = content.replace("{" + key + "}", value)
+            # one pass: a slot name inside a filled value is not filled again
+            content = _SLOT.sub(lambda m: slots.get(m[1], m[0]), template_turn["value"])
             if template_turn["from"].lower() == "assistant":
                 turns.append(_teacher_says(content))
             else:

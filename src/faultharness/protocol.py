@@ -13,12 +13,11 @@ the task, "give_up_and_report" fails it gracefully.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 from .bank import RecoveryAction, TerminateGracefully
-from .encoders import dumps_action_input
+from .encoders import dumps_action_input, loads
 from .episode import RECOVERY_PREFIX
 from .errors import AgentProtocolError
 
@@ -77,28 +76,20 @@ class RecoveryStep:
 AgentAction = ToolCall | Finish | GiveUp | RecoveryStep | ProtocolViolation
 
 
+def _render_turn(thought: str, name: str, arguments: dict) -> str:
+    return f"Thought: {thought}\nAction: {name}\nAction Input: {dumps_action_input(arguments)}"
+
+
 def render_action(action: AgentAction) -> str:
     """Serialize an agent action to assistant-turn text."""
     if isinstance(action, ToolCall):
-        return (
-            f"Thought: {action.thought}\n"
-            f"Action: {action.name}\n"
-            f"Action Input: {dumps_action_input(action.arguments)}"
-        )
+        return _render_turn(action.thought, action.name, action.arguments)
     if isinstance(action, Finish):
         payload = {"return_type": GIVE_ANSWER, "final_answer": action.answer}
-        return (
-            f"Thought: {action.thought}\n"
-            f"Action: {FINISH_ACTION}\n"
-            f"Action Input: {dumps_action_input(payload)}"
-        )
+        return _render_turn(action.thought, FINISH_ACTION, payload)
     if isinstance(action, GiveUp):
         payload = {"return_type": GIVE_UP, "report": action.report}
-        return (
-            f"Thought: {action.thought}\n"
-            f"Action: {FINISH_ACTION}\n"
-            f"Action Input: {dumps_action_input(payload)}"
-        )
+        return _render_turn(action.thought, FINISH_ACTION, payload)
     if isinstance(action, RecoveryStep):
         if action.call is not None:
             inner = render_action(
@@ -151,8 +142,8 @@ def parse_action(text: str) -> ParsedAction:
     thought = (match.group("thought") or "").strip()
     raw_input = match.group("input").strip()
     try:
-        arguments = json.loads(raw_input)
-    except (ValueError, RecursionError) as exc:  # any ValueError: an over-long integer too
+        arguments = loads(raw_input)
+    except ValueError as exc:
         raise AgentProtocolError(f"Action Input is not valid JSON: {exc}") from exc
     if not isinstance(arguments, dict):
         raise AgentProtocolError("Action Input must be a JSON object")

@@ -11,23 +11,20 @@ kinds only the classifier names. Neither fact is stored anywhere else: an
 `ErrorSignature` and a bank pattern hold a kind and read its class and status
 through these two functions.
 
-It is also the one reader of tool text as JSON. `detect_failure`, which
-classifies a response, and `json_object`, through which the simulator, the
-trace and the grader read payloads, decode with the same decoder. It reads an
-integer longer than `_INT_TEXT_MAX` characters as its digit string, so what a
-text means does not depend on the interpreter's digit limit.
+`detect_failure`, which classifies a response, and `json_object`, through
+which the simulator, the trace and the grader read payloads, read tool text
+with the program's one JSON reader, `encoders.loads`.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import cached_property
 from pathlib import Path
 
-from .encoders import dumps_canonical
+from .encoders import INT_TEXT_MAX, dumps_canonical, loads
 
 
 @unique
@@ -53,15 +50,9 @@ class Manifestation(Enum):
     PARTIAL_OUTPUT = "PartialOutput"      # truncated but valid body
 
 
-# CPython's limit on the digits `int` converts to or from text
-# (`sys.set_int_max_str_digits`) is 0, no limit, or at least 640; an integer
-# of at most this many characters converts under every limit.
-_INT_TEXT_MAX = 640
-
-
 def _ascii_number(text: str) -> int | None:
-    """The number `text` spells in at most `_INT_TEXT_MAX` ASCII digits, else None."""
-    if len(text) > _INT_TEXT_MAX or not (text.isascii() and text.isdigit()):
+    """The number `text` spells in at most `INT_TEXT_MAX` ASCII digits, else None."""
+    if len(text) > INT_TEXT_MAX or not (text.isascii() and text.isdigit()):
         return None
     return int(text)
 
@@ -118,7 +109,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def _load_shipped_catalog() -> tuple[str, dict[str, FailureKind]]:
-    return _parse_catalog(json.loads((DATA_DIR / "catalog.json").read_text("utf-8")))
+    return _parse_catalog(loads((DATA_DIR / "catalog.json").read_text("utf-8")))
 
 
 CATALOG_VERSION, CATALOG = _load_shipped_catalog()
@@ -130,7 +121,8 @@ class ErrorSignature:
     A signature holds what the text says: the failure's kind, its message and
     how it was rendered. Its class and HTTP status are the kind's own
     (`kind_class`, `kind_status`), read once per signature, so they cannot
-    disagree with the kind. It does not say where it was seen; the same text
+    disagree with the kind. Only kind `unknown` has no class: the text says
+    nothing of one. It does not say where it was seen; the same text
     always yields an equal signature, whichever tool served it on whichever
     turn. Positions live in `trace.TraceView.responses`.
     """
@@ -140,7 +132,7 @@ class ErrorSignature:
     manifestation: Manifestation = Manifestation.ERROR_PAYLOAD
 
     def __post_init__(self):
-        if self.error_class is None:
+        if self.error_class is None and self.kind != UNKNOWN_KIND:
             raise ValueError(f"kind {self.kind!r} has no class in the taxonomy")
         if self.status_code is not None and not 100 <= self.status_code <= 599:
             raise ValueError("status_code out of range")
@@ -148,7 +140,7 @@ class ErrorSignature:
             raise ValueError("ErrorPayload signatures carry a non-empty message")
 
     @cached_property
-    def error_class(self) -> ErrorClass:
+    def error_class(self) -> ErrorClass | None:
         return kind_class(self.kind)
 
     @cached_property
@@ -220,9 +212,8 @@ def status_error_class(status: int) -> ErrorClass:
 
 
 # the kinds that only the classifier names; every other kind it names is a
-# catalog row or an http_ status
+# catalog row or an http_ status, except `unknown`, which says nothing of a class
 _CLASSIFIER_KIND_CLASS: dict[str, ErrorClass] = {
-    UNKNOWN_KIND: ErrorClass.INVALID_TOOL_INVOCATION,
     PROTOCOL_ERROR_KIND: ErrorClass.INVALID_INTERMEDIATE_REASONING,
     "tool_not_found": ErrorClass.TOOL_HALLUCINATION,
 }
@@ -230,7 +221,8 @@ _CLASSIFIER_KIND_CLASS: dict[str, ErrorClass] = {
 
 def kind_class(kind: str) -> ErrorClass | None:
     """The class of `kind`: its catalog row's, else its status's for an `http_`
-    kind, else the classifier's own; None for a kind the taxonomy does not know."""
+    kind, else the classifier's own; None for `unknown`, whose text names no
+    class, and for a kind the taxonomy does not know."""
     row = CATALOG.get(kind)
     if row is not None:
         return row.error_class
@@ -240,25 +232,11 @@ def kind_class(kind: str) -> ErrorClass | None:
     return _CLASSIFIER_KIND_CLASS.get(kind)
 
 
-def _int_or_digits(text: str) -> int | str:
-    """A JSON integer: an `int` if its text converts under every digit limit,
-    else the text itself, which no limit stops from being written back out."""
-    return int(text) if len(text) <= _INT_TEXT_MAX else text
-
-
-_TOOL_TEXT_DECODER = json.JSONDecoder(parse_int=_int_or_digits)
-
-
 def json_object(text: str) -> dict | None:
-    """`text` parsed, when it is a JSON object; None for anything else.
-
-    It reads tool text as `detect_failure` does, an integer longer than
-    `_INT_TEXT_MAX` characters as its digit string, so the answer depends on
-    the text alone. Nesting too deep to parse is unparseable text.
-    """
+    """`text` parsed by `loads`, when it is a JSON object; None for anything else."""
     try:
-        value = _TOOL_TEXT_DECODER.decode(text)
-    except (ValueError, RecursionError):
+        value = loads(text)
+    except ValueError:
         return None
     return value if isinstance(value, dict) else None
 
@@ -276,14 +254,14 @@ def detect_failure(raw: str) -> ErrorSignature | None:
     whatever else it holds: a "status" field does not make it a failure, not
     even `{"error": "", "status": 500}`. JSON that is not an object is normal
     too. Empty text is a silent failure, and any other text that is not JSON
-    is a failure. The text is read as `json_object` reads it. Never raises.
+    is a failure. The text is read by `loads`. Never raises.
     """
     stripped = raw.strip()
     if not stripped:
         return ErrorSignature(UNKNOWN_KIND, "", Manifestation.SILENT_FAILURE)
     try:
-        body = _TOOL_TEXT_DECODER.decode(stripped)
-    except (ValueError, RecursionError):  # nesting too deep to parse is unparseable too
+        body = loads(stripped)
+    except ValueError:
         return _classify_unparseable(stripped)
     if isinstance(body, dict):
         if _looks_like_success(body):
@@ -347,7 +325,7 @@ def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
         kind = "partial_output"
         if "response" in body:
             manifestation = Manifestation.PARTIAL_OUTPUT
-    elif "state conflict" in lowered or "contradict" in lowered:
+    elif "state conflict" in lowered:
         kind = "inconsistent_state"
     elif "invalid action format" in lowered:
         kind = PROTOCOL_ERROR_KIND

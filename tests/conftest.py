@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from faultharness.bank import load_shipped_bank
@@ -26,6 +29,20 @@ def bank():
 @pytest.fixture(scope="session")
 def tasks():
     return builtin_task_pool()
+
+
+@contextmanager
+def digit_limit(limit: int):
+    """Run the block under CPython's limit on integer digits set to `limit`
+    (0: no limit); skip the test on an interpreter that has no such limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def make_registry(payload: str = '{"answer":7,"unit":"days"}', with_backup: bool = True):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import digit_limit
 from faultharness.bank import (
     DEFAULT_WEIGHTS,
     ExemplarBank,
@@ -17,6 +18,7 @@ from faultharness.bank import (
     WaitUntilHealthy,
     action_from_json,
     action_to_json,
+    load_bank,
     load_shipped_bank,
     parse_bank,
     retrieve,
@@ -31,6 +33,7 @@ from faultharness.taxonomy import (
     ErrorSignature,
     Manifestation,
     classify_raw_failure,
+    kind_status,
     message_tokens,
 )
 
@@ -119,8 +122,37 @@ def test_retrieve_matches_bruteforce_oracle_on_small_bank(bank):
         assert retrieve(small, obs).id == _oracle_argmin(small, obs)
 
 
+def _shipped_messages() -> dict[str, tuple[str, str]]:
+    """Exemplar id -> (kind, message) as `recovery_bank.json` states them."""
+    doc = json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8"))
+    found = {}
+    for entry in doc["exemplars"]:
+        kinds = entry.get("kinds", [entry["pattern"].get("kind")])
+        for kind in kinds:
+            ex_id = entry["id"] if len(kinds) == 1 else f"{entry['id']}__{kind}"
+            found[ex_id] = (kind, entry["pattern"]["messages"][kind])
+    return found
+
+
+def test_each_shipped_exemplar_retrieves_itself(bank):
+    # a tool that fails with exactly the message an exemplar was written from
+    # must be served that exemplar
+    messages = _shipped_messages()
+    assert set(messages) == {ex.id for ex in bank.exemplars}
+    missed = {}
+    for ex in bank.exemplars:
+        kind, message = messages[ex.id]
+        body = {"error": message}
+        if kind_status(kind) is not None:
+            body["status"] = kind_status(kind)
+        found = retrieve(bank, classify_raw_failure(json.dumps(body))).id
+        if found != ex.id:
+            missed[ex.id] = found
+    assert not missed, f"{len(missed)} of {len(bank)} exemplars retrieve another: {missed}"
+
+
 def test_retrieve_exact_pattern_copy_returns_that_exemplar(bank):
-    exemplar = bank.by_id("rate_limited")
+    exemplar = {ex.id: ex for ex in bank.exemplars}["rate_limited"]
     obs = ErrorSignature(kind=exemplar.pattern.kind, message="Rate limit exceeded")
     assert retrieve(bank, obs).id == "rate_limited"
 
@@ -494,3 +526,19 @@ def test_retry_attempts_bounded():
         RetryWithBackoff(max_attempts=5)
     with pytest.raises(ValueError):
         RetryWithBackoff(max_attempts=0)
+
+
+def test_bank_field_past_the_digit_limit_is_refused_the_same_under_every_limit(tmp_path):
+    # 700 digits: read as its digit string under every limit, so refused as a string
+    doc = json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8"))
+    step = next(s for e in doc["exemplars"] for s in e["script"] if "max_attempts" in s)
+    step["max_attempts"] = "<digits>"
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(doc).replace('"<digits>"', "9" * 700), encoding="utf-8")
+    messages = set()
+    for limit in (0, 640, 4300):
+        with digit_limit(limit), pytest.raises(ConfigError) as refused:
+            load_bank(path)
+        messages.add(str(refused.value))
+    (message,) = messages
+    assert "RetryWithBackoff.max_attempts must be int, not '999" in message

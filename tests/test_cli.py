@@ -868,7 +868,7 @@ def test_deeply_nested_json_input_exits_2(runner, tmp_path, command):
         fragments = ["bank file", "deep.json is not JSON"]
     else:
         result = _evaluate(runner, tmp_path, deep)
-        fragments = ["suite line 1", "RecursionError"]
+        fragments = ["suite line 1", "ValueError('JSON nested too deep to parse')"]
     _assert_no_traceback(result, *fragments)
     assert not (tmp_path / "runs").exists()
 
@@ -950,14 +950,42 @@ def test_evaluate_grades_an_integer_past_the_digit_limit_the_same_under_any_limi
     assert artifacts[1:] == artifacts[:1] * 3
 
 
+def test_evaluate_reads_a_step_argument_past_the_digit_limit_the_same_under_any_limit(tmp_path):
+    # a suite line is read as tool text is: the 5001-digit amount is its digit
+    # string whatever the limit, so each process writes the same artifacts
+    suite = _gen(CliRunner(), tmp_path, n=5, seed=1)
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    card = json.loads(lines[0])
+    card["steps"][0]["arguments"]["amount"] = "<amount>"
+    lines[0] = json.dumps(card).replace('"<amount>"', "1" + "0" * 5000)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(faultharness.__file__).resolve().parent.parent)
+    artifacts = []
+    for limit in ("4300", "0"):
+        out = tmp_path / f"runs-{limit}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "faultharness.cli", "evaluate", "--suite", str(suite),
+             "--agent", "paladin", "--seed", "1", "--n-resamples", "5", "--out-dir", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": limit},
+        )
+        assert proc.returncode == 0, proc.stderr
+        (run_dir,) = out.iterdir()
+        artifacts.append(
+            [(run_dir / name).read_bytes() for name in ("trajectories.jsonl", "grades.jsonl")]
+        )
+    assert artifacts[0] == artifacts[1]
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
         ("{not json", "is not JSON"),
+        ("\ufeff{}", "is not JSON: Unexpected UTF-8 BOM"),
         ("[0.5]", "is not a JSON object"),
         ('{"tsr": "high"}', "tsr is not a number"),
     ],
-    ids=["not-json", "list", "string-metric"],
+    ids=["not-json", "byte-order-mark", "list", "string-metric"],
 )
 def test_report_diff_malformed_report_exits_2(runner, tmp_path, text, fragment):
     good = tmp_path / "good.json"

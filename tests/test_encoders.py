@@ -1,5 +1,6 @@
 """The prebuilt JSON encoders give exactly the text `json.dumps` gives with
-their call sites' options, on the C path and on the pure-Python fallback."""
+their call sites' options, on the C path and on the pure-Python fallback; the
+one reader, `loads`, means the same under every digit limit."""
 
 from __future__ import annotations
 
@@ -10,12 +11,15 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import digit_limit
 from faultharness import encoders
 from faultharness.encoders import (
     dumps_action_input,
     dumps_ascii,
     dumps_canonical,
     dumps_giveup_input,
+    dumps_indented,
+    loads,
 )
 from faultharness.protocol import ToolCall, render_action
 from faultharness.simulator import canonical_call_key, wrap_response
@@ -79,6 +83,23 @@ def test_each_prebuilt_encoder_matches_json_dumps_with_its_options(doc):
     assert [encode(doc) for encode, _ in FORMS] == expected
     with _without_c_accelerator() as fallback_forms:
         assert [encode(doc) for encode in fallback_forms] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_docs)
+def test_indented_form_matches_json_dumps(doc):
+    assert dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# 641 characters: past the lowest digit limit CPython allows (640), within the
+# default one (4300); 5000: past the default too
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+@pytest.mark.parametrize("length", [641, 5000])
+def test_loads_reads_an_integer_longer_than_640_characters_as_its_digits(length, limit):
+    text = "9" * length
+    with digit_limit(limit):
+        assert loads('{"n": [%s, -%s]}' % (text, text[1:])) == {"n": [text, "-" + text[1:]]}
+        assert loads("9" * 640) == int("9" * 640)
 
 
 def test_fallback_forms_run_the_pure_python_encoder():

@@ -16,7 +16,8 @@ from faultharness.agents import oracle_gate
 from faultharness.bank import load_bank
 from faultharness.benchgen import SuiteSpec, generate_suite, read_suite
 from faultharness.cli import main, run_card
-from faultharness.episode import dumps_canonical, trajectory_to_line
+from faultharness.encoders import dumps_canonical
+from faultharness.episode import trajectory_to_line
 from faultharness.metrics import grade_episode
 from faultharness.taxonomy import CATALOG
 

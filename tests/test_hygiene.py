@@ -107,8 +107,7 @@ def test_compact_dumps_finds_every_dumps_without_indent():
 
 def test_compact_encodes_go_through_the_prebuilt_encoders():
     # a compact form is one function built once in faultharness.encoders, not a
-    # new encoder built per json.dumps call or per module; the only json.dumps
-    # left are the indented artifact writers
+    # new encoder built per json.dumps call or per module
     sources = {
         path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))
     }
@@ -252,3 +251,35 @@ def test_every_harness_exception_class_is_caught_somewhere():
         for path in sorted(PACKAGE_DIR.rglob("*.py"))
     ))
     assert not defined - caught, f"exception classes no except clause names: {defined - caught}"
+
+
+def imports_json(source: str) -> bool:
+    """Whether a module imports `json` or one of its submodules, in any form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "json" for name in names):
+            return True
+    return False
+
+
+def test_imports_json_finds_every_form():
+    assert imports_json("import json")
+    assert imports_json("import os, json.decoder as d")
+    assert imports_json("def f():\n    from json import loads")
+    assert not imports_json("from .encoders import loads\nimport jsonschema")
+
+
+def test_only_encoders_imports_json():
+    # every JSON text is read by encoders.loads and written by its forms, so the
+    # digit limit and nesting depth are handled in one place
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.rglob("*.py")}
+    assert {name for name, source in sources.items() if imports_json(source)} == {"encoders.py"}
+    # remote keeps `requests`' own parse of the wire envelope
+    assert {
+        name for name, source in sources.items() if "RecursionError" in caught_names(source)
+    } == {"encoders.py", "remote.py"}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from click.testing import CliRunner
@@ -26,7 +28,7 @@ from faultharness.pipeline import (
     repair,
     truncate_at_failure,
 )
-from faultharness.taxonomy import CATALOG
+from faultharness.taxonomy import CATALOG, ErrorSignature
 from faultharness.trace import TraceView, trace_view
 
 
@@ -96,6 +98,15 @@ def test_repair_429_appends_recovery_then_success(bank):
     assert isinstance(repaired.terminal, Finished)
     # rate-limit template mentions the wait-and-retry strategy
     assert "retry" in appended[0].content.lower()
+
+
+def test_repair_fills_template_slots_once(bank):
+    # a slot name inside the error message is text, not a slot filled in turn
+    request, teacher = _repair_setup("http_400", bank)
+    error = ErrorSignature("http_400", "Bad field {args} in request")
+    repaired = repair(dataclasses.replace(request, error=error), teacher)
+    recovery = repaired.turns[len(request.truncated_trace.turns)]
+    assert "problem (Bad field {args} in request)" in recovery.content
 
 
 def test_repair_401_ends_in_graceful_failure(bank):

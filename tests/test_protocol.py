@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import sys
-
 import pytest
 
+from conftest import digit_limit
 from faultharness.bank import RetryWithBackoff, TerminateGracefully
 from faultharness.errors import AgentProtocolError
 from faultharness.protocol import (
@@ -79,15 +78,14 @@ def test_parse_rejects_bad_json_input():
         parse_action("Thought: x\nAction: lookup\nAction Input: " + "[" * 100_000)
 
 
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter parses integers of any length")
-def test_parse_rejects_an_integer_past_the_digit_limit():
-    # json.loads raises a plain ValueError here, not a JSONDecodeError
-    text = 'Thought: x\nAction: lookup\nAction Input: {"q": ' + "9" * (_DIGIT_LIMIT + 1) + "}"
-    with pytest.raises(AgentProtocolError, match="Action Input is not valid JSON"):
-        parse_action(text)
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+@pytest.mark.parametrize("length", [641, 5000])
+def test_parse_reads_an_integer_past_the_digit_limit_as_its_digits(length, limit):
+    # Action Input is read as every JSON text is: the digits, whatever the limit
+    digits = "9" * length
+    with digit_limit(limit):
+        parsed = parse_action('Thought: x\nAction: lookup\nAction Input: {"q": %s}' % digits)
+    assert parsed.call == ToolCall(name="lookup", arguments={"q": digits}, thought="x")
 
 
 def test_parse_rejects_unknown_finish_return_type():

@@ -239,7 +239,7 @@ def test_simulated_time_is_monotone_and_cost_accounted(bank):
     times = [t.simulated_time_ms for t in traj.turns]
     assert times == sorted(times)
     active_turns = [t for t in traj.turns if t.role in ("assistant", "function")]
-    backoff_total = traj.duration_ms - 100 * len(active_turns)
+    backoff_total = traj.turns[-1].simulated_time_ms - 100 * len(active_turns)
     assert backoff_total >= 0
 
 
