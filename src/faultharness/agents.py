@@ -43,7 +43,7 @@ from .protocol import (
     parse_action,
 )
 from .seeds import rng_for
-from .simulator import ToolRegistry, ToolSpec, canonical_call_key
+from .simulator import ToolRegistry, ToolSpec
 from .tasks import TaskStep
 from .taxonomy import ErrorSignature
 from .trace import trace_view
@@ -343,7 +343,8 @@ class CriticPolicy(ScriptedPolicy):
 
 
 class RemoteChatPolicy:
-    """Drives an external chat-completion model through the action grammar."""
+    """Drives an external chat-completion model through the action grammar: each
+    decision is one completion, read by `parse_action`, or a protocol violation."""
 
     def __init__(self, endpoint: EndpointConfig):
         from .remote import ChatEndpoint  # only remote runs need the transport
@@ -359,43 +360,9 @@ class RemoteChatPolicy:
         except ProtocolError as exc:
             return ProtocolViolation(text=f"<malformed completion payload: {exc}>")
         try:
-            parsed = parse_action(text)
+            return parse_action(text)
         except AgentProtocolError:
             return ProtocolViolation(text=text)
-        if parsed.finish is not None:
-            return parsed.finish
-        if parsed.give_up is not None:
-            if parsed.is_recovery:
-                return RecoveryStep(
-                    action=TerminateGracefully(),
-                    thought=parsed.give_up.thought,
-                    report=parsed.give_up.report,
-                )
-            return parsed.give_up
-        call = parsed.call
-        if not parsed.is_recovery:
-            return call
-        return RecoveryStep(
-            action=self._infer_action(context, call),
-            thought=call.thought,
-            call=call,
-        )
-
-    @staticmethod
-    def _infer_action(context: Trajectory, call: ToolCall) -> RecoveryAction:
-        """Map a recovery-tagged model call onto the action vocabulary."""
-        failed = trace_view(context).last_failed_call()
-        if failed is None:
-            return ValidateAndReissue()
-        if failed.name != call.name:
-            return SwitchTool()
-        if canonical_call_key(failed.name, failed.arguments) == canonical_call_key(
-            call.name, call.arguments
-        ):
-            return RetryWithBackoff(
-                max_attempts=1, base_delay_ms=0, cap_ms=0, respect_retry_after=False
-            )
-        return ReformatArguments()
 
 
 # --- factory ---------------------------------------------------------------------------

@@ -176,22 +176,21 @@ def action_to_json(action: RecoveryAction) -> dict:
     return doc
 
 
-# the one field each of these actions had in older bank files; nothing read it
-_DROPPED_KEYS = {
-    ReformatArguments: "hint",
-    SwitchTool: "strategy",
-    ValidateAndReissue: "check",
-    WaitUntilHealthy: "max_wait_ms",
-}
-
-
 def action_from_json(doc: dict) -> RecoveryAction:
+    """The action `doc` states; a key that is not one of its fields is an error."""
     tag = doc.get("action")
     if tag not in _ACTION_TAGS:
         raise ValueError(f"unknown recovery action {tag!r}")
-    cls = _ACTION_TAGS[tag]
-    dropped = _DROPPED_KEYS.get(cls)
-    return cls(**{k: v for k, v in doc.items() if k not in ("action", dropped)})
+    return _ACTION_TAGS[tag](**{k: v for k, v in doc.items() if k != "action"})
+
+
+# the one field each of these actions had in older bank files; nothing read it
+_DROPPED_KEYS = {
+    "reformat_arguments": "hint",
+    "switch_tool": "strategy",
+    "validate_and_reissue": "check",
+    "wait_until_healthy": "max_wait_ms",
+}
 
 
 # --- patterns and exemplars ---------------------------------------------------
@@ -409,7 +408,10 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
     script_docs = entry.get("script", [])
     if not script_docs:
         raise ValueError("exemplar script is empty")
-    script = tuple(action_from_json(doc) for doc in script_docs)
+    script = tuple(
+        action_from_json({k: v for k, v in d.items() if k != _DROPPED_KEYS.get(d.get("action"))})
+        for d in script_docs
+    )
     # every other action re-executes a call and can complete the step
     if isinstance(script[-1], (ReformatArguments, RefreshCredentials)):
         raise ValueError("script must end with TerminateGracefully or a success-terminal action")

@@ -33,10 +33,12 @@ from .episode import (
 from .encoders import dumps_action_input, dumps_canonical, dumps_giveup_input
 from .errors import AgentProtocolError, ConfigError, FaultHarnessError
 from .protocol import (
+    GRAMMAR,
+    AgentAction,
     Finish,
-    ParsedAction,
     RecoveryStep,
     ToolCall,
+    call_of,
     parse_action,
     render_action,
 )
@@ -72,12 +74,12 @@ class TeacherTurn(NamedTuple):
 
     role: str
     content: str
-    parsed: ParsedAction | None = None  # an assistant turn's one parse
+    parsed: AgentAction | None = None  # the action an assistant turn states
     success: bool = False  # a function turn holding a response the teacher wrapped
 
 
 def _teacher_says(content: str) -> TeacherTurn:
-    """An assistant turn, parsed once; the parse serves every later check."""
+    """A template's assistant turn, parsed once; the parse serves every later check."""
     try:
         parsed = parse_action(content)
     except AgentProtocolError as exc:
@@ -97,7 +99,7 @@ def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
     for role, content, parsed, success in appended:
         clock += TURN_COST_MS
         if parsed is not None:
-            view.calls[len(extended.turns)] = parsed.call
+            view.calls[len(extended.turns)] = call_of(parsed)
         elif success:
             view.signatures[len(extended.turns)] = None
         extended.turns.append(Turn(role=role, content=content, simulated_time_ms=clock))
@@ -135,7 +137,8 @@ class RuleBasedTeacher:
 
     Renders the exemplar's dialogue template when one exists (slot
     substitution only), otherwise synthesizes grammar-valid recovery turns
-    from the exemplar's script.
+    from the exemplar's script. A turn it renders carries its action; only a
+    template's text, which comes from the bank file, is parsed.
     """
 
     def __init__(self, bank: ExemplarBank):
@@ -159,7 +162,6 @@ class RuleBasedTeacher:
         request: RepairRequest,
         failed_call: ToolCall,
     ) -> list[TeacherTurn]:
-        alt = request.toolset.alternative_for(failed_call.name)
         giveup_payload = dumps_giveup_input(
             {
                 "return_type": "give_up_and_report",
@@ -168,7 +170,6 @@ class RuleBasedTeacher:
         )
         slots = {
             "tool": failed_call.name,
-            "alt_tool": alt.name if alt else failed_call.name,
             "error": request.error.detail,
             "args": dumps_action_input(failed_call.arguments),
             "success_response": wrap_response(
@@ -195,19 +196,15 @@ class RuleBasedTeacher:
     def _ends_terminal(turns: list[TeacherTurn]) -> bool:
         for turn in reversed(turns):
             if turn.parsed is not None:
-                return turn.parsed.is_terminal
+                return call_of(turn.parsed) is None
         return False
 
     def _finish(self, request: RepairRequest, appended: list[TeacherTurn]) -> TeacherTurn:
         probe = _extend(request.truncated_trace, appended)
-        return _teacher_says(
-            render_action(
-                Finish(
-                    answer=synthesize_answer(probe),
-                    thought="The recovered data answers the task.",
-                )
-            )
+        finish = Finish(
+            answer=synthesize_answer(probe), thought="The recovered data answers the task."
         )
+        return TeacherTurn(ROLE_ASSISTANT, render_action(finish), finish)
 
     def _render_script(
         self,
@@ -225,14 +222,14 @@ class RuleBasedTeacher:
                 "stopping with an honest report.",
                 report=action.report_for(failed_call.name, request.error),
             )
-            return [_teacher_says(render_action(step))]
+            return [TeacherTurn(ROLE_ASSISTANT, render_action(step), step)]
         step = RecoveryStep(
             action=action,
             thought=f"{exemplar.rationale} Re-issuing the call to {failed_call.name}.",
-            call=failed_call,
+            call=ToolCall(failed_call.name, failed_call.arguments),
         )
         turns = [
-            _teacher_says(render_action(step)),
+            TeacherTurn(ROLE_ASSISTANT, render_action(step), step),
             TeacherTurn(
                 ROLE_FUNCTION,
                 wrap_response(_scripted_payload(request.toolset, failed_call)),
@@ -266,22 +263,22 @@ class RemoteTeacher:
             0,
             {
                 "role": "system",
-                "content": "Repair this failed tool-use trace. Continue with "
-                "corrective steps prefixed 'Recovery:' in Thought/Action/Action "
-                "Input format, then finish.",
+                "content": "Repair this failed tool-use trace. " + GRAMMAR
+                + " Continue with corrective steps, then finish.",
             },
         )
         for _ in range(REMOTE_TEACHER_MAX_TURNS):
             try:
                 text = self._client.complete(messages)
                 parsed = parse_action(text)
-            except Exception as exc:  # transport, protocol, or grammar failure
+            except FaultHarnessError as exc:  # transport, wire or grammar failure
                 raise FaultHarnessError(f"remote teacher failed: {exc}") from exc
             turns.append(TeacherTurn(ROLE_ASSISTANT, text, parsed))
             messages.append({"role": "assistant", "content": text})
-            if parsed.is_terminal:
+            call = call_of(parsed)
+            if call is None:
                 return turns
-            response = wrap_response(_scripted_payload(request.toolset, parsed.call))
+            response = wrap_response(_scripted_payload(request.toolset, call))
             turns.append(TeacherTurn(ROLE_FUNCTION, response, success=True))
             messages.append({"role": "function", "content": response})
         raise FaultHarnessError("remote teacher did not terminate the trace")
@@ -294,17 +291,16 @@ def repair(request: RepairRequest, teacher) -> Trajectory:
     if not appended:
         raise FaultHarnessError("teacher produced no continuation")
     first_assistant = next((t for t in appended if t.role == ROLE_ASSISTANT), None)
-    if first_assistant is None or not first_assistant.content.startswith(RECOVERY_PREFIX):
+    if first_assistant is None or not isinstance(first_assistant.parsed, RecoveryStep):
         raise FaultHarnessError("first appended assistant turn must be recovery-tagged")
 
     terminal = None
     for turn in appended:
-        if turn.parsed is None:
-            continue
-        if turn.parsed.finish is not None:
-            terminal = Finished(answer=turn.parsed.finish.answer)
-        elif turn.parsed.give_up is not None:
-            terminal = GracefulFailure(report=turn.parsed.give_up.report)
+        action = turn.parsed
+        if isinstance(action, Finish):
+            terminal = Finished(answer=action.answer)
+        elif action is not None and call_of(action) is None:  # a give-up or terminate step
+            terminal = GracefulFailure(report=action.report)
     if terminal is None:
         raise FaultHarnessError("repaired trace must end in Finish or graceful failure")
     repaired = _extend(request.truncated_trace, appended)
@@ -340,8 +336,7 @@ def finalize(trace: Trajectory) -> Trajectory:
 
     if (
         trace.turns[-1].role == ROLE_ASSISTANT
-        and parsed is not None
-        and parsed.finish is not None
+        and isinstance(parsed, Finish)
         and isinstance(trace.terminal, Finished)
     ):
         return trace
@@ -350,7 +345,7 @@ def finalize(trace: Trajectory) -> Trajectory:
         answer=synthesize_answer(trace),
         thought="All steps succeeded; reporting the retrieved data.",
     )
-    finished = _extend(trace, [TeacherTurn(ROLE_ASSISTANT, render_action(finish))])
+    finished = _extend(trace, [TeacherTurn(ROLE_ASSISTANT, render_action(finish), finish)])
     finished.terminal = Finished(answer=finish.answer)
     return finished
 

@@ -6,9 +6,21 @@ Assistant turns follow the ToolBench shape::
     Action: <tool name or Finish>
     Action Input: <json object>
 
-Recovery steps carry the literal "Recovery:" prefix before "Thought:".
 Finish doubles as the terminal action: return_type "give_answer" completes
-the task, "give_up_and_report" fails it gracefully.
+the task, "give_up_and_report" fails it gracefully. A recovery step puts the
+literal "Recovery:" prefix before its turn and states its action on that
+line, as the compact JSON of `bank.action_to_json`::
+
+    Recovery: {"action":"reformat_arguments"}
+    Thought: ...
+
+The tag is one of the bank's eight, which `GRAMMAR` names for a model. A
+`terminate_gracefully` step gives up through Finish; every other step calls
+a tool. There is one form of a recovery turn: a bare `Recovery: Thought: ...`
+turn, an action line outside the vocabulary, and a step whose turn
+contradicts its action are refused as malformed. `parse_action` inverts
+`render_action` for every action whose thought and tool name hold no line
+break and no surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -16,14 +28,30 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bank import RecoveryAction, TerminateGracefully
-from .encoders import dumps_action_input, loads
+from .bank import (
+    _ACTION_TAGS,
+    RecoveryAction,
+    TerminateGracefully,
+    action_from_json,
+    action_to_json,
+)
+from .encoders import dumps_action_input, dumps_canonical, loads
 from .episode import RECOVERY_PREFIX
 from .errors import AgentProtocolError
 
 FINISH_ACTION = "Finish"
 GIVE_ANSWER = "give_answer"
 GIVE_UP = "give_up_and_report"
+
+# The grammar as a model is told it: the system prompt and the remote teacher's prompt.
+GRAMMAR = (
+    "Respond in the Thought/Action/Action Input format; finish with the Finish "
+    "action. Begin a corrective step after a tool failure with \"Recovery:\" "
+    "and, on the same line, its recovery action as a JSON object "
+    "{\"action\": <tag>}, the tag one of " + ", ".join(_ACTION_TAGS) + ". A "
+    "terminate_gracefully step finishes with return_type " + GIVE_UP + "; "
+    "every other step calls a tool."
+)
 
 
 @dataclass(frozen=True)
@@ -54,9 +82,10 @@ class ProtocolViolation:
 
 @dataclass(frozen=True)
 class RecoveryStep:
-    """One scripted corrective step; serialized with the Recovery: prefix.
+    """One corrective step; serialized with the Recovery: prefix and its action line.
 
-    `call` is the reissued/alternative tool call, when the action implies one.
+    `call` is the reissued/alternative tool call, when the action implies one;
+    the step's thought is the turn's, so the call carries none of its own.
     A TerminateGracefully step carries no call and ends the episode.
     """
 
@@ -71,16 +100,27 @@ class RecoveryStep:
                 raise ValueError("terminate steps must not carry a call")
         elif self.call is None:
             raise ValueError("non-terminal recovery steps must reissue a call")
+        elif self.call.thought:
+            raise ValueError("a recovery step's call carries no thought; the step's is rendered")
 
 
 AgentAction = ToolCall | Finish | GiveUp | RecoveryStep | ProtocolViolation
+
+
+def call_of(action: AgentAction) -> ToolCall | None:
+    """The tool call `action` makes; None for a terminal action or a violation."""
+    if isinstance(action, ToolCall):
+        return action
+    if isinstance(action, RecoveryStep):
+        return action.call
+    return None
 
 
 def _render_turn(thought: str, name: str, arguments: dict) -> str:
     return f"Thought: {thought}\nAction: {name}\nAction Input: {dumps_action_input(arguments)}"
 
 
-def render_action(action: AgentAction) -> str:
+def render_action(action: ToolCall | Finish | GiveUp | RecoveryStep) -> str:
     """Serialize an agent action to assistant-turn text."""
     if isinstance(action, ToolCall):
         return _render_turn(action.thought, action.name, action.arguments)
@@ -92,33 +132,11 @@ def render_action(action: AgentAction) -> str:
         return _render_turn(action.thought, FINISH_ACTION, payload)
     if isinstance(action, RecoveryStep):
         if action.call is not None:
-            inner = render_action(
-                ToolCall(
-                    name=action.call.name,
-                    arguments=action.call.arguments,
-                    thought=action.thought,
-                )
-            )
+            inner = _render_turn(action.thought, action.call.name, action.call.arguments)
         else:
             inner = render_action(GiveUp(report=action.report, thought=action.thought))
-        return f"{RECOVERY_PREFIX} {inner}"
-    if isinstance(action, ProtocolViolation):
-        return action.text
+        return f"{RECOVERY_PREFIX} {dumps_canonical(action_to_json(action.action))}\n{inner}"
     raise TypeError(f"unknown action {action!r}")
-
-
-@dataclass(frozen=True)
-class ParsedAction:
-    """Grammar-level view of one assistant turn."""
-
-    is_recovery: bool
-    call: ToolCall | None = None
-    finish: Finish | None = None
-    give_up: GiveUp | None = None
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.finish is not None or self.give_up is not None
 
 
 _GRAMMAR = re.compile(
@@ -129,13 +147,32 @@ _GRAMMAR = re.compile(
 )
 
 
-def parse_action(text: str) -> ParsedAction:
-    """Parse assistant-turn text; raises AgentProtocolError when malformed."""
-    body = text
-    is_recovery = body.startswith(RECOVERY_PREFIX)
-    if is_recovery:
-        body = body[len(RECOVERY_PREFIX):].lstrip()
-    match = _GRAMMAR.search(body)
+def parse_action(text: str) -> ToolCall | Finish | GiveUp | RecoveryStep:
+    """The action an assistant turn states; raises AgentProtocolError when malformed."""
+    if not text.startswith(RECOVERY_PREFIX):
+        return _parse_turn(text)
+    line, _, body = text[len(RECOVERY_PREFIX):].partition("\n")
+    try:
+        doc = loads(line)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{doc!r} is not a JSON object")
+        action = action_from_json(doc)
+    except (ValueError, TypeError) as exc:
+        raise AgentProtocolError(f"Recovery: turn has no valid action line ({exc})") from exc
+    inner = _parse_turn(body)
+    terminate = isinstance(action, TerminateGracefully)
+    if isinstance(inner, ToolCall) and not terminate:
+        return RecoveryStep(
+            action=action, thought=inner.thought, call=ToolCall(inner.name, inner.arguments)
+        )
+    if isinstance(inner, GiveUp) and terminate:
+        return RecoveryStep(action=action, thought=inner.thought, report=inner.report)
+    must = f"finish with return_type {GIVE_UP}" if terminate else "call a tool, not finish"
+    raise AgentProtocolError(f"a {doc['action']} step must {must}")
+
+
+def _parse_turn(text: str) -> ToolCall | Finish | GiveUp:
+    match = _GRAMMAR.search(text)
     if match is None:
         raise AgentProtocolError("expected Thought/Action/Action Input structure")
     name = match.group("action").strip()
@@ -147,20 +184,11 @@ def parse_action(text: str) -> ParsedAction:
         raise AgentProtocolError(f"Action Input is not valid JSON: {exc}") from exc
     if not isinstance(arguments, dict):
         raise AgentProtocolError("Action Input must be a JSON object")
-    if name == FINISH_ACTION:
-        return_type = arguments.get("return_type")
-        if return_type == GIVE_ANSWER:
-            return ParsedAction(
-                is_recovery=is_recovery,
-                finish=Finish(answer=str(arguments.get("final_answer", "")), thought=thought),
-            )
-        if return_type in (GIVE_UP, "give_up_and_restart"):
-            return ParsedAction(
-                is_recovery=is_recovery,
-                give_up=GiveUp(report=str(arguments.get("report", "")), thought=thought),
-            )
-        raise AgentProtocolError(f"unknown Finish return_type {return_type!r}")
-    return ParsedAction(
-        is_recovery=is_recovery,
-        call=ToolCall(name=name, arguments=arguments, thought=thought),
-    )
+    if name != FINISH_ACTION:
+        return ToolCall(name=name, arguments=arguments, thought=thought)
+    return_type = arguments.get("return_type")
+    if return_type == GIVE_ANSWER:
+        return Finish(answer=str(arguments.get("final_answer", "")), thought=thought)
+    if return_type in (GIVE_UP, "give_up_and_restart"):
+        return GiveUp(report=str(arguments.get("report", "")), thought=thought)
+    raise AgentProtocolError(f"unknown Finish return_type {return_type!r}")

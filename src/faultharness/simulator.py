@@ -9,8 +9,8 @@ World model for injected faults, read from each kind's catalog row
 * a kind with `persistence: [min, max]` is transient: it clears after a
   seeded number of failed identical retries drawn from that range;
   `retry_after: true` gives its failures a seeded Retry-After;
-* a kind with `fixes` is structural: it clears only once the agent reissues
-  the call under a recovery action whose tag is listed there;
+* a kind with `fixes` is structural: it clears only on a reissue of the call
+  whose turn states a listed action (the tag on its `Recovery:` line);
 * a kind with neither never clears on the same call; the correct moves are
   graceful termination and tool switching.
 
@@ -28,7 +28,7 @@ A fault's persistence and Retry-After are drawn in one place, `fault_life(plan)`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bank import (
     ExemplarBank,
@@ -52,6 +52,7 @@ from .episode import (
 from .encoders import dumps_ascii, dumps_canonical
 from .errors import ConfigError, TransportError
 from .protocol import (
+    GRAMMAR,
     Finish,
     GiveUp,
     ProtocolViolation,
@@ -71,10 +72,9 @@ from .taxonomy import (
 from .trace import trace_view
 
 SYSTEM_PROMPT = (
-    "You are a tool-using assistant. Use the provided tools to complete the "
-    "task. Respond in the Thought/Action/Action Input format; finish with the "
-    "Finish action. Prefix corrective steps after tool failures with "
-    "\"Recovery:\" and never claim success for data you did not obtain."
+    "You are a tool-using assistant. Use the provided tools to complete the task. "
+    + GRAMMAR
+    + " Never claim success for data you did not obtain."
 )
 
 PROTOCOL_ERROR_BODY = (
@@ -443,8 +443,7 @@ def run_episode(
             break
 
         if isinstance(action, RecoveryStep):
-            # the step's thought is rendered on its call's turn
-            call = replace(action.call, thought=action.thought)
+            call = action.call
             action_tag = _TAG_BY_TYPE[type(action.action)]
         elif isinstance(action, ToolCall):
             call = action

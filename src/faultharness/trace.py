@@ -26,7 +26,7 @@ from typing import Callable
 from . import protocol, taxonomy
 from .episode import ROLE_ASSISTANT, ROLE_FUNCTION, Trajectory, Turn
 from .errors import AgentProtocolError
-from .protocol import ToolCall
+from .protocol import ToolCall, call_of
 from .taxonomy import ErrorSignature, json_object
 
 
@@ -118,7 +118,7 @@ class TraceView:
             return None
         if index not in self.calls:
             try:
-                call = protocol.parse_action(self.turns[index].content).call
+                call = call_of(protocol.parse_action(self.turns[index].content))
             except AgentProtocolError:
                 call = None
             self.calls[index] = call
@@ -130,11 +130,6 @@ class TraceView:
             if self.turns[i].role == ROLE_ASSISTANT:
                 return self.call_at(i)
         return None
-
-    def last_failed_call(self) -> ToolCall | None:
-        """The call whose failure started the trailing failure run, if any."""
-        start, length = self.failure_run
-        return self.call_before(start) if length else None
 
     def recovery_steps_since(self, index: int) -> int:
         return sum(1 for i in self.recoveries if i > index)

@@ -9,7 +9,7 @@ from faultharness.bank import load_shipped_bank
 from faultharness.agents import make_policy
 from faultharness.episode import ROLE_ASSISTANT, InjectionPlan
 from faultharness.errors import AgentProtocolError
-from faultharness.protocol import parse_action
+from faultharness.protocol import call_of, parse_action
 from faultharness.simulator import (
     SimConfig,
     ToolRegistry,
@@ -120,7 +120,7 @@ def assert_facts_match_texts(view):
     `parse_action` and `detect_failure` make of the turn's text."""
     for i, call in view.calls.items():
         try:
-            parsed = parse_action(view.turns[i].content).call
+            parsed = call_of(parse_action(view.turns[i].content))
         except AgentProtocolError:
             parsed = None
         assert call == parsed, i

@@ -16,7 +16,7 @@ from faultharness.episode import (
     InjectionPlan,
 )
 from faultharness.errors import ConfigError
-from faultharness.protocol import RecoveryStep, parse_action
+from faultharness.protocol import ProtocolViolation, RecoveryStep, ToolCall, call_of, parse_action
 from faultharness.remote import EndpointConfig
 from faultharness.simulator import SimConfig, run_episode
 from faultharness.taxonomy import CATALOG
@@ -87,9 +87,9 @@ def test_reflect_third_attempt_reformats():
 def test_reflect_never_switches_tools():
     traj, _, _ = run_simple("reflect", kind="http_404", plan_seed=5)
     for turn in traj.assistant_turns:
-        parsed = parse_action(turn.content)
-        if parsed.call is not None:
-            assert parsed.call.name == "lookup"
+        call = call_of(parse_action(turn.content))
+        if call is not None:
+            assert call.name == "lookup"
 
 
 def test_reflect_recovers_argument_errors_via_reformat():
@@ -158,9 +158,9 @@ def test_paladin_404_validates_then_switches(bank):
     assert isinstance(traj.terminal, Finished)
     calls = []
     for turn in traj.assistant_turns:
-        parsed = parse_action(turn.content)
-        if parsed.call is not None:
-            calls.append((parsed.is_recovery, parsed.call.name))
+        action = parse_action(turn.content)
+        if call_of(action) is not None:
+            calls.append((isinstance(action, RecoveryStep), call_of(action).name))
     assert calls == [(False, "lookup"), (True, "lookup"), (True, "lookup_backup")]
 
 
@@ -192,9 +192,9 @@ def test_paladin_script_without_terminate_escalates_to_switch():
     traj, _, _ = run_simple("paladin", kind="http_404", plan_seed=2, bank=_reissue_only_bank())
     assert isinstance(traj.terminal, Finished)
     calls = [
-        (parsed.is_recovery, parsed.call.name)
+        (isinstance(action, RecoveryStep), call_of(action).name)
         for turn in traj.assistant_turns
-        if (parsed := parse_action(turn.content)).call is not None
+        if call_of(action := parse_action(turn.content)) is not None
     ]
     assert calls == [(False, "lookup"), (True, "lookup"), (True, "lookup_backup")]
 
@@ -304,15 +304,23 @@ def test_remote_policy_prose_is_protocol_violation(stub_server):
 
 
 def test_remote_policy_recovery_tagged_turn(stub_server):
-    _StubHandler.responses = [
-        'Recovery: Thought: the call failed, retrying\n'
-        'Action: lookup\nAction Input: {"q": "x"}',
-    ]
+    # the turn states its action; a bare Recovery: turn states none and is refused
+    stated = (
+        'Recovery: {"action":"validate_and_reissue"}\nThought: the call failed, '
+        'checking it\nAction: lookup\nAction Input: {"q": "x"}'
+    )
+    bare = 'Recovery: Thought: the call failed, retrying\nAction: lookup\nAction Input: {"q": "x"}'
+    _StubHandler.responses = [stated, bare]
     registry, _ = make_registry()
     policy = RemoteChatPolicy(EndpointConfig(base_url=stub_server))
     action = policy.decide(_context_with_failure(registry), registry, None)
-    assert isinstance(action, RecoveryStep)
-    assert action.call.name == "lookup"
+    assert action == RecoveryStep(
+        action=ValidateAndReissue(),
+        thought="the call failed, checking it",
+        call=ToolCall(name="lookup", arguments={"q": "x"}),
+    )
+    action = policy.decide(_context_with_failure(registry), registry, None)
+    assert action == ProtocolViolation(text=bare)
 
 
 def _context_with_failure(registry):

@@ -14,6 +14,7 @@ import threading
 import weakref
 from collections import Counter
 from functools import reduce
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 from pathlib import Path
 
@@ -23,9 +24,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import faultharness
 from faultharness import cli
+from faultharness.agents import make_policy
 from faultharness.bank import load_bank, load_shipped_bank, parse_bank
+from faultharness.benchgen import read_suite
 from faultharness.cli import main, run_card
+from faultharness.episode import InjectionPlan, Trajectory, Turn
 from faultharness.errors import ConfigError
+from faultharness.protocol import render_action
 from faultharness.simulator import canonical_call_key
 from faultharness.taxonomy import ErrorClass, kind_status
 
@@ -229,6 +234,50 @@ def test_evaluate_jobs_match_serial(runner, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_evaluate_remote_agent_over_loopback_writes_paladin_trajectories(runner, tmp_path):
+    # an endpoint on the loopback answers as paladin would, for the task its
+    # user prompt names; two workers through HTTP then write paladin's own bytes
+    suite = _gen(runner, tmp_path, n=14, seed=5)
+    bank = load_shipped_bank()
+    tasks = {}
+    for card in read_suite(suite):
+        task = (card.steps, card.tools, card.retry_budget)
+        assert tasks.setdefault(card.prompt, task) == task  # one task per prompt
+
+    class Paladin(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            turns = [Turn(m["role"], m["content"]) for m in body["messages"]]
+            steps, tools, budget = tasks[next(t.content for t in turns if t.role == "user")]
+            context = Trajectory(episode_id="loopback", plan=InjectionPlan(seed=0), turns=turns)
+            action = make_policy("paladin", steps, budget).decide(context, tools, bank)
+            reply = json.dumps({"choices": [{"message": {"content": render_action(action)}}]})
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply.encode("utf-8"))))
+            self.end_headers()
+            self.wfile.write(reply.encode("utf-8"))
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Paladin)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    url = f"http://127.0.0.1:{server.server_port}"
+    trajectories = {}
+    try:
+        for agent, extra in (("paladin", ()), ("remote", ("--jobs", "2", "--endpoint-url", url))):
+            result = _evaluate(runner, tmp_path, suite, *extra, agent=agent, out=agent)
+            assert result.exit_code == 0, result.output
+            (run_dir,) = (tmp_path / agent).iterdir()
+            trajectories[agent] = (run_dir / "trajectories.jsonl").read_bytes()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert b"Recovery: " in trajectories["paladin"]
+    assert trajectories["remote"] == trajectories["paladin"]
+
+
 def test_evaluate_jobs_start_at_most_two_cards_per_worker_ahead(runner, tmp_path, monkeypatch):
     # the first card waits while the others may start; a writer that must wait
     # for it bounds how many finished episodes pile up behind it
@@ -262,6 +311,16 @@ def test_evaluate_jobs_start_at_most_two_cards_per_worker_ahead(runner, tmp_path
     assert started_at_first_line[0] <= 2 * jobs
 
 
+def _child_env(**variables):
+    """The environment of a child `python -m faultharness.cli`: this package's
+    directory in front of the inherited PYTHONPATH, so the child still finds
+    what the parent interpreter was started with, then `variables`."""
+    pythonpath = os.pathsep.join(filter(None, [
+        str(Path(faultharness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
+    ]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **variables}
+
+
 _ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 _UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "LANG": "C.UTF-8", "PYTHONUTF8": "1"}
 
@@ -273,17 +332,13 @@ def test_evaluate_writes_the_same_utf8_artifacts_under_an_ascii_locale(runner, t
     card["prompt"] += " café"
     lines[0] = json.dumps(card, ensure_ascii=False)
     suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    # the package first, then whatever path the interpreter was started with
-    pythonpath = os.pathsep.join(filter(None, [
-        str(Path(faultharness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")
-    ]))
     artifacts = []
     for name, locale in (("ascii", _ASCII_LOCALE), ("utf8", _UTF8_LOCALE)):
         proc = subprocess.run(
             [sys.executable, "-m", "faultharness.cli", "evaluate", "--suite", str(suite),
              "--agent", "paladin", "--seed", "1", "--n-resamples", "5",
              "--out-dir", str(tmp_path / name)],
-            env={**os.environ, "PYTHONPATH": pythonpath, **locale},
+            env=_child_env(**locale),
             capture_output=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
@@ -959,7 +1014,6 @@ def test_evaluate_reads_a_step_argument_past_the_digit_limit_the_same_under_any_
     card["steps"][0]["arguments"]["amount"] = "<amount>"
     lines[0] = json.dumps(card).replace('"<amount>"', "1" + "0" * 5000)
     suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    src = str(Path(faultharness.__file__).resolve().parent.parent)
     artifacts = []
     for limit in ("4300", "0"):
         out = tmp_path / f"runs-{limit}"
@@ -967,7 +1021,7 @@ def test_evaluate_reads_a_step_argument_past_the_digit_limit_the_same_under_any_
             [sys.executable, "-m", "faultharness.cli", "evaluate", "--suite", str(suite),
              "--agent", "paladin", "--seed", "1", "--n-resamples", "5", "--out-dir", str(out)],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": limit},
+            env=_child_env(PYTHONINTMAXSTRDIGITS=limit),
         )
         assert proc.returncode == 0, proc.stderr
         (run_dir,) = out.iterdir()

@@ -12,24 +12,27 @@ import pytest
 from click.testing import CliRunner
 
 from faultharness import agents
-from faultharness.agents import oracle_gate
+from faultharness.agents import RemoteChatPolicy, make_policy, oracle_gate
 from faultharness.bank import load_bank
 from faultharness.benchgen import SuiteSpec, generate_suite, read_suite
 from faultharness.cli import main, run_card
 from faultharness.encoders import dumps_canonical
-from faultharness.episode import trajectory_to_line
+from faultharness.episode import Trajectory, Turn, trajectory_to_line
 from faultharness.metrics import grade_episode
+from faultharness.protocol import render_action
+from faultharness.remote import EndpointConfig
+from faultharness.simulator import SimConfig, run_episode
 from faultharness.taxonomy import CATALOG
 
 EVAL_SEED = 42
 
 TRAJECTORIES = {
-    "vanilla": "d25adc357ef32e8807d18c4a2f81d70eab07fa5337f02e906122e5e1b1856de0",
-    "toolbench": "ccd3cde63a1f131e2cd7ff40f50312af1f66a91b9be31d1cf94dfeea9d6f225c",
-    "reflect": "36dfdc95ccb58ef9ba6eb03af97c8aa511ba616412723db0c4d5dc600b101ad8",
-    "critic": "39ff1e2f25754268ddca2a7930cf8da34047a50bc78fff872e15e87583b9af6e",
-    "paladin": "294a26d6b2292acddb824b3c5abb449d376260640d2844565dbfd57e745243c7",
-    "paladin_no_bank": "d72954f024eb8de3834229d08b80005875e33ec119c6c0541a84154892902170",
+    "vanilla": "3c41032cf5988d4f14bb29dc0aba1001c9c7b10eeb4ef07c98ec008672c95142",
+    "toolbench": "84df25a2099ab52b46b28b21891811a6b1e3dbd9a5028c432b2d152187262a7e",
+    "reflect": "f1df7153ca6f3c421514241d9e27fa252fc37519a1bafb783fb181825978c7c1",
+    "critic": "8add797436ea84bfaad1d02a5d9d3d05a03162fbde0d6b614a89bcb4ff37a24b",
+    "paladin": "f5d8b2d08756e743c2f2e810172b7f8e48af37fde14e549782461604b7d22a89",
+    "paladin_no_bank": "d754fee8e4acd7972b3bad5e53369050118a4fb5c4514dc1bddd271519e5a427",
 }
 
 GRADES = {
@@ -46,19 +49,19 @@ GRADES = {
 # is of the injected kind
 HELD_OUT = {
     ("malformed_json", "critic"): (
-        "7de851d45c362acb1deb8f02e473afe5a70de1669184a32fe15c57e05c54497e",
+        "610fefcaa1c3f540ee2f3535c6422803560ec98139a518ac9ad45efb9edb7b7f",
         "4c37095fbf503b9881392fad0f0a76b99ed666c141e8d22810e39f28f0aff64b",
     ),
     ("malformed_json", "paladin"): (
-        "1356ac4b008227d599d30ba0e77578abd910ea7f1238a2c242c8e3f1ed6aee8b",
+        "a7a4cd87d25f4152d67d5e950611d1897c4eb433f0fd2005fd570fd908bd00d5",
         "8caf062bd3c60f6a18f49ebccac0b846b84640d9a33e04c8b3d0fdc6b404729a",
     ),
     ("timeout", "critic"): (
-        "4ad6fdeb5a23364edb6843388875fc32ef4753c49bd7297e503c2f7ffe577fe9",
+        "cbb7a6f85ceac36ce3b82e0263b44b95bd7be4af9a02b9b6d46ac47962d8ced3",
         "f67ac22360faa575a0a42182936610b2043fe6d816c68a4a753331c8999caa9a",
     ),
     ("timeout", "paladin"): (
-        "476c224a1d1cfb927214a8939ce92009096a94eadf4df6525dd7b6b3692ab79a",
+        "ebb768cd15f513bd029d4cebdc9a814d741f82490b3f1ff979336ae3852ea007",
         "354da6d4c3f2128a227a6ce60c8e4258e222f37f6abe55247683d4359c7ad268",
     ),
 }
@@ -90,8 +93,8 @@ HELD_OUT_SUITES = {
 REPORT = "a6a303742a08d45e4a0a7e80ecd32070a455ee4c7af61823d985c65cd80dbab8"
 
 CORPUS = {
-    "corpus.jsonl": "972e38c0abdc89b617c06b83fd6966111e40939f325e4e706b935c9e4c876596",
-    "spans.json": "36252f69c5e3c03a4d935e84bda585cb499abee975902c7d768ae59d977b9b2a",
+    "corpus.jsonl": "7c0aa04e5aa350669279f3e2dbeed24795798e9d0643a4362753ea6304b1f3ef",
+    "spans.json": "d8a0b4664ca08a6f84af7d59c3738b63693af0e572cef8555abf9734b76f6611",
 }
 
 
@@ -139,6 +142,41 @@ def test_critic_draws_each_oracle_gate_once(desk_cards, bank, monkeypatch):
     assert (trajectories, grades) == (TRAJECTORIES["critic"], GRADES["critic"])
     assert len(draws) == events > 0
     assert len(set(draws)) == len(draws)
+
+
+class _Replay:
+    """A chat endpoint answering with a scripted policy's own rendered action,
+    decided on the context the posted messages spell out."""
+
+    def __init__(self, policy, card, bank):
+        self._policy, self._card, self._bank = policy, card, bank
+        self._context = Trajectory(episode_id=card.episode_id, plan=card.plan, turns=[])
+
+    def complete(self, messages):
+        turns = self._context.turns  # messages only grow: append the new ones
+        turns.extend(Turn(m["role"], m["content"]) for m in messages[len(turns):])
+        return render_action(self._policy.decide(self._context, self._card.tools, self._bank))
+
+
+@pytest.mark.parametrize("agent", sorted(GRADES))
+def test_remote_replay_of_a_scripted_policy_writes_its_trajectories(desk_cards, bank, agent):
+    # a model that writes what the scripted policy decides is credited as that
+    # policy is: every recovery turn states its action, which the world reads
+    differ = []
+    for card in desk_cards:
+        policy = make_policy(agent, card.steps, card.retry_budget, seed=EVAL_SEED)
+        remote = RemoteChatPolicy(EndpointConfig(base_url="http://127.0.0.1:1"))
+        remote._client = _Replay(policy, card, bank)
+        config = SimConfig(
+            max_steps=card.max_steps, retry_budget_per_error=card.retry_budget, rng_seed=EVAL_SEED
+        )
+        replayed = run_episode(
+            card.prompt, card.tools, remote, card.plan, config,
+            bank=bank, episode_id=card.episode_id,
+        )
+        if trajectory_to_line(replayed) != trajectory_to_line(run_card(card, agent, bank, EVAL_SEED)):
+            differ.append(card.episode_id)
+    assert differ == [], f"{len(differ)} of {len(desk_cards)} episodes differ"
 
 
 @pytest.fixture(scope="module")

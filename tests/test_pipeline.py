@@ -15,10 +15,19 @@ from faultharness.episode import (
     Turn,
     trajectory_to_line,
 )
+from faultharness.bank import (
+    ExemplarBank,
+    ReformatArguments,
+    TerminateGracefully,
+    ValidateAndReissue,
+    retrieve,
+)
 from faultharness.errors import ConfigError, FaultHarnessError
 from faultharness.pipeline import (
+    REMOTE_TEACHER_MAX_TURNS,
     CorpusSpec,
     CorpusTrace,
+    RemoteTeacher,
     RepairRequest,
     RuleBasedTeacher,
     compose_corpus,
@@ -28,6 +37,8 @@ from faultharness.pipeline import (
     repair,
     truncate_at_failure,
 )
+from faultharness.protocol import Finish, RecoveryStep, ToolCall, render_action
+from faultharness.remote import EndpointConfig
 from faultharness.taxonomy import CATALOG, ErrorSignature
 from faultharness.trace import TraceView, trace_view
 
@@ -144,6 +155,75 @@ def test_repair_output_is_grammar_valid(bank):
                 parse_action(turn.content)  # must not raise
 
 
+def test_each_dialogue_template_states_its_script_first_action(bank):
+    # a template's recovery turn parses, and the action it states is its
+    # exemplar's first, as the script-rendering path takes; a template's slots
+    # may not enter its action line, so a terminate line states the default report
+    request, _ = _repair_setup("http_500", bank)
+    templated = [e for e in bank.exemplars if e.dialogue_template]
+    assert len({e.id.split("__")[0] for e in templated}) == 5
+    for exemplar in templated:
+        teacher = RuleBasedTeacher(ExemplarBank(exemplars=(exemplar,)))
+        step = teacher.continuation(request)[0].parsed
+        assert isinstance(step, RecoveryStep), exemplar.id
+        first = exemplar.script[0]
+        if isinstance(first, TerminateGracefully):
+            assert step.action == TerminateGracefully(), exemplar.id
+        else:
+            assert step.action == first, exemplar.id
+
+
+class _StubClient:
+    """A chat endpoint that answers with its texts in turn, the last one forever."""
+
+    def __init__(self, *texts):
+        self.texts = texts
+        self.calls = 0
+
+    def complete(self, messages):
+        self.calls += 1
+        return self.texts[min(self.calls, len(self.texts)) - 1]
+
+
+def _remote_teacher(client):
+    teacher = RemoteTeacher(EndpointConfig(base_url="http://127.0.0.1:1"))
+    teacher._client = client
+    return teacher
+
+
+def test_remote_teacher_keeps_a_repair_in_the_stated_form(bank):
+    request, _ = _repair_setup("http_400", bank)
+    call = trace_view(request.truncated_trace).call_before(len(request.truncated_trace.turns) - 1)
+    step = RecoveryStep(
+        action=ReformatArguments(), thought="fixing", call=ToolCall(call.name, call.arguments)
+    )
+    client = _StubClient(render_action(step), render_action(Finish(answer="done", thought="ok")))
+    repaired = repair(request, _remote_teacher(client))
+    appended = repaired.turns[len(request.truncated_trace.turns):]
+    assert [t.role for t in appended] == ["assistant", "function", "assistant"]
+    assert appended[0].content == render_action(step)
+    assert repaired.terminal == Finished(answer="done")
+    assert client.calls == 2
+
+
+def test_remote_teacher_quarantines_a_bare_recovery_turn(bank):
+    request, _ = _repair_setup("http_400", bank)
+    bare = 'Recovery: Thought: fixing\nAction: lookup\nAction Input: {"q": "x"}'
+    with pytest.raises(FaultHarnessError, match="remote teacher failed: .*no valid action line"):
+        repair(request, _remote_teacher(_StubClient(bare)))
+
+
+def test_remote_teacher_quarantines_a_repair_that_never_terminates(bank):
+    request, _ = _repair_setup("http_400", bank)
+    step = RecoveryStep(
+        action=ValidateAndReissue(), thought="again", call=ToolCall("lookup", {"q": "x"})
+    )
+    client = _StubClient(render_action(step))
+    with pytest.raises(FaultHarnessError, match="did not terminate"):
+        repair(request, _remote_teacher(client))
+    assert client.calls == REMOTE_TEACHER_MAX_TURNS
+
+
 def test_repair_empty_bank_is_teacher_failure(bank):
     from faultharness.bank import ExemplarBank
 
@@ -194,7 +274,10 @@ def test_spans_cover_content_after_prefix(bank):
     assert content.startswith("Recovery:")
     assert start == len("Recovery:")
     assert end == len(content)
-    assert content[start:end].lstrip().startswith("Thought:")
+    # the span opens with the step's action line, then its Thought/Action/Action Input
+    action_line, turn = content[start:end].lstrip().split("\n", 1)
+    assert action_line.startswith('{"action":')
+    assert turn.startswith("Thought:")
 
 
 def test_spans_roundtrip_oracle(bank):
@@ -339,6 +422,8 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("kind", sorted(CATALOG))
 def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank, monkeypatch):
+    # a teacher carries each action it renders; only a dialogue template's
+    # text, read from the bank file, is parsed, once per assistant turn
     import faultharness.pipeline as pipeline
 
     traj, registry = failing_trace(kind)
@@ -353,8 +438,8 @@ def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank,
         error=sig,
     )
     repaired = repair(request, RuleBasedTeacher(bank))
-    appended = repaired.turns[turn_index + 1:]
-    assert parses.calls == sum(1 for turn in appended if turn.role == "assistant")
+    template = retrieve(bank, sig).dialogue_template or ()
+    assert parses.calls == sum(1 for turn in template if turn["from"].lower() == "assistant")
     trace_view(repaired)  # the teacher told the view every appended turn's facts
 
 

@@ -435,7 +435,7 @@ def test_trace_view_names_the_nearest_assistant_call():
     assert [tool for _, tool, _ in view.responses] == ["lookup", "lookup"]
     assert view.first_failure[0] == 4
     assert view.failure_run == (4, 1)
-    assert view.last_failed_call() == ToolCall(name="lookup", arguments={"q": "x"})
+    assert view.call_before(view.failure_run[0]) == ToolCall(name="lookup", arguments={"q": "x"})
 
 
 # --- writer-recorded facts, forks and the lazy decision generator ---------------------
