@@ -14,6 +14,13 @@ loading drops it when it is the status of the pattern's kind and refuses
 any other value. The shipped bank is read by the same loader as a `--bank`
 file.
 
+An entry is read through its `id`, `kinds`, `pattern` (`error_class`, `kind`,
+`messages`, `message_tokens` and, in older files, `status_code`), `script` and
+`rationale`; any other entry key is ignored. Older bank files, pruned banks
+written by `gen-suite --hold-out` among them, give some entries a dialogue
+template: a hand-written second statement of the recovery, which nothing reads.
+A recovery is stated once, by its script.
+
 A script step is `{"action": <tag>, ...}` plus the action's optional fields:
 `retry_with_backoff` takes `max_attempts` (int in [1, 4]), `base_delay_ms` and
 `cap_ms` (ints >= 0) and `respect_retry_after` (bool); `terminate_gracefully`
@@ -236,18 +243,14 @@ class RecoveryExemplar:
     pattern: SignaturePattern
     script: tuple[RecoveryAction, ...]
     rationale: str = ""
-    dialogue_template: tuple[dict, ...] | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "id": self.id,
             "pattern": self.pattern.to_json(),
             "script": [action_to_json(a) for a in self.script],
             "rationale": self.rationale,
         }
-        if self.dialogue_template is not None:
-            out["dialogue_template"] = list(self.dialogue_template)
-        return out
 
 
 @dataclass(frozen=True)
@@ -417,8 +420,6 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
         raise ValueError("script must end with TerminateGracefully or a success-terminal action")
 
     rationale = entry.get("rationale", "")
-    template = entry.get("dialogue_template")
-    template_t = tuple(template) if template else None
 
     kinds: list[str | None]
     if "kinds" in entry:
@@ -455,13 +456,7 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
         pattern = SignaturePattern(error_class=error_class, kind=kind, message_tokens=tokens)
         ex_id = entry_id if len(kinds) == 1 else f"{entry_id}__{kind}"
         exemplars.append(
-            RecoveryExemplar(
-                id=ex_id,
-                pattern=pattern,
-                script=script,
-                rationale=rationale,
-                dialogue_template=template_t,
-            )
+            RecoveryExemplar(id=ex_id, pattern=pattern, script=script, rationale=rationale)
         )
     return exemplars
 

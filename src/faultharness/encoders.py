@@ -102,13 +102,8 @@ dumps_canonical = _compact_form(sort_keys=True, separators=(",", ":"), ensure_as
 # simulator's own error bodies.
 dumps_ascii = _compact_form(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
-# Sorted keys, ", " and ": ", non-ASCII kept: the Action Input of an assistant
-# turn, and the arguments a repair template quotes.
+# Sorted keys, ", " and ": ", non-ASCII kept: the Action Input of an assistant turn.
 dumps_action_input = _compact_form(sort_keys=True, separators=(", ", ": "), ensure_ascii=False)
-
-# Keys in insertion order, ", " and ": ", non-ASCII kept: the give-up payload a
-# repair template quotes, whose `return_type` comes first.
-dumps_giveup_input = _compact_form(sort_keys=False, separators=(", ", ": "), ensure_ascii=False)
 
 
 _encode_indented = JSONEncoder(sort_keys=True, indent=2).encode

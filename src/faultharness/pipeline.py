@@ -7,19 +7,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import simulator  # run_episode via the module: a wrapper installed there sees every call
-from .agents import make_policy, synthesize_answer
-from .bank import (
-    ExemplarBank,
-    RecoveryExemplar,
-    TerminateGracefully,
-    retrieve,
-)
+from .agents import _flatten_script, make_policy, synthesize_answer
+from .bank import ExemplarBank, SwitchTool, TerminateGracefully, retrieve
 from .episode import (
     Finished,
     GracefulFailure,
@@ -29,8 +23,9 @@ from .episode import (
     ROLE_FUNCTION,
     Trajectory,
     Turn,
+    trajectory_to_line,
 )
-from .encoders import dumps_action_input, dumps_canonical, dumps_giveup_input
+from .encoders import dumps_canonical
 from .errors import AgentProtocolError, ConfigError, FaultHarnessError
 from .protocol import (
     GRAMMAR,
@@ -70,37 +65,29 @@ def truncate_at_failure(trace: Trajectory, turn_index: int) -> Trajectory:
 
 
 class TeacherTurn(NamedTuple):
-    """One turn a teacher writes, with what the teacher knows of it."""
+    """One turn a teacher writes: an assistant turn with the action it states,
+    or a function turn holding a response the teacher wrapped as a success."""
 
     role: str
     content: str
     parsed: AgentAction | None = None  # the action an assistant turn states
-    success: bool = False  # a function turn holding a response the teacher wrapped
-
-
-def _teacher_says(content: str) -> TeacherTurn:
-    """A template's assistant turn, parsed once; the parse serves every later check."""
-    try:
-        parsed = parse_action(content)
-    except AgentProtocolError as exc:
-        raise FaultHarnessError(f"teacher turn violates the grammar: {exc}") from exc
-    return TeacherTurn(ROLE_ASSISTANT, content, parsed)
 
 
 def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
     """`trace` plus the appended turns, `TURN_COST_MS` apart, with no terminal state.
 
     The new trajectory's view starts from `trace`'s and is told each
-    appended turn's known call or signature, so it reworks nothing.
+    appended turn's call, or that a function turn is a success, so it
+    reworks nothing.
     """
     extended = trace_prefix(trace, len(trace.turns))
     view = extended.view
     clock = extended.turns[-1].simulated_time_ms
-    for role, content, parsed, success in appended:
+    for role, content, parsed in appended:
         clock += TURN_COST_MS
         if parsed is not None:
             view.calls[len(extended.turns)] = call_of(parsed)
-        elif success:
+        else:
             view.signatures[len(extended.turns)] = None
         extended.turns.append(Turn(role=role, content=content, simulated_time_ms=clock))
     return extended
@@ -128,18 +115,10 @@ class RepairRequest:
             raise FaultHarnessError("truncated trace must end at the failing turn")
 
 
-# a `{name}` slot of a dialogue template; a name the slot table lacks is left as written
-_SLOT = re.compile(r"\{(\w+)\}")
-
-
 class RuleBasedTeacher:
-    """Deterministic repair from the exemplar bank.
-
-    Renders the exemplar's dialogue template when one exists (slot
-    substitution only), otherwise synthesizes grammar-valid recovery turns
-    from the exemplar's script. A turn it renders carries its action; only a
-    template's text, which comes from the bank file, is parsed.
-    """
+    """Deterministic repair from the exemplar bank: one path, the retrieved
+    exemplar's script, planned as paladin plans it. Each turn it renders
+    carries its action, so it parses nothing."""
 
     def __init__(self, bank: ExemplarBank):
         if not len(bank):
@@ -147,74 +126,19 @@ class RuleBasedTeacher:
         self._bank = bank
 
     def continuation(self, request: RepairRequest) -> list[TeacherTurn]:
+        """The script's first planned action as one corrective step: a graceful
+        stop, or a call that succeeds, then Finish. A tool switch calls the
+        failed tool's alternative; without one, the script's next action is taken."""
         exemplar = retrieve(self._bank, request.error)
         trace = request.truncated_trace
         failed_call = trace_view(trace).call_before(len(trace.turns) - 1)
         if failed_call is None:
             raise FaultHarnessError("cannot locate the failing call in the trace")
-        if exemplar.dialogue_template:
-            return self._render_template(exemplar, request, failed_call)
-        return self._render_script(exemplar, request, failed_call)
-
-    def _render_template(
-        self,
-        exemplar: RecoveryExemplar,
-        request: RepairRequest,
-        failed_call: ToolCall,
-    ) -> list[TeacherTurn]:
-        giveup_payload = dumps_giveup_input(
-            {
-                "return_type": "give_up_and_report",
-                "report": TerminateGracefully().report_for(failed_call.name, request.error),
-            }
-        )
-        slots = {
-            "tool": failed_call.name,
-            "error": request.error.detail,
-            "args": dumps_action_input(failed_call.arguments),
-            "success_response": wrap_response(
-                _scripted_payload(request.toolset, failed_call)
-            ),
-            "giveup_input": giveup_payload,
-        }
-        turns: list[TeacherTurn] = []
-        for template_turn in exemplar.dialogue_template:
-            # one pass: a slot name inside a filled value is not filled again
-            content = _SLOT.sub(lambda m: slots.get(m[1], m[0]), template_turn["value"])
-            if template_turn["from"].lower() == "assistant":
-                turns.append(_teacher_says(content))
-            else:
-                turns.append(TeacherTurn(
-                    ROLE_FUNCTION, content, success=content == slots["success_response"]
-                ))
-        # template dialogues that recover successfully still need the Finish
-        if turns and not self._ends_terminal(turns):
-            turns.append(self._finish(request, turns))
-        return turns
-
-    @staticmethod
-    def _ends_terminal(turns: list[TeacherTurn]) -> bool:
-        for turn in reversed(turns):
-            if turn.parsed is not None:
-                return call_of(turn.parsed) is None
-        return False
-
-    def _finish(self, request: RepairRequest, appended: list[TeacherTurn]) -> TeacherTurn:
-        probe = _extend(request.truncated_trace, appended)
-        finish = Finish(
-            answer=synthesize_answer(probe), thought="The recovered data answers the task."
-        )
-        return TeacherTurn(ROLE_ASSISTANT, render_action(finish), finish)
-
-    def _render_script(
-        self,
-        exemplar: RecoveryExemplar,
-        request: RepairRequest,
-        failed_call: ToolCall,
-    ) -> list[TeacherTurn]:
-        """The script's first action as one corrective step: a graceful stop, or
-        a re-issued call that succeeds, then Finish."""
-        action = exemplar.script[0]
+        alternative = request.toolset.alternative_for(failed_call.name)
+        # the first planned action is the same for every retry budget
+        action = _flatten_script(
+            exemplar.script, budget=1, has_alternative=alternative is not None
+        )[0]
         if isinstance(action, TerminateGracefully):
             step = RecoveryStep(
                 action=action,
@@ -223,21 +147,22 @@ class RuleBasedTeacher:
                 report=action.report_for(failed_call.name, request.error),
             )
             return [TeacherTurn(ROLE_ASSISTANT, render_action(step), step)]
-        step = RecoveryStep(
-            action=action,
-            thought=f"{exemplar.rationale} Re-issuing the call to {failed_call.name}.",
-            call=ToolCall(failed_call.name, failed_call.arguments),
-        )
+        if isinstance(action, SwitchTool):
+            call = ToolCall(alternative.name, failed_call.arguments)
+            thought = f"Switching from {failed_call.name} to {alternative.name}."
+        else:
+            call = ToolCall(failed_call.name, failed_call.arguments)
+            thought = f"Re-issuing the call to {failed_call.name}."
+        step = RecoveryStep(action=action, thought=f"{exemplar.rationale} {thought}", call=call)
         turns = [
             TeacherTurn(ROLE_ASSISTANT, render_action(step), step),
-            TeacherTurn(
-                ROLE_FUNCTION,
-                wrap_response(_scripted_payload(request.toolset, failed_call)),
-                success=True,
-            ),
+            TeacherTurn(ROLE_FUNCTION, wrap_response(_scripted_payload(request.toolset, call))),
         ]
-        turns.append(self._finish(request, turns))
-        return turns
+        finish = Finish(
+            answer=synthesize_answer(_extend(trace, turns)),
+            thought="The recovered data answers the task.",
+        )
+        return turns + [TeacherTurn(ROLE_ASSISTANT, render_action(finish), finish)]
 
 
 # model turns a remote repair may take before it counts as failed
@@ -279,7 +204,7 @@ class RemoteTeacher:
             if call is None:
                 return turns
             response = wrap_response(_scripted_payload(request.toolset, call))
-            turns.append(TeacherTurn(ROLE_FUNCTION, response, success=True))
+            turns.append(TeacherTurn(ROLE_FUNCTION, response))
             messages.append({"role": "function", "content": response})
         raise FaultHarnessError("remote teacher did not terminate the trace")
 
@@ -409,7 +334,7 @@ class Corpus:
     manifest: dict
 
     def lines(self) -> list[str]:
-        return [dumps_canonical(t.to_json()) for t in self.traces]
+        return [trajectory_to_line(t) for t in self.traces]
 
 
 def compose_corpus(

@@ -482,6 +482,20 @@ def test_entry_with_dropped_fields_parses_equal_without_them():
     assert bank_of(older) == bank_of(script)
 
 
+def test_shipped_bank_with_dialogue_templates_parses_equal_without_them():
+    # older bank files, the pruned banks `gen-suite --hold-out` wrote among them,
+    # give entries a hand-written dialogue; the loader reads none of it
+    doc = json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8"))
+    older = json.loads(json.dumps(doc))
+    for entry in older["exemplars"]:
+        entry["dialogue_template"] = [
+            {"from": "Assistant", "value": "Recovery: Thought: {error}\nAction: {tool}"},
+            {"from": "Function", "value": "{success_response}"},
+        ]
+    assert older != doc
+    assert parse_bank(older) == parse_bank(doc)
+
+
 @pytest.mark.parametrize(
     "step",
     [{"action": "switch_tool", "target": "x"}, {"action": "retry_with_backoff", "hint": "x"}],

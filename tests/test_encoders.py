@@ -17,7 +17,6 @@ from faultharness.encoders import (
     dumps_action_input,
     dumps_ascii,
     dumps_canonical,
-    dumps_giveup_input,
     dumps_indented,
     loads,
 )
@@ -30,7 +29,6 @@ FORMS = (
     (dumps_canonical, {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}),
     (dumps_ascii, {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": True}),
     (dumps_action_input, {"sort_keys": True, "separators": (", ", ": "), "ensure_ascii": False}),
-    (dumps_giveup_input, {"sort_keys": False, "separators": (", ", ": "), "ensure_ascii": False}),
 )
 
 
@@ -38,7 +36,7 @@ FORMS = (
 def _without_c_accelerator():
     """The `json` module as an interpreter without its C accelerator has it: no C
     encoder and the pure-Python string escapers, which `JSONEncoder.iterencode`
-    reads at call time. Yields the four forms built there; call them inside."""
+    reads at call time. Yields the three forms built there; call them inside."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(json.encoder, "c_make_encoder", None)
         mp.setattr(json.encoder, "encode_basestring", json.encoder.py_encode_basestring)

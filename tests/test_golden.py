@@ -93,8 +93,8 @@ HELD_OUT_SUITES = {
 REPORT = "a6a303742a08d45e4a0a7e80ecd32070a455ee4c7af61823d985c65cd80dbab8"
 
 CORPUS = {
-    "corpus.jsonl": "7c0aa04e5aa350669279f3e2dbeed24795798e9d0643a4362753ea6304b1f3ef",
-    "spans.json": "d8a0b4664ca08a6f84af7d59c3738b63693af0e572cef8555abf9734b76f6611",
+    "corpus.jsonl": "a6836de4b091b0f1b95d01f06ba131b19b5f073e789c7474cd92890db376b5fa",
+    "spans.json": "1d4898d4e97676c1acca52a7a6f51d777ad91f1dd7c00ddd82f55f608736646e",
 }
 
 

@@ -15,13 +15,14 @@ from faultharness.episode import (
     Turn,
     trajectory_to_line,
 )
+from faultharness.agents import make_policy
 from faultharness.bank import (
-    ExemplarBank,
     ReformatArguments,
-    TerminateGracefully,
+    SwitchTool,
     ValidateAndReissue,
     retrieve,
 )
+from faultharness.encoders import dumps_ascii
 from faultharness.errors import ConfigError, FaultHarnessError
 from faultharness.pipeline import (
     REMOTE_TEACHER_MAX_TURNS,
@@ -37,8 +38,10 @@ from faultharness.pipeline import (
     repair,
     truncate_at_failure,
 )
-from faultharness.protocol import Finish, RecoveryStep, ToolCall, render_action
+from faultharness.protocol import Finish, RecoveryStep, ToolCall, parse_action, render_action
 from faultharness.remote import EndpointConfig
+from faultharness.simulator import ToolRegistry, canonical_call_key, run_episode
+from faultharness.tasks import builtin_task_pool
 from faultharness.taxonomy import CATALOG, ErrorSignature
 from faultharness.trace import TraceView, trace_view
 
@@ -107,17 +110,20 @@ def test_repair_429_appends_recovery_then_success(bank):
     assert appended[0].role == "assistant"
     assert appended[0].is_recovery
     assert isinstance(repaired.terminal, Finished)
-    # rate-limit template mentions the wait-and-retry strategy
+    # the step states the rate-limit script's first action, a backoff retry
     assert "retry" in appended[0].content.lower()
 
 
 def test_repair_fills_template_slots_once(bank):
-    # a slot name inside the error message is text, not a slot filled in turn
-    request, teacher = _repair_setup("http_400", bank)
-    error = ErrorSignature("http_400", "Bad field {args} in request")
+    # the terminate report's slots are filled once: a slot name inside the
+    # error message is quoted verbatim, not filled in turn
+    request, teacher = _repair_setup("http_401", bank)
+    error = ErrorSignature("http_401", "Bad key {args} for {tool}")
     repaired = repair(dataclasses.replace(request, error=error), teacher)
-    recovery = repaired.turns[len(request.truncated_trace.turns)]
-    assert "problem (Bad field {args} in request)" in recovery.content
+    step = parse_action(repaired.turns[len(request.truncated_trace.turns)].content)
+    assert step.report == retrieve(bank, error).script[0].report_for("lookup", error)
+    assert "(Bad key {args} for {tool})" in step.report
+    assert repaired.terminal == GracefulFailure(report=step.report)
 
 
 def test_repair_401_ends_in_graceful_failure(bank):
@@ -145,8 +151,6 @@ def test_repair_preserves_prefix_bytes(bank):
 
 
 def test_repair_output_is_grammar_valid(bank):
-    from faultharness.protocol import parse_action
-
     for kind in ("http_400", "http_404", "schema_violation", "partial_output"):
         request, teacher = _repair_setup(kind, bank)
         repaired = repair(request, teacher)
@@ -155,22 +159,66 @@ def test_repair_output_is_grammar_valid(bank):
                 parse_action(turn.content)  # must not raise
 
 
-def test_each_dialogue_template_states_its_script_first_action(bank):
-    # a template's recovery turn parses, and the action it states is its
-    # exemplar's first, as the script-rendering path takes; a template's slots
-    # may not enter its action line, so a terminate line states the default report
-    request, _ = _repair_setup("http_500", bank)
-    templated = [e for e in bank.exemplars if e.dialogue_template]
-    assert len({e.id.split("__")[0] for e in templated}) == 5
-    for exemplar in templated:
-        teacher = RuleBasedTeacher(ExemplarBank(exemplars=(exemplar,)))
-        step = teacher.continuation(request)[0].parsed
-        assert isinstance(step, RecoveryStep), exemplar.id
-        first = exemplar.script[0]
-        if isinstance(first, TerminateGracefully):
-            assert step.action == TerminateGracefully(), exemplar.id
-        else:
-            assert step.action == first, exemplar.id
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_rule_teacher_teaches_the_recovery_the_bank_states(kind, bank):
+    # a corpus trace's first recovery turn states the retrieved exemplar's first
+    # script action, terminate report included, and makes the call or gives the
+    # report that paladin's first recovery turn does on the same plan
+    request, teacher = _repair_setup(kind, bank)
+    repaired = repair(request, teacher)
+    step = parse_action(repaired.recovery_turns[0].content)
+    assert isinstance(step, RecoveryStep)
+    assert step.action == retrieve(bank, request.error).script[0]
+    paladin, _, _ = run_simple("paladin", kind=kind, plan_seed=5, bank=bank)
+    expected = parse_action(paladin.recovery_turns[0].content)
+    assert (step.report, step.call) == (expected.report, expected.call)
+
+
+def _permanently_missing_tool():
+    """weather_paris whose weather_lookup always answers that the tool does not
+    exist, and that task's toolbench trace."""
+    task = next(t for t in builtin_task_pool() if t.slug == "weather_paris")
+    step = task.steps[0]
+    missing = dataclasses.replace(
+        task.tools.get(step.tool),
+        scripted_responses={
+            canonical_call_key(step.tool, step.arguments): dumps_ascii(
+                {"error": f"Tool {step.tool} does not exist"}
+            )
+        },
+    )
+    tools = ToolRegistry(tuple(missing if t.name == step.tool else t for t in task.tools.tools))
+    traj = run_episode(
+        task.prompt, tools, make_policy("toolbench", steps=task.steps), InjectionPlan(seed=1)
+    )
+    return tools, traj
+
+
+@pytest.mark.parametrize("with_alternative", [True, False])
+def test_rule_teacher_switches_to_the_alternative_tool(bank, with_alternative):
+    tools, traj = _permanently_missing_tool()
+    if not with_alternative:
+        tools = ToolRegistry(tuple(t for t in tools.tools if not t.name.endswith("_backup")))
+    turn_index, sig = detect_first_failure(traj)
+    assert sig.kind == "tool_not_found"
+    exemplar = retrieve(bank, sig)
+    assert exemplar.id == "tool_missing__tool_not_found"
+    assert isinstance(exemplar.script[0], SwitchTool)
+    request = RepairRequest(
+        toolset=tools, truncated_trace=truncate_at_failure(traj, turn_index), error=sig
+    )
+    repaired = repair(request, RuleBasedTeacher(bank))
+    step = parse_action(repaired.recovery_turns[0].content)
+    if with_alternative:
+        # the switch calls the backup, whose scripted data answers the task
+        assert step.action == SwitchTool()
+        assert step.call.name == "weather_lookup_backup"
+        assert isinstance(repaired.terminal, Finished)
+        assert "temp_c=18" in repaired.terminal.answer
+    else:
+        # no alternative: the script's next action, a graceful stop
+        assert step.action == exemplar.script[1]
+        assert isinstance(repaired.terminal, GracefulFailure)
 
 
 class _StubClient:
@@ -422,8 +470,8 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("kind", sorted(CATALOG))
 def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank, monkeypatch):
-    # a teacher carries each action it renders; only a dialogue template's
-    # text, read from the bank file, is parsed, once per assistant turn
+    # the rule teacher carries each action it renders, so a repair parses no
+    # turn at all: zero parses for every kind
     import faultharness.pipeline as pipeline
 
     traj, registry = failing_trace(kind)
@@ -438,8 +486,7 @@ def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank,
         error=sig,
     )
     repaired = repair(request, RuleBasedTeacher(bank))
-    template = retrieve(bank, sig).dialogue_template or ()
-    assert parses.calls == sum(1 for turn in template if turn["from"].lower() == "assistant")
+    assert parses.calls == 0
     trace_view(repaired)  # the teacher told the view every appended turn's facts
 
 
