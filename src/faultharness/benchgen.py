@@ -4,6 +4,15 @@ Suites pin everything: per-class failure coverage, kinds cycled within each
 class, seeded task/turn assignment, per-episode seeds split from the master
 seed, and dedup over (task, kind, turn). Held-out suites inject kinds that
 are stripped from the bank the agents see, leaving injection untouched.
+
+A suite file states each task once. Its first line is the task table,
+`{"tasks": {slug: {"prompt", "tools", "steps"}}}`, and every later line is a
+card, `{"episode_id", "task_slug", "plan", "retry_budget", "max_steps"}`.
+`read_suite` builds one `TaskTemplate` per slug and every card of that slug
+holds it, so the cards of one task share one `ToolRegistry`. A hand-written
+suite may state tools of its own, in its table. There is one reader: a file
+in the older form, whose every card held its own tools, has no table and is
+refused.
 """
 
 from __future__ import annotations
@@ -18,9 +27,12 @@ from .encoders import dumps_canonical, loads
 from .episode import InjectionPlan
 from .errors import ConfigError
 from .seeds import SEED_MIXER, derive_seed
-from .simulator import SimConfig, ToolRegistry, canonical_call_key
+from .simulator import SimConfig, ToolRegistry
 from .tasks import TaskStep, TaskTemplate, builtin_task_pool
-from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass, json_object
+from .taxonomy import CATALOG, CATALOG_VERSION, ErrorClass
+
+# the one key of a suite's first line, the task table
+TABLE_KEY = "tasks"
 
 @dataclass(frozen=True)
 class SuiteSpec:
@@ -49,76 +61,72 @@ class SuiteSpec:
 
 @dataclass(frozen=True)
 class EpisodeCard:
-    """Fully self-contained episode: task, tools, plan, budgets."""
+    """One episode: its task, its injection plan and its budgets.
+
+    Cards of one task hold its one `TaskTemplate`, and so share its tools.
+    """
 
     episode_id: str
-    prompt: str
-    tools: ToolRegistry
-    steps: tuple[TaskStep, ...]
+    task: TaskTemplate
     plan: InjectionPlan
     retry_budget: int = 3
     max_steps: int = 20
-    task_slug: str = ""
 
     def __post_init__(self):
-        # A card's rules are checked when it is built, so a malformed card in a
-        # suite file is refused while the file is read, with its line number. A
-        # tool's and a step's own field types are checked where each is built.
-        for name, value in (
-            ("episode_id", self.episode_id), ("prompt", self.prompt),
-            ("task_slug", self.task_slug),
-        ):
-            if type(value) is not str:
-                raise ConfigError(f"{name} must be a string, not {value!r}")
+        # a card's rules are checked when it is built, so a malformed card in a
+        # suite file is refused while the file is read, with its line number;
+        # its task was checked when the task was built
+        if type(self.episode_id) is not str:
+            raise ConfigError(f"episode_id must be a string, not {self.episode_id!r}")
         if not self.episode_id:  # grading matches a trajectory to its card by this id
             raise ConfigError("episode_id must not be empty")
         # the budgets must be ones an episode can run under
         SimConfig(max_steps=self.max_steps, retry_budget_per_error=self.retry_budget)
-        if not self.tools:
-            raise ConfigError("a card needs at least one tool")
-        if not self.steps:
-            raise ConfigError("a card needs at least one task step")
-        for step in self.steps:
-            if self.tools.get(step.tool) is None:
-                raise ConfigError(f"step tool {step.tool!r} is not among the card's tools")
         if not self.plan.is_clean and self.plan.turn_index > self.max_steps:
             raise ConfigError(
                 f"plan turn_index {self.plan.turn_index} exceeds max_steps {self.max_steps}"
             )
 
-    def final_step_payload(self) -> dict:
-        step = self.steps[-1]
-        tool = self.tools.get(step.tool)
-        if tool is None:
-            return {}
-        text = tool.scripted_responses.get(canonical_call_key(step.tool, step.arguments))
-        if text is None:
-            return {}
-        return json_object(text) or {}
+    @property
+    def task_slug(self) -> str:
+        return self.task.slug
+
+    @property
+    def prompt(self) -> str:
+        return self.task.prompt
+
+    @property
+    def tools(self) -> ToolRegistry:
+        return self.task.tools
+
+    @property
+    def steps(self) -> tuple[TaskStep, ...]:
+        return self.task.steps
 
     def to_json(self) -> dict:
         return {
             "episode_id": self.episode_id,
-            "prompt": self.prompt,
-            "tools": self.tools.to_json(),
-            "steps": [s.to_json() for s in self.steps],
+            "task_slug": self.task.slug,
             "plan": self.plan.to_json(),
             "retry_budget": self.retry_budget,
             "max_steps": self.max_steps,
-            "task_slug": self.task_slug,
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "EpisodeCard":
+    def from_json(cls, doc: dict, tasks: dict[str, TaskTemplate]) -> "EpisodeCard":
+        """The card `doc` states; its `task_slug` names one of `tasks`."""
+        episode_id = doc["episode_id"]
+        slug = doc["task_slug"]
+        if type(slug) is not str:
+            raise ConfigError(f"task_slug must be a string, not {slug!r}")
+        if slug not in tasks:
+            raise ConfigError(f"task_slug {slug!r} names no task in the suite's table")
         return cls(
-            episode_id=doc["episode_id"],
-            prompt=doc["prompt"],
-            tools=ToolRegistry.from_json(doc["tools"]),
-            steps=tuple(TaskStep.from_json(s) for s in doc["steps"]),
+            episode_id=episode_id,
+            task=tasks[slug],
             plan=InjectionPlan.from_json(doc["plan"]),
             retry_budget=doc.get("retry_budget", 3),
             max_steps=doc.get("max_steps", 20),
-            task_slug=doc.get("task_slug", ""),
         )
 
 
@@ -193,14 +201,7 @@ def generate_suite(
                     turn_index=turn,
                 )
             cards.append(
-                EpisodeCard(
-                    episode_id=f"{idx:04d}-{episode_seed:016x}",
-                    prompt=task.prompt,
-                    tools=task.tools,
-                    steps=task.steps,
-                    plan=plan,
-                    task_slug=task.slug,
-                )
+                EpisodeCard(episode_id=f"{idx:04d}-{episode_seed:016x}", task=task, plan=plan)
             )
             placed = True
             break
@@ -233,16 +234,54 @@ def generalization_split(
 
 
 def suite_to_lines(cards: list[EpisodeCard]) -> list[str]:
-    return [dumps_canonical(c.to_json()) for c in cards]
+    """The task table, then one line per card."""
+    tasks: dict[str, TaskTemplate] = {}
+    for card in cards:
+        known = tasks.setdefault(card.task.slug, card.task)
+        if known is not card.task and known != card.task:
+            raise ConfigError(f"two different tasks are named {card.task.slug!r}")
+    table = {TABLE_KEY: {slug: task.to_json() for slug, task in tasks.items()}}
+    return [dumps_canonical(table)] + [dumps_canonical(c.to_json()) for c in cards]
+
+
+def _task_table(number: int, line: str) -> dict[str, TaskTemplate]:
+    """The tasks of the table on suite line `number`, each checked in full."""
+    try:
+        doc = loads(line)
+    except ValueError as exc:
+        raise ConfigError(f"suite line {number}: not a task table ({exc!r})") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get(TABLE_KEY), dict)):
+        raise ConfigError(
+            f"suite line {number}: the file has no task table; a suite's first line is "
+            f'{{"{TABLE_KEY}": {{slug: task}}}} (a suite whose every card holds its own '
+            "tools is no longer read: write it again with gen-suite)"
+        )
+    tasks = {}
+    for slug, task in doc[TABLE_KEY].items():
+        try:
+            tasks[slug] = TaskTemplate.from_json(slug, task)
+        except (ValueError, LookupError, TypeError, AttributeError, ConfigError) as exc:
+            raise ConfigError(
+                f"suite line {number}: task {slug!r} is malformed ({exc!r})"
+            ) from exc
+    return tasks
 
 
 def suite_from_lines(lines) -> list[EpisodeCard]:
+    """The cards of a suite's lines: a task table first, then the cards."""
+    tasks: dict[str, TaskTemplate] | None = None
     cards = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        if tasks is None:
+            tasks = _task_table(number, line)
+            continue
         try:
-            cards.append(EpisodeCard.from_json(loads(line)))
+            doc = loads(line)
+            if isinstance(doc, dict) and TABLE_KEY in doc:
+                raise ConfigError("a second task table; a suite states each task once")
+            cards.append(EpisodeCard.from_json(doc, tasks))
         except (ValueError, LookupError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"suite line {number}: not an episode card ({exc!r})") from exc
     return cards
@@ -257,12 +296,20 @@ def write_suite(path, cards: list[EpisodeCard]) -> None:
 def read_suite(path, data: bytes | None = None) -> list[EpisodeCard]:
     """The cards of suite file `path`; `data`, when given, is its bytes, already read.
 
+    The first line that is not blank is the task table, `{"tasks": {slug:
+    {"prompt", "tools", "steps"}}}`; every later one is a card, `{"episode_id",
+    "task_slug", "plan", "retry_budget", "max_steps"}`. Each task is built and
+    checked once, and every card of it holds that one `TaskTemplate`. This is
+    the one reader: a file with no table, as when its first card holds its own
+    tools, is refused, as is a second table or a card naming a slug the table
+    lacks. A refusal names the line, and for a task its slug.
+
     Lines end at \\n, \\r\\n or \\r, as text-mode reading translates them, and
     are numbered from 1, blank ones included; no other character ends a line,
     since `dumps_canonical` writes U+2028 and U+0085 raw inside strings. The
     bytes are decoded a chunk at a time as the lines are read, so no decoded
-    copy of the whole file is kept, and a line that is not an episode card is
-    refused before any invalid UTF-8 in a later chunk is met.
+    copy of the whole file is kept, and a malformed line is refused before
+    any invalid UTF-8 in a later chunk is met.
     """
     if data is None:
         data = Path(path).read_bytes()

@@ -102,7 +102,7 @@ def grade_episode(traj: Trajectory, card) -> EpisodeGrade:
     task_success = False
     hallucinated = False
     if isinstance(traj.terminal, Finished):
-        expected = card.final_step_payload()
+        expected = card.task.final_payload
         answer = traj.terminal.answer
         task_success = bool(expected) and all(
             str(v) in answer for v in expected.values() if not isinstance(v, (dict, list))

@@ -93,14 +93,26 @@ def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
     return extended
 
 
-def _scripted_payload(toolset: ToolRegistry, call: ToolCall) -> str:
-    """The toolset's scripted payload for `call`; a bare success when it has none."""
+# what a teacher's call serves when the toolset has no script for it
+_BARE_SUCCESS = (wrap_response('{"status":"ok"}'), None)
+
+
+def _served(toolset: ToolRegistry, call: ToolCall) -> str:
+    """What the toolset serves a teacher's `call`, a success; a bare one when
+    it has no script. The tool classified the response once (`ToolSpec.served`).
+
+    A scripted failure body is served as it is, so it refuses the repair: a
+    corrective call that fails recovers nothing, and wrapping the body would
+    teach a false success.
+    """
     tool = toolset.get(call.name)
-    if tool is not None:
-        payload = tool.scripted_responses.get(canonical_call_key(call.name, call.arguments))
-        if payload is not None:
-            return payload
-    return '{"status":"ok"}'
+    key = canonical_call_key(call.name, call.arguments)
+    text, signature = _BARE_SUCCESS if tool is None else tool.served.get(key, _BARE_SUCCESS)
+    if signature is not None:
+        raise FaultHarnessError(
+            f"the corrective call to {call.name} fails too ({signature.kind}: {signature.detail})"
+        )
+    return text
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,7 @@ class RuleBasedTeacher:
         step = RecoveryStep(action=action, thought=f"{exemplar.rationale} {thought}", call=call)
         turns = [
             TeacherTurn(ROLE_ASSISTANT, render_action(step), step),
-            TeacherTurn(ROLE_FUNCTION, wrap_response(_scripted_payload(request.toolset, call))),
+            TeacherTurn(ROLE_FUNCTION, _served(request.toolset, call)),
         ]
         finish = Finish(
             answer=synthesize_answer(_extend(trace, turns)),
@@ -203,7 +215,7 @@ class RemoteTeacher:
             call = call_of(parsed)
             if call is None:
                 return turns
-            response = wrap_response(_scripted_payload(request.toolset, call))
+            response = _served(request.toolset, call)
             turns.append(TeacherTurn(ROLE_FUNCTION, response))
             messages.append({"role": "function", "content": response})
         raise FaultHarnessError("remote teacher did not terminate the trace")

@@ -18,6 +18,10 @@ The clock is simulated and integer-valued; nothing ever sleeps.
 
 The simulator records each turn's call or signature in the episode's
 `trace.TraceView` as it writes the turn; agents read every turn fact there.
+A scripted response is classified once per tool, not on every serve
+(`ToolSpec.served`); a fault's text is classified when the fault is made, or
+at import for the ErrorPayload and SilentFailure texts its kind alone fixes
+(`taxonomy.PAYLOAD_SIGNATURES`).
 
 Every compact JSON text (call keys, wrappers, error bodies) comes from a form
 of `encoders`, each one C encoder built once at import, not from a
@@ -29,6 +33,7 @@ A fault's persistence and Retry-After are drawn in one place, `fault_life(plan)`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bank import (
     ExemplarBank,
@@ -63,6 +68,8 @@ from .protocol import (
 from .seeds import derive_seed, rng_for
 from .taxonomy import (
     CATALOG,
+    PAYLOAD_SIGNATURES,
+    SILENT_SIGNATURE,
     ErrorSignature,
     FailureKind,
     Manifestation,
@@ -114,6 +121,21 @@ class ToolSpec:
                 raise ConfigError(
                     f"tool {self.name!r}: a scripted response is not a string: {text!r}"
                 )
+
+    @cached_property
+    def served(self) -> dict[str, tuple[str, ErrorSignature | None]]:
+        """Call key -> (the text the tool serves for it, its signature).
+
+        Worked out at the tool's first serve, once per tool, not on every serve.
+        A payload that is itself a failure body models a permanently failing
+        tool and is served raw, so it stays classifiable; any other is wrapped
+        as a success.
+        """
+        served = {}
+        for key, payload in self.scripted_responses.items():
+            signature = detect_failure(payload)
+            served[key] = (wrap_response(payload) if signature is None else payload, signature)
+        return served
 
     def capability_tag(self) -> str:
         return self.capability or self.name
@@ -183,6 +205,11 @@ class ToolRegistry:
 def wrap_response(payload: str) -> str:
     """Standard function-turn wrapper for successful tool output."""
     return dumps_canonical({"error": "", "response": payload})
+
+
+# what a tool serves for a call it has no script for, classified once at import
+_NO_SCRIPT_TEXT = dumps_ascii({"error": "No scripted response for this request", "status": 400})
+_NO_SCRIPTED_RESPONSE = (_NO_SCRIPT_TEXT, detect_failure(_NO_SCRIPT_TEXT))
 
 
 # --- configuration ---------------------------------------------------------------
@@ -321,6 +348,14 @@ def _make_fault(plan: InjectionPlan, call_key: str, tool: ToolSpec) -> _ActiveFa
     kind = CATALOG[plan.kind]
     seed = derive_seed(plan.seed, plan.turn_index)
     rendered = render_failure(kind, plan.manifestation, tool, seed)
+    # the kind alone fixes an ErrorPayload or SilentFailure text, classified at
+    # import; a text cut from the tool's own payload is classified here
+    if plan.manifestation is Manifestation.ERROR_PAYLOAD:
+        signature = PAYLOAD_SIGNATURES[plan.kind]
+    elif plan.manifestation is Manifestation.SILENT_FAILURE:
+        signature = SILENT_SIGNATURE
+    else:
+        signature = detect_failure(rendered)
     persist, retry_after = fault_life(plan)
     return _ActiveFault(
         kind=kind,
@@ -328,7 +363,7 @@ def _make_fault(plan: InjectionPlan, call_key: str, tool: ToolSpec) -> _ActiveFa
         rendered=rendered,
         persist_retries=persist,
         retry_after_ms=retry_after,
-        signature=detect_failure(rendered),
+        signature=signature,
     )
 
 
@@ -386,27 +421,13 @@ def run_episode(
 
         if fault is not None and fault.call_key == key and not fault.cleared:
             if fault.on_reissue(action_tag):
-                return _scripted(tool, key)
+                return tool.served.get(key, _NO_SCRIPTED_RESPONSE)
             return fault.rendered, fault.signature
 
         if plan.is_clean or call_ordinal != plan.turn_index:
-            return _scripted(tool, key)
+            return tool.served.get(key, _NO_SCRIPTED_RESPONSE)
         fault = _make_fault(plan, key, tool)
         return fault.rendered, fault.signature
-
-    def _scripted(tool: ToolSpec, key: str) -> tuple[str, ErrorSignature | None]:
-        payload = tool.scripted_responses.get(key)
-        if payload is None:
-            text = dumps_ascii(
-                {"error": "No scripted response for this request", "status": 400}
-            )
-            return text, detect_failure(text)
-        # a payload that is itself a failure body models a permanently
-        # failing tool; serve it raw so it stays classifiable
-        signature = detect_failure(payload)
-        if signature is not None:
-            return payload, signature
-        return wrap_response(payload), None  # a wrapped payload is always a success
 
     while True:
         # every decision that does not end the episode writes one assistant

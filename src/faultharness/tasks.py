@@ -8,10 +8,12 @@ data) so tool-switch recovery is exercisable on any step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .encoders import dumps_ascii
 from .errors import ConfigError
 from .simulator import ToolRegistry, ToolSpec, canonical_call_key
+from .taxonomy import json_object
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,58 @@ class TaskStep:
 
 @dataclass(frozen=True)
 class TaskTemplate:
+    """One task: its prompt, its tools and the steps that complete it.
+
+    Every card of a task holds the task's one template, so what is known of
+    the task is worked out once, here: each of its tools classifies its
+    scripted responses once (`ToolSpec.served`), and `final_payload`, which
+    the grader checks every finished answer against, is read once.
+    """
+
     slug: str
     prompt: str
     tools: ToolRegistry
     steps: tuple[TaskStep, ...]
+
+    def __post_init__(self):
+        # a task's rules are checked when it is built, so a malformed task in a
+        # suite's table is refused while the file is read; a tool's and a step's
+        # own field types are checked where each is built
+        for name, value in (("slug", self.slug), ("prompt", self.prompt)):
+            if type(value) is not str:
+                raise ConfigError(f"{name} must be a string, not {value!r}")
+        if not self.tools:
+            raise ConfigError("a task needs at least one tool")
+        if not self.steps:
+            raise ConfigError("a task needs at least one step")
+        for step in self.steps:
+            if self.tools.get(step.tool) is None:
+                raise ConfigError(f"step tool {step.tool!r} is not among the task's tools")
+
+    @cached_property
+    def final_payload(self) -> dict:
+        """The JSON object the last step's scripted response holds; {} for none."""
+        step = self.steps[-1]
+        text = self.tools.get(step.tool).scripted_responses.get(
+            canonical_call_key(step.tool, step.arguments)
+        )
+        return {} if text is None else json_object(text) or {}
+
+    def to_json(self) -> dict:
+        return {
+            "prompt": self.prompt,
+            "tools": self.tools.to_json(),
+            "steps": [s.to_json() for s in self.steps],
+        }
+
+    @classmethod
+    def from_json(cls, slug: str, doc: dict) -> "TaskTemplate":
+        return cls(
+            slug=slug,
+            prompt=doc["prompt"],
+            tools=ToolRegistry.from_json(doc["tools"]),
+            steps=tuple(TaskStep.from_json(s) for s in doc["steps"]),
+        )
 
 
 def _json_type(value) -> str:

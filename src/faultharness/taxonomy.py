@@ -334,3 +334,12 @@ def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
     else:
         kind = UNKNOWN_KIND
     return ErrorSignature(kind, error_text or raw[:200], manifestation)
+
+
+# The simulator renders a kind's ErrorPayload failure as its catalog row's
+# `example_output` and every SilentFailure as empty text, so those signatures
+# depend on the kind alone: each is classified once, here, beside the catalog.
+PAYLOAD_SIGNATURES: dict[str, ErrorSignature | None] = {
+    identifier: detect_failure(kind.example_output) for identifier, kind in CATALOG.items()
+}
+SILENT_SIGNATURE = detect_failure("")

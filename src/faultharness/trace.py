@@ -6,10 +6,14 @@ nearest assistant call before it.
 
 Each turn's facts are worked out once, by the code that writes the turn. The
 simulator hands the episode's `TraceView` the call of every assistant turn it
-renders and the signature of every tool response it serves: a scripted
-payload is classified once when served, an injected fault once when it is
-made (every failing reissue of it serves that one signature), and a wrapped
-success is known to be one. The view classifies only what no writer told it.
+renders and the signature of every tool response it serves. A scripted
+payload is classified once per tool, at the tool's first serve
+(`simulator.ToolSpec.served`), not on every serve; the cards of one task share
+its tools, so a run classifies each payload at most once per tool of its
+suite's task table. An injected fault's text is classified once when the
+fault is made (every failing reissue of it serves that one signature), or at
+import when its kind alone fixes the text, and a wrapped success is known to
+be one. The view classifies only what no writer told it.
 `TraceView.fork` starts a derived trajectory (a truncated prefix, or a prefix
 with turns appended) from those facts instead of a fresh pass over the trace.
 

@@ -8,7 +8,6 @@ import pytest
 
 from faultharness.bank import similarity_distance
 from faultharness.benchgen import (
-    EpisodeCard,
     SuiteSpec,
     generalization_split,
     generate_suite,
@@ -16,6 +15,7 @@ from faultharness.benchgen import (
     suite_from_lines,
     suite_manifest,
     suite_to_lines,
+    write_suite,
 )
 from faultharness.errors import ConfigError
 from faultharness.taxonomy import CATALOG, ErrorClass
@@ -105,15 +105,24 @@ def test_cards_are_self_contained(tasks):
         assert card.prompt
         assert len(card.tools) >= 2
         assert card.steps
-        assert card.final_step_payload()
+        assert card.task.final_payload
         assert card.retry_budget == 3
 
 
+def _with_prompt(cards, index, prompt_end):
+    """`cards` with `prompt_end` added to the prompt of card `index`'s task, in
+    every card of that task."""
+    old = cards[index].task
+    task = dataclasses.replace(old, prompt=old.prompt + prompt_end)
+    return [dataclasses.replace(c, task=task) if c.task is old else c for c in cards]
+
+
 def test_read_suite_ends_lines_at_newline_and_carriage_return_only(tasks, tmp_path):
-    cards = generate_suite(tasks, SuiteSpec(n_episodes=4, master_seed=4))
-    cards[1] = dataclasses.replace(cards[1], prompt=cards[1].prompt + " \u2028 \x85 \x0c end")
+    cards = _with_prompt(
+        generate_suite(tasks, SuiteSpec(n_episodes=3, master_seed=4)), 1, " \u2028 \x85 \x0c end"
+    )
     lines = suite_to_lines(cards)
-    assert "\u2028" in lines[1] and "\x85" in lines[1]  # written raw, inside a string
+    assert "\u2028" in lines[0] and "\x85" in lines[0]  # written raw, inside a string
     path = tmp_path / "suite.jsonl"
     path.write_bytes(
         (lines[0] + "\r\n\r\n" + lines[1] + "\r" + lines[2] + "\n\r" + lines[3]).encode("utf-8")
@@ -141,11 +150,10 @@ CHUNK = 8192
 
 
 def _suite_lines(tasks, prompt_end="", shift=0):
-    """Three suite lines; the first card's prompt gains `shift` ASCII bytes, then
-    `prompt_end`, moving every later byte of the file by as much."""
+    """A table and three cards; the first card's prompt gains `shift` ASCII bytes,
+    then `prompt_end`, moving every later byte of the file by as much."""
     cards = generate_suite(tasks, SuiteSpec(n_episodes=3, master_seed=4))
-    cards[0] = dataclasses.replace(cards[0], prompt=cards[0].prompt + "x" * shift + prompt_end)
-    return suite_to_lines(cards)
+    return suite_to_lines(_with_prompt(cards, 0, "x" * shift + prompt_end))
 
 
 def _lines_read(monkeypatch, path):
@@ -194,8 +202,9 @@ def test_read_suite_refuses_an_invalid_byte_past_the_first_chunk(tasks, tmp_path
     assert "position" not in str(excinfo.value)  # the decoder counts from its chunk's start
 
 
-# A failure card as older releases wrote it: with the grader's `guidelines`
-# tags, and a `protocol` label as older suite specs carried.
+# A failure card as older releases wrote it: every card held its own tools,
+# with the grader's `guidelines` tags, and a `protocol` label as older suite
+# specs carried.
 OLD_CARD_LINE = (
     '{"episode_id":"0026-44a62a795b8fd257","guidelines":{"expected_recovery_family":'
     '"reformat_arguments","forbidden":["hallucinated_success"]},"max_steps":20,"plan":'
@@ -211,25 +220,109 @@ OLD_CARD_LINE = (
     '{"gas_prices_backup({\\"state\\":\\"Ohio\\"})":"{\\"premium_usd\\":3.81,'
     '\\"regular_usd\\":3.09}"}}]}'
 )
+_TASK_KEYS = ("prompt", "tools", "steps")
 
 
-def test_final_step_payload_nested_too_deep_to_parse_is_empty():
-    doc = json.loads(OLD_CARD_LINE)
-    responses = doc["tools"][0]["scripted_responses"]
+def _split_old_card(line):
+    """(task table, card) of an old per-card line, as the current form states them."""
+    card = json.loads(line)
+    task = {key: card.pop(key) for key in _TASK_KEYS}
+    return {"tasks": {card["task_slug"]: task}}, card
+
+
+def _write_lines(path, *docs):
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    return path
+
+
+def test_final_step_payload_nested_too_deep_to_parse_is_empty(tmp_path):
+    table, card = _split_old_card(OLD_CARD_LINE)
+    responses = table["tasks"]["gas_price"]["tools"][0]["scripted_responses"]
     (key,) = responses
     responses[key] = "[" * 100_000
-    assert EpisodeCard.from_json(doc).final_step_payload() == {}
+    (read,) = read_suite(_write_lines(tmp_path / "deep.jsonl", table, card))
+    assert read.task.final_payload == {}
 
 
-def test_old_suite_line_still_loads(tmp_path):
+def test_old_suite_line_is_refused(tmp_path):
+    # one reader: a file in the per-card form has no table, and is not read
     path = tmp_path / "old.jsonl"
     path.write_text(OLD_CARD_LINE + "\n", encoding="utf-8")
-    (card,) = read_suite(path)
-    assert card.plan.kind == "http_422"
-    assert card.final_step_payload() == {"premium_usd": 3.81, "regular_usd": 3.09}
-    expected = json.loads(OLD_CARD_LINE)
-    del expected["guidelines"], expected["protocol"]
-    assert json.loads(suite_to_lines([card])[0]) == expected
+    with pytest.raises(ConfigError, match="^suite line 1: the file has no task table"):
+        read_suite(path)
+    # the same card in the current form loads, and its older keys are dropped
+    table, card = _split_old_card(OLD_CARD_LINE)
+    (read,) = read_suite(_write_lines(path, table, card))
+    assert read.plan.kind == "http_422"
+    assert read.task.final_payload == {"premium_usd": 3.81, "regular_usd": 3.09}
+    del card["guidelines"], card["protocol"]
+    assert [json.loads(line) for line in suite_to_lines([read])] == [table, card]
+
+
+def _table_and_card():
+    table, card = _split_old_card(OLD_CARD_LINE)
+    del card["guidelines"], card["protocol"]
+    return table, card
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (lambda t, c: ["", {**c, "task_slug": "gas"}],
+         "suite line 2: the file has no task table"),
+        (lambda t, c: [t, "", c, t],
+         "suite line 4: not an episode card (ConfigError('a second task table; "
+         "a suite states each task once'))"),
+        (lambda t, c: [t, c, "", {**c, "task_slug": "gas"}],
+         "suite line 4: not an episode card (ConfigError(\"task_slug 'gas' names no task "
+         "in the suite's table\"))"),
+        (lambda t, c: ["", {"tasks": {"gas_price": {**t["tasks"]["gas_price"],
+                                                    "tools": [{"name": "gas_prices",
+                                                               "parameters": []}]}}}, c],
+         "suite line 2: task 'gas_price' is malformed (ConfigError('tool parameters must be "
+         "an object, not []'))"),
+        (lambda t, c: [{"tasks": []}, c], "suite line 1: the file has no task table"),
+        (lambda t, c: ["[", c], "suite line 1: not a task table (JSONDecodeError("),
+    ],
+    ids=["card-before-table", "second-table", "slug-missing", "malformed-tool",
+         "table-not-an-object", "table-not-json"],
+)
+def test_read_suite_refuses_a_malformed_table_or_card_by_line(tmp_path, lines, message):
+    path = tmp_path / "suite.jsonl"
+    texts = [x if isinstance(x, str) else json.dumps(x) for x in lines(*_table_and_card())]
+    path.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        read_suite(path)
+    assert str(excinfo.value).startswith(message)
+
+
+def test_cards_of_one_task_share_its_template(tasks, tmp_path):
+    path = tmp_path / "suite.jsonl"
+    write_suite(path, generate_suite(tasks, SuiteSpec(n_episodes=200, master_seed=1337)))
+    by_slug = {}
+    for card in read_suite(path):
+        assert by_slug.setdefault(card.task_slug, card.task) is card.task
+        assert card.tools is card.task.tools
+    assert len(by_slug) == len(tasks)
+
+
+@pytest.mark.parametrize("held_out", [None, *sorted(CATALOG)])
+def test_written_suite_reads_back_as_generated(tasks, tmp_path, held_out):
+    spec = SuiteSpec(
+        n_episodes=200 if held_out is None else 60, master_seed=1337,
+        held_out_kinds=frozenset() if held_out is None else frozenset({held_out}),
+    )
+    cards = generate_suite(tasks, spec)
+    path = tmp_path / "suite.jsonl"
+    write_suite(path, cards)
+    assert read_suite(path) == cards
+
+
+def test_two_different_tasks_of_one_slug_are_not_written(tasks):
+    cards = generate_suite(tasks, SuiteSpec(n_episodes=3, master_seed=4))
+    other = dataclasses.replace(cards[1].task, slug=cards[0].task_slug)
+    with pytest.raises(ConfigError, match="two different tasks are named"):
+        suite_to_lines([cards[0], dataclasses.replace(cards[1], task=other)])
 
 
 def test_pool_exhaustion_on_oversized_clean_request(tasks):

@@ -53,10 +53,23 @@ def _gen(runner, tmp_path, n=14, seed=7, extra=()):
     return out
 
 
+def _suite_docs(suite):
+    """(task table, cards) of a suite file, as JSON documents."""
+    table, *cards = map(json.loads, suite.read_text(encoding="utf-8").splitlines())
+    return table, cards
+
+
+def _write_docs(suite, *docs, ensure_ascii=True):
+    suite.write_text(
+        "".join(json.dumps(d, ensure_ascii=ensure_ascii) + "\n" for d in docs), encoding="utf-8"
+    )
+
+
 def test_gen_suite_writes_cards_and_manifest(runner, tmp_path):
     out = _gen(runner, tmp_path)
     lines = out.read_text().splitlines()
-    assert len(lines) == 14
+    assert len(lines) == 15  # the task table, then one line per card
+    assert list(json.loads(lines[0])) == ["tasks"]
     manifest = json.loads((tmp_path / "suite.jsonl.manifest.json").read_text())
     assert manifest["n_cards"] == 14
     assert manifest["spec"]["master_seed"] == 7
@@ -136,7 +149,8 @@ def test_gen_suite_holdout_writes_pruned_bank(runner, tmp_path):
     kinds = {ex["pattern"].get("kind") for ex in bank_doc["exemplars"]}
     assert "http_503" not in kinds
     assert not any("status_code" in ex["pattern"] for ex in bank_doc["exemplars"])
-    cards = [json.loads(line) for line in out.read_text().splitlines()]
+    _, cards = _suite_docs(out)
+    assert len(cards) == 7
     assert all(c["plan"]["kind"] == "http_503" for c in cards)
     expected = load_shipped_bank().without_kinds({"http_503"}).exemplars
     assert load_bank(bank_path).exemplars == expected
@@ -282,7 +296,7 @@ def test_evaluate_jobs_start_at_most_two_cards_per_worker_ahead(runner, tmp_path
     # the first card waits while the others may start; a writer that must wait
     # for it bounds how many finished episodes pile up behind it
     suite = _gen(runner, tmp_path, n=14, seed=5)
-    first_id = json.loads(suite.read_text(encoding="utf-8").splitlines()[0])["episode_id"]
+    first_id = _suite_docs(suite)[1][0]["episode_id"]
     jobs = 2
     started = []
     too_many = threading.Event()
@@ -327,11 +341,9 @@ _UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "LANG": "C.UTF-8", "PYTHONUTF8": "1"}
 
 def test_evaluate_writes_the_same_utf8_artifacts_under_an_ascii_locale(runner, tmp_path):
     suite = _gen(runner, tmp_path, n=3, seed=5)
-    lines = suite.read_text(encoding="utf-8").splitlines()
-    card = json.loads(lines[0])
-    card["prompt"] += " café"
-    lines[0] = json.dumps(card, ensure_ascii=False)
-    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table, cards = _suite_docs(suite)
+    table["tasks"][cards[0]["task_slug"]]["prompt"] += " café"
+    _write_docs(suite, table, *cards, ensure_ascii=False)
     artifacts = []
     for name, locale in (("ascii", _ASCII_LOCALE), ("utf8", _UTF8_LOCALE)):
         proc = subprocess.run(
@@ -513,18 +525,21 @@ def test_gen_suite_pool_exhausted_exits_2(runner, tmp_path):
     _assert_clean_failure(result, "Error:")
 
 
-_DUPLICATE_TOOLS_CARD = json.dumps({
-    "episode_id": "dup", "prompt": "p", "steps": [], "plan": {"seed": 1},
-    "tools": [{"name": "lookup"}, {"name": "lookup"}],
-})
+def _table_line(**fields):
+    """A table of one well-formed one-step task "t", with `fields` set over its own."""
+    task = {
+        "prompt": "p",
+        "tools": [{"name": "lookup", "scripted_responses": {"lookup({})": "{}"}}],
+        "steps": [{"tool": "lookup", "arguments": {}}],
+        **fields,
+    }
+    return json.dumps({"tasks": {"t": task}})
 
 
 def _card_line(plan=None, **fields):
-    """A well-formed one-step card, with `plan` and `fields` set over its own."""
+    """A well-formed card of task "t", with `plan` and `fields` set over its own."""
     card = {
-        "episode_id": "e", "prompt": "p",
-        "tools": [{"name": "lookup", "scripted_responses": {"lookup({})": "{}"}}],
-        "steps": [{"tool": "lookup", "arguments": {}}],
+        "episode_id": "e", "task_slug": "t",
         "plan": {"seed": 1, "kind": "http_500", "manifestation": "ErrorPayload",
                  "turn_index": 1, **(plan or {})},
         **fields,
@@ -537,7 +552,8 @@ def _card_line(plan=None, **fields):
     [
         ('{"foo": 1}', "episode_id"),
         ("not json at all", "JSONDecodeError"),
-        (_DUPLICATE_TOOLS_CARD, "tool names must be unique"),
+        (_table_line(tools=[{"name": "lookup"}, {"name": "lookup"}]),
+         "tool names must be unique"),
         (_card_line(retry_budget="3"), "retry_budget_per_error must be an int within [1, 4]"),
         (_card_line(retry_budget=True), "retry_budget_per_error must be an int within [1, 4]"),
         (_card_line(max_steps=None), "max_steps must be an int >= 3"),
@@ -548,20 +564,20 @@ def _card_line(plan=None, **fields):
         (_card_line(plan={"turn_index": "2"}), "plan turn_index must be an int >= 1"),
         (_card_line(plan={"kind": "bogus"}), "unknown failure kind 'bogus'"),
         (_card_line(plan={"turn_index": 99}), "plan turn_index 99 exceeds max_steps 20"),
-        (_card_line(steps=[]), "a card needs at least one task step"),
-        (_card_line(tools=[]), "a card needs at least one tool"),
-        (_card_line(steps=[{"tool": "missing", "arguments": {}}]),
-         "step tool 'missing' is not among the card's tools"),
-        (_card_line(steps=[{"tool": "lookup", "arguments": []}]),
+        (_table_line(steps=[]), "a task needs at least one step"),
+        (_table_line(tools=[]), "a task needs at least one tool"),
+        (_table_line(steps=[{"tool": "missing", "arguments": {}}]),
+         "step tool 'missing' is not among the task's tools"),
+        (_table_line(steps=[{"tool": "lookup", "arguments": []}]),
          "a step needs a string tool and object arguments"),
         (_card_line(episode_id=5), "episode_id must be a string, not 5"),
         (_card_line(episode_id=""), "episode_id must not be empty"),
-        (_card_line(prompt=None), "prompt must be a string, not None"),
+        (_table_line(prompt=None), "prompt must be a string, not None"),
         (_card_line(task_slug=["t"]), "task_slug must be a string"),
-        (_card_line(tools=[{"name": "lookup", "scripted_responses": {"lookup({})": 5}}]),
+        (_table_line(tools=[{"name": "lookup", "scripted_responses": {"lookup({})": 5}}]),
          "a scripted response is not a string: 5"),
-        (_card_line(tools=[{"name": 7}]), "tool name must be a string, not 7"),
-        (_card_line(tools=[{"name": "lookup", "parameters": []}]),
+        (_table_line(tools=[{"name": 7}]), "tool name must be a string, not 7"),
+        (_table_line(tools=[{"name": "lookup", "parameters": []}]),
          "tool parameters must be an object"),
     ],
     ids=[
@@ -573,12 +589,28 @@ def _card_line(plan=None, **fields):
     ],
 )
 def test_evaluate_malformed_suite_line_exits_2(runner, tmp_path, bad_line, fragment):
-    suite = _gen(runner, tmp_path, n=3, seed=5)
-    good = suite.read_text().splitlines()
-    suite.write_text("\n".join([good[0], "", bad_line, *good[1:]]) + "\n")
+    # a task's field is broken in the table, line 1, and named by its slug; a
+    # card's on its own line, after a blank one
+    suite = tmp_path / "suite.jsonl"
+    if bad_line.startswith('{"tasks"'):
+        suite.write_text("\n".join([bad_line, "", _card_line()]) + "\n")
+        where = "suite line 1: task 't'"
+    else:
+        suite.write_text("\n".join([_table_line(), "", bad_line, _card_line()]) + "\n")
+        where = "suite line 3"
     result = _evaluate(runner, tmp_path, suite)
-    _assert_clean_failure(result, "suite line 3", fragment)
+    _assert_clean_failure(result, where, fragment)
     # refused when read: no episode ran and no run directory was made
+    assert not (tmp_path / "runs").exists()
+
+
+def test_evaluate_old_form_suite_exits_2(runner, tmp_path):
+    # one reader: a suite whose every card holds its own task is not read
+    suite = _gen(runner, tmp_path, n=3, seed=5)
+    table, cards = _suite_docs(suite)
+    _write_docs(suite, *({**c, **table["tasks"][c["task_slug"]]} for c in cards))
+    result = _evaluate(runner, tmp_path, suite)
+    _assert_clean_failure(result, "suite line 1: the file has no task table")
     assert not (tmp_path / "runs").exists()
 
 
@@ -652,7 +684,7 @@ def test_gen_suite_creates_missing_parent_directory(runner, tmp_path):
     out = tmp_path / "nodir" / "s.jsonl"
     result = runner.invoke(main, ["gen-suite", "--n", "3", "--seed", "1", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert len(out.read_text().splitlines()) == 3
+    assert len(out.read_text().splitlines()) == 4  # the task table and three cards
 
 
 def test_gen_suite_out_that_is_a_directory_exits_2(runner, tmp_path):
@@ -931,13 +963,12 @@ def test_deeply_nested_json_input_exits_2(runner, tmp_path, command):
 def test_evaluate_runs_a_card_whose_final_response_is_nested_too_deep_to_parse(runner, tmp_path):
     # the response is a failure the agent sees; the grader reads no expected payload from it
     suite = _gen(runner, tmp_path, n=3, seed=5)
-    lines = suite.read_text(encoding="utf-8").splitlines()
-    card = json.loads(lines[0])
-    step = card["steps"][-1]
-    (tool,) = [t for t in card["tools"] if t["name"] == step["tool"]]
+    table, cards = _suite_docs(suite)
+    task = table["tasks"][cards[0]["task_slug"]]
+    step = task["steps"][-1]
+    (tool,) = [t for t in task["tools"] if t["name"] == step["tool"]]
     tool["scripted_responses"][canonical_call_key(step["tool"], step["arguments"])] = "[" * 100_000
-    lines[0] = json.dumps(card)
-    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_docs(suite, table, *cards)
     result = _evaluate(runner, tmp_path, suite)
     assert result.exit_code == 0, result.output
     assert "Traceback" not in result.output
@@ -947,19 +978,17 @@ _PARTIAL_OUTPUT_PLAN = {"kind": "partial_output", "manifestation": "PartialOutpu
 
 
 def _long_integer_suite(runner, tmp_path, plan):
-    """A 5-card suite whose first card's every response is one 5000-digit integer:
-    past CPython's default limit on integer digits (4300)."""
+    """A 5-card suite whose first card's task has every response one 5000-digit
+    integer: past CPython's default limit on integer digits (4300)."""
     suite = _gen(runner, tmp_path, n=5, seed=1)
-    lines = suite.read_text(encoding="utf-8").splitlines()
-    card = json.loads(lines[0])
-    for tool in card["tools"]:
+    table, cards = _suite_docs(suite)
+    for tool in table["tasks"][cards[0]["task_slug"]]["tools"]:
         tool["scripted_responses"] = dict.fromkeys(
             tool["scripted_responses"], '{"value": ' + "9" * 5000 + "}"
         )
     if plan is not None:
-        card["plan"] = {"seed": card["plan"]["seed"], **plan}
-    lines[0] = json.dumps(card)
-    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cards[0]["plan"] = {"seed": cards[0]["plan"]["seed"], **plan}
+    _write_docs(suite, table, *cards)
     return suite
 
 
@@ -1009,11 +1038,13 @@ def test_evaluate_reads_a_step_argument_past_the_digit_limit_the_same_under_any_
     # a suite line is read as tool text is: the 5001-digit amount is its digit
     # string whatever the limit, so each process writes the same artifacts
     suite = _gen(CliRunner(), tmp_path, n=5, seed=1)
-    lines = suite.read_text(encoding="utf-8").splitlines()
-    card = json.loads(lines[0])
-    card["steps"][0]["arguments"]["amount"] = "<amount>"
-    lines[0] = json.dumps(card).replace('"<amount>"', "1" + "0" * 5000)
-    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table, cards = _suite_docs(suite)
+    table["tasks"][cards[0]["task_slug"]]["steps"][0]["arguments"]["amount"] = "<amount>"
+    _write_docs(suite, table, *cards)
+    suite.write_text(
+        suite.read_text(encoding="utf-8").replace('"<amount>"', "1" + "0" * 5000),
+        encoding="utf-8",
+    )
     artifacts = []
     for limit in ("4300", "0"):
         out = tmp_path / f"runs-{limit}"
@@ -1106,13 +1137,19 @@ _PROPERTY = settings(
 @_PROPERTY
 @given(data=st.data())
 def test_evaluate_any_one_field_change_to_a_card_runs_or_exits_2(runner, data):
-    card = json.loads(_card_line())
-    card = _mutated(data, card, list(_paths(card)))
+    # one change, to the task table (line 1) or to the card (line 2)
+    docs = [json.loads(_table_line()), json.loads(_card_line())]
+    path = data.draw(st.sampled_from([path for path in _paths(docs) if path]), label="path")
+    docs = _mutated(data, docs, [path])
+    if len(docs) == 1:  # a line deleted: the card alone, or the table alone
+        fragment = "suite line 1" if path == (0,) else "suite file holds no cards"
+    else:  # a task the table lacks is found missing on the card's line
+        fragment = "suite line 2" if path[0] == 1 else "suite line "
     with tempfile.TemporaryDirectory() as scratch:
         suite = Path(scratch) / "suite.jsonl"
-        suite.write_text(json.dumps(card) + "\n")
+        suite.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         result = _evaluate(runner, Path(scratch), suite)
-        _assert_runs_or_exits_2(result, "suite line 1")
+        _assert_runs_or_exits_2(result, fragment)
         assert (result.exit_code == 0) == (Path(scratch) / "runs").exists()
 
 

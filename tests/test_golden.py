@@ -7,11 +7,13 @@ must say so and update the value here together with its reason.
 from __future__ import annotations
 
 import hashlib
+import sys
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
-from faultharness import agents
+from faultharness import agents, taxonomy
 from faultharness.agents import RemoteChatPolicy, make_policy, oracle_gate
 from faultharness.bank import load_bank
 from faultharness.benchgen import SuiteSpec, generate_suite, read_suite
@@ -68,24 +70,24 @@ HELD_OUT = {
 
 # suite files gen-suite writes: `--n 200 --seed 1337`, and `--n 60 --seed 1337
 # --hold-out KIND` for each catalog kind
-DESK_SUITE = "acb6f62ac6cc8eb749b5bdd25d32874997dc09100142f5d2a423a9b4fe2a97af"
+DESK_SUITE = "de3e0dd984e2cd090800a283b7f2f6b68ad2a903c4075a6850cbba26e1ccd8c7"
 
 HELD_OUT_SUITES = {
-    "dns_error": "d4fcf3ddc00de5c339de84350a8f58bb72888245045a40e2406ddec91d4dd55d",
-    "http_400": "0292fc2ed96d7be62bbf7be420787f6428c20f540a9d08191febdb305fe6e458",
-    "http_401": "28d1156d4f77943370b542293df97a2e9aa2b40fbe1d6329b6e0c695cbbad561",
-    "http_403": "eb8a3919edf779e1fcdb024a6186eac5a039045b6dd47aaa98661e1cbca3bc95",
-    "http_404": "58e15cc668b7be7d574afa394110dc70ba0dfc57772e1386acc2f987d0360a8e",
-    "http_407": "5c5cf3fc187cfee24a28650268fda373fb19a40b5ec84cbe54fa9b3f4540d1dc",
-    "http_422": "b18e2cf3b2c91f75665126ec7d9962f977869e1d8848eb62a4de2a178ff8f632",
-    "http_429": "ac9442e083c81b910519dc300ecc529f971c6b39303ac2452091ae1402bb8558",
-    "http_500": "dab7815341a9edf6e7bbb8ef6f2b73c0a38aafa98231e50c110784f7374bdbd4",
-    "http_503": "a7d2538757220df4b229dc373b7b159bd352fd8446c040b358111894f845f144",
-    "inconsistent_state": "03a97cadb98052672d241b2eccdc80f02cd304adee27b0a0844739a3d5398609",
-    "malformed_json": "8d7260dfdd2525e765476c819ba6c746cbc45d5ce49b1bb62b29ba1db8d07c3a",
-    "partial_output": "806a5ff527e9bd34f2e54f00ae5068bc2712350c1edf567959ceb0066c1d43dd",
-    "schema_violation": "e52147473a372ef4fcb8daea11997c3f5621c112ee6ab2c32183081c074242d3",
-    "timeout": "984d4ee7fa855db8e064de4d48513e0dbc133f7055ab41dddc5d315012eb4ba1",
+    "dns_error": "b0f4a38051ffe816d5cd92fb021b62ad3de4cc9a8085ede1c57215c82a38e964",
+    "http_400": "93425a1bd03b07c1d76f42bd10227201d3773b9b485ad4bbd1579860537b05ad",
+    "http_401": "57b5fdb8d25905ea3137c7f5cd2eac8c95627dbf69c226ec2d75375744bb3e1d",
+    "http_403": "63cb7388b6545ca79a0dbf024825d7282fa9b25753cfbf29c5128bfff88949b7",
+    "http_404": "7f47d3f4a21d45dc5778ab74dae58c2590b66eba9b9e6bc1d6236d0da8ec2c54",
+    "http_407": "6d7226f89085b0cb76d1f12829b27564844e8c5160961fd45af6bc9dbb45297a",
+    "http_422": "a8aa9eada27ee0ca9ab10e84635674de991bedf5fff9701660fde5951693f55d",
+    "http_429": "4994ec005cb8f0d1d4fdffbd96a0b6cfff7bf9ea2ccbd9af68a6efc3ed16ff2d",
+    "http_500": "da6ce43329ae4d335a167e5ec2bddf9f80184363e3eea0f3b25390881490b9cb",
+    "http_503": "c3f8b9cedc0069cc9f96d139884a1e46f4a9bfcf0329ad013d1b3351f26c8f7c",
+    "inconsistent_state": "281782cfeb3813268147b298236240ad22e018078a487f586015607787c809d3",
+    "malformed_json": "ba5db2e93e7ce5765a7735f1fffaf929b57d126120938313fe9f8d8789a58e88",
+    "partial_output": "66640da1bba0b1e1f5812c4fe790113056198af341708fb8b2fde64983f8cd6c",
+    "schema_violation": "c07e005c18694b8bf695685492d8261a4462d11e2bdd82db05dd5c675b322c9a",
+    "timeout": "3e83c73bd02b93c3e986443857b5698b4a10bbdf0b4521420559e6d2613675d9",
 }
 
 # report.json from `evaluate --agent paladin --seed 42`, desk suite of 200 cards, seed 1337;
@@ -237,6 +239,47 @@ def paladin_run_dir(tmp_path_factory):
     assert result.exit_code == 0, result.output
     (run_dir,) = (tmp / "runs").iterdir()
     return run_dir
+
+
+def test_evaluate_classifies_each_scripted_response_once_per_tool(tmp_path, monkeypatch):
+    # every card of a task holds its one template, whose tools classify their
+    # scripted responses once, at their first serve; an ErrorPayload or
+    # SilentFailure fault's text is fixed by its kind, and was classified at import
+    runner = CliRunner()
+    suite = tmp_path / "desk.jsonl"
+    result = runner.invoke(
+        main, ["gen-suite", "--n", "200", "--seed", "1337", "--out", str(suite)]
+    )
+    assert result.exit_code == 0, result.output
+    held = {
+        (card.task_slug, tool.name, key): text
+        for card in read_suite(suite)
+        for tool in card.tools.tools
+        for key, text in tool.scripted_responses.items()
+    }
+    holders = Counter(held.values())  # each text: the tools of the suite's tasks holding it
+    classified = Counter()
+    original = taxonomy.detect_failure
+
+    def counting(text):
+        classified[text] += 1
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("faultharness") and getattr(module, "detect_failure", None) is original:
+            monkeypatch.setattr(module, "detect_failure", counting)
+    result = runner.invoke(
+        main,
+        ["evaluate", "--suite", str(suite), "--agent", "paladin", "--seed", str(EVAL_SEED),
+         "--n-resamples", "5", "--out-dir", str(tmp_path / "runs")],
+    )
+    assert result.exit_code == 0, result.output
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    trajectories = hashlib.sha256((run_dir / "trajectories.jsonl").read_bytes()).hexdigest()
+    assert trajectories == TRAJECTORIES["paladin"]
+    assert {t: classified[t] for t, n in holders.items() if classified[t] > n} == {}
+    fixed = {kind.example_output for kind in CATALOG.values()} | {""}
+    assert sorted(fixed & set(classified)) == []
 
 
 def test_desk_paladin_report_digest(paladin_run_dir):

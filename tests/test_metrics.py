@@ -44,21 +44,14 @@ def grade(
 # --- grade_episode -----------------------------------------------------------------
 
 
-class _FakeCard:
-    def __init__(self, card):
-        self._card = card
-
-
 def _card_for(traj, registry, steps):
     from faultharness.benchgen import EpisodeCard
+    from faultharness.tasks import TaskTemplate
 
-    return EpisodeCard(
-        episode_id=traj.episode_id,
-        prompt="Look up x and report the answer.",
-        tools=registry,
-        steps=steps,
-        plan=traj.plan,
+    task = TaskTemplate(
+        slug="lookup_x", prompt="Look up x and report the answer.", tools=registry, steps=steps
     )
+    return EpisodeCard(episode_id=traj.episode_id, task=task, plan=traj.plan)
 
 
 def test_grade_clean_success():

@@ -174,24 +174,26 @@ def test_rule_teacher_teaches_the_recovery_the_bank_states(kind, bank):
     assert (step.report, step.call) == (expected.report, expected.call)
 
 
-def _permanently_missing_tool():
-    """weather_paris whose weather_lookup always answers that the tool does not
-    exist, and that task's toolbench trace."""
+def _weather_lookup_answering(body):
+    """weather_paris whose weather_lookup is scripted to answer `body`, and that
+    task's toolbench trace."""
     task = next(t for t in builtin_task_pool() if t.slug == "weather_paris")
     step = task.steps[0]
-    missing = dataclasses.replace(
+    scripted = dataclasses.replace(
         task.tools.get(step.tool),
-        scripted_responses={
-            canonical_call_key(step.tool, step.arguments): dumps_ascii(
-                {"error": f"Tool {step.tool} does not exist"}
-            )
-        },
+        scripted_responses={canonical_call_key(step.tool, step.arguments): dumps_ascii(body)},
     )
-    tools = ToolRegistry(tuple(missing if t.name == step.tool else t for t in task.tools.tools))
+    tools = ToolRegistry(tuple(scripted if t.name == step.tool else t for t in task.tools.tools))
     traj = run_episode(
         task.prompt, tools, make_policy("toolbench", steps=task.steps), InjectionPlan(seed=1)
     )
     return tools, traj
+
+
+def _permanently_missing_tool():
+    """weather_paris whose weather_lookup always answers that the tool does not
+    exist, and that task's toolbench trace."""
+    return _weather_lookup_answering({"error": "Tool weather_lookup does not exist"})
 
 
 @pytest.mark.parametrize("with_alternative", [True, False])
@@ -219,6 +221,33 @@ def test_rule_teacher_switches_to_the_alternative_tool(bank, with_alternative):
         # no alternative: the script's next action, a graceful stop
         assert step.action == exemplar.script[1]
         assert isinstance(repaired.terminal, GracefulFailure)
+
+
+@pytest.mark.parametrize("teacher", ["rule", "remote"])
+def test_a_repair_whose_corrective_call_fails_is_refused(bank, teacher):
+    # the reissued call's own script is a failure body: it is served as it is,
+    # not wrapped as a success, so the repair is refused and quarantined
+    tools, traj = _weather_lookup_answering({"error": "Rate limit exceeded", "status": 429})
+    turn_index, sig = detect_first_failure(traj)
+    assert sig.kind == "http_429"
+    request = RepairRequest(
+        toolset=tools, truncated_trace=truncate_at_failure(traj, turn_index), error=sig
+    )
+    if teacher == "rule":
+        teacher = RuleBasedTeacher(bank)
+    else:
+        step = RecoveryStep(
+            action=ValidateAndReissue(), thought="again",
+            call=ToolCall("weather_lookup", {"city": "Paris"}),
+        )
+        teacher = _remote_teacher(
+            _StubClient(render_action(step), render_action(Finish(answer="done", thought="ok")))
+        )
+    with pytest.raises(FaultHarnessError) as excinfo:
+        repair(request, teacher)
+    assert str(excinfo.value) == (
+        "the corrective call to weather_lookup fails too (http_429: Rate limit exceeded)"
+    )
 
 
 class _StubClient:
