@@ -1,42 +1,40 @@
 """Recovery exemplar bank: action scripts, signature similarity, retrieval.
 
-The shipped dictionary groups failure kinds into branches that share one
-script (e.g. all auth statuses terminate); `load_bank` expands each branch
-into one exemplar per member kind so pattern matching stays first-class.
+A bank is a JSON object with a `version` and an `exemplars` list. Each entry is
+`{"id", "kinds", "pattern": {"error_class", "messages"}, "script", "rationale"}`:
+a branch of failure kinds that share one script (e.g. all auth statuses
+terminate), and the message each kind fails with. `load_bank` expands each
+entry into one exemplar per kind, so pattern matching stays first-class; an
+exemplar's id is the entry's, or `<entry id>__<kind>` when the entry lists
+several kinds. An entry with no `kinds` is one class-only exemplar. The
+shipped bank, a `--bank` file and the pruned bank `gen-suite --hold-out` writes
+(`held_out`) are all in this one form, read by the one loader.
 
 A kind's class and status are the taxonomy's (`taxonomy.kind_class` and
 `taxonomy.kind_status`); a pattern stores neither and reads its kind's status
 from there. An entry that binds an error class must bind the class the
-taxonomy gives each of its kinds, where the taxonomy gives one; an entry that
-does not is refused when the bank is loaded. Older bank files, such as pruned
-banks written by `gen-suite --hold-out`, give a pattern a `status_code`:
-loading drops it when it is the status of the pattern's kind and refuses
-any other value. The shipped bank is read by the same loader as a `--bank`
-file.
+taxonomy gives each of its kinds, where the taxonomy gives one.
 
-An entry is read through its `id`, `kinds`, `pattern` (`error_class`, `kind`,
-`messages`, `message_tokens` and, in older files, `status_code`), `script` and
-`rationale`; any other entry key is ignored. Older bank files, pruned banks
-written by `gen-suite --hold-out` among them, give some entries a dialogue
-template: a hand-written second statement of the recovery, which nothing reads.
-A recovery is stated once, by its script.
+A pattern key other than `error_class` and `messages` is refused, not ignored:
+a pattern `kind`, `message_tokens` or `status_code`, spellings of an expanded
+per-kind form nothing writes, would otherwise load as a class-only wildcard.
+Entry keys the loader does not read, such as a `dialogue_template`, are
+ignored; a recovery is stated once, by its script.
 
 A script step is `{"action": <tag>, ...}` plus the action's optional fields:
 `retry_with_backoff` takes `max_attempts` (int in [1, 4]), `base_delay_ms` and
 `cap_ms` (ints >= 0) and `respect_retry_after` (bool); `terminate_gracefully`
 takes `report` (str whose only slots are `{tool}` and `{error}`; empty means
 the default); `wait_until_healthy` takes `poll_interval_ms` (int > 0); the
-other five take none. Older bank files give `reformat_arguments` a `hint`,
-`switch_tool` a `strategy`, `validate_and_reissue` a `check` and
-`wait_until_healthy` a `max_wait_ms`. Nothing read them, so loading drops them;
-any other unknown key is an error.
+other five take none. Any other key of a step is an error, among them the
+`hint`, `strategy`, `check` and `max_wait_ms` that nothing reads.
 
 A bank is refused with a `ConfigError`. Each rule an entry can break (an
-unknown class or action, an empty script, a pattern that binds neither a class
-nor a kind, a mistyped field, an exemplar id an earlier entry already gave)
-raises `ValueError` or `TypeError` while the entry is expanded, and
-`parse_bank` words it as `bank entry N (id): reason`. Only a file that is not
-a JSON object with an `exemplars` list, or a bank that leaves a class
+unknown class, action or pattern key, an empty script, a pattern that binds
+neither a class nor a kind, a mistyped field, an exemplar id an earlier entry
+already gave) raises `ValueError` or `TypeError` while the entry is expanded,
+and `parse_bank` words it as `bank entry N (id): reason`. Only a file that is
+not a JSON object with an `exemplars` list, or a bank that leaves a class
 uncovered, is refused as a whole.
 """
 
@@ -191,15 +189,6 @@ def action_from_json(doc: dict) -> RecoveryAction:
     return _ACTION_TAGS[tag](**{k: v for k, v in doc.items() if k != "action"})
 
 
-# the one field each of these actions had in older bank files; nothing read it
-_DROPPED_KEYS = {
-    "reformat_arguments": "hint",
-    "switch_tool": "strategy",
-    "validate_and_reissue": "check",
-    "wait_until_healthy": "max_wait_ms",
-}
-
-
 # --- patterns and exemplars ---------------------------------------------------
 
 
@@ -226,16 +215,6 @@ class SignaturePattern:
             return self.error_class
         return None if self.kind is None else kind_class(self.kind)
 
-    def to_json(self) -> dict:
-        out: dict = {}
-        if self.error_class is not None:
-            out["error_class"] = self.error_class.value
-        if self.kind is not None:
-            out["kind"] = self.kind
-        if self.message_tokens is not None:
-            out["message_tokens"] = sorted(self.message_tokens)
-        return out
-
 
 @dataclass(frozen=True)
 class RecoveryExemplar:
@@ -244,19 +223,15 @@ class RecoveryExemplar:
     script: tuple[RecoveryAction, ...]
     rationale: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "pattern": self.pattern.to_json(),
-            "script": [action_to_json(a) for a in self.script],
-            "rationale": self.rationale,
-        }
-
 
 @dataclass(frozen=True)
 class ExemplarBank:
     exemplars: tuple[RecoveryExemplar, ...]
     version: str = "0"
+    # the bank document this bank was parsed from; outside equality and repr,
+    # like the memos below. `without_kinds` prunes it, and a pruned bank's
+    # document is the file `gen-suite --hold-out` writes.
+    document: dict | None = field(default=None, compare=False, repr=False)
     # the n nearest exemplars per (observed kind, message, n), filled by
     # `retrieve_top_k`; outside equality and repr, so it never changes what a
     # bank is. A signature's kind and message are all that retrieval reads.
@@ -272,21 +247,12 @@ class ExemplarBank:
         return {c for ex in self.exemplars if (c := ex.pattern.implied_class())}
 
     def without_kinds(self, kinds: set[str]) -> "ExemplarBank":
-        """Bank with every exemplar matching one of `kinds` removed.
+        """The bank of this bank's document with every kind in `kinds` held out.
 
         Raises ConfigError if the removal empties an error class.
         """
-        kept = tuple(ex for ex in self.exemplars if ex.pattern.kind not in kinds)
-        pruned = ExemplarBank(exemplars=kept, version=self.version)
-        missing = set(ErrorClass) - pruned.covered_classes()
-        if missing:
-            raise ConfigError(
-                "holding out "
-                + ", ".join(sorted(kinds))
-                + " empties class(es): "
-                + ", ".join(sorted(c.value for c in missing))
-            )
-        return pruned
+        held = ", ".join(sorted(kinds))
+        return _parse(held_out(self.document, kinds), f"holding out {held} empties")
 
 
 DEFAULT_WEIGHTS = (4, 2, 1, 1)
@@ -402,56 +368,48 @@ def retrieve(bank: ExemplarBank, observed: ErrorSignature) -> RecoveryExemplar:
 # --- dictionary loading -------------------------------------------------------
 
 
+def _entry_id(entry: dict) -> str:
+    return str(entry.get("id", "<missing id>"))
+
+
 def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
-    entry_id = str(entry.get("id", "<missing id>"))
     pattern_doc = dict(entry.get("pattern", {}))
+    for key in pattern_doc:
+        if key not in ("error_class", "messages"):
+            raise ValueError(
+                f"pattern key {key!r} is not read: a pattern holds only 'error_class' "
+                "and 'messages', and an entry lists its kinds in 'kinds'"
+            )
     class_label = pattern_doc.get("error_class")
     error_class = None if class_label is None else ErrorClass(class_label)
 
     script_docs = entry.get("script", [])
     if not script_docs:
         raise ValueError("exemplar script is empty")
-    script = tuple(
-        action_from_json({k: v for k, v in d.items() if k != _DROPPED_KEYS.get(d.get("action"))})
-        for d in script_docs
-    )
+    script = tuple(action_from_json(d) for d in script_docs)
     # every other action re-executes a call and can complete the step
     if isinstance(script[-1], (ReformatArguments, RefreshCredentials)):
         raise ValueError("script must end with TerminateGracefully or a success-terminal action")
 
     rationale = entry.get("rationale", "")
 
-    kinds: list[str | None]
+    kinds: list[str | None] = [None]  # no kinds: one class-only exemplar
     if "kinds" in entry:
         if not isinstance(entry["kinds"], list):  # a string would expand per character
             raise TypeError("'kinds' must be a list")
         kinds = list(entry["kinds"])
-    else:
-        kinds = [pattern_doc.get("kind")]
 
-    messages: dict = pattern_doc.get("messages", {})
-    listed_tokens = pattern_doc.get("message_tokens")
-    if listed_tokens is not None and not isinstance(listed_tokens, list):
-        raise TypeError("'message_tokens' must be a list")  # a string would split per character
-    exemplars = []
+    messages = pattern_doc.get("messages", {})
+    if not isinstance(messages, dict):
+        raise TypeError("'messages' must be an object")
+    entry_id, exemplars = _entry_id(entry), []
     for kind in kinds:
-        tokens = None
-        if kind is not None and kind in messages:
-            tokens = message_tokens(messages[kind])
-        elif listed_tokens is not None:
-            tokens = frozenset(listed_tokens)
+        tokens = message_tokens(messages[kind]) if kind in messages else None
         if error_class is not None and kind is not None:
             known = kind_class(kind)
             if known is not None and known is not error_class:
                 raise ValueError(
                     f"kind {kind!r} is {known.value} in the taxonomy, not {error_class.value}"
-                )
-        if "status_code" in pattern_doc:  # older files state the kind's status; drop it
-            status = pattern_doc["status_code"]
-            expected = None if kind is None else kind_status(kind)
-            if type(status) is not int or status != expected:
-                raise ValueError(
-                    f"status_code {status!r} is not the status of kind {kind!r} ({expected!r})"
                 )
         pattern = SignaturePattern(error_class=error_class, kind=kind, message_tokens=tokens)
         ex_id = entry_id if len(kinds) == 1 else f"{entry_id}__{kind}"
@@ -463,6 +421,12 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
 
 def parse_bank(doc: dict) -> ExemplarBank:
     """Validate a bank document; a malformed entry is named by its index and id."""
+    return _parse(doc, "bank does not cover")
+
+
+def _parse(doc: dict, uncovered: str) -> ExemplarBank:
+    """The bank `doc` states, every entry checked; a bank that leaves an error
+    class uncovered is refused as `<uncovered> class(es): ...`."""
     if not isinstance(doc, dict) or not isinstance(doc.get("exemplars", []), list):
         raise ConfigError("bank must be a JSON object whose 'exemplars' is a list")
     exemplars: list[RecoveryExemplar] = []
@@ -477,16 +441,41 @@ def parse_bank(doc: dict) -> ExemplarBank:
                     raise ValueError(f"duplicate exemplar id {ex.id!r}")
                 seen.add(ex.id)
         except (AttributeError, TypeError, ValueError) as exc:
-            entry_id = entry.get("id", "<missing id>")
-            raise ConfigError(f"bank entry {index} ({entry_id}): {exc}") from exc
+            raise ConfigError(f"bank entry {index} ({_entry_id(entry)}): {exc}") from exc
         exemplars += expanded
-    bank = ExemplarBank(exemplars=tuple(exemplars), version=str(doc.get("version", "0")))
-    missing = set(ErrorClass) - bank.covered_classes()
-    if missing:
-        raise ConfigError(
-            "bank does not cover class(es): " + ", ".join(sorted(c.value for c in missing))
-        )
+    bank = ExemplarBank(
+        exemplars=tuple(exemplars), version=str(doc.get("version", "0")), document=doc
+    )
+    if missing := set(ErrorClass) - bank.covered_classes():
+        raise ConfigError(f"{uncovered} class(es): " + ", ".join(sorted(c.value for c in missing)))
     return bank
+
+
+def held_out(doc: dict, kinds: set[str]) -> dict:
+    """The bank document `doc`, in its own form, with every kind in `kinds` held out.
+
+    An entry left with none of its kinds is dropped; one left with some keeps
+    their messages, and one left with one of several takes that exemplar's id
+    (`arg_format__http_400`). So the result expands to exactly the exemplars of
+    `doc` whose kind is not held out, ids included. Its version is `doc`'s with
+    `-heldout` appended.
+    """
+    entries = []
+    for entry in doc["exemplars"]:
+        listed = entry.get("kinds", [])
+        kept = [kind for kind in listed if kind not in kinds]
+        if len(kept) == len(listed):
+            entries.append(entry)
+            continue
+        if not kept:
+            continue
+        pattern = entry.get("pattern", {})
+        messages = {k: v for k, v in pattern.get("messages", {}).items() if k in kept}
+        pruned = {**entry, "kinds": kept, "pattern": {**pattern, "messages": messages}}
+        if len(kept) == 1:
+            pruned["id"] = f"{_entry_id(entry)}__{kept[0]}"
+        entries.append(pruned)
+    return {"version": f"{doc.get('version', '0')}-heldout", "exemplars": entries}
 
 
 def load_bank(path, data: bytes | None = None) -> ExemplarBank:

@@ -113,7 +113,8 @@ def main():
     "--hold-out",
     "hold_out",
     multiple=True,
-    help="Failure kind to hold out of the agent-visible bank (repeatable).",
+    help="Failure kind to hold out of the agent-visible bank (repeatable); the pruned "
+    "bank is written to OUT.bank.json in the shipped bank's form.",
 )
 @click.option("--out", type=click.Path(dir_okay=False), default="suite.jsonl", show_default=True)
 def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
@@ -135,11 +136,7 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
     manifest_path.write_text(dumps_indented(manifest), encoding="utf-8")
     if hold_out:
         bank_path = out_path.with_suffix(out_path.suffix + ".bank.json")
-        bank_doc = {
-            "version": f"{bank.version}-heldout",
-            "exemplars": [ex.to_json() for ex in visible_bank.exemplars],
-        }
-        bank_path.write_text(dumps_canonical(bank_doc) + "\n", encoding="utf-8")
+        bank_path.write_text(dumps_canonical(visible_bank.document) + "\n", encoding="utf-8")
         click.echo(f"pruned bank: {bank_path} ({len(visible_bank)} exemplars)")
     failures = sum(1 for c in cards if not c.plan.is_clean)
     click.echo(

@@ -19,9 +19,10 @@ The clock is simulated and integer-valued; nothing ever sleeps.
 The simulator records each turn's call or signature in the episode's
 `trace.TraceView` as it writes the turn; agents read every turn fact there.
 A scripted response is classified once per tool, not on every serve
-(`ToolSpec.served`); a fault's text is classified when the fault is made, or
-at import for the ErrorPayload and SilentFailure texts its kind alone fixes
-(`taxonomy.PAYLOAD_SIGNATURES`).
+(`ToolSpec.served`), and so is the PartialOutput text the tool alone fixes
+(`ToolSpec.partial_output`). A MalformedOutput text is classified when its
+fault is made, and the ErrorPayload and SilentFailure texts a kind alone fixes
+at import (`taxonomy.PAYLOAD_SIGNATURES`).
 
 Every compact JSON text (call keys, wrappers, error bodies) comes from a form
 of `encoders`, each one C encoder built once at import, not from a
@@ -136,6 +137,17 @@ class ToolSpec:
             signature = detect_failure(payload)
             served[key] = (wrap_response(payload) if signature is None else payload, signature)
         return served
+
+    @cached_property
+    def partial_output(self) -> tuple[str, ErrorSignature | None]:
+        """(text, signature) of a PartialOutput fault on this tool, worked out once
+        per tool: the first half of its first scripted payload's top-level
+        fields, under a wrapper that marks the truncation."""
+        payload = json_object(self.first_response()) or {}
+        partial = {k: payload[k] for k in list(payload)[: len(payload) // 2]}
+        error = "Partial response: transfer interrupted before completion"
+        text = dumps_canonical({"error": error, "response": dumps_ascii(partial)})
+        return text, detect_failure(text)
 
     def capability_tag(self) -> str:
         return self.capability or self.name
@@ -266,16 +278,7 @@ def render_failure(
         base = wrap_response(tool.first_response())
         cut = rng_for(seed, 11).randint(1, len(base) - 1)
         return base[:cut]
-    # PartialOutput: first half of the normal payload's top-level fields,
-    # delivered under a wrapper that marks the truncation.
-    payload = json_object(tool.first_response()) or {}
-    partial = {k: payload[k] for k in list(payload)[: len(payload) // 2]}
-    return dumps_canonical(
-        {
-            "error": "Partial response: transfer interrupted before completion",
-            "response": dumps_ascii(partial),
-        }
-    )
+    return tool.partial_output[0]  # PartialOutput: fixed by the tool alone
 
 
 # --- backoff -----------------------------------------------------------------------
@@ -349,11 +352,14 @@ def _make_fault(plan: InjectionPlan, call_key: str, tool: ToolSpec) -> _ActiveFa
     seed = derive_seed(plan.seed, plan.turn_index)
     rendered = render_failure(kind, plan.manifestation, tool, seed)
     # the kind alone fixes an ErrorPayload or SilentFailure text, classified at
-    # import; a text cut from the tool's own payload is classified here
+    # import, and the tool alone a PartialOutput text, classified once per tool;
+    # a MalformedOutput text, cut at a seeded place, is classified here
     if plan.manifestation is Manifestation.ERROR_PAYLOAD:
         signature = PAYLOAD_SIGNATURES[plan.kind]
     elif plan.manifestation is Manifestation.SILENT_FAILURE:
         signature = SILENT_SIGNATURE
+    elif plan.manifestation is Manifestation.PARTIAL_OUTPUT:
+        signature = tool.partial_output[1]
     else:
         signature = detect_failure(rendered)
     persist, retry_after = fault_life(plan)

@@ -18,6 +18,7 @@ from faultharness.bank import (
     WaitUntilHealthy,
     action_from_json,
     action_to_json,
+    held_out,
     load_bank,
     load_shipped_bank,
     parse_bank,
@@ -127,7 +128,7 @@ def _shipped_messages() -> dict[str, tuple[str, str]]:
     doc = json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8"))
     found = {}
     for entry in doc["exemplars"]:
-        kinds = entry.get("kinds", [entry["pattern"].get("kind")])
+        kinds = entry["kinds"]
         for kind in kinds:
             ex_id = entry["id"] if len(kinds) == 1 else f"{entry['id']}__{kind}"
             found[ex_id] = (kind, entry["pattern"]["messages"][kind])
@@ -220,10 +221,8 @@ def test_zero_distance_dominance(bank):
 
 
 def test_retrieve_deterministic_across_reloads(bank):
-    fresh = parse_bank(
-        {"version": bank.version,
-         "exemplars": [ex.to_json() for ex in bank.exemplars]}
-    )
+    fresh = parse_bank(json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8")))
+    assert fresh == bank
     rng = random.Random(5)
     for _ in range(50):
         obs = _random_signature(rng)
@@ -251,9 +250,9 @@ def _banks(draw, shipped: ExemplarBank) -> ExemplarBank:
     An override of None drops the pattern's message tokens; an empty set makes
     an empty union possible.
     """
-    held_out = draw(st.sets(st.sampled_from(sorted(CATALOG)), max_size=3))
+    kinds = draw(st.sets(st.sampled_from(sorted(CATALOG)), max_size=3))
     try:
-        bank = shipped.without_kinds(held_out) if held_out else shipped
+        bank = shipped.without_kinds(kinds) if kinds else shipped
     except ConfigError:
         bank = shipped
     overrides = draw(st.dictionaries(
@@ -348,17 +347,21 @@ def test_banks_compare_equal_whatever_their_memo_holds():
 
 
 def _entry(entry_id="x1", kind="http_500", script=None, **pattern_extra):
+    """A bank entry of one kind (none: class-only), its pattern holding `pattern_extra`."""
     if script is None:
         script = [
             {"action": "retry_with_backoff", "max_attempts": 2},
             {"action": "terminate_gracefully"},
         ]
-    return {
+    entry = {
         "id": entry_id,
-        "pattern": {"error_class": "ReentrantFailure", "kind": kind, **pattern_extra},
+        "pattern": {"error_class": "ReentrantFailure", **pattern_extra},
         "script": script,
         "rationale": "test entry",
     }
+    if kind is not None:
+        entry["kinds"] = [kind]
+    return entry
 
 
 def _full_coverage_entries():
@@ -378,7 +381,8 @@ def _full_coverage_entries():
         entries.append(
             {
                 "id": f"cov{i}",
-                "pattern": {"error_class": error_class, "kind": kind},
+                "kinds": [kind],
+                "pattern": {"error_class": error_class},
                 "script": [{"action": "terminate_gracefully"}],
                 "rationale": "",
             }
@@ -445,6 +449,32 @@ def test_without_kinds_guards_class_coverage(bank):
         bank.without_kinds(reentrant_kinds)
 
 
+_SHIPPED_KINDS = sorted(
+    {kind for entry in json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8"))
+     ["exemplars"] for kind in entry["kinds"]}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.sets(st.sampled_from(_SHIPPED_KINDS), max_size=6))
+def test_held_out_document_expands_to_exactly_the_kept_exemplars(bank, kinds):
+    doc = json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8"))
+    before = json.dumps(doc)
+    pruned = held_out(doc, kinds)
+    assert json.dumps(doc) == before  # the document pruned is left as it was
+    assert pruned["version"] == f"{doc['version']}-heldout"
+    kept = tuple(ex for ex in bank.exemplars if ex.pattern.kind not in kinds)
+    try:
+        assert parse_bank(pruned).exemplars == kept  # ids included
+    except ConfigError as refused:  # a class left uncovered, as `without_kinds` refuses it
+        assert "does not cover" in str(refused)
+        assert set(ErrorClass) != {ex.pattern.implied_class() for ex in kept}
+    for entry in pruned["exemplars"]:  # the shipped form, each message a kept kind's
+        assert set(entry) == {"id", "kinds", "pattern", "script", "rationale"}
+        assert set(entry["pattern"]) == {"error_class", "messages"}
+        assert set(entry["pattern"]["messages"]) == set(entry["kinds"])
+
+
 def test_action_json_roundtrip():
     actions = [
         {"action": "retry_with_backoff", "max_attempts": 4, "base_delay_ms": 250,
@@ -461,7 +491,7 @@ def test_action_json_roundtrip():
         assert action_to_json(action_from_json(doc)) == doc
 
 
-# the fields older bank files set on these actions, which loading drops
+# a field each of these actions had in an older bank form; nothing ever read it
 _DROPPED_FIELDS = {
     "reformat_arguments": {"hint": "fix the argument formatting"},
     "switch_tool": {"strategy": "fallback"},
@@ -470,21 +500,36 @@ _DROPPED_FIELDS = {
 }
 
 
-def test_entry_with_dropped_fields_parses_equal_without_them():
-    script = [{"action": tag} for tag in _DROPPED_FIELDS] + [{"action": "lenient_parse"}]
-    older = [{**step, **_DROPPED_FIELDS.get(step["action"], {})} for step in script]
+def test_entry_with_dropped_fields_is_refused():
+    for tag, fields in _DROPPED_FIELDS.items():
+        (name,) = fields
+        entry = _entry("e", script=[{"action": tag, **fields}, {"action": "lenient_parse"}])
+        doc = {"version": "t", "exemplars": _full_coverage_entries() + [entry]}
+        with pytest.raises(ConfigError, match=rf"bank entry 7 \(e\): .*'{name}'"):
+            parse_bank(doc)
 
-    def bank_of(steps):
-        entry = _entry("e", script=steps)
-        return parse_bank({"version": "t", "exemplars": _full_coverage_entries() + [entry]})
 
-    assert older != script
-    assert bank_of(older) == bank_of(script)
+@pytest.mark.parametrize(
+    "key, value", [("kind", "http_500"), ("message_tokens", ["server", "error"])]
+)
+def test_pattern_key_of_the_expanded_form_is_refused(key, value):
+    # dropped silently, either key would leave a class-only wildcard behind
+    entry = _entry("odd", kind=None)
+    entry["pattern"][key] = value
+    doc = {"version": "t", "exemplars": _full_coverage_entries() + [entry]}
+    with pytest.raises(ConfigError, match=rf"bank entry 7 \(odd\): pattern key '{key}'"):
+        parse_bank(doc)
+
+
+def test_entry_with_no_kinds_is_one_class_only_exemplar():
+    doc = {"version": "t", "exemplars": _full_coverage_entries() + [_entry("any", kind=None)]}
+    (pattern,) = [ex.pattern for ex in parse_bank(doc).exemplars if ex.id == "any"]
+    assert pattern == SignaturePattern(error_class=ErrorClass.REENTRANT_FAILURE)
 
 
 def test_shipped_bank_with_dialogue_templates_parses_equal_without_them():
-    # older bank files, the pruned banks `gen-suite --hold-out` wrote among them,
-    # give entries a hand-written dialogue; the loader reads none of it
+    # an entry key the loader does not read, such as a hand-written dialogue,
+    # is ignored
     doc = json.loads((DATA_DIR / "recovery_bank.json").read_text(encoding="utf-8"))
     older = json.loads(json.dumps(doc))
     for entry in older["exemplars"]:
@@ -514,9 +559,10 @@ def test_entry_with_other_unknown_key_is_rejected(step):
     ids=["string", "other-status", "bool", "kind-without-status", "no-kind"],
 )
 def test_pattern_status_other_than_its_kinds_is_rejected(kind, status):
+    # a status is its kind's, so a pattern states none: any status_code is refused
     entry = _entry("odd", kind=kind, status_code=status)
     doc = {"version": "t", "exemplars": _full_coverage_entries() + [entry]}
-    with pytest.raises(ConfigError, match=r"bank entry 7 \(odd\): status_code"):
+    with pytest.raises(ConfigError, match=r"bank entry 7 \(odd\): pattern key 'status_code'"):
         parse_bank(doc)
 
 

@@ -380,7 +380,8 @@ def test_generalization_rejects_class_wipeout(tasks):
         entries.append(
             {
                 "id": f"m{i}",
-                "pattern": {"error_class": error_class, "kind": kind},
+                "kinds": [kind],
+                "pattern": {"error_class": error_class},
                 "script": [{"action": "terminate_gracefully"}],
                 "rationale": "",
             }

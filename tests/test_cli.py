@@ -25,14 +25,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import faultharness
 from faultharness import cli
 from faultharness.agents import make_policy
-from faultharness.bank import load_bank, load_shipped_bank, parse_bank
+from faultharness.bank import load_bank, load_shipped_bank
 from faultharness.benchgen import read_suite
 from faultharness.cli import main, run_card
 from faultharness.episode import InjectionPlan, Trajectory, Turn
 from faultharness.errors import ConfigError
 from faultharness.protocol import render_action
 from faultharness.simulator import canonical_call_key
-from faultharness.taxonomy import ErrorClass, kind_status
+from faultharness.taxonomy import CATALOG, ErrorClass
 
 SHIPPED_BANK = resources.files("faultharness.data").joinpath("recovery_bank.json")
 
@@ -139,27 +139,28 @@ def test_startup_imports_no_command_only_module(tmp_path):
     assert list((tmp_path / "runs").glob("run-*/report.json"))
 
 
-def test_gen_suite_holdout_writes_pruned_bank(runner, tmp_path):
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_gen_suite_holdout_writes_pruned_bank(runner, tmp_path, kind):
     out = _gen(
         runner, tmp_path, n=7, seed=3,
-        extra=["--hold-out", "http_503", "--clean-fraction", "0"],
+        extra=["--hold-out", kind, "--clean-fraction", "0"],
     )
-    bank_path = tmp_path / "suite.jsonl.bank.json"
-    bank_doc = json.loads(bank_path.read_text())
-    kinds = {ex["pattern"].get("kind") for ex in bank_doc["exemplars"]}
-    assert "http_503" not in kinds
-    assert not any("status_code" in ex["pattern"] for ex in bank_doc["exemplars"])
     _, cards = _suite_docs(out)
     assert len(cards) == 7
-    assert all(c["plan"]["kind"] == "http_503" for c in cards)
-    expected = load_shipped_bank().without_kinds({"http_503"}).exemplars
-    assert load_bank(bank_path).exemplars == expected
-    # the form written before patterns stopped storing a status loads the same
-    for ex in bank_doc["exemplars"]:
-        status = kind_status(ex["pattern"].get("kind", ""))
-        if status is not None:
-            ex["pattern"]["status_code"] = status
-    assert parse_bank(bank_doc).exemplars == expected
+    assert all(c["plan"]["kind"] == kind for c in cards)
+    # the pruned bank is in the shipped bank's own form, each entry's keys the
+    # shipped entries' keys, and it loads to the shipped exemplars less the kind
+    bank_path = tmp_path / "suite.jsonl.bank.json"
+    bank_doc = json.loads(bank_path.read_text())
+    shipped = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
+    assert set(bank_doc) == set(shipped)
+    entry_keys = {key for e in shipped["exemplars"] for key in e}
+    pattern_keys = {key for e in shipped["exemplars"] for key in e["pattern"]}
+    assert all(set(e) <= entry_keys for e in bank_doc["exemplars"])
+    assert all(set(e["pattern"]) <= pattern_keys for e in bank_doc["exemplars"])
+    expected = tuple(ex for ex in load_shipped_bank().exemplars if ex.pattern.kind != kind)
+    assert len(expected) < len(load_shipped_bank())
+    assert load_bank(bank_path).exemplars == expected  # in order, ids included
 
 
 def test_evaluate_writes_reports(runner, tmp_path):
@@ -764,7 +765,7 @@ def _assert_no_traceback(result, *fragments):
         ("[1]", ["bank must be a JSON object"]),
         ('{"exemplars": [5]}', ["bank entry 0 is not a JSON object"]),
         (
-            json.dumps({"exemplars": [{"id": "odd", "pattern": {"kind": "timeout"},
+            json.dumps({"exemplars": [{"id": "odd", "kinds": ["timeout"], "pattern": {},
                                        "script": [{"action": "dance"}]}]}),
             ["bank entry 0 (odd)", "unknown recovery action 'dance'"],
         ),
@@ -779,7 +780,7 @@ def _assert_no_traceback(result, *fragments):
                                        "pattern": {"error_class": "ReentrantFailure",
                                                    "message_tokens": "rate limit"},
                                        "script": [{"action": "terminate_gracefully"}]}]}),
-            ["bank entry 0 (odd)", "'message_tokens' must be a list"],
+            ["bank entry 0 (odd)", "pattern key 'message_tokens' is not read"],
         ),
     ],
     ids=["not-json", "list", "entry-not-object", "unknown-action", "kinds-string",
@@ -798,11 +799,9 @@ def test_evaluate_malformed_bank_exits_2(runner, tmp_path, text, fragments):
     [
         ("resource_locked", "error_class", "InvalidToolInvocation",
          "kind 'http_423' is ReentrantFailure in the taxonomy, not InvalidToolInvocation"),
-        # a status is the kind's own; an older file may state it, but only rightly
-        ("server_fault", "status_code", "500",
-         "status_code '500' is not the status of kind 'http_500' (500)"),
-        ("server_fault", "status_code", 503,
-         "status_code 503 is not the status of kind 'http_500' (500)"),
+        # a status is the kind's own, so a pattern states none, rightly or not
+        ("server_fault", "status_code", "500", "pattern key 'status_code' is not read"),
+        ("server_fault", "status_code", 503, "pattern key 'status_code' is not read"),
     ],
     ids=["class", "status-string", "status-other"],
 )
@@ -835,10 +834,14 @@ def test_evaluate_bank_class_disagreeing_with_the_taxonomy_exits_2(
         ("resource_locked", lambda e: e["pattern"].update(error_class="InvalidToolInvocation"),
          "kind 'http_423' is ReentrantFailure in the taxonomy, not InvalidToolInvocation"),
         ("server_fault", lambda e: e["pattern"].update(status_code=503),
-         "status_code 503 is not the status of kind 'http_500' (500)"),
+         "pattern key 'status_code' is not read"),
+        # a list would leave every kind without its message, a wildcard
+        ("rate_limited", lambda e: e["pattern"].update(messages=["Rate limit exceeded"]),
+         "'messages' must be an object"),
     ],
     ids=["duplicate-id", "empty-script", "unknown-class", "wildcard-pattern",
-         "unknown-action", "kinds-string", "class-contradicts-kind", "wrong-status"],
+         "unknown-action", "kinds-string", "class-contradicts-kind", "wrong-status",
+         "messages-list"],
 )
 def test_evaluate_bank_entry_refusal_names_the_entry(runner, tmp_path, entry_id, change, reason):
     doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))

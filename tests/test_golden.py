@@ -23,8 +23,8 @@ from faultharness.episode import Trajectory, Turn, trajectory_to_line
 from faultharness.metrics import grade_episode
 from faultharness.protocol import render_action
 from faultharness.remote import EndpointConfig
-from faultharness.simulator import SimConfig, run_episode
-from faultharness.taxonomy import CATALOG
+from faultharness.simulator import SimConfig, render_failure, run_episode
+from faultharness.taxonomy import CATALOG, Manifestation
 
 EVAL_SEED = 42
 
@@ -243,8 +243,9 @@ def paladin_run_dir(tmp_path_factory):
 
 def test_evaluate_classifies_each_scripted_response_once_per_tool(tmp_path, monkeypatch):
     # every card of a task holds its one template, whose tools classify their
-    # scripted responses once, at their first serve; an ErrorPayload or
-    # SilentFailure fault's text is fixed by its kind, and was classified at import
+    # scripted responses, and the PartialOutput text their first one fixes,
+    # once each; an ErrorPayload or SilentFailure fault's text is fixed by its
+    # kind, and was classified at import
     runner = CliRunner()
     suite = tmp_path / "desk.jsonl"
     result = runner.invoke(
@@ -258,6 +259,11 @@ def test_evaluate_classifies_each_scripted_response_once_per_tool(tmp_path, monk
         for key, text in tool.scripted_responses.items()
     }
     holders = Counter(held.values())  # each text: the tools of the suite's tasks holding it
+    partial = Counter(
+        render_failure(CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, tool, 0)
+        for card in {card.task_slug: card for card in read_suite(suite)}.values()
+        for tool in card.tools.tools
+    )  # each PartialOutput text: the tools of the suite's tasks it is cut from
     classified = Counter()
     original = taxonomy.detect_failure
 
@@ -278,6 +284,8 @@ def test_evaluate_classifies_each_scripted_response_once_per_tool(tmp_path, monk
     trajectories = hashlib.sha256((run_dir / "trajectories.jsonl").read_bytes()).hexdigest()
     assert trajectories == TRAJECTORIES["paladin"]
     assert {t: classified[t] for t, n in holders.items() if classified[t] > n} == {}
+    assert any(classified[t] for t in partial)
+    assert {t: classified[t] for t, n in partial.items() if classified[t] > n} == {}
     fixed = {kind.example_output for kind in CATALOG.values()} | {""}
     assert sorted(fixed & set(classified)) == []
 

@@ -283,3 +283,27 @@ def test_only_encoders_imports_json():
     assert {
         name for name, source in sources.items() if "RecursionError" in caught_names(source)
     } == {"encoders.py", "remote.py"}
+
+
+def string_literals(source: str) -> set[str]:
+    """Every string constant of a module, docstrings and f-string parts included."""
+    return {
+        node.value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_string_literals_finds_keys_calls_and_fstring_parts():
+    found = string_literals('d = {"a": 1}\nf(x, "b")\ng = f"c{x}"\n')
+    assert {"a", "b", "c"} <= found
+    assert "x" not in found
+
+
+def test_only_bank_spells_the_bank_form():
+    # a bank's `exemplars` and each entry's `kinds` are read and written by
+    # bank.py alone, so the bank form is one module's decision
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.rglob("*.py")}
+    assert {
+        name for name, source in sources.items()
+        if {"exemplars", "kinds"} & string_literals(source)
+    } == {"bank.py"}

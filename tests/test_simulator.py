@@ -13,7 +13,7 @@ from conftest import (
     run_simple,
     view_state,
 )
-from faultharness import agents
+from faultharness import agents, simulator
 from faultharness.bank import RetryWithBackoff
 from faultharness.benchgen import SuiteSpec, generate_suite
 from faultharness.cli import run_card
@@ -106,6 +106,27 @@ def test_render_partial_output_of_a_payload_nested_too_deep_keeps_no_fields():
         CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, tool, seed=3
     )
     assert json.loads(json.loads(text)["response"]) == {}
+
+
+def test_a_tools_partial_output_text_is_classified_once_however_many_faults(bank, monkeypatch):
+    # the text depends on the tool's first scripted response alone, so the tool
+    # works it out and classifies it once, at its first PartialOutput fault
+    other, _ = make_registry()  # an equal tool, so `registry`'s classifies its own text
+    text = render_failure(
+        CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, other.tools[0], seed=0
+    )
+    registry, steps = make_registry()
+    classified = []
+    monkeypatch.setattr(
+        simulator, "detect_failure", lambda t: classified.append(t) or detect_failure(t)
+    )
+    for seed in (1, 2, 3):
+        plan = InjectionPlan(seed=seed, kind="partial_output",
+                             manifestation=Manifestation.PARTIAL_OUTPUT, turn_index=1)
+        policy = agents.make_policy("paladin", steps=steps, seed=42)
+        traj = run_episode("Look up x.", registry, policy, plan, bank=bank)
+        assert text in [turn.content for turn in traj.turns]
+    assert classified.count(text) == 1
 
 
 def test_render_deterministic_per_seed():
