@@ -398,6 +398,9 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
         if not isinstance(entry["kinds"], list):  # a string would expand per character
             raise TypeError("'kinds' must be a list")
         kinds = list(entry["kinds"])
+        for kind in kinds:
+            if type(kind) is not str:  # not left to whichever later check it breaks
+                raise TypeError(f"kind {kind!r} is not a string")
 
     messages = pattern_doc.get("messages", {})
     if not isinstance(messages, dict):

@@ -7,7 +7,11 @@ are stripped from the bank the agents see, leaving injection untouched.
 
 A suite file states each task once. Its first line is the task table,
 `{"tasks": {slug: {"prompt", "tools", "steps"}}}`, and every later line is a
-card, `{"episode_id", "task_slug", "plan", "retry_budget", "max_steps"}`.
+card, `{"episode_id", "task_slug", "plan", "retry_budget", "max_steps"}`,
+whose plan is `{"seed", "kind", "turn_index"}` (a clean card's has no kind).
+A plan names its fault's kind only: how the fault looks is that kind's
+catalog row's `manifestation`, and a plan stating any other key, such as
+`manifestation` or `cascade`, is refused.
 `read_suite` builds one `TaskTemplate` per slug and every card of that slug
 holds it, so the cards of one task share one `ToolRegistry`. A hand-written
 suite may state tools of its own, in its table. There is one reader: a file
@@ -194,12 +198,7 @@ def generate_suite(
             if kind_id is None:
                 plan = InjectionPlan(seed=episode_seed)
             else:
-                plan = InjectionPlan(
-                    seed=episode_seed,
-                    kind=kind_id,
-                    manifestation=CATALOG[kind_id].default_manifestation,
-                    turn_index=turn,
-                )
+                plan = InjectionPlan(seed=episode_seed, kind=kind_id, turn_index=turn)
             cards.append(
                 EpisodeCard(episode_id=f"{idx:04d}-{episode_seed:016x}", task=task, plan=plan)
             )

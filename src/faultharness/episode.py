@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .encoders import dumps_canonical, loads
-from .taxonomy import CATALOG, Manifestation
+from .taxonomy import CATALOG
 
 RECOVERY_PREFIX = "Recovery:"
 
@@ -91,14 +91,17 @@ def terminal_from_json(doc: dict) -> Terminal:
 # --- injection plans ------------------------------------------------------------
 
 
+_PLAN_KEYS = ("seed", "kind", "turn_index")
+
+
 @dataclass(frozen=True)
 class InjectionPlan:
     """Deterministic injection recipe: at most one fault, of `kind`, on tool
-    call `turn_index`; kind=None means a clean episode."""
+    call `turn_index`; kind=None means a clean episode. How the fault's text
+    looks is its kind's catalog row's `manifestation`, not the plan's."""
 
     seed: int
     kind: str | None = None
-    manifestation: Manifestation | None = None
     turn_index: int = 1
 
     def __post_init__(self):
@@ -109,8 +112,6 @@ class InjectionPlan:
             raise ValueError(f"plan turn_index must be an int >= 1, not {self.turn_index!r}")
         if self.kind is not None and self.kind not in CATALOG:
             raise ValueError(f"unknown failure kind {self.kind!r}")
-        if self.kind is not None and self.manifestation is None:
-            raise ValueError("injection plans must pin a manifestation")
 
     @property
     def is_clean(self) -> bool:
@@ -120,21 +121,18 @@ class InjectionPlan:
         doc: dict = {"seed": self.seed, "turn_index": self.turn_index}
         if self.kind is not None:
             doc["kind"] = self.kind
-            doc["manifestation"] = self.manifestation.value
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "InjectionPlan":
-        if "cascade" in doc:
-            # refused rather than ignored: the card would run as a one-fault card
-            raise ValueError("plan field 'cascade' is not supported; a plan injects one fault")
-        kind = doc.get("kind")
-        return cls(
-            seed=doc["seed"],
-            kind=kind,
-            manifestation=Manifestation(doc["manifestation"]) if kind else None,
-            turn_index=doc.get("turn_index", 1),
-        )
+        for key in doc:
+            if key not in _PLAN_KEYS:
+                # refused rather than ignored: a `cascade` card would run as a
+                # one-fault card, and a `manifestation` is its kind's, not the plan's
+                raise ValueError(
+                    f"plan field {key!r} is not read; a plan is {{seed, kind, turn_index}}"
+                )
+        return cls(seed=doc["seed"], kind=doc.get("kind"), turn_index=doc.get("turn_index", 1))
 
 
 # --- trajectories ----------------------------------------------------------------

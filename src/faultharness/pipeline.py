@@ -414,13 +414,7 @@ def build_corpus(
         if len(distinct) >= spec.n_recovery:
             break
         task = tasks[i % len(tasks)]
-        kind = CATALOG[kinds[i % len(kinds)]]
-        plan = InjectionPlan(
-            seed=derive_seed(spec.seed, 0xC0, i),
-            kind=kind.identifier,
-            manifestation=kind.default_manifestation,
-            turn_index=1,
-        )
+        plan = InjectionPlan(seed=derive_seed(spec.seed, 0xC0, i), kind=kinds[i % len(kinds)])
         policy = make_policy("toolbench", steps=task.steps)
         traj = simulator.run_episode(task.prompt, task.tools, policy, plan)
         found = detect_first_failure(traj)

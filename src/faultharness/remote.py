@@ -16,6 +16,7 @@ from typing import Callable
 
 from .bank import RetryWithBackoff
 from .errors import ConfigError, ProtocolError, TransportError
+from .taxonomy import _ascii_number
 
 TOKEN_ENV_VAR = "FAULTHARNESS_API_TOKEN"
 
@@ -35,10 +36,11 @@ class EndpointConfig:
 
 
 def _retry_after_ms(value: str | None) -> int | None:
-    """An integer Retry-After in seconds, as milliseconds capped at the backoff cap."""
-    if value is None or not value.strip().isdigit():
-        return None
-    return min(int(value.strip()) * 1000, _BACKOFF.cap_ms)
+    """An integer Retry-After in seconds, as milliseconds capped at the backoff
+    cap. It is read as the classifier reads a status string; None, for the
+    jittered backoff, when that refuses it."""
+    seconds = None if value is None else _ascii_number(value.strip())
+    return None if seconds is None else min(seconds * 1000, _BACKOFF.cap_ms)
 
 
 class ChatEndpoint:

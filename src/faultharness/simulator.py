@@ -18,11 +18,13 @@ The clock is simulated and integer-valued; nothing ever sleeps.
 
 The simulator records each turn's call or signature in the episode's
 `trace.TraceView` as it writes the turn; agents read every turn fact there.
-A scripted response is classified once per tool, not on every serve
+A fault's text is rendered as its kind's catalog row's `manifestation` says
+(a plan names only the kind), and `render_failure` is the one place that reads
+it. A scripted response is classified once per tool, not on every serve
 (`ToolSpec.served`), and so is the PartialOutput text the tool alone fixes
-(`ToolSpec.partial_output`). A MalformedOutput text is classified when its
-fault is made, and the ErrorPayload and SilentFailure texts a kind alone fixes
-at import (`taxonomy.PAYLOAD_SIGNATURES`).
+(`ToolSpec.partial_output`). A MalformedOutput text is classified when it is
+cut, and the ErrorPayload text a kind alone fixes at import
+(`taxonomy.PAYLOAD_SIGNATURES`).
 
 Every compact JSON text (call keys, wrappers, error bodies) comes from a form
 of `encoders`, each one C encoder built once at import, not from a
@@ -70,7 +72,6 @@ from .seeds import derive_seed, rng_for
 from .taxonomy import (
     CATALOG,
     PAYLOAD_SIGNATURES,
-    SILENT_SIGNATURE,
     ErrorSignature,
     FailureKind,
     Manifestation,
@@ -267,18 +268,22 @@ class SimClock:
 
 
 def render_failure(
-    kind: FailureKind, manifestation: Manifestation, tool: ToolSpec, seed: int
-) -> str:
-    """Deterministic failure text for (kind, manifestation, tool, seed)."""
-    if manifestation is Manifestation.SILENT_FAILURE:
-        return ""
-    if manifestation is Manifestation.ERROR_PAYLOAD:
-        return kind.example_output
-    if manifestation is Manifestation.MALFORMED_OUTPUT:
-        base = wrap_response(tool.first_response())
-        cut = rng_for(seed, 11).randint(1, len(base) - 1)
-        return base[:cut]
-    return tool.partial_output[0]  # PartialOutput: fixed by the tool alone
+    kind: FailureKind, tool: ToolSpec, seed: int
+) -> tuple[str, ErrorSignature | None]:
+    """(text, signature) of a `kind` fault on `tool`, rendered as the kind's
+    catalog row's manifestation says; deterministic for (kind, tool, seed).
+
+    The kind alone fixes an ErrorPayload text, classified at import, and the
+    tool alone a PartialOutput text, classified once per tool; a MalformedOutput
+    text, cut at a seeded place, is classified here.
+    """
+    if kind.manifestation is Manifestation.ERROR_PAYLOAD:
+        return kind.example_output, PAYLOAD_SIGNATURES[kind.identifier]
+    if kind.manifestation is Manifestation.PARTIAL_OUTPUT:
+        return tool.partial_output
+    base = wrap_response(tool.first_response())
+    text = base[: rng_for(seed, 11).randint(1, len(base) - 1)]
+    return text, detect_failure(text)
 
 
 # --- backoff -----------------------------------------------------------------------
@@ -349,19 +354,7 @@ def fault_life(plan: InjectionPlan) -> tuple[int, int | None]:
 def _make_fault(plan: InjectionPlan, call_key: str, tool: ToolSpec) -> _ActiveFault:
     """The fault `plan` injects on the call its `turn_index` counts to."""
     kind = CATALOG[plan.kind]
-    seed = derive_seed(plan.seed, plan.turn_index)
-    rendered = render_failure(kind, plan.manifestation, tool, seed)
-    # the kind alone fixes an ErrorPayload or SilentFailure text, classified at
-    # import, and the tool alone a PartialOutput text, classified once per tool;
-    # a MalformedOutput text, cut at a seeded place, is classified here
-    if plan.manifestation is Manifestation.ERROR_PAYLOAD:
-        signature = PAYLOAD_SIGNATURES[plan.kind]
-    elif plan.manifestation is Manifestation.SILENT_FAILURE:
-        signature = SILENT_SIGNATURE
-    elif plan.manifestation is Manifestation.PARTIAL_OUTPUT:
-        signature = tool.partial_output[1]
-    else:
-        signature = detect_failure(rendered)
+    rendered, signature = render_failure(kind, tool, derive_seed(plan.seed, plan.turn_index))
     persist, retry_after = fault_life(plan)
     return _ActiveFault(
         kind=kind,

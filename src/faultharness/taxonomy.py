@@ -46,7 +46,6 @@ class Manifestation(Enum):
 
     ERROR_PAYLOAD = "ErrorPayload"        # structured error body
     MALFORMED_OUTPUT = "MalformedOutput"  # syntactically broken body
-    SILENT_FAILURE = "SilentFailure"      # empty/absent response
     PARTIAL_OUTPUT = "PartialOutput"      # truncated but valid body
 
 
@@ -64,8 +63,10 @@ def kind_status(kind: str) -> int | None:
 
 @dataclass(frozen=True)
 class FailureKind:
-    """One catalog entry: a concrete runtime failure, its class, and how the
-    simulated world treats it once injected.
+    """One catalog entry: a concrete runtime failure, its class, how its
+    failure text is rendered, and how the simulated world treats it once
+    injected. `manifestation` is the one statement of how the kind looks: a
+    plan names only the kind.
 
     A transient kind has `persistence`, the (min, max) number of failed
     identical retries before it clears; `retry_after` marks the transient
@@ -76,7 +77,7 @@ class FailureKind:
 
     identifier: str
     error_class: ErrorClass
-    default_manifestation: Manifestation
+    manifestation: Manifestation
     example_output: str
     persistence: tuple[int, int] | None = None
     retry_after: bool = False
@@ -93,7 +94,7 @@ def _parse_catalog(doc: dict) -> tuple[str, dict[str, FailureKind]]:
         kind = FailureKind(
             identifier=entry["identifier"],
             error_class=ErrorClass(entry["error_class"]),
-            default_manifestation=Manifestation(entry["default_manifestation"]),
+            manifestation=Manifestation(entry["manifestation"]),
             example_output=entry["example_output"],
             persistence=tuple(entry["persistence"]) if "persistence" in entry else None,
             retry_after=entry.get("retry_after", False),
@@ -118,26 +119,26 @@ CATALOG_VERSION, CATALOG = _load_shipped_catalog()
 class ErrorSignature:
     """Canonical description of one failing tool response, made from its text.
 
-    A signature holds what the text says: the failure's kind, its message and
-    how it was rendered. Its class and HTTP status are the kind's own
-    (`kind_class`, `kind_status`), read once per signature, so they cannot
-    disagree with the kind. Only kind `unknown` has no class: the text says
-    nothing of one. It does not say where it was seen; the same text
-    always yields an equal signature, whichever tool served it on whichever
-    turn. Positions live in `trace.TraceView.responses`.
+    A signature holds what the text says: the failure's kind and its message.
+    Its class and HTTP status are the kind's own (`kind_class`,
+    `kind_status`), read once per signature, so they cannot disagree with the
+    kind. Only kind `unknown` has no class: the text says nothing of one. Only
+    kind `unknown` may have an empty message: the silent failure, empty text.
+    It does not say where it was seen; the same text always yields an equal
+    signature, whichever tool served it on whichever turn. Positions live in
+    `trace.TraceView.responses`.
     """
 
     kind: str
     message: str
-    manifestation: Manifestation = Manifestation.ERROR_PAYLOAD
 
     def __post_init__(self):
         if self.error_class is None and self.kind != UNKNOWN_KIND:
             raise ValueError(f"kind {self.kind!r} has no class in the taxonomy")
         if self.status_code is not None and not 100 <= self.status_code <= 599:
             raise ValueError("status_code out of range")
-        if self.manifestation is Manifestation.ERROR_PAYLOAD and not self.message:
-            raise ValueError("ErrorPayload signatures carry a non-empty message")
+        if not self.message and self.kind != UNKNOWN_KIND:
+            raise ValueError(f"only kind 'unknown' may have an empty message, not {self.kind!r}")
 
     @cached_property
     def error_class(self) -> ErrorClass | None:
@@ -258,7 +259,7 @@ def detect_failure(raw: str) -> ErrorSignature | None:
     """
     stripped = raw.strip()
     if not stripped:
-        return ErrorSignature(UNKNOWN_KIND, "", Manifestation.SILENT_FAILURE)
+        return ErrorSignature(UNKNOWN_KIND, "")
     try:
         body = loads(stripped)
     except ValueError:
@@ -275,7 +276,7 @@ def classify_raw_failure(raw: str) -> ErrorSignature:
     """Total classifier: failures map to a signature, anything else to "unknown".
 
     Round-trip property: text produced by the simulator's own renderer (at the
-    kind's default manifestation) classifies back to the injected kind.
+    manifestation of the kind's catalog row) classifies back to the injected kind.
     """
     sig = detect_failure(raw)
     if sig is not None:
@@ -285,7 +286,6 @@ def classify_raw_failure(raw: str) -> ErrorSignature:
 
 def _classify_unparseable(text: str) -> ErrorSignature:
     lowered = text.lower()
-    kind = None
     if "timeout" in lowered:
         kind = "timeout"
     elif "getaddrinfo" in lowered or "connectionerror" in lowered:
@@ -294,12 +294,12 @@ def _classify_unparseable(text: str) -> ErrorSignature:
         kind = "malformed_json"
     elif "validationerror" in lowered or "is not of type" in lowered:
         kind = "schema_violation"
-    if kind is not None:
-        return ErrorSignature(kind, text[:200])
-    if text[0] in "{[":
+    elif text[0] in "{[":
         # unparseable JSON-looking text: a truncated/corrupted body
-        return ErrorSignature("malformed_json", text[:200], Manifestation.MALFORMED_OUTPUT)
-    return ErrorSignature(UNKNOWN_KIND, text[:200])
+        kind = "malformed_json"
+    else:
+        kind = UNKNOWN_KIND
+    return ErrorSignature(kind, text[:200])
 
 
 def _error_text(slot) -> str:
@@ -320,11 +320,8 @@ def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
     if isinstance(status, int) and 100 <= status <= 599:
         return ErrorSignature(f"http_{status}", error_text or f"HTTP {status}")
     lowered = error_text.lower()
-    manifestation = Manifestation.ERROR_PAYLOAD
     if "partial" in lowered or "truncat" in lowered or "interrupted" in lowered:
         kind = "partial_output"
-        if "response" in body:
-            manifestation = Manifestation.PARTIAL_OUTPUT
     elif "state conflict" in lowered:
         kind = "inconsistent_state"
     elif "invalid action format" in lowered:
@@ -333,13 +330,12 @@ def _classify_error_body(body: dict, raw: str) -> ErrorSignature:
         kind = "tool_not_found"
     else:
         kind = UNKNOWN_KIND
-    return ErrorSignature(kind, error_text or raw[:200], manifestation)
+    return ErrorSignature(kind, error_text or raw[:200])
 
 
-# The simulator renders a kind's ErrorPayload failure as its catalog row's
-# `example_output` and every SilentFailure as empty text, so those signatures
-# depend on the kind alone: each is classified once, here, beside the catalog.
+# The simulator renders the failure of a kind whose row's manifestation is
+# ErrorPayload as that row's `example_output`, so its signature depends on the
+# kind alone: each is classified once, here, beside the catalog.
 PAYLOAD_SIGNATURES: dict[str, ErrorSignature | None] = {
     identifier: detect_failure(kind.example_output) for identifier, kind in CATALOG.items()
 }
-SILENT_SIGNATURE = detect_failure("")

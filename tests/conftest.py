@@ -18,7 +18,7 @@ from faultharness.simulator import (
     run_episode,
 )
 from faultharness.tasks import TaskStep, builtin_task_pool
-from faultharness.taxonomy import CATALOG, detect_failure
+from faultharness.taxonomy import detect_failure
 
 
 @pytest.fixture(scope="session")
@@ -84,12 +84,7 @@ def run_simple(
     if kind is None:
         plan = InjectionPlan(seed=plan_seed)
     else:
-        plan = InjectionPlan(
-            seed=plan_seed,
-            kind=kind,
-            manifestation=CATALOG[kind].default_manifestation,
-            turn_index=1,
-        )
+        plan = InjectionPlan(seed=plan_seed, kind=kind, turn_index=1)
     policy = make_policy(agent_name, steps=steps)
     traj = run_episode(
         prompt="Look up x and report the answer.",

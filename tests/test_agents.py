@@ -111,10 +111,7 @@ def test_critic_oracle_path_uses_bank_script(bank):
     # find a seed whose gate draw grants oracle access
     registry, steps = make_registry()
     for seed in range(40):
-        plan = InjectionPlan(
-            seed=seed, kind="http_429",
-            manifestation=CATALOG["http_429"].default_manifestation, turn_index=1,
-        )
+        plan = InjectionPlan(seed=seed, kind="http_429", turn_index=1)
         policy = make_policy("critic", steps=steps, seed=0)
         traj = run_episode("task", registry, policy, plan, SimConfig(), bank=bank)
         if traj.recovery_turns and "transient" in traj.recovery_turns[0].content:
@@ -127,10 +124,7 @@ def test_critic_oracle_path_uses_bank_script(bank):
 def test_critic_complement_path_behaves_like_reflect(bank):
     registry, steps = make_registry()
     for seed in range(60):
-        plan = InjectionPlan(
-            seed=seed, kind="http_404",
-            manifestation=CATALOG["http_404"].default_manifestation, turn_index=1,
-        )
+        plan = InjectionPlan(seed=seed, kind="http_404", turn_index=1)
         policy = make_policy("critic", steps=steps, seed=0)
         traj = run_episode("task", registry, policy, plan, SimConfig(), bank=bank)
         if isinstance(traj.terminal, GracefulFailure) and len(traj.recovery_turns) == 3:

@@ -32,7 +32,6 @@ from faultharness.taxonomy import (
     DATA_DIR,
     ErrorClass,
     ErrorSignature,
-    Manifestation,
     classify_raw_failure,
     kind_status,
     message_tokens,
@@ -271,8 +270,7 @@ def _banks(draw, shipped: ExemplarBank) -> ExemplarBank:
 def _signatures(draw) -> ErrorSignature:
     """A catalog kind with a message of bank words and digits, or a silent failure."""
     if draw(st.booleans()) and draw(st.booleans()):
-        return ErrorSignature(kind="unknown", message="",
-                              manifestation=Manifestation.SILENT_FAILURE)
+        return ErrorSignature(kind="unknown", message="")
     kind = draw(st.sampled_from(sorted(CATALOG)))
     words = draw(st.lists(st.sampled_from(_WORDS + ["503", "#17"]), min_size=1, max_size=6))
     return ErrorSignature(kind=kind, message=" ".join(words))

@@ -204,12 +204,13 @@ def test_read_suite_refuses_an_invalid_byte_past_the_first_chunk(tasks, tmp_path
 
 # A failure card as older releases wrote it: every card held its own tools,
 # with the grader's `guidelines` tags, and a `protocol` label as older suite
-# specs carried.
+# specs carried. Its plan is in the current form: older plans also stated
+# their kind's manifestation, which a plan no longer may.
 OLD_CARD_LINE = (
     '{"episode_id":"0026-44a62a795b8fd257","guidelines":{"expected_recovery_family":'
     '"reformat_arguments","forbidden":["hallucinated_success"]},"max_steps":20,"plan":'
-    '{"kind":"http_422","manifestation":"ErrorPayload","seed":4946687941428630103,'
-    '"turn_index":1},"prompt":"Report today\'s average gas price in Ohio.",'
+    '{"kind":"http_422","seed":4946687941428630103,"turn_index":1},'
+    '"prompt":"Report today\'s average gas price in Ohio.",'
     '"protocol":"Paladin","retry_budget":3,"steps":[{"arguments":{"state":"Ohio"},'
     '"tool":"gas_prices"}],"task_slug":"gas_price","tools":[{"capability":"fuel",'
     '"description":"Primary fuel source.","name":"gas_prices","parameters":{"state":'

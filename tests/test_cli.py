@@ -541,8 +541,7 @@ def _card_line(plan=None, **fields):
     """A well-formed card of task "t", with `plan` and `fields` set over its own."""
     card = {
         "episode_id": "e", "task_slug": "t",
-        "plan": {"seed": 1, "kind": "http_500", "manifestation": "ErrorPayload",
-                 "turn_index": 1, **(plan or {})},
+        "plan": {"seed": 1, "kind": "http_500", "turn_index": 1, **(plan or {})},
         **fields,
     }
     return json.dumps(card)
@@ -615,17 +614,27 @@ def test_evaluate_old_form_suite_exits_2(runner, tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
-def test_evaluate_cascade_plan_exits_2(runner, tmp_path):
-    # a plan injects one fault; a card asking for a second is refused rather
-    # than run as a one-fault card
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cascade", {"kind": "http_429", "turn_index": 2}),  # a plan injects one fault
+        ("manifestation", "ErrorPayload"),  # the kind's catalog row states it
+        ("severity", "high"),
+    ],
+    ids=["cascade", "manifestation", "other"],
+)
+def test_evaluate_cascade_plan_exits_2(runner, tmp_path, key, value):
+    # a plan is {seed, kind, turn_index}: a card whose plan states any other key
+    # is refused when read rather than run as if the key were not there
     suite = _gen(runner, tmp_path, n=3, seed=5, extra=["--clean-fraction", "0"])
     lines = suite.read_text().splitlines()
     card = json.loads(lines[1])
-    card["plan"]["cascade"] = {"kind": "http_429", "turn_index": card["plan"]["turn_index"] + 1}
+    card["plan"][key] = value
     lines[1] = json.dumps(card)
     suite.write_text("\n".join(lines) + "\n")
     result = _evaluate(runner, tmp_path, suite)
-    _assert_clean_failure(result, "suite line 2", "cascade")
+    _assert_clean_failure(result, "suite line 2", f"plan field '{key}' is not read")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_evaluate_bank_missing_classes_exits_2(runner, tmp_path):
@@ -826,7 +835,7 @@ def test_evaluate_bank_class_disagreeing_with_the_taxonomy_exits_2(
         ("rate_limited", lambda e: e.update(script=[]), "exemplar script is empty"),
         ("rate_limited", lambda e: e["pattern"].update(error_class="GremlinFailure"),
          "'GremlinFailure' is not a valid ErrorClass"),
-        ("rate_limited", lambda e: e.update(kinds=[None], pattern={}),
+        ("rate_limited", lambda e: (e.pop("kinds"), e.update(pattern={})),
          "pattern binds neither error_class nor kind"),
         ("rate_limited", lambda e: e["script"][0].update(action="dance"),
          "unknown recovery action 'dance'"),
@@ -838,10 +847,15 @@ def test_evaluate_bank_class_disagreeing_with_the_taxonomy_exits_2(
         # a list would leave every kind without its message, a wildcard
         ("rate_limited", lambda e: e["pattern"].update(messages=["Rate limit exceeded"]),
          "'messages' must be an object"),
+        # a kind is a string, whether or not the entry states a class
+        ("rate_limited", lambda e: e.update(kinds=[5]), "kind 5 is not a string"),
+        ("rate_limited", lambda e: (e.update(kinds=[5]), e["pattern"].pop("error_class")),
+         "kind 5 is not a string"),
+        ("rate_limited", lambda e: e.update(kinds=[None]), "kind None is not a string"),
     ],
     ids=["duplicate-id", "empty-script", "unknown-class", "wildcard-pattern",
          "unknown-action", "kinds-string", "class-contradicts-kind", "wrong-status",
-         "messages-list"],
+         "messages-list", "kind-int", "kind-int-no-class", "kind-null"],
 )
 def test_evaluate_bank_entry_refusal_names_the_entry(runner, tmp_path, entry_id, change, reason):
     doc = json.loads(SHIPPED_BANK.read_text(encoding="utf-8"))
@@ -977,7 +991,7 @@ def test_evaluate_runs_a_card_whose_final_response_is_nested_too_deep_to_parse(r
     assert "Traceback" not in result.output
 
 
-_PARTIAL_OUTPUT_PLAN = {"kind": "partial_output", "manifestation": "PartialOutput", "turn_index": 1}
+_PARTIAL_OUTPUT_PLAN = {"kind": "partial_output", "turn_index": 1}
 
 
 def _long_integer_suite(runner, tmp_path, plan):

@@ -24,17 +24,17 @@ from faultharness.metrics import grade_episode
 from faultharness.protocol import render_action
 from faultharness.remote import EndpointConfig
 from faultharness.simulator import SimConfig, render_failure, run_episode
-from faultharness.taxonomy import CATALOG, Manifestation
+from faultharness.taxonomy import CATALOG
 
 EVAL_SEED = 42
 
 TRAJECTORIES = {
-    "vanilla": "3c41032cf5988d4f14bb29dc0aba1001c9c7b10eeb4ef07c98ec008672c95142",
-    "toolbench": "84df25a2099ab52b46b28b21891811a6b1e3dbd9a5028c432b2d152187262a7e",
-    "reflect": "f1df7153ca6f3c421514241d9e27fa252fc37519a1bafb783fb181825978c7c1",
-    "critic": "8add797436ea84bfaad1d02a5d9d3d05a03162fbde0d6b614a89bcb4ff37a24b",
-    "paladin": "f5d8b2d08756e743c2f2e810172b7f8e48af37fde14e549782461604b7d22a89",
-    "paladin_no_bank": "d754fee8e4acd7972b3bad5e53369050118a4fb5c4514dc1bddd271519e5a427",
+    "vanilla": "da682421a071e86638425c45a5e99448736592ad3a21e75f87bc0f8a09311321",
+    "toolbench": "4f10940bab614caa208abc6cb113b6f1689e83c850998eea1843c484d1e2a359",
+    "reflect": "6445762f0aba4d2dbd8a457d84b00196c64d0e73b189886cb92ceb02a93e34e3",
+    "critic": "239f91a7870b55560710eb3360d1c4012bf201079f21299c8ffea120b9c59b80",
+    "paladin": "5e357746fb6140514afd259fa048308757eff281b62f738ba468a4fea396cafd",
+    "paladin_no_bank": "ea775bc754dc2e4359c1ff0b56ef6e862e88fd0e76541c36fd1b7c46e17f9d19",
 }
 
 GRADES = {
@@ -51,43 +51,43 @@ GRADES = {
 # is of the injected kind
 HELD_OUT = {
     ("malformed_json", "critic"): (
-        "610fefcaa1c3f540ee2f3535c6422803560ec98139a518ac9ad45efb9edb7b7f",
+        "26f7c7fb191b5b679b98e7cfb3e04f43c9828fa7a10764c4f9a2e96fef8204ba",
         "4c37095fbf503b9881392fad0f0a76b99ed666c141e8d22810e39f28f0aff64b",
     ),
     ("malformed_json", "paladin"): (
-        "a7a4cd87d25f4152d67d5e950611d1897c4eb433f0fd2005fd570fd908bd00d5",
+        "ddb876629ce104da15f585742d568858c218330b4c6c258305530b6b4a40acfb",
         "8caf062bd3c60f6a18f49ebccac0b846b84640d9a33e04c8b3d0fdc6b404729a",
     ),
     ("timeout", "critic"): (
-        "cbb7a6f85ceac36ce3b82e0263b44b95bd7be4af9a02b9b6d46ac47962d8ced3",
+        "60739e248935b32c84397910f9e80535c7b9e4fb087cfe20797ec85ad39c0be5",
         "f67ac22360faa575a0a42182936610b2043fe6d816c68a4a753331c8999caa9a",
     ),
     ("timeout", "paladin"): (
-        "ebb768cd15f513bd029d4cebdc9a814d741f82490b3f1ff979336ae3852ea007",
+        "73b75ba99e34ee50df338d210aede9ca7275e7f6a1735c339dc440236756f029",
         "354da6d4c3f2128a227a6ce60c8e4258e222f37f6abe55247683d4359c7ad268",
     ),
 }
 
 # suite files gen-suite writes: `--n 200 --seed 1337`, and `--n 60 --seed 1337
 # --hold-out KIND` for each catalog kind
-DESK_SUITE = "de3e0dd984e2cd090800a283b7f2f6b68ad2a903c4075a6850cbba26e1ccd8c7"
+DESK_SUITE = "1312347f6235d47673854bb0e2b217a814c176b0a7fe88b4942d6c2bef90faba"
 
 HELD_OUT_SUITES = {
-    "dns_error": "b0f4a38051ffe816d5cd92fb021b62ad3de4cc9a8085ede1c57215c82a38e964",
-    "http_400": "93425a1bd03b07c1d76f42bd10227201d3773b9b485ad4bbd1579860537b05ad",
-    "http_401": "57b5fdb8d25905ea3137c7f5cd2eac8c95627dbf69c226ec2d75375744bb3e1d",
-    "http_403": "63cb7388b6545ca79a0dbf024825d7282fa9b25753cfbf29c5128bfff88949b7",
-    "http_404": "7f47d3f4a21d45dc5778ab74dae58c2590b66eba9b9e6bc1d6236d0da8ec2c54",
-    "http_407": "6d7226f89085b0cb76d1f12829b27564844e8c5160961fd45af6bc9dbb45297a",
-    "http_422": "a8aa9eada27ee0ca9ab10e84635674de991bedf5fff9701660fde5951693f55d",
-    "http_429": "4994ec005cb8f0d1d4fdffbd96a0b6cfff7bf9ea2ccbd9af68a6efc3ed16ff2d",
-    "http_500": "da6ce43329ae4d335a167e5ec2bddf9f80184363e3eea0f3b25390881490b9cb",
-    "http_503": "c3f8b9cedc0069cc9f96d139884a1e46f4a9bfcf0329ad013d1b3351f26c8f7c",
-    "inconsistent_state": "281782cfeb3813268147b298236240ad22e018078a487f586015607787c809d3",
-    "malformed_json": "ba5db2e93e7ce5765a7735f1fffaf929b57d126120938313fe9f8d8789a58e88",
-    "partial_output": "66640da1bba0b1e1f5812c4fe790113056198af341708fb8b2fde64983f8cd6c",
-    "schema_violation": "c07e005c18694b8bf695685492d8261a4462d11e2bdd82db05dd5c675b322c9a",
-    "timeout": "3e83c73bd02b93c3e986443857b5698b4a10bbdf0b4521420559e6d2613675d9",
+    "dns_error": "c2af71dc78074b68b135f05c9ee58c53dafe002a8607be41a53b0f6dfa741dc8",
+    "http_400": "3b9347137f1557f346b149e99156abce4722e3d681bb2d26c1273aff307b0b31",
+    "http_401": "b82fe52dc904cdc23511819a8b579d42aa0b7b065f029bd463cc5a3199c9eeca",
+    "http_403": "ebe5f1698ea799189e82559c197c6a4047fc0354db0d2388237c2491e23b306f",
+    "http_404": "f89f618f57d49f6ace8a2c4b7da63f1d33e1ef31ced9bffe887de7e3acc02205",
+    "http_407": "5590cc87fc366d8abcae35fc3c1223531344d8abf8100225662d4e3ce64de398",
+    "http_422": "b5e244640ae9260c1435a0e860729e4dadf7b015a05a7d379e3c99bd6b45148d",
+    "http_429": "f216a6f07aaa9ba8786ea084e92982c57f6f994a2705b202cbe86624a24d77bc",
+    "http_500": "cac400ac6e98dda57557a9f76242e7fee9544a6c610bb558703bb9d5e41a26e0",
+    "http_503": "10343b2745a0ea8708d53c417255f6b11681ad56b0d1940760a7d20a1dec3fad",
+    "inconsistent_state": "bd45e7dfc25cabe9df535895c4b6eeb9d9f2711dd5734023970b96dc1c162dc4",
+    "malformed_json": "602b4d5c6cbbada47e4e55bdc9db313d35fe93942baddb6e29f9de179025286b",
+    "partial_output": "57fdc1b32674a489b9c315f5cfbfcff6b22c4865467c7398de7b7f4fd776f169",
+    "schema_violation": "e159b839bf0ee22edc1cfbe79130911e1f694f3c84def2b21864dc249d36153e",
+    "timeout": "a69a8683bd5e659caca6bfabe711ba60d1d6ded59cc6e6fc549f05cc213ca423",
 }
 
 # report.json from `evaluate --agent paladin --seed 42`, desk suite of 200 cards, seed 1337;
@@ -95,7 +95,7 @@ HELD_OUT_SUITES = {
 REPORT = "a6a303742a08d45e4a0a7e80ecd32070a455ee4c7af61823d985c65cd80dbab8"
 
 CORPUS = {
-    "corpus.jsonl": "a6836de4b091b0f1b95d01f06ba131b19b5f073e789c7474cd92890db376b5fa",
+    "corpus.jsonl": "e55f93bed8ac0aabdd3e6600efc6ad8157819f378de705b9316e90436b01f1ba",
     "spans.json": "1d4898d4e97676c1acca52a7a6f51d777ad91f1dd7c00ddd82f55f608736646e",
 }
 
@@ -244,8 +244,8 @@ def paladin_run_dir(tmp_path_factory):
 def test_evaluate_classifies_each_scripted_response_once_per_tool(tmp_path, monkeypatch):
     # every card of a task holds its one template, whose tools classify their
     # scripted responses, and the PartialOutput text their first one fixes,
-    # once each; an ErrorPayload or SilentFailure fault's text is fixed by its
-    # kind, and was classified at import
+    # once each; an ErrorPayload fault's text is fixed by its kind, and was
+    # classified at import, and no fault is empty text
     runner = CliRunner()
     suite = tmp_path / "desk.jsonl"
     result = runner.invoke(
@@ -260,7 +260,7 @@ def test_evaluate_classifies_each_scripted_response_once_per_tool(tmp_path, monk
     }
     holders = Counter(held.values())  # each text: the tools of the suite's tasks holding it
     partial = Counter(
-        render_failure(CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, tool, 0)
+        render_failure(CATALOG["partial_output"], tool, 0)[0]
         for card in {card.task_slug: card for card in read_suite(suite)}.values()
         for tool in card.tools.tools
     )  # each PartialOutput text: the tools of the suite's tasks it is cut from

@@ -56,6 +56,22 @@ def test_429_honours_integer_retry_after(monkeypatch):
     assert sleeps == [2.0]
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["\u00b2", "9" * 5000, "1.5", ""],
+    ids=["superscript-two", "5000-digits", "decimal", "empty"],
+)
+def test_retry_after_that_is_not_ascii_digits_gets_the_jittered_backoff(monkeypatch, value):
+    # "\u00b2" is latin-1 byte 0xB2; int() refuses it, and 5000 digits, past
+    # CPython's default limit on integer digits
+    client, sleeps, calls = _endpoint(
+        monkeypatch, [_Response(429, {"Retry-After": value}), _Response(200)]
+    )
+    assert client.complete([]) == "done"
+    assert len(calls) == 2
+    assert len(sleeps) == 1 and 0.0 <= sleeps[0] <= 0.5
+
+
 def test_retry_after_is_capped_at_8_seconds(monkeypatch):
     client, sleeps, _ = _endpoint(
         monkeypatch, [_Response(503, {"Retry-After": "120"}), _Response(200)]

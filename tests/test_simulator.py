@@ -45,7 +45,7 @@ from faultharness.simulator import (
     run_episode,
     wrap_response,
 )
-from faultharness.taxonomy import CATALOG, Manifestation, classify_raw_failure, detect_failure
+from faultharness.taxonomy import CATALOG, classify_raw_failure, detect_failure
 from faultharness.trace import TraceView, trace_prefix, trace_view
 
 
@@ -60,40 +60,26 @@ def tool_for_render(payload='{"a":1,"b":2,"c":3,"d":4}'):
 
 
 def test_render_429_error_payload_exact_body():
-    text = render_failure(
-        CATALOG["http_429"], Manifestation.ERROR_PAYLOAD, tool_for_render(), seed=1
-    )
+    text, _ = render_failure(CATALOG["http_429"], tool_for_render(), seed=1)
     assert text == '{"error": "Rate limit exceeded", "status": 429}'
 
 
 def test_render_timeout_contains_exception_marker():
-    text = render_failure(
-        CATALOG["timeout"], Manifestation.ERROR_PAYLOAD, tool_for_render(), seed=1
-    )
+    text, _ = render_failure(CATALOG["timeout"], tool_for_render(), seed=1)
     assert "Timeout" in text
 
 
 def test_render_malformed_output_rejected_by_parser():
     tool = tool_for_render('{"a":1}')
     for seed in range(20):
-        text = render_failure(
-            CATALOG["malformed_json"], Manifestation.MALFORMED_OUTPUT, tool, seed=seed
-        )
+        text, _ = render_failure(CATALOG["malformed_json"], tool, seed=seed)
         with pytest.raises(json.JSONDecodeError):
             json.loads(text)
 
 
-def test_render_silent_failure_is_empty():
-    assert render_failure(
-        CATALOG["http_500"], Manifestation.SILENT_FAILURE, tool_for_render(), seed=3
-    ) == ""
-
-
 def test_render_partial_output_keeps_half_the_fields():
     tool = tool_for_render('{"a":1,"b":2,"c":3,"d":4}')
-    text = render_failure(
-        CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, tool, seed=3
-    )
+    text, _ = render_failure(CATALOG["partial_output"], tool, seed=3)
     body = json.loads(text)
     inner = json.loads(body["response"])
     assert list(inner) == ["a", "b"]
@@ -102,9 +88,7 @@ def test_render_partial_output_keeps_half_the_fields():
 
 def test_render_partial_output_of_a_payload_nested_too_deep_keeps_no_fields():
     tool = tool_for_render("[" * 100_000)
-    text = render_failure(
-        CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, tool, seed=3
-    )
+    text, _ = render_failure(CATALOG["partial_output"], tool, seed=3)
     assert json.loads(json.loads(text)["response"]) == {}
 
 
@@ -112,17 +96,14 @@ def test_a_tools_partial_output_text_is_classified_once_however_many_faults(bank
     # the text depends on the tool's first scripted response alone, so the tool
     # works it out and classifies it once, at its first PartialOutput fault
     other, _ = make_registry()  # an equal tool, so `registry`'s classifies its own text
-    text = render_failure(
-        CATALOG["partial_output"], Manifestation.PARTIAL_OUTPUT, other.tools[0], seed=0
-    )
+    text, _ = render_failure(CATALOG["partial_output"], other.tools[0], seed=0)
     registry, steps = make_registry()
     classified = []
     monkeypatch.setattr(
         simulator, "detect_failure", lambda t: classified.append(t) or detect_failure(t)
     )
     for seed in (1, 2, 3):
-        plan = InjectionPlan(seed=seed, kind="partial_output",
-                             manifestation=Manifestation.PARTIAL_OUTPUT, turn_index=1)
+        plan = InjectionPlan(seed=seed, kind="partial_output", turn_index=1)
         policy = agents.make_policy("paladin", steps=steps, seed=42)
         traj = run_episode("Look up x.", registry, policy, plan, bank=bank)
         assert text in [turn.content for turn in traj.turns]
@@ -131,9 +112,9 @@ def test_a_tools_partial_output_text_is_classified_once_however_many_faults(bank
 
 def test_render_deterministic_per_seed():
     tool = tool_for_render()
-    a = render_failure(CATALOG["malformed_json"], Manifestation.MALFORMED_OUTPUT, tool, 7)
-    b = render_failure(CATALOG["malformed_json"], Manifestation.MALFORMED_OUTPUT, tool, 7)
-    c = render_failure(CATALOG["malformed_json"], Manifestation.MALFORMED_OUTPUT, tool, 8)
+    a = render_failure(CATALOG["malformed_json"], tool, 7)
+    b = render_failure(CATALOG["malformed_json"], tool, 7)
+    c = render_failure(CATALOG["malformed_json"], tool, 8)
     assert a == b
     assert a != c
 
@@ -279,10 +260,7 @@ class StubbornRetrier:
 
 def test_retry_budget_enforced_on_stubborn_agent():
     registry, steps = make_registry()
-    plan = InjectionPlan(
-        seed=4, kind="http_401",
-        manifestation=CATALOG["http_401"].default_manifestation, turn_index=1,
-    )
+    plan = InjectionPlan(seed=4, kind="http_401", turn_index=1)
     traj = run_episode("task", registry, StubbornRetrier(steps), plan, SimConfig())
     assert isinstance(traj.terminal, Abandoned)
     assert "retry budget" in traj.terminal.reason
@@ -336,15 +314,11 @@ def test_plan_validation():
             "task",
             registry,
             MalformedAgent(),
-            InjectionPlan(
-                seed=1, kind="http_500",
-                manifestation=Manifestation.ERROR_PAYLOAD, turn_index=50,
-            ),
+            InjectionPlan(seed=1, kind="http_500", turn_index=50),
             SimConfig(max_steps=20),
         )
     with pytest.raises(ValueError):
-        InjectionPlan(seed=1, kind="http_500",
-                      manifestation=Manifestation.ERROR_PAYLOAD, turn_index=0)
+        InjectionPlan(seed=1, kind="http_500", turn_index=0)
 
 
 def test_unknown_tool_yields_not_found_failure():
@@ -598,9 +572,7 @@ def _spied_episode(agent, kind, bank, monkeypatch, eval_seed=42):
     monkeypatch.setattr(agents, "rng_for", counting_rng_for)
     registry, steps = make_registry()
     spy = _RngSpy(agents.make_policy(agent, steps=steps, seed=eval_seed), paths)
-    plan = InjectionPlan(
-        seed=3, kind=kind, manifestation=CATALOG[kind].default_manifestation, turn_index=1
-    )
+    plan = InjectionPlan(seed=3, kind=kind, turn_index=1)
     traj = run_episode("Look up x.", registry, spy, plan, bank=bank)
     return spy.decisions, traj
 
@@ -645,10 +617,7 @@ class _SameCallRetrier:
 def test_fault_life_is_what_an_episode_does(kind):
     registry, steps = make_registry()
     for plan_seed in range(8):
-        plan = InjectionPlan(
-            seed=plan_seed, kind=kind, manifestation=CATALOG[kind].default_manifestation,
-            turn_index=1,
-        )
+        plan = InjectionPlan(seed=plan_seed, kind=kind, turn_index=1)
         persist, retry_after = fault_life(plan)
         assert (retry_after is not None) == CATALOG[kind].retry_after
         traj = run_episode("task", registry, _SameCallRetrier(steps), plan, SimConfig())

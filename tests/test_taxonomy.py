@@ -16,7 +16,6 @@ from faultharness.taxonomy import (
     UNKNOWN_KIND,
     ErrorClass,
     ErrorSignature,
-    Manifestation,
     canonical_key,
     classify_raw_failure,
     detect_failure,
@@ -63,7 +62,7 @@ def test_classify_rate_limit_payload():
 def test_classify_empty_string_is_silent_unknown():
     result = classify_raw_failure("")
     assert result.kind == "unknown"
-    assert result.manifestation is Manifestation.SILENT_FAILURE
+    assert result.message == ""
 
 
 def test_classify_json_parse_exception_text():
@@ -94,8 +93,9 @@ _TOOL = ToolSpec(
 
 def test_roundtrip_every_catalog_kind_at_default_manifestation():
     for kind in CATALOG.values():
-        rendered = render_failure(kind, kind.default_manifestation, _TOOL, seed=9)
+        rendered, signature = render_failure(kind, _TOOL, seed=9)
         result = classify_raw_failure(rendered)
+        assert signature == result  # the signature the simulator serves is the text's
         assert result.kind == kind.identifier, (kind.identifier, rendered)
         assert result.error_class is kind.error_class
 
@@ -119,7 +119,7 @@ def test_fault_table_agrees_with_the_shipped_bank(bank):
     # agent to do about it
     budget = SimConfig().retry_budget_per_error
     for kind in CATALOG.values():
-        rendered = render_failure(kind, kind.default_manifestation, _TOOL, seed=9)
+        rendered, _ = render_failure(kind, _TOOL, seed=9)
         observed = detect_failure(rendered)
         tags = {_TAG_BY_TYPE[type(action)] for action in retrieve(bank, observed).script}
         name = kind.identifier
@@ -270,8 +270,8 @@ def test_signature_validation_rules():
         sig(kind="ssl_error")  # a kind the taxonomy does not know
     with pytest.raises(ValueError, match="out of range"):
         sig(kind="http_600")
-    with pytest.raises(ValueError):
-        sig(message="")  # ErrorPayload requires a message
+    with pytest.raises(ValueError, match="only kind 'unknown' may have an empty message"):
+        sig(message="")
 
 
 @pytest.mark.parametrize(
