@@ -57,7 +57,11 @@ if TYPE_CHECKING:
 
 def synthesize_answer(traj: Trajectory) -> str:
     """Final answer quoting the last successful tool output's fields."""
-    payload = trace_view(traj).last_success_payload()
+    return answer_quoting(trace_view(traj).last_success_payload())
+
+
+def answer_quoting(payload: dict) -> str:
+    """Final answer quoting `payload`'s fields."""
     if not payload:
         return "Task complete."
     parts = [f"{k}={payload[k]}" for k in payload]

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -87,10 +86,10 @@ class RetryWithBackoff:
         if self.base_delay_ms < 0 or self.cap_ms < 0:
             raise ValueError("delays must be non-negative")
 
-    def jitter_ms(self, attempt_number: int, rng: random.Random) -> int:
-        """Full-jitter wait before retry `attempt_number` (1-based), uniform
-        over [0, min(cap, base * 2^(attempt-1))]."""
-        return rng.randint(0, min(self.cap_ms, self.base_delay_ms * 2 ** (attempt_number - 1)))
+    def max_delay_ms(self, attempt_number: int) -> int:
+        """Bound of the full-jitter wait before retry `attempt_number` (1-based),
+        which is uniform over [0, min(cap, base * 2^(attempt-1))]."""
+        return min(self.cap_ms, self.base_delay_ms * 2 ** (attempt_number - 1))
 
 
 @dataclass(frozen=True)

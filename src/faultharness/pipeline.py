@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import simulator  # run_episode via the module: a wrapper installed there sees every call
-from .agents import _flatten_script, make_policy, synthesize_answer
+from .agents import _flatten_script, answer_quoting, make_policy, synthesize_answer
 from .bank import ExemplarBank, SwitchTool, TerminateGracefully, retrieve
 from .episode import (
     Finished,
@@ -38,9 +38,9 @@ from .protocol import (
     render_action,
 )
 from .seeds import derive_seed
-from .simulator import TURN_COST_MS, ToolRegistry, canonical_call_key, wrap_response
+from .simulator import TURN_COST_MS, ToolRegistry, canonical_call_key, serve
 from .tasks import builtin_task_pool
-from .taxonomy import CATALOG, ErrorSignature, canonical_key
+from .taxonomy import CATALOG, ErrorSignature, canonical_key, json_object
 from .trace import trace_prefix, trace_view
 
 if TYPE_CHECKING:
@@ -93,26 +93,22 @@ def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
     return extended
 
 
-# what a teacher's call serves when the toolset has no script for it
-_BARE_SUCCESS = (wrap_response('{"status":"ok"}'), None)
+def _served(toolset: ToolRegistry, call: ToolCall) -> tuple[str, str]:
+    """(text, payload): the toolset's response to a teacher's `call`, served as
+    the simulator serves it (`simulator.serve`), and the scripted payload it wraps.
 
-
-def _served(toolset: ToolRegistry, call: ToolCall) -> str:
-    """What the toolset serves a teacher's `call`, a success; a bare one when
-    it has no script. The tool classified the response once (`ToolSpec.served`).
-
-    A scripted failure body is served as it is, so it refuses the repair: a
-    corrective call that fails recovers nothing, and wrapping the body would
-    teach a false success.
+    A failure refuses the repair: a scripted failure body, a call with no script
+    or a tool not in the registry. A corrective call that fails recovers nothing,
+    and wrapping its response would teach a false success.
     """
     tool = toolset.get(call.name)
     key = canonical_call_key(call.name, call.arguments)
-    text, signature = _BARE_SUCCESS if tool is None else tool.served.get(key, _BARE_SUCCESS)
+    text, signature = serve(tool, call.name, key)
     if signature is not None:
         raise FaultHarnessError(
             f"the corrective call to {call.name} fails too ({signature.kind}: {signature.detail})"
         )
-    return text
+    return text, tool.scripted_responses[key]
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,11 @@ class RuleBasedTeacher:
     def continuation(self, request: RepairRequest) -> list[TeacherTurn]:
         """The script's first planned action as one corrective step: a graceful
         stop, or a call that succeeds, then Finish. A tool switch calls the
-        failed tool's alternative; without one, the script's next action is taken."""
+        failed tool's alternative; without one, the script's next action is taken.
+
+        Finish quotes the payload the corrective call was served; when that is
+        not a JSON object, the last successful payload of the truncated trace.
+        """
         exemplar = retrieve(self._bank, request.error)
         trace = request.truncated_trace
         failed_call = trace_view(trace).call_before(len(trace.turns) - 1)
@@ -166,15 +166,16 @@ class RuleBasedTeacher:
             call = ToolCall(failed_call.name, failed_call.arguments)
             thought = f"Re-issuing the call to {failed_call.name}."
         step = RecoveryStep(action=action, thought=f"{exemplar.rationale} {thought}", call=call)
-        turns = [
+        response, payload = _served(request.toolset, call)
+        found = json_object(payload)
+        if found is None:  # not an object: quote the prefix, as the extended trace would
+            found = trace_view(trace).last_success_payload()
+        finish = Finish(answer=answer_quoting(found), thought="The recovered data answers the task.")
+        return [
             TeacherTurn(ROLE_ASSISTANT, render_action(step), step),
-            TeacherTurn(ROLE_FUNCTION, _served(request.toolset, call)),
+            TeacherTurn(ROLE_FUNCTION, response),
+            TeacherTurn(ROLE_ASSISTANT, render_action(finish), finish),
         ]
-        finish = Finish(
-            answer=synthesize_answer(_extend(trace, turns)),
-            thought="The recovered data answers the task.",
-        )
-        return turns + [TeacherTurn(ROLE_ASSISTANT, render_action(finish), finish)]
 
 
 # model turns a remote repair may take before it counts as failed
@@ -215,7 +216,7 @@ class RemoteTeacher:
             call = call_of(parsed)
             if call is None:
                 return turns
-            response = _served(request.toolset, call)
+            response, _ = _served(request.toolset, call)
             turns.append(TeacherTurn(ROLE_FUNCTION, response))
             messages.append({"role": "function", "content": response})
         raise FaultHarnessError("remote teacher did not terminate the trace")

@@ -93,7 +93,7 @@ class ChatEndpoint:
             if attempt < attempts:
                 wait_ms = retry_after_ms
                 if wait_ms is None:
-                    wait_ms = _BACKOFF.jitter_ms(attempt, self._rng)
+                    wait_ms = self._rng.randint(0, _BACKOFF.max_delay_ms(attempt))
                 self._sleep(wait_ms / 1000.0)
         raise TransportError(f"endpoint unreachable: {last_exc}")
 

@@ -30,7 +30,8 @@ Every compact JSON text (call keys, wrappers, error bodies) comes from a form
 of `encoders`, each one C encoder built once at import, not from a
 `json.dumps` call or a new encoder per text.
 
-A fault's persistence and Retry-After are drawn in one place, `fault_life(plan)`.
+A fault's persistence and Retry-After are drawn in one place, `fault_life(plan)`,
+when the fault is first reissued; a fault no call reissues draws neither.
 """
 
 from __future__ import annotations
@@ -225,6 +226,16 @@ _NO_SCRIPT_TEXT = dumps_ascii({"error": "No scripted response for this request",
 _NO_SCRIPTED_RESPONSE = (_NO_SCRIPT_TEXT, detect_failure(_NO_SCRIPT_TEXT))
 
 
+def serve(tool: ToolSpec | None, name: str, key: str) -> tuple[str, ErrorSignature | None]:
+    """(text, signature) served for a call to tool `name` (canonical key `key`) that
+    no fault is on: `tool`'s scripted response, a 400 when it has none, or a
+    not-found error when no tool of that name is registered (`tool` None)."""
+    if tool is None:
+        text = dumps_ascii({"error": f"Tool '{name}' not found in registry"})
+        return text, detect_failure(text)
+    return tool.served.get(key, _NO_SCRIPTED_RESPONSE)
+
+
 # --- configuration ---------------------------------------------------------------
 
 
@@ -299,14 +310,16 @@ def advance_backoff(
     """Advance the clock for one retry wait; returns the new simulated time.
 
     Honors Retry-After exactly when the policy says to; otherwise draws a
-    full-jitter delay uniform over [0, min(cap, base * 2^(attempt-1))].
+    full-jitter delay uniform over [0, min(cap, base * 2^(attempt-1))]. A
+    wait bounded by 0 is 0 and seeds no generator.
     """
     if attempt_number < 1:
         raise ValueError("attempt_number must be >= 1")
     if retry_after_ms is not None and policy.respect_retry_after:
         delay = retry_after_ms
     else:
-        delay = policy.jitter_ms(attempt_number, rng_for(seed, attempt_number))
+        bound = policy.max_delay_ms(attempt_number)
+        delay = rng_for(seed, attempt_number).randint(0, bound) if bound else 0
     return clock.advance(delay)
 
 
@@ -314,20 +327,24 @@ def advance_backoff(
 
 @dataclass
 class _ActiveFault:
+    plan: InjectionPlan
     kind: FailureKind
     call_key: str
     rendered: str
-    persist_retries: int
-    retry_after_ms: int | None
     signature: ErrorSignature | None  # `rendered` classified once, when made
     retries: int = 0
     cleared: bool = False
+
+    @cached_property
+    def life(self) -> tuple[int, int | None]:
+        """(persist_retries, retry_after_ms), drawn when first read: on a reissue."""
+        return fault_life(self.plan)
 
     def on_reissue(self, action_tag: str | None) -> bool:
         """Register one reissue of the uncleared faulted call; True if it now succeeds."""
         self.retries += 1
         if self.kind.persistence is not None:
-            if self.retries > self.persist_retries:
+            if self.retries > self.life[0]:
                 self.cleared = True
         elif action_tag in self.kind.fixes:
             self.cleared = True
@@ -354,16 +371,8 @@ def fault_life(plan: InjectionPlan) -> tuple[int, int | None]:
 def _make_fault(plan: InjectionPlan, call_key: str, tool: ToolSpec) -> _ActiveFault:
     """The fault `plan` injects on the call its `turn_index` counts to."""
     kind = CATALOG[plan.kind]
-    rendered, signature = render_failure(kind, tool, derive_seed(plan.seed, plan.turn_index))
-    persist, retry_after = fault_life(plan)
-    return _ActiveFault(
-        kind=kind,
-        call_key=call_key,
-        rendered=rendered,
-        persist_retries=persist,
-        retry_after_ms=retry_after,
-        signature=signature,
-    )
+    seed = derive_seed(plan.seed, plan.turn_index)
+    return _ActiveFault(plan, kind, call_key, *render_failure(kind, tool, seed))
 
 
 # --- episode execution -------------------------------------------------------------
@@ -413,20 +422,15 @@ def run_episode(
         """The response to `call` and its signature."""
         nonlocal call_ordinal, fault
         tool = tools.get(call.name)
-        if tool is None:
-            text = dumps_ascii({"error": f"Tool '{call.name}' not found in registry"})
-            return text, detect_failure(text)
-        call_ordinal += 1
-
-        if fault is not None and fault.call_key == key and not fault.cleared:
-            if fault.on_reissue(action_tag):
-                return tool.served.get(key, _NO_SCRIPTED_RESPONSE)
-            return fault.rendered, fault.signature
-
-        if plan.is_clean or call_ordinal != plan.turn_index:
-            return tool.served.get(key, _NO_SCRIPTED_RESPONSE)
-        fault = _make_fault(plan, key, tool)
-        return fault.rendered, fault.signature
+        if tool is not None:
+            call_ordinal += 1
+            if fault is not None and fault.call_key == key and not fault.cleared:
+                if not fault.on_reissue(action_tag):
+                    return fault.rendered, fault.signature
+            elif not plan.is_clean and call_ordinal == plan.turn_index:
+                fault = _make_fault(plan, key, tool)
+                return fault.rendered, fault.signature
+        return serve(tool, call.name, key)
 
     while True:
         # every decision that does not end the episode writes one assistant
@@ -486,7 +490,7 @@ def run_episode(
         if isinstance(action, RecoveryStep):
             retry_after = None
             if fault is not None and fault.call_key == key and not fault.cleared:
-                retry_after = fault.retry_after_ms
+                retry_after = fault.life[1]
             if isinstance(action.action, RetryWithBackoff):
                 advance_backoff(
                     clock,

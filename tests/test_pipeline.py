@@ -15,7 +15,7 @@ from faultharness.episode import (
     Turn,
     trajectory_to_line,
 )
-from faultharness.agents import make_policy
+from faultharness.agents import make_policy, synthesize_answer
 from faultharness.bank import (
     ReformatArguments,
     SwitchTool,
@@ -33,6 +33,7 @@ from faultharness.pipeline import (
     RuleBasedTeacher,
     compose_corpus,
     detect_first_failure,
+    _extend,
     extract_recovery_spans,
     finalize,
     repair,
@@ -40,8 +41,8 @@ from faultharness.pipeline import (
 )
 from faultharness.protocol import Finish, RecoveryStep, ToolCall, parse_action, render_action
 from faultharness.remote import EndpointConfig
-from faultharness.simulator import ToolRegistry, canonical_call_key, run_episode
-from faultharness.tasks import builtin_task_pool
+from faultharness.simulator import ToolRegistry, ToolSpec, canonical_call_key, run_episode
+from faultharness.tasks import TaskStep, builtin_task_pool
 from faultharness.taxonomy import CATALOG, ErrorSignature
 from faultharness.trace import TraceView, trace_view
 
@@ -223,6 +224,56 @@ def test_rule_teacher_switches_to_the_alternative_tool(bank, with_alternative):
         assert isinstance(repaired.terminal, GracefulFailure)
 
 
+def _assert_answers_as_the_extended_trace(request, bank):
+    """The rule teacher's Finish answer is the one the truncated trace extended by
+    its corrective step and served response gives; returns that answer, or None
+    for a graceful stop."""
+    turns = RuleBasedTeacher(bank).continuation(request)
+    finish = turns[-1].parsed
+    if not isinstance(finish, Finish):
+        assert len(turns) == 1  # a graceful stop makes no call and gives no answer
+        return None
+    assert len(turns) == 3
+    assert finish.answer == synthesize_answer(_extend(request.truncated_trace, turns[:2]))
+    return finish.answer
+
+
+@pytest.mark.parametrize("with_backup", [True, False])
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_rule_teacher_answers_from_the_response_it_served(kind, with_backup, bank):
+    answers = set()
+    for plan_seed in (5, 6, 7):
+        traj, registry, _ = run_simple(
+            "toolbench", kind=kind, plan_seed=plan_seed, with_backup=with_backup
+        )
+        turn_index, sig = detect_first_failure(traj)
+        request = RepairRequest(
+            toolset=registry, truncated_trace=truncate_at_failure(traj, turn_index), error=sig
+        )
+        answers.add(_assert_answers_as_the_extended_trace(request, bank))
+    assert answers <= {None, "Task complete. Final result: answer=7; unit=days."}
+
+
+def test_rule_teacher_quotes_the_prefix_when_the_served_payload_is_no_object(bank):
+    # the second step's data is a JSON array: the answer falls back to the
+    # prefix's last successful payload, the first step's
+    steps = (TaskStep("lookup", {"q": "x"}), TaskStep("fetch", {"id": 1}))
+    registry = ToolRegistry(tuple(
+        ToolSpec(name=step.tool, description="", parameters={}, scripted_responses={
+            canonical_call_key(step.tool, step.arguments): payload,
+        })
+        for step, payload in zip(steps, ('{"answer":7,"unit":"days"}', "[1, 2]"))
+    ))
+    plan = InjectionPlan(seed=3, kind="http_500", turn_index=2)
+    traj = run_episode("task", registry, make_policy("toolbench", steps=steps), plan)
+    turn_index, sig = detect_first_failure(traj)
+    request = RepairRequest(
+        toolset=registry, truncated_trace=truncate_at_failure(traj, turn_index), error=sig
+    )
+    answer = _assert_answers_as_the_extended_trace(request, bank)
+    assert answer == "Task complete. Final result: answer=7; unit=days."
+
+
 @pytest.mark.parametrize("teacher", ["rule", "remote"])
 def test_a_repair_whose_corrective_call_fails_is_refused(bank, teacher):
     # the reissued call's own script is a failure body: it is served as it is,
@@ -299,6 +350,22 @@ def test_remote_teacher_quarantines_a_repair_that_never_terminates(bank):
     with pytest.raises(FaultHarnessError, match="did not terminate"):
         repair(request, _remote_teacher(client))
     assert client.calls == REMOTE_TEACHER_MAX_TURNS
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (ToolCall("lookup", {"q": "not-scripted"}), "http_400: No scripted response for this request"),
+    (ToolCall("no_such_tool", {"q": "x"}), "tool_not_found: Tool 'no_such_tool' not found in registry"),
+], ids=["no_script", "no_such_tool"])
+def test_a_remote_call_the_simulator_would_refuse_is_refused(call, refusal, bank):
+    # a call with no script, or to a tool not in the registry, is served what the
+    # simulator serves it, a failure, not a bare success
+    request, _ = _repair_setup("http_400", bank)
+    step = RecoveryStep(action=ValidateAndReissue(), thought="again", call=call)
+    client = _StubClient(render_action(step), render_action(Finish(answer="done", thought="ok")))
+    with pytest.raises(FaultHarnessError) as excinfo:
+        repair(request, _remote_teacher(client))
+    assert str(excinfo.value) == f"the corrective call to {call.name} fails too ({refusal})"
+    assert client.calls == 1
 
 
 def test_repair_empty_bank_is_teacher_failure(bank):
@@ -528,3 +595,15 @@ def test_finalize_parses_only_the_final_turn_of_a_simulated_trace(monkeypatch):
     monkeypatch.setattr(pipeline, "parse_action", parses)
     assert finalize(traj) is traj
     assert parses.calls == 1
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_a_repair_forks_its_truncated_trace_once(kind, bank, monkeypatch):
+    import faultharness.pipeline as pipeline
+
+    request, teacher = _repair_setup(kind, bank)
+    forks = _Counter(pipeline.trace_prefix)
+    monkeypatch.setattr(pipeline, "trace_prefix", forks)
+    repaired = repair(request, teacher)
+    assert forks.calls == 1
+    assert repaired.turns[: len(request.truncated_trace.turns)] == request.truncated_trace.turns

@@ -31,6 +31,7 @@ from faultharness.episode import (
     trajectory_to_line,
 )
 from faultharness.errors import ConfigError
+from faultharness.pipeline import CorpusSpec, RuleBasedTeacher, build_corpus
 from faultharness.protocol import Finish, ProtocolViolation, RecoveryStep, ToolCall, render_action
 from faultharness.seeds import derive_seed, rng_for
 from faultharness.simulator import (
@@ -170,6 +171,27 @@ def test_backoff_full_jitter_bounds(attempt, base, cap, seed):
     )
     delay = advance_backoff(SimClock(), attempt, pol, None, seed)
     assert 0 <= delay <= min(cap, base * 2 ** (attempt - 1))
+
+
+def test_backoff_draws_from_the_attempts_generator():
+    for seed in range(20):
+        for attempt in (1, 2, 5):
+            bound = min(8000, 500 * 2 ** (attempt - 1))
+            expected = rng_for(seed, attempt).randint(0, bound)
+            assert advance_backoff(SimClock(), attempt, policy(), None, seed) == expected
+
+
+def _refuse_to_seed(*path):
+    raise AssertionError(f"a generator was seeded at {path}")
+
+
+def test_a_wait_bounded_by_zero_seeds_no_generator(monkeypatch):
+    # reflect's backoff has base and cap 0, and an http_400 fault draws no life
+    monkeypatch.setattr(simulator, "rng_for", _refuse_to_seed)
+    assert advance_backoff(SimClock(50), 3, policy(base=0, cap=0), None, seed=1) == 50
+    traj, _, _ = run_simple("reflect", "http_400")
+    assert isinstance(traj.terminal, Finished)
+    assert trace_view(traj).recoveries
 
 
 def test_backoff_rejects_zero_attempt():
@@ -629,3 +651,44 @@ def test_fault_life_is_what_an_episode_does(kind):
         for i in view.recoveries:  # each reissue's response is the turn after it
             waited = traj.turns[i + 1].simulated_time_ms - traj.turns[i].simulated_time_ms
             assert waited == TURN_COST_MS + (retry_after or 0)
+
+
+def _counted_fault_lives(monkeypatch) -> list:
+    """The plans `simulator.fault_life` is called with from here on."""
+    plans = []
+
+    def counting_fault_life(plan):
+        plans.append(plan)
+        return fault_life(plan)
+
+    monkeypatch.setattr(simulator, "fault_life", counting_fault_life)
+    return plans
+
+
+@pytest.mark.parametrize("agent", ["vanilla", "toolbench"])
+def test_a_fault_no_call_reissues_draws_no_life(agent, monkeypatch):
+    plans = _counted_fault_lives(monkeypatch)
+    for kind in sorted(CATALOG):
+        for plan_seed in range(4):
+            traj, _, _ = run_simple(agent, kind, plan_seed=plan_seed)
+            assert trace_view(traj).first_failure is not None  # the fault was injected
+    assert plans == []
+
+
+def test_a_corpus_draws_no_fault_life(bank, monkeypatch):
+    plans = _counted_fault_lives(monkeypatch)
+    corpus, _ = build_corpus(CorpusSpec(target_size=20), RuleBasedTeacher(bank), "0")
+    assert len(corpus.traces) == 20
+    assert plans == []
+
+
+@pytest.mark.parametrize("kind", sorted(k for k, f in CATALOG.items() if f.persistence is not None))
+def test_a_reissued_fault_draws_its_life_once(kind, monkeypatch):
+    plans = _counted_fault_lives(monkeypatch)
+    registry, steps = make_registry()
+    for plan_seed in range(8):
+        plan = InjectionPlan(seed=plan_seed, kind=kind, turn_index=1)
+        traj = run_episode("task", registry, _SameCallRetrier(steps), plan, SimConfig())
+        assert isinstance(traj.terminal, Finished)
+        assert plans == [plan]
+        plans.clear()
