@@ -247,12 +247,6 @@ def _execute_planned(
     error: ErrorSignature,
     alternative: ToolSpec | None,
 ) -> AgentAction:
-    if position >= len(planned):
-        # defensive: scripts always end in terminate
-        return GiveUp(
-            report=TerminateGracefully().report_for(failed_call.name, error),
-            thought="Recovery options exhausted.",
-        )
     action = planned[position]
     if isinstance(action, TerminateGracefully):
         return RecoveryStep(
@@ -281,15 +275,16 @@ def _execute_planned(
 class PaladinPolicy(ScriptedPolicy):
     """Retrieval-guided recovery: nearest exemplar's script, executed in
     order, with escalation to tool switch then graceful termination. Never
-    claims success after an unresolved failure."""
+    claims success after an unresolved failure. Its position in the planned
+    script is the failure run's length minus 1: each corrective step gets
+    exactly one response, and the script's last step ends the episode."""
 
     def on_error(self, context, error, tools, bank) -> AgentAction:
         step = self._current_step(context)
         failed_call = ToolCall(name=step.tool, arguments=step.arguments)
         script = self._script_for(error, bank)
-        view = trace_view(context)
-        event_start, _ = view.failure_run
-        position = view.recovery_steps_since(event_start)
+        _, run_length = trace_view(context).failure_run
+        position = run_length - 1
         alternative = tools.alternative_for(step.tool)
         planned = _flatten_script(
             script, budget=self._budget, has_alternative=alternative is not None

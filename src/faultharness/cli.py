@@ -150,7 +150,8 @@ def cmd_gen_suite(n_episodes, seed, clean_fraction, hold_out, out):
 
 def _finite(ctx, param, value):
     """Reject NaN and infinities: a NaN gate compares false and never fails,
-    and a NaN alpha would fail only after every episode has run."""
+    a NaN alpha would fail only after every episode has run, and a NaN
+    recovery fraction passes `click.FloatRange`, whose bounds compare false."""
     if value is not None and not math.isfinite(value):
         raise click.BadParameter(f"{param.opts[0].lstrip('-')} must be finite, not {value}")
     return value
@@ -338,6 +339,7 @@ def cmd_evaluate(
     type=click.FloatRange(0, 1, min_open=True, max_open=True),
     default=0.8,
     show_default=True,
+    callback=_finite,
 )
 @click.option(
     "--teacher",

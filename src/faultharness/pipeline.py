@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import simulator  # run_episode via the module: a wrapper installed there sees every call
-from .agents import _flatten_script, answer_quoting, make_policy, synthesize_answer
+from .agents import _flatten_script, answer_quoting, make_policy
 from .bank import ExemplarBank, SwitchTool, TerminateGracefully, retrieve
 from .episode import (
     Finished,
@@ -26,7 +26,7 @@ from .episode import (
     trajectory_to_line,
 )
 from .encoders import dumps_canonical
-from .errors import AgentProtocolError, ConfigError, FaultHarnessError
+from .errors import ConfigError, FaultHarnessError
 from .protocol import (
     GRAMMAR,
     AgentAction,
@@ -142,8 +142,8 @@ class RuleBasedTeacher:
         not a JSON object, the last successful payload of the truncated trace.
         """
         exemplar = retrieve(self._bank, request.error)
-        trace = request.truncated_trace
-        failed_call = trace_view(trace).call_before(len(trace.turns) - 1)
+        view = trace_view(request.truncated_trace)  # it ends at the failing call's response
+        failed_call = view.call_at(view.last_assistant)
         if failed_call is None:
             raise FaultHarnessError("cannot locate the failing call in the trace")
         alternative = request.toolset.alternative_for(failed_call.name)
@@ -169,7 +169,7 @@ class RuleBasedTeacher:
         response, payload = _served(request.toolset, call)
         found = json_object(payload)
         if found is None:  # not an object: quote the prefix, as the extended trace would
-            found = trace_view(trace).last_success_payload()
+            found = view.last_success_payload()
         finish = Finish(answer=answer_quoting(found), thought="The recovered data answers the task.")
         return [
             TeacherTurn(ROLE_ASSISTANT, render_action(step), step),
@@ -250,42 +250,18 @@ def repair(request: RepairRequest, teacher) -> Trajectory:
 
 
 def finalize(trace: Trajectory) -> Trajectory:
-    """Audit a clean trace: grammar-valid, zero recovery tags, ends with
-    Finish (appended from the last successful output when missing)."""
+    """Return a clean trace unchanged after checking its recorded facts: no
+    failure, no recovery-tagged turn, a `Finished` terminal. It parses nothing."""
     failure = detect_first_failure(trace)
     if failure is not None:
         raise FaultHarnessError(
             f"trace has a failure at turn {failure[0]}; route it to repair"
         )
-    calls = trace_view(trace).calls
-    parsed = None  # of the last assistant turn, when it makes no known call
-    for i, turn in enumerate(trace.turns):
-        if turn.role != ROLE_ASSISTANT:
-            continue
-        if turn.is_recovery:
-            raise FaultHarnessError("clean traces must not carry recovery tags")
-        parsed = None
-        if calls.get(i) is not None:
-            continue  # a known call: the turn parses
-        try:
-            parsed = parse_action(turn.content)
-        except AgentProtocolError as exc:
-            raise FaultHarnessError(f"assistant turn violates the grammar: {exc}") from exc
-
-    if (
-        trace.turns[-1].role == ROLE_ASSISTANT
-        and isinstance(parsed, Finish)
-        and isinstance(trace.terminal, Finished)
-    ):
-        return trace
-
-    finish = Finish(
-        answer=synthesize_answer(trace),
-        thought="All steps succeeded; reporting the retrieved data.",
-    )
-    finished = _extend(trace, [TeacherTurn(ROLE_ASSISTANT, render_action(finish), finish)])
-    finished.terminal = Finished(answer=finish.answer)
-    return finished
+    if trace.recovery_turns:
+        raise FaultHarnessError("clean traces must not carry recovery tags")
+    if not isinstance(trace.terminal, Finished):
+        raise FaultHarnessError("clean traces must end in Finish")
+    return trace
 
 
 # --- recovery spans ------------------------------------------------------------------------

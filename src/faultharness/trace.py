@@ -76,7 +76,6 @@ class TraceView:
         self.first_failure: tuple[int, ErrorSignature] | None = None
         # (turn index, tool name, signature or None) per function turn
         self.responses: list[tuple[int, str, ErrorSignature | None]] = []
-        self.recoveries: list[int] = []  # turn indices of recovery-tagged turns
         self.calls: dict[int, ToolCall | None] = {}  # assistant turn index -> its call
         # function turn index -> its writer-recorded signature, until `update` reads it
         self.signatures: dict[int, ErrorSignature | None] = {}
@@ -87,8 +86,6 @@ class TraceView:
             turn = turns[i]
             if turn.role == ROLE_ASSISTANT:
                 self.last_assistant = i
-                if turn.is_recovery:
-                    self.recoveries.append(i)
             elif turn.role == ROLE_FUNCTION:
                 call = self.call_at(self.last_assistant)
                 tool = call.name if call else ""
@@ -127,16 +124,6 @@ class TraceView:
                 call = None
             self.calls[index] = call
         return self.calls[index]
-
-    def call_before(self, index: int) -> ToolCall | None:
-        """The call of the nearest assistant turn before turn `index`."""
-        for i in range(index - 1, -1, -1):
-            if self.turns[i].role == ROLE_ASSISTANT:
-                return self.call_at(i)
-        return None
-
-    def recovery_steps_since(self, index: int) -> int:
-        return sum(1 for i in self.recoveries if i > index)
 
     def last_success_payload(self) -> dict:
         """Payload of the most recent successful response holding a JSON object."""

@@ -105,7 +105,7 @@ def view_state(view):
     return (
         list(view.turns), view.seen, view.last_assistant, view.completed_steps,
         view.failure_run, view.last_error, view.first_failure, list(view.responses),
-        list(view.recoveries), dict(view.signatures),
+        dict(view.signatures),
         [view.call_at(i) for i, turn in enumerate(view.turns) if turn.role == ROLE_ASSISTANT],
     )
 

@@ -7,8 +7,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import make_registry, run_simple
+from faultharness import agents
 from faultharness.agents import RemoteChatPolicy, make_policy, oracle_gate
 from faultharness.bank import ExemplarBank, RecoveryExemplar, SignaturePattern, ValidateAndReissue
+from faultharness.benchgen import SuiteSpec, generalization_split, generate_suite
+from faultharness.cli import run_card
 from faultharness.episode import (
     Abandoned,
     Finished,
@@ -220,6 +223,39 @@ def test_paladin_determinism_per_seed(bank):
     a, _, _ = run_simple("paladin", kind="timeout", plan_seed=6, bank=bank)
     b, _, _ = run_simple("paladin", kind="timeout", plan_seed=6, bank=bank)
     assert trajectory_to_line(a) == trajectory_to_line(b)
+
+
+def test_paladin_position_counts_the_recovery_turns_of_the_failure_run(monkeypatch, tasks, bank):
+    # at every planned-script decision of paladin and critic, on the desk suite
+    # and the held-out suites of the transient kinds, the position is the number
+    # of corrective steps since the failure run began, and a planned step exists
+    context = [None]  # the trajectory of the decision being made
+    on_error, execute = agents.PaladinPolicy.on_error, agents._execute_planned
+    positions = []
+
+    def recording_on_error(self, trajectory, *args):
+        context[0] = trajectory
+        return on_error(self, trajectory, *args)
+
+    def checking_execute(planned, position, *args):
+        view = trace_view(context[0])
+        start, _ = view.failure_run
+        assert position < len(planned)
+        assert position == sum(1 for turn in view.turns[start:] if turn.is_recovery)
+        positions.append(position)
+        return execute(planned, position, *args)
+
+    monkeypatch.setattr(agents.PaladinPolicy, "on_error", recording_on_error)
+    monkeypatch.setattr(agents, "_execute_planned", checking_execute)
+    suites = [(bank, generate_suite(tasks, SuiteSpec(n_episodes=200, master_seed=1337)))]
+    for kind in sorted(k for k, f in CATALOG.items() if f.persistence is not None):
+        spec = SuiteSpec(n_episodes=60, master_seed=1337, held_out_kinds=frozenset({kind}))
+        suites.append(generalization_split(spec, tasks, bank))
+    for suite_bank, cards in suites:
+        for agent in ("paladin", "critic"):
+            for card in cards:
+                run_card(card, agent, suite_bank, 42)
+    assert max(positions) >= 2
 
 
 def test_make_policy_rejects_unknown_agent():

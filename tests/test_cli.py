@@ -1213,7 +1213,9 @@ def test_report_diff_any_one_field_change_runs_or_exits_2(runner, data):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--target", "0"), ("--target", "-3"), ("--recovery-fraction", "1.5")],
+    # NaN compares false with both of FloatRange's bounds, so the range lets it through
+    [("--target", "0"), ("--target", "-3"), ("--recovery-fraction", "1.5"),
+     ("--recovery-fraction", "nan")],
 )
 def test_build_corpus_out_of_range_size_exits_2(runner, tmp_path, option, value):
     out = tmp_path / "corpus"

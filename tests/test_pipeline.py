@@ -321,7 +321,8 @@ def _remote_teacher(client):
 
 def test_remote_teacher_keeps_a_repair_in_the_stated_form(bank):
     request, _ = _repair_setup("http_400", bank)
-    call = trace_view(request.truncated_trace).call_before(len(request.truncated_trace.turns) - 1)
+    view = trace_view(request.truncated_trace)
+    call = view.call_at(view.last_assistant)
     step = RecoveryStep(
         action=ReformatArguments(), thought="fixing", call=ToolCall(call.name, call.arguments)
     )
@@ -384,15 +385,35 @@ def test_finalize_idempotent_on_complete_trace():
     assert trajectory_to_line(out) == trajectory_to_line(traj)
 
 
-def test_finalize_appends_missing_finish():
+def test_finalize_refuses_a_trace_that_does_not_end_in_finish():
     traj, _, _ = run_simple("vanilla", kind=None)
     headless = Trajectory(
         episode_id=traj.episode_id, plan=traj.plan, turns=traj.turns[:-1]
     )
-    out = finalize(headless)
-    assert isinstance(out.terminal, Finished)
-    assert out.turns[-1].role == "assistant"
-    assert "answer=7" in out.terminal.answer
+    with pytest.raises(FaultHarnessError, match="must end in Finish"):
+        finalize(headless)
+    gave_up = Trajectory(
+        episode_id=traj.episode_id, plan=traj.plan, turns=traj.turns,
+        terminal=GracefulFailure(report="stopped"),
+    )
+    with pytest.raises(FaultHarnessError, match="must end in Finish"):
+        finalize(gave_up)
+
+
+def test_finalize_refuses_a_recovery_tagged_turn():
+    # a clean trace whose first call is stated as a recovery step
+    traj, _, steps = run_simple("vanilla", kind=None)
+    step = RecoveryStep(
+        action=ReformatArguments(), thought="t", call=ToolCall(steps[0].tool, steps[0].arguments)
+    )
+    turns = list(traj.turns)
+    turns[2] = Turn("assistant", render_action(step), turns[2].simulated_time_ms)
+    tagged = Trajectory(
+        episode_id=traj.episode_id, plan=traj.plan, turns=turns, terminal=traj.terminal
+    )
+    assert detect_first_failure(tagged) is None and isinstance(tagged.terminal, Finished)
+    with pytest.raises(FaultHarnessError, match="recovery tags"):
+        finalize(tagged)
 
 
 def test_finalize_rejects_failure_traces():
@@ -586,7 +607,7 @@ def test_repair_classifies_nothing_and_parses_each_teacher_turn_once(kind, bank,
     trace_view(repaired)  # the teacher told the view every appended turn's facts
 
 
-def test_finalize_parses_only_the_final_turn_of_a_simulated_trace(monkeypatch):
+def test_finalize_parses_no_turn_of_a_simulated_trace(monkeypatch):
     import faultharness.pipeline as pipeline
 
     traj, _, _ = run_simple("vanilla", kind=None)
@@ -594,7 +615,7 @@ def test_finalize_parses_only_the_final_turn_of_a_simulated_trace(monkeypatch):
     parses = _Counter(pipeline.parse_action)
     monkeypatch.setattr(pipeline, "parse_action", parses)
     assert finalize(traj) is traj
-    assert parses.calls == 1
+    assert parses.calls == 0
 
 
 @pytest.mark.parametrize("kind", sorted(CATALOG))

@@ -191,7 +191,7 @@ def test_a_wait_bounded_by_zero_seeds_no_generator(monkeypatch):
     assert advance_backoff(SimClock(50), 3, policy(base=0, cap=0), None, seed=1) == 50
     traj, _, _ = run_simple("reflect", "http_400")
     assert isinstance(traj.terminal, Finished)
-    assert trace_view(traj).recoveries
+    assert traj.recovery_turns
 
 
 def test_backoff_rejects_zero_attempt():
@@ -371,7 +371,8 @@ def test_canonical_call_key_ignores_field_order():
 
 
 def _facts(view):
-    return (view.responses, view.recoveries, view.failure_run, view.completed_steps,
+    recoveries = [i for i, turn in enumerate(view.turns) if turn.is_recovery]
+    return (view.responses, recoveries, view.failure_run, view.completed_steps,
             view.first_failure, view.last_error)
 
 
@@ -452,7 +453,8 @@ def test_trace_view_names_the_nearest_assistant_call():
     assert [tool for _, tool, _ in view.responses] == ["lookup", "lookup"]
     assert view.first_failure[0] == 4
     assert view.failure_run == (4, 1)
-    assert view.call_before(view.failure_run[0]) == ToolCall(name="lookup", arguments={"q": "x"})
+    assert view.last_assistant == 2
+    assert view.call_at(view.last_assistant) == ToolCall(name="lookup", arguments={"q": "x"})
 
 
 # --- writer-recorded facts, forks and the lazy decision generator ---------------------
@@ -493,7 +495,8 @@ def test_desk_failing_reissues_of_a_fault_serve_its_one_signature(desk_trajector
     # a signature describes the text alone, so every failing serve of an
     # injected fault carries the one signature the fault was made with
     def key_of_call_before(view, index):
-        call = view.call_before(index)
+        assert view.turns[index - 1].role == ROLE_ASSISTANT  # a response follows its call
+        call = view.call_at(index - 1)
         return call and canonical_call_key(call.name, call.arguments)
 
     runs = len(desk_trajectories) // len(DESK_RUNS)
@@ -647,8 +650,9 @@ def test_fault_life_is_what_an_episode_does(kind):
         view = trace_view(traj)
         failing = [i for i, _, sig in view.responses if sig is not None]
         assert len(failing) - 1 == persist  # the injected failure, then the failing reissues
-        assert len(view.recoveries) == persist + 1
-        for i in view.recoveries:  # each reissue's response is the turn after it
+        recoveries = [i for i, turn in enumerate(traj.turns) if turn.is_recovery]
+        assert len(recoveries) == persist + 1
+        for i in recoveries:  # each reissue's response is the turn after it
             waited = traj.turns[i + 1].simulated_time_ms - traj.turns[i].simulated_time_ms
             assert waited == TURN_COST_MS + (retry_after or 0)
 
