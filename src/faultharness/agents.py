@@ -151,6 +151,12 @@ class ToolBenchPolicy(VanillaPolicy):
     hallucination_probability = 0.0
 
 
+# reflect's blind retry: the same call again at once, whatever Retry-After says
+_BLIND_RETRY = RetryWithBackoff(
+    max_attempts=1, base_delay_ms=0, cap_ms=0, respect_retry_after=False
+)
+
+
 class ReflectPolicy(ScriptedPolicy):
     """Blind call-level self-correction: retry up to the budget, reformat on
     the final attempt, never switch tools, then give up."""
@@ -178,9 +184,7 @@ class ReflectPolicy(ScriptedPolicy):
                 call=call,
             )
         return RecoveryStep(
-            action=RetryWithBackoff(
-                max_attempts=1, base_delay_ms=0, cap_ms=0, respect_retry_after=False
-            ),
+            action=_BLIND_RETRY,
             thought=f"The call to {step.tool} failed; retrying the same call.",
             call=call,
         )
@@ -272,36 +276,57 @@ def _execute_planned(
     )
 
 
+# paladin with retrieval disabled: no exemplar knowledge, blind retry then stop
+_NO_RETRIEVAL_SCRIPT = (
+    RetryWithBackoff(max_attempts=3, base_delay_ms=500, cap_ms=8000),
+    TerminateGracefully(),
+)
+
+
 class PaladinPolicy(ScriptedPolicy):
     """Retrieval-guided recovery: nearest exemplar's script, executed in
     order, with escalation to tool switch then graceful termination. Never
     claims success after an unresolved failure. Its position in the planned
     script is the failure run's length minus 1: each corrective step gets
-    exactly one response, and the script's last step ends the episode."""
+    exactly one response, and the script's last step ends the episode.
+
+    The plan (the planned script, the failed call and its alternative) is
+    made once per failure event: it is keyed on the start of the failure run
+    and the signature (its kind and message), and on the trajectory, tools and
+    bank it is made for, and every step of the event executes it.
+    """
+
+    def __init__(self, steps: tuple[TaskStep, ...], retry_budget: int = 3, seed: int = 0):
+        super().__init__(steps, retry_budget, seed)
+        self._last_plan: tuple[tuple | None, tuple] = (None, ())  # (key, plan) of the latest event
 
     def on_error(self, context, error, tools, bank) -> AgentAction:
+        start, run_length = trace_view(context).failure_run
+        key = (context, tools, bank, start, error)
+        last_key, plan = self._last_plan
+        if key != last_key:
+            plan = self._plan(context, error, tools, bank)
+            self._last_plan = (key, plan)
+        planned, failed_call, alternative = plan
+        return _execute_planned(planned, run_length - 1, failed_call, error, alternative)
+
+    def _plan(self, context, error, tools, bank) -> tuple:
+        """(planned script, failed call, its alternative) for one failure event."""
         step = self._current_step(context)
-        failed_call = ToolCall(name=step.tool, arguments=step.arguments)
-        script = self._script_for(error, bank)
-        _, run_length = trace_view(context).failure_run
-        position = run_length - 1
         alternative = tools.alternative_for(step.tool)
         planned = _flatten_script(
-            script, budget=self._budget, has_alternative=alternative is not None
+            self._script_for(error, bank),
+            budget=self._budget,
+            has_alternative=alternative is not None,
         )
-        return _execute_planned(planned, position, failed_call, error, alternative)
+        return planned, ToolCall(name=step.tool, arguments=step.arguments), alternative
 
     def _script_for(
         self, error: ErrorSignature, bank: ExemplarBank | None
     ) -> tuple[RecoveryAction, ...]:
         if bank is not None and len(bank):
-            exemplar = retrieve_top_k(bank, error, k=1)[0]
-            return exemplar.script
-        # retrieval disabled: no exemplar knowledge, blind retry then stop
-        return (
-            RetryWithBackoff(max_attempts=3, base_delay_ms=500, cap_ms=8000),
-            TerminateGracefully(),
-        )
+            return retrieve_top_k(bank, error, k=1)[0].script
+        return _NO_RETRIEVAL_SCRIPT
 
 
 def oracle_gate(eval_seed: int, plan_seed: int, event_turn: int, p: float = 0.7) -> bool:

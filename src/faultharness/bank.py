@@ -248,10 +248,19 @@ class ExemplarBank:
     def without_kinds(self, kinds: set[str]) -> "ExemplarBank":
         """The bank of this bank's document with every kind in `kinds` held out.
 
-        Raises ConfigError if the removal empties an error class.
+        Its exemplars are this bank's, less those of a held-out kind: the
+        exemplars `held_out(self.document, kinds)` expands to, ids included,
+        so the pruned document is not parsed again. Raises ConfigError if the
+        removal empties an error class.
         """
-        held = ", ".join(sorted(kinds))
-        return _parse(held_out(self.document, kinds), f"holding out {held} empties")
+        document = held_out(self.document, kinds)
+        bank = ExemplarBank(
+            exemplars=tuple(ex for ex in self.exemplars if ex.pattern.kind not in kinds),
+            version=document["version"],
+            document=document,
+        )
+        _check_coverage(bank, f"holding out {', '.join(sorted(kinds))} empties")
+        return bank
 
 
 DEFAULT_WEIGHTS = (4, 2, 1, 1)
@@ -422,13 +431,8 @@ def _expand_entry(entry: dict) -> list[RecoveryExemplar]:
 
 
 def parse_bank(doc: dict) -> ExemplarBank:
-    """Validate a bank document; a malformed entry is named by its index and id."""
-    return _parse(doc, "bank does not cover")
-
-
-def _parse(doc: dict, uncovered: str) -> ExemplarBank:
-    """The bank `doc` states, every entry checked; a bank that leaves an error
-    class uncovered is refused as `<uncovered> class(es): ...`."""
+    """The bank `doc` states, every entry checked; a malformed entry is named by
+    its index and id, and a bank that leaves an error class uncovered is refused."""
     if not isinstance(doc, dict) or not isinstance(doc.get("exemplars", []), list):
         raise ConfigError("bank must be a JSON object whose 'exemplars' is a list")
     exemplars: list[RecoveryExemplar] = []
@@ -448,9 +452,14 @@ def _parse(doc: dict, uncovered: str) -> ExemplarBank:
     bank = ExemplarBank(
         exemplars=tuple(exemplars), version=str(doc.get("version", "0")), document=doc
     )
+    _check_coverage(bank, "bank does not cover")
+    return bank
+
+
+def _check_coverage(bank: ExemplarBank, uncovered: str) -> None:
+    """Refuse a bank that leaves an error class uncovered, as `<uncovered> class(es): ...`."""
     if missing := set(ErrorClass) - bank.covered_classes():
         raise ConfigError(f"{uncovered} class(es): " + ", ".join(sorted(c.value for c in missing)))
-    return bank
 
 
 def held_out(doc: dict, kinds: set[str]) -> dict:

@@ -11,8 +11,12 @@ a temporary file in the run directory, and publishes it as
 leaves no `trajectories.jsonl`. So its memory holds the cards, the grades and
 one episode, however many trajectories it writes; with `--jobs` above 1 it
 submits at most 2 x jobs cards ahead of the writer, so it holds at most that
-many episodes, running or waiting to be written. Every artifact is written as
-UTF-8, whatever the locale.
+many episodes, running or waiting to be written. A scripted agent's run also
+keeps each distinct turn text and its JSON string, so that each is escaped
+once per run; its texts come from the suite's task table and the catalog, a
+few hundred for the desk suite (about 0.2 MB). A remote model's texts rarely
+repeat, so its run keeps none. Every artifact is written as UTF-8, whatever
+the locale.
 
 Each command runs in a fresh process, so this module imports at module level
 only what every command uses. A module that one command needs on one code
@@ -277,9 +281,11 @@ def cmd_evaluate(
     run_dir = Path(out_dir) / f"run-{run_hash}"
     _make_dir(run_dir)
 
+    texts = None if agent == "remote" else {}  # turn text -> its JSON string, for the run
+
     def job(card: EpisodeCard):
         traj = run_card(card, agent, bank, seed, endpoint)
-        return trajectory_to_line(traj), grade_episode(traj, card)
+        return trajectory_to_line(traj, texts), grade_episode(traj, card)
 
     grades = []
     partial = run_dir / "trajectories.jsonl.partial"

@@ -8,6 +8,10 @@ than `INT_TEXT_MAX` characters as its digit string, so what a text means does
 not depend on the interpreter's digit limit, and it refuses every bad text,
 nesting too deep to parse included, with a `ValueError`.
 
+`escape_string` gives one text's JSON string, non-ASCII kept, exactly as
+`dumps_canonical` writes a string, so a text escaped once can be joined into
+many lines.
+
 `json.dumps` with any option set builds a new `json.JSONEncoder` per call, and
 even a prebuilt encoder's `encode` builds a new C encoder and a dict of
 circular-reference markers on every call. Each form here is one C encoder from
@@ -97,6 +101,9 @@ def _compact_form(
 # Sorted keys, no spaces, non-ASCII kept: every serialized artifact, call keys,
 # success wrappers and error texts.
 dumps_canonical = _compact_form(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+# A text as a JSON string, non-ASCII kept: the string form of `dumps_canonical`.
+escape_string: Callable[[str], str] = encode_basestring
 
 # Sorted keys, no spaces, non-ASCII escaped: scripted payloads and the
 # simulator's own error bodies.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoders import dumps_canonical, loads
+from .encoders import dumps_canonical, escape_string, loads
 from .taxonomy import CATALOG
 
 RECOVERY_PREFIX = "Recovery:"
@@ -167,7 +167,8 @@ class Trajectory:
     def recovery_turns(self) -> list[Turn]:
         return [t for t in self.turns if t.is_recovery]
 
-    def to_json(self) -> dict:
+    def sidecar_json(self) -> dict:
+        """The harness metadata of the serialized form: everything but the trace."""
         sidecar: dict = {
             "episode_id": self.episode_id,
             "plan": self.plan.to_json(),
@@ -175,9 +176,12 @@ class Trajectory:
         }
         if self.terminal is not None:
             sidecar["terminal"] = terminal_to_json(self.terminal)
+        return sidecar
+
+    def to_json(self) -> dict:
         return {
             "trace": [{"role": t.role, "content": t.content} for t in self.turns],
-            "sidecar": sidecar,
+            "sidecar": self.sidecar_json(),
         }
 
     @classmethod
@@ -204,8 +208,30 @@ class Trajectory:
         )
 
 
-def trajectory_to_line(traj: Trajectory) -> str:
-    return dumps_canonical(traj.to_json())
+# what follows a turn's content in its trace entry, per role: `,"role":"user"}`
+_ROLE_CLOSE = {role: f',"role":{escape_string(role)}}}' for role in _ROLES}
+
+
+def trajectory_to_line(traj: Trajectory, texts: dict[str, str] | None = None) -> str:
+    """`dumps_canonical(traj.to_json())`, joined from each turn text's JSON string.
+
+    `texts` maps a turn text to its JSON string (`escape_string`). The caller
+    owns it and passes one dict for a whole run, so that each distinct text (the
+    system prompt, a task's prompt, a scripted response) is escaped once per
+    run, not once per line. Worker threads may share the dict: an entry is a
+    pure function of its text, so two threads that miss on one text store equal
+    strings. Without a dict, each text is escaped for this line alone.
+    """
+    if texts is None:
+        texts = {}
+    entries = []
+    for turn in traj.turns:
+        text = texts.get(turn.content)
+        if text is None:
+            text = texts[turn.content] = escape_string(turn.content)
+        entries.append('{"content":' + text + _ROLE_CLOSE[turn.role])
+    sidecar = dumps_canonical(traj.sidecar_json())
+    return '{"sidecar":' + sidecar + ',"trace":[' + ",".join(entries) + "]}"
 
 
 def trajectory_from_line(line: str) -> Trajectory:

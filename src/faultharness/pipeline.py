@@ -40,7 +40,7 @@ from .protocol import (
 from .seeds import derive_seed
 from .simulator import TURN_COST_MS, ToolRegistry, canonical_call_key, serve
 from .tasks import builtin_task_pool
-from .taxonomy import CATALOG, ErrorSignature, canonical_key, json_object
+from .taxonomy import CATALOG, ErrorSignature, canonical_key
 from .trace import trace_prefix, trace_view
 
 if TYPE_CHECKING:
@@ -93,9 +93,11 @@ def _extend(trace: Trajectory, appended: list[TeacherTurn]) -> Trajectory:
     return extended
 
 
-def _served(toolset: ToolRegistry, call: ToolCall) -> tuple[str, str]:
+def _served(toolset: ToolRegistry, call: ToolCall) -> tuple[str, dict | None]:
     """(text, payload): the toolset's response to a teacher's `call`, served as
-    the simulator serves it (`simulator.serve`), and the scripted payload it wraps.
+    the simulator serves it (`simulator.serve`), and the JSON object of the
+    scripted payload it wraps (None when that is not an object), parsed once
+    per tool.
 
     A failure refuses the repair: a scripted failure body, a call with no script
     or a tool not in the registry. A corrective call that fails recovers nothing,
@@ -103,12 +105,12 @@ def _served(toolset: ToolRegistry, call: ToolCall) -> tuple[str, str]:
     """
     tool = toolset.get(call.name)
     key = canonical_call_key(call.name, call.arguments)
-    text, signature = serve(tool, call.name, key)
+    text, signature, payload = serve(tool, call.name, key)
     if signature is not None:
         raise FaultHarnessError(
             f"the corrective call to {call.name} fails too ({signature.kind}: {signature.detail})"
         )
-    return text, tool.scripted_responses[key]
+    return text, payload
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,7 @@ class RuleBasedTeacher:
             call = ToolCall(failed_call.name, failed_call.arguments)
             thought = f"Re-issuing the call to {failed_call.name}."
         step = RecoveryStep(action=action, thought=f"{exemplar.rationale} {thought}", call=call)
-        response, payload = _served(request.toolset, call)
-        found = json_object(payload)
+        response, found = _served(request.toolset, call)
         if found is None:  # not an object: quote the prefix, as the extended trace would
             found = view.last_success_payload()
         finish = Finish(answer=answer_quoting(found), thought="The recovered data answers the task.")
@@ -323,7 +324,8 @@ class Corpus:
     manifest: dict
 
     def lines(self) -> list[str]:
-        return [trajectory_to_line(t) for t in self.traces]
+        texts: dict[str, str] = {}  # each distinct turn text escaped once per corpus
+        return [trajectory_to_line(t, texts) for t in self.traces]
 
 
 def compose_corpus(

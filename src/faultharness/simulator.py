@@ -17,21 +17,23 @@ World model for injected faults, read from each kind's catalog row
 The clock is simulated and integer-valued; nothing ever sleeps.
 
 The simulator records each turn's call or signature in the episode's
-`trace.TraceView` as it writes the turn; agents read every turn fact there.
-A fault's text is rendered as its kind's catalog row's `manifestation` says
-(a plan names only the kind), and `render_failure` is the one place that reads
-it. A scripted response is classified once per tool, not on every serve
-(`ToolSpec.served`), and so is the PartialOutput text the tool alone fixes
-(`ToolSpec.partial_output`). A MalformedOutput text is classified when it is
-cut, and the ErrorPayload text a kind alone fixes at import
-(`taxonomy.PAYLOAD_SIGNATURES`).
+`trace.TraceView` as it writes the turn, and each success turn's payload
+object; agents read every turn fact there, and the view parses only what no
+writer recorded. A fault's text is rendered as its kind's catalog row's
+`manifestation` says (a plan names only the kind), and `render_failure` is the
+one place that reads it. A scripted response is classified, and its payload
+parsed, once per tool, not on every serve (`ToolSpec.served`), and so is the
+PartialOutput text the tool alone fixes (`ToolSpec.partial_output`). A
+MalformedOutput text is classified when it is cut, and the ErrorPayload text
+a kind alone fixes at import (`taxonomy.PAYLOAD_SIGNATURES`).
 
 Every compact JSON text (call keys, wrappers, error bodies) comes from a form
 of `encoders`, each one C encoder built once at import, not from a
 `json.dumps` call or a new encoder per text.
 
 A fault's persistence and Retry-After are drawn in one place, `fault_life(plan)`,
-when the fault is first reissued; a fault no call reissues draws neither.
+when the fault is first reissued; a fault no call reissues draws neither. A
+backoff seed is derived only for a wait that draws jitter (`draws_jitter`).
 """
 
 from __future__ import annotations
@@ -126,18 +128,24 @@ class ToolSpec:
                 )
 
     @cached_property
-    def served(self) -> dict[str, tuple[str, ErrorSignature | None]]:
-        """Call key -> (the text the tool serves for it, its signature).
+    def served(self) -> dict[str, tuple[str, ErrorSignature | None, dict | None]]:
+        """Call key -> (the text the tool serves for it, its signature, and the
+        JSON object of its payload: None for a failure or a payload that is
+        not an object).
 
         Worked out at the tool's first serve, once per tool, not on every serve.
         A payload that is itself a failure body models a permanently failing
         tool and is served raw, so it stays classifiable; any other is wrapped
-        as a success.
+        as a success. Every serve hands out the same payload object: it is
+        read, never changed.
         """
         served = {}
         for key, payload in self.scripted_responses.items():
             signature = detect_failure(payload)
-            served[key] = (wrap_response(payload) if signature is None else payload, signature)
+            if signature is None:
+                served[key] = (wrap_response(payload), None, json_object(payload))
+            else:
+                served[key] = (payload, signature, None)
         return served
 
     @cached_property
@@ -223,16 +231,19 @@ def wrap_response(payload: str) -> str:
 
 # what a tool serves for a call it has no script for, classified once at import
 _NO_SCRIPT_TEXT = dumps_ascii({"error": "No scripted response for this request", "status": 400})
-_NO_SCRIPTED_RESPONSE = (_NO_SCRIPT_TEXT, detect_failure(_NO_SCRIPT_TEXT))
+_NO_SCRIPTED_RESPONSE = (_NO_SCRIPT_TEXT, detect_failure(_NO_SCRIPT_TEXT), None)
 
 
-def serve(tool: ToolSpec | None, name: str, key: str) -> tuple[str, ErrorSignature | None]:
-    """(text, signature) served for a call to tool `name` (canonical key `key`) that
-    no fault is on: `tool`'s scripted response, a 400 when it has none, or a
-    not-found error when no tool of that name is registered (`tool` None)."""
+def serve(
+    tool: ToolSpec | None, name: str, key: str
+) -> tuple[str, ErrorSignature | None, dict | None]:
+    """(text, signature, payload object) served for a call to tool `name`
+    (canonical key `key`) that no fault is on: `tool`'s scripted response
+    (`ToolSpec.served`), a 400 when it has none, or a not-found error when no
+    tool of that name is registered (`tool` None)."""
     if tool is None:
         text = dumps_ascii({"error": f"Tool '{name}' not found in registry"})
-        return text, detect_failure(text)
+        return text, detect_failure(text), None
     return tool.served.get(key, _NO_SCRIPTED_RESPONSE)
 
 
@@ -311,16 +322,28 @@ def advance_backoff(
 
     Honors Retry-After exactly when the policy says to; otherwise draws a
     full-jitter delay uniform over [0, min(cap, base * 2^(attempt-1))]. A
-    wait bounded by 0 is 0 and seeds no generator.
+    wait bounded by 0 is 0 and seeds no generator. `seed` is read only by a
+    wait that `draws_jitter`.
     """
     if attempt_number < 1:
         raise ValueError("attempt_number must be >= 1")
-    if retry_after_ms is not None and policy.respect_retry_after:
+    if draws_jitter(policy, attempt_number, retry_after_ms):
+        delay = rng_for(seed, attempt_number).randint(0, policy.max_delay_ms(attempt_number))
+    elif retry_after_ms is not None and policy.respect_retry_after:
         delay = retry_after_ms
     else:
-        bound = policy.max_delay_ms(attempt_number)
-        delay = rng_for(seed, attempt_number).randint(0, bound) if bound else 0
+        delay = 0
     return clock.advance(delay)
+
+
+def draws_jitter(
+    policy: RetryWithBackoff, attempt_number: int, retry_after_ms: int | None
+) -> bool:
+    """Whether the wait before retry `attempt_number` is drawn: no Retry-After
+    that the policy honours, and a positive bound."""
+    if retry_after_ms is not None and policy.respect_retry_after:
+        return False
+    return policy.max_delay_ms(attempt_number) > 0
 
 
 # --- fault world ----------------------------------------------------------------------
@@ -403,7 +426,6 @@ def run_episode(
     )
     view = trace_view(traj)
     clock = SimClock()
-    episode_seed = derive_seed(plan.seed, config.rng_seed)
 
     call_ordinal = 0
     fault: _ActiveFault | None = None  # the plan's one fault, once injected
@@ -418,18 +440,18 @@ def run_episode(
 
     def execute_call(
         call: ToolCall, key: str, action_tag: str | None
-    ) -> tuple[str, ErrorSignature | None]:
-        """The response to `call` and its signature."""
+    ) -> tuple[str, ErrorSignature | None, dict | None]:
+        """The response to `call`, its signature and its payload object."""
         nonlocal call_ordinal, fault
         tool = tools.get(call.name)
         if tool is not None:
             call_ordinal += 1
             if fault is not None and fault.call_key == key and not fault.cleared:
                 if not fault.on_reissue(action_tag):
-                    return fault.rendered, fault.signature
+                    return fault.rendered, fault.signature, None
             elif not plan.is_clean and call_ordinal == plan.turn_index:
                 fault = _make_fault(plan, key, tool)
-                return fault.rendered, fault.signature
+                return fault.rendered, fault.signature, None
         return serve(tool, call.name, key)
 
     while True:
@@ -492,18 +514,19 @@ def run_episode(
             if fault is not None and fault.call_key == key and not fault.cleared:
                 retry_after = fault.life[1]
             if isinstance(action.action, RetryWithBackoff):
-                advance_backoff(
-                    clock,
-                    attempt_number=consecutive_retries + 1,
-                    policy=action.action,
-                    retry_after_ms=retry_after,
-                    seed=derive_seed(episode_seed, 0xB0FF, n_decisions),
-                )
+                attempt = consecutive_retries + 1
+                seed = 0  # derived only for a wait that reads it
+                if draws_jitter(action.action, attempt, retry_after):
+                    # the episode seed's backoff stream, at this decision
+                    seed = derive_seed(plan.seed, config.rng_seed, 0xB0FF, n_decisions)
+                advance_backoff(clock, attempt, action.action, retry_after, seed)
             elif isinstance(action.action, WaitUntilHealthy):
                 clock.advance(action.action.poll_interval_ms)
 
-        response, signature = execute_call(call, key, action_tag)
+        response, signature, payload = execute_call(call, key, action_tag)
         view.signatures[len(traj.turns)] = signature
+        if signature is None:
+            view.payloads[len(traj.turns)] = payload
         append(ROLE_FUNCTION, response)
 
         # the signature sets only the retry budget; agents read it from the view

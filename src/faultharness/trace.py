@@ -17,6 +17,13 @@ be one. The view classifies only what no writer told it.
 `TraceView.fork` starts a derived trajectory (a truncated prefix, or a prefix
 with turns appended) from those facts instead of a fresh pass over the trace.
 
+A scripted payload is parsed once per tool too: `simulator.ToolSpec.served`
+holds its JSON object beside its signature, and the simulator records that
+object for each success turn it writes (`TraceView.payloads`), so a Finish
+that quotes it decodes nothing. `last_success_payload` decodes only a success
+turn no writer recorded: one of a hand-built trace, a remote trace, or a trace
+read back from a line.
+
 Agents, the grader and the corpus pipeline read turn facts only from here.
 `taxonomy.detect_failure` and `protocol.parse_action` are called through their
 modules, so that wrappers installed on those modules see the view's calls.
@@ -43,7 +50,7 @@ class FailureEvent:
     recovered: bool  # a later successful response served the same capability
 
 
-_UNCLASSIFIED = object()  # a function turn no writer recorded a signature for
+_UNRECORDED = object()  # a fact of a function turn that no writer recorded
 
 
 class TraceView:
@@ -56,14 +63,17 @@ class TraceView:
     parsed at most once, when a call is asked of it. Where the code that
     wrote a turn already knows its facts, it records them before `update`
     reaches the turn: `calls[i]` for an assistant turn's call,
-    `signatures[i]` for a function turn's signature (None for a success).
-    The view then neither parses nor classifies that turn. `update` resumes where the last update stopped, so
+    `signatures[i]` for a function turn's signature (None for a success),
+    and `payloads[i]` for a success turn's payload object (None when its
+    payload is not a JSON object). The view then neither parses, classifies
+    nor decodes that turn. `update` resumes where the last update stopped, so
     turns must only ever be appended.
 
     `fork(n)` is the view of a copy of the first n turns, for a trajectory
-    derived from this one. It takes those turns' calls and signatures from
-    this view and rebuilds the rest of its state from them, without parsing
-    or classifying anything again, and keeps no reference to this view.
+    derived from this one. It takes those turns' calls, signatures and
+    payloads from this view and rebuilds the rest of its state from them,
+    without parsing or classifying anything again, and keeps no reference to
+    this view.
     """
 
     def __init__(self, turns: list[Turn]):
@@ -79,6 +89,8 @@ class TraceView:
         self.calls: dict[int, ToolCall | None] = {}  # assistant turn index -> its call
         # function turn index -> its writer-recorded signature, until `update` reads it
         self.signatures: dict[int, ErrorSignature | None] = {}
+        # success function turn index -> its writer-recorded payload object
+        self.payloads: dict[int, dict | None] = {}
 
     def update(self) -> "TraceView":
         turns = self.turns
@@ -89,8 +101,8 @@ class TraceView:
             elif turn.role == ROLE_FUNCTION:
                 call = self.call_at(self.last_assistant)
                 tool = call.name if call else ""
-                sig = self.signatures.pop(i, _UNCLASSIFIED)
-                if sig is _UNCLASSIFIED:
+                sig = self.signatures.pop(i, _UNRECORDED)
+                if sig is _UNRECORDED:
                     sig = taxonomy.detect_failure(turn.content)
                 self.responses.append((i, tool, sig))
                 self.last_error = sig
@@ -111,6 +123,7 @@ class TraceView:
         view = TraceView(self.turns[:n])
         view.calls = {i: call for i, call in self.calls.items() if i < n}
         view.signatures = {i: sig for i, _, sig in self.responses if i < n}
+        view.payloads = {i: payload for i, payload in self.payloads.items() if i < n}
         return view.update()
 
     def call_at(self, index: int) -> ToolCall | None:
@@ -126,13 +139,20 @@ class TraceView:
         return self.calls[index]
 
     def last_success_payload(self) -> dict:
-        """Payload of the most recent successful response holding a JSON object."""
+        """Payload of the most recent successful response holding a JSON object.
+
+        A recorded payload (`payloads`) is the tool's own object, shared by
+        every serve: read it, do not change it. Only a turn no writer recorded
+        is decoded.
+        """
         for i, _, sig in reversed(self.responses):
             if sig is not None:
                 continue
-            wrapper = json_object(self.turns[i].content)
-            response = None if wrapper is None else wrapper.get("response", "{}")
-            payload = json_object(response) if isinstance(response, str) else None
+            payload = self.payloads.get(i, _UNRECORDED)
+            if payload is _UNRECORDED:
+                wrapper = json_object(self.turns[i].content)
+                response = None if wrapper is None else wrapper.get("response", "{}")
+                payload = json_object(response) if isinstance(response, str) else None
             if payload is not None:
                 return payload
         return {}

@@ -258,6 +258,33 @@ def test_paladin_position_counts_the_recovery_turns_of_the_failure_run(monkeypat
     assert max(positions) >= 2
 
 
+def test_paladin_and_critic_plan_once_per_failure_event(monkeypatch, tasks, bank):
+    # on the desk suite, the script is flattened once per failure event (its
+    # run's start and its signature), not once per corrective step
+    flatten, on_error = agents._flatten_script, agents.PaladinPolicy.on_error
+    flattened, decisions, events = [], [], set()
+
+    def counting_flatten(*args, **kwargs):
+        flattened.append(args)
+        return flatten(*args, **kwargs)
+
+    def recording_on_error(self, context, error, *args):
+        start, _ = trace_view(context).failure_run
+        decisions.append(start)
+        events.add((agent, context.episode_id, start, error.kind, error.message))
+        return on_error(self, context, error, *args)
+
+    monkeypatch.setattr(agents, "_flatten_script", counting_flatten)
+    monkeypatch.setattr(agents.PaladinPolicy, "on_error", recording_on_error)
+    cards = generate_suite(tasks, SuiteSpec(n_episodes=200, master_seed=1337))
+    for agent in ("paladin", "critic"):
+        for card in cards:
+            run_card(card, agent, bank, 47)
+    assert len(flattened) == len(events) < len(decisions)
+    # no failure run of the desk suite changes its signature
+    assert len({event[:3] for event in events}) == len(events)
+
+
 def test_make_policy_rejects_unknown_agent():
     _, steps = make_registry()
     with pytest.raises(ConfigError):

@@ -473,6 +473,34 @@ def test_held_out_document_expands_to_exactly_the_kept_exemplars(bank, kinds):
         assert set(entry["pattern"]["messages"]) == set(entry["kinds"])
 
 
+def test_without_kinds_equals_the_bank_its_pruned_document_parses_to(bank):
+    # for every one and every two catalog kinds held out (what `gen-suite
+    # --hold-out` takes): the exemplars, in order and ids included, the version
+    # and the document are those of `parse_bank(held_out(...))`
+    kinds = sorted(CATALOG)
+    singles = [{kind} for kind in kinds]
+    pairs = [{a, b} for i, a in enumerate(kinds) for b in kinds[i + 1:]]
+    assert (len(singles), len(pairs)) == (15, 105)
+    for held in singles + pairs:
+        document = held_out(bank.document, held)
+        expected = parse_bank(document)
+        pruned = bank.without_kinds(held)
+        assert [ex.id for ex in pruned.exemplars] == [ex.id for ex in expected.exemplars]
+        assert pruned.exemplars == expected.exemplars
+        assert (pruned.version, pruned.document) == (expected.version, document)
+
+
+def test_without_kinds_names_the_classes_its_pruned_document_leaves_uncovered(bank):
+    held = {ex.pattern.kind for ex in bank.exemplars if ex.pattern.kind} - {"http_503"}
+    with pytest.raises(ConfigError) as parsed:
+        parse_bank(held_out(bank.document, held))
+    with pytest.raises(ConfigError) as pruned:
+        bank.without_kinds(held)
+    uncovered = str(parsed.value).removeprefix("bank does not cover ")
+    assert str(pruned.value) == f"holding out {', '.join(sorted(held))} empties {uncovered}"
+    assert uncovered.startswith("class(es): ") and uncovered.count(",") >= 1
+
+
 def test_action_json_roundtrip():
     actions = [
         {"action": "retry_with_backoff", "max_attempts": 4, "base_delay_ms": 250,

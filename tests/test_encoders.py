@@ -6,19 +6,31 @@ from __future__ import annotations
 
 import json
 import json.encoder
+import sys
+import threading
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import digit_limit
+from conftest import digit_limit, run_simple
 from faultharness import encoders
 from faultharness.encoders import (
     dumps_action_input,
     dumps_ascii,
     dumps_canonical,
     dumps_indented,
+    escape_string,
     loads,
+)
+from faultharness.episode import (
+    Abandoned,
+    Finished,
+    InjectionPlan,
+    Trajectory,
+    Turn,
+    _ROLES,
+    trajectory_to_line,
 )
 from faultharness.protocol import ToolCall, render_action
 from faultharness.simulator import canonical_call_key, wrap_response
@@ -144,3 +156,66 @@ def test_call_sites_match_json_dumps_with_their_options(doc, name, payload):
     assert render_action(ToolCall(name="t", arguments=doc)).endswith(
         "Action Input: " + json.dumps(doc, sort_keys=True, ensure_ascii=False)
     )
+
+
+# turn texts: the JSON escapes (quotes, backslashes, control characters), the
+# separators JSON leaves raw (U+2028, U+0085), astral characters and lone surrogates
+_turn_texts = _texts | st.sampled_from(
+    ['say "hi"', "C:\\dir\\", "\x00\x1f\x7f", "line\u2028sep\u2029", "\x85",
+     "\U0001f600 \U00010348", "\udfff", "\n\r\t\b\f"]
+)
+_terminals = st.sampled_from([None, Finished("done \u2028"), Abandoned('said "no"')])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(_turn_texts, min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_line_builder_gives_the_bytes_of_the_canonical_form(pool, data):
+    # one dict across the trajectories, as a run passes it, so that a text met
+    # again is taken from the dict rather than escaped
+    texts: dict[str, str] = {}
+    turn = st.builds(Turn, st.sampled_from(_ROLES), st.sampled_from(pool), st.integers(0, 10**6))
+    for index in range(data.draw(st.integers(1, 4))):
+        traj = Trajectory(
+            episode_id=data.draw(_turn_texts),
+            plan=InjectionPlan(seed=index),
+            turns=data.draw(st.lists(turn, max_size=8)),
+            terminal=data.draw(_terminals),
+        )
+        expected = dumps_canonical(traj.to_json())
+        assert trajectory_to_line(traj, texts) == expected
+        assert trajectory_to_line(traj) == expected
+    assert texts == {text: escape_string(text) for text in texts}
+
+
+def test_threads_sharing_one_texts_dict_build_the_canonical_lines(bank):
+    # `evaluate --jobs` builds lines on worker threads that share the run's dict;
+    # more threads than cores and a short switch interval make them interleave
+    trajectories = [
+        run_simple(agent, kind, plan_seed=seed, bank=bank)[0]
+        for agent in ("reflect", "paladin")
+        for kind in (None, "timeout", "http_400", "malformed_json")
+        for seed in range(3)
+    ]
+    expected = [dumps_canonical(traj.to_json()) for traj in trajectories]
+    texts: dict[str, str] = {}
+    results: dict[int, list[str]] = {}
+
+    def build(worker: int) -> None:
+        results[worker] = [trajectory_to_line(traj, texts) for traj in trajectories * 5]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {n: expected * 5 for n in range(8)}
+    assert texts == {text: escape_string(text) for text in texts}

@@ -307,3 +307,46 @@ def test_only_bank_spells_the_bank_form():
         name for name, source in sources.items()
         if {"exemplars", "kinds"} & string_literals(source)
     } == {"bank.py"}
+
+
+def process_wide_memos(source: str) -> list[int]:
+    """Lines that reach `functools.cache` or `functools.lru_cache`, by import or
+    as an attribute."""
+    memos = ("cache", "lru_cache")
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name in memos]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in memos
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_process_wide_memos_finds_every_form():
+    source = (
+        "import functools\n"
+        "from functools import cached_property, lru_cache as memo\n"
+        "from functools import cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(): pass\n"
+        "g = functools.cache(f)\n"
+        "h = self.cache\n"
+    )
+    assert process_wide_memos(source) == [2, 3, 4, 6]
+
+
+def test_no_module_keeps_a_process_wide_memo():
+    # a memo lives on what it is made for: a run, a tool, a bank or a policy.
+    # One that lives for the process outlasts its inputs and speeds only a
+    # second command in the same process, not a command run from the shell.
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if (lines := process_wide_memos(path.read_text(encoding="utf-8")))
+    }
+    assert not found, f"functools.cache or lru_cache (keep the memo on its owner): {found}"

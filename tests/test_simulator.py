@@ -13,7 +13,7 @@ from conftest import (
     run_simple,
     view_state,
 )
-from faultharness import agents, simulator
+from faultharness import agents, simulator, trace
 from faultharness.bank import RetryWithBackoff
 from faultharness.benchgen import SuiteSpec, generate_suite
 from faultharness.cli import run_card
@@ -34,10 +34,12 @@ from faultharness.errors import ConfigError
 from faultharness.pipeline import CorpusSpec, RuleBasedTeacher, build_corpus
 from faultharness.protocol import Finish, ProtocolViolation, RecoveryStep, ToolCall, render_action
 from faultharness.seeds import derive_seed, rng_for
+from faultharness.tasks import TaskStep
 from faultharness.simulator import (
     TURN_COST_MS,
     SimClock,
     SimConfig,
+    ToolRegistry,
     ToolSpec,
     advance_backoff,
     canonical_call_key,
@@ -423,6 +425,57 @@ def test_last_success_payload_skips_a_response_it_cannot_read_as_an_object():
     view = TraceView(turns).update()
     assert [sig for _, _, sig in view.responses] == [None] * 4  # each is a success
     assert view.last_success_payload() == {"a": 1}
+
+
+def test_a_run_reads_each_success_payload_as_its_line_read_back_decodes_it(
+    monkeypatch, tasks, bank
+):
+    # the simulator records the tool's parsed payload for each success turn, and
+    # a fork carries the records; a trace read back from its line has none and
+    # decodes them. Both give the same payload at every prefix, for every task,
+    # and the run's view decodes nothing.
+    decodes = []
+    json_object = trace.json_object
+    monkeypatch.setattr(trace, "json_object", lambda text: decodes.append(text) or json_object(text))
+    kinds = sorted(CATALOG)
+    for index, task in enumerate(tasks):
+        plans = {
+            "vanilla": InjectionPlan(seed=index),
+            "paladin": InjectionPlan(
+                seed=index, kind=kinds[index % len(kinds)], turn_index=1 + index % len(task.steps)
+            ),
+        }
+        for agent, plan in plans.items():
+            policy = agents.make_policy(agent, task.steps)
+            traj = run_episode(task.prompt, task.tools, policy, plan, bank=bank)
+            view = trace_view(traj)
+            successes = [i for i, _, sig in view.responses if sig is None]
+            assert sorted(view.payloads) == successes
+            assert successes or agent == "paladin"  # a clean run succeeds
+            read_back = trace_view(trajectory_from_line(trajectory_to_line(traj)))
+            assert not read_back.payloads
+            for n in range(2, len(traj.turns) + 1):
+                fork = view.fork(n)
+                assert fork.payloads == {i: p for i, p in view.payloads.items() if i < n}
+                recorded = fork.last_success_payload()
+                assert not decodes
+                assert recorded == read_back.fork(n).last_success_payload()
+                decodes.clear()
+
+
+def test_a_payload_that_is_not_a_json_object_falls_through_to_an_earlier_success():
+    first, second = {"q": "1"}, {"q": "2"}
+    tools = ToolRegistry((
+        ToolSpec("a", "", {}, {canonical_call_key("a", first): '{"answer":7}'}),
+        ToolSpec("b", "", {}, {canonical_call_key("b", second): "[1, 2]"}),
+    ))
+    steps = (TaskStep("a", first), TaskStep("b", second))
+    traj = run_episode("p", tools, agents.make_policy("vanilla", steps), InjectionPlan(seed=1))
+    view = trace_view(traj)
+    assert list(view.payloads.values()) == [{"answer": 7}, None]
+    assert traj.terminal == Finished("Task complete. Final result: answer=7.")
+    read_back = trace_view(trajectory_from_line(trajectory_to_line(traj)))
+    assert view.last_success_payload() == read_back.last_success_payload() == {"answer": 7}
 
 
 def test_trace_view_reads_only_appended_turns():
