@@ -5,7 +5,17 @@ Scripted policies are surrogates: they follow the task's intended call
 sequence and differ only in how they react to failures. All are pure
 functions of (trajectory so far, seed), so episodes replay byte-identically.
 Every fact about past turns, the latest error included, comes from the
-trajectory's `trace.TraceView`.
+trajectory's `trace.TraceView`, read once per decision: `decide` hands its
+view to `on_error`, to the current step and to the answer it synthesizes.
+
+What the suite's task table fixes is built once per run, not per decision. A
+task step's calls are built on the step (`tasks.TaskStep.call` and
+`start_call`), each with its call key and Action Input text, so a decision
+that makes one builds, renders and keys nothing; reflect and paladin reissue
+the step's bare call. The actions a policy takes of its own accord are module
+constants, and a bank's are loaded once, so each keeps its rendered line. A
+tool switch's call is made for its one decision and costs no more than its
+three fields (`protocol.ToolCall`).
 
 Each scripted policy is built with the evaluation seed, and only two draw from
 it. Vanilla's coin, on a decision after a failure, comes from
@@ -46,18 +56,13 @@ from .seeds import rng_for
 from .simulator import ToolRegistry, ToolSpec
 from .tasks import TaskStep
 from .taxonomy import ErrorSignature
-from .trace import trace_view
+from .trace import TraceView, trace_view
 
 if TYPE_CHECKING:
     from .remote import EndpointConfig
 
 
 # --- answers ---------------------------------------------------------------------
-
-
-def synthesize_answer(traj: Trajectory) -> str:
-    """Final answer quoting the last successful tool output's fields."""
-    return answer_quoting(trace_view(traj).last_success_payload())
 
 
 def answer_quoting(payload: dict) -> str:
@@ -83,34 +88,25 @@ class ScriptedPolicy:
 
     # -- plan following
 
-    def _next_step_call(self, n_done: int) -> ToolCall:
-        step = self._steps[n_done]
-        return ToolCall(
-            name=step.tool,
-            arguments=step.arguments,
-            thought=f"Proceeding with step {n_done + 1} of {len(self._steps)}: "
-            f"call {step.tool}.",
-        )
-
-    def _current_step(self, traj: Trajectory) -> TaskStep:
-        n_done = trace_view(traj).completed_steps
-        return self._steps[min(n_done, len(self._steps) - 1)]
+    def _current_step(self, view: TraceView) -> TaskStep:
+        return self._steps[min(view.completed_steps, len(self._steps) - 1)]
 
     def decide(
         self, context: Trajectory, tools: ToolRegistry, bank: ExemplarBank | None
     ) -> AgentAction:
         view = trace_view(context)
         if view.last_error is not None:
-            return self.on_error(context, view.last_error, tools, bank)
+            return self.on_error(context, view.last_error, tools, bank, view)
         n_done = view.completed_steps
         if n_done >= len(self._steps):
             return Finish(
-                answer=synthesize_answer(context),
+                answer=answer_quoting(view.last_success_payload()),
                 thought="All steps succeeded; reporting the retrieved data.",
             )
-        return self._next_step_call(n_done)
+        return self._steps[n_done].start_call(n_done, len(self._steps))
 
-    def on_error(self, context, error, tools, bank) -> AgentAction:
+    def on_error(self, context, error, tools, bank, view: TraceView) -> AgentAction:
+        """The action after a failure; `view` is `context`'s, read by `decide`."""
         raise NotImplementedError
 
 
@@ -122,8 +118,8 @@ class VanillaPolicy(ScriptedPolicy):
 
     hallucination_probability = 0.5
 
-    def on_error(self, context, error, tools, bank) -> AgentAction:
-        step = self._current_step(context)
+    def on_error(self, context, error, tools, bank, view) -> AgentAction:
+        step = self._current_step(view)
         # with probability 0 there is nothing to draw, and nothing is seeded
         p = self.hallucination_probability
         if p > 0 and rng_for(
@@ -155,15 +151,19 @@ class ToolBenchPolicy(VanillaPolicy):
 _BLIND_RETRY = RetryWithBackoff(
     max_attempts=1, base_delay_ms=0, cap_ms=0, respect_retry_after=False
 )
+# the actions the policies take on their own; each keeps its rendered JSON text
+_REFORMAT = ReformatArguments()
+_SWITCH = SwitchTool()
+_TERMINATE = TerminateGracefully()
 
 
 class ReflectPolicy(ScriptedPolicy):
     """Blind call-level self-correction: retry up to the budget, reformat on
     the final attempt, never switch tools, then give up."""
 
-    def on_error(self, context, error, tools, bank) -> AgentAction:
-        step = self._current_step(context)
-        _, run_length = trace_view(context).failure_run
+    def on_error(self, context, error, tools, bank, view) -> AgentAction:
+        step = self._current_step(view)
+        _, run_length = view.failure_run
         retries_done = run_length - 1
         if retries_done >= self._budget:
             return GiveUp(
@@ -173,20 +173,19 @@ class ReflectPolicy(ScriptedPolicy):
                 ),
                 thought="Retries exhausted; giving up.",
             )
-        call = ToolCall(name=step.tool, arguments=step.arguments)
         if retries_done + 1 == self._budget:
             return RecoveryStep(
-                action=ReformatArguments(),
+                action=_REFORMAT,
                 thought=(
                     f"The call to {step.tool} keeps failing; re-checking the "
                     "argument formatting and re-issuing the corrected call."
                 ),
-                call=call,
+                call=step.call,
             )
         return RecoveryStep(
             action=_BLIND_RETRY,
             thought=f"The call to {step.tool} failed; retrying the same call.",
-            call=call,
+            call=step.call,
         )
 
 
@@ -222,8 +221,8 @@ def _flatten_script(
             planned.append(action)
             reissues += 1
     if has_alternative and not switched:
-        planned.append(SwitchTool())
-    planned.append(TerminateGracefully())
+        planned.append(_SWITCH)
+    planned.append(_TERMINATE)
     return planned
 
 
@@ -279,7 +278,7 @@ def _execute_planned(
 # paladin with retrieval disabled: no exemplar knowledge, blind retry then stop
 _NO_RETRIEVAL_SCRIPT = (
     RetryWithBackoff(max_attempts=3, base_delay_ms=500, cap_ms=8000),
-    TerminateGracefully(),
+    _TERMINATE,
 )
 
 
@@ -300,26 +299,26 @@ class PaladinPolicy(ScriptedPolicy):
         super().__init__(steps, retry_budget, seed)
         self._last_plan: tuple[tuple | None, tuple] = (None, ())  # (key, plan) of the latest event
 
-    def on_error(self, context, error, tools, bank) -> AgentAction:
-        start, run_length = trace_view(context).failure_run
+    def on_error(self, context, error, tools, bank, view) -> AgentAction:
+        start, run_length = view.failure_run
         key = (context, tools, bank, start, error)
         last_key, plan = self._last_plan
         if key != last_key:
-            plan = self._plan(context, error, tools, bank)
+            plan = self._plan(view, error, tools, bank)
             self._last_plan = (key, plan)
         planned, failed_call, alternative = plan
         return _execute_planned(planned, run_length - 1, failed_call, error, alternative)
 
-    def _plan(self, context, error, tools, bank) -> tuple:
+    def _plan(self, view, error, tools, bank) -> tuple:
         """(planned script, failed call, its alternative) for one failure event."""
-        step = self._current_step(context)
+        step = self._current_step(view)
         alternative = tools.alternative_for(step.tool)
         planned = _flatten_script(
             self._script_for(error, bank),
             budget=self._budget,
             has_alternative=alternative is not None,
         )
-        return planned, ToolCall(name=step.tool, arguments=step.arguments), alternative
+        return planned, step.call, alternative
 
     def _script_for(
         self, error: ErrorSignature, bank: ExemplarBank | None
@@ -348,11 +347,11 @@ class CriticPolicy(ScriptedPolicy):
         # decision of one event reads the same gate
         self._last_gate: tuple[tuple[int, int] | None, bool] = (None, False)
 
-    def on_error(self, context, error, tools, bank) -> AgentAction:
-        event_turn, _ = trace_view(context).failure_run
+    def on_error(self, context, error, tools, bank, view) -> AgentAction:
+        event_turn, _ = view.failure_run
         if bank is not None and self._gate(context.plan.seed, event_turn):
-            return self._paladin.on_error(context, error, tools, bank)
-        return self._reflect.on_error(context, error, tools, None)
+            return self._paladin.on_error(context, error, tools, bank, view)
+        return self._reflect.on_error(context, error, tools, None, view)
 
     def _gate(self, plan_seed: int, event_turn: int) -> bool:
         """Oracle access for one failure event, drawn once per event."""

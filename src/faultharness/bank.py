@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .encoders import loads
+from .encoders import dumps_canonical, loads
 from .errors import ConfigError
 from .taxonomy import (
     DATA_DIR,
@@ -71,8 +71,20 @@ def _require(action, kind: type, *names: str) -> None:
             )
 
 
+class _Action:
+    """Base of the eight recovery actions."""
+
+    @cached_property
+    def text(self) -> str:
+        """The compact JSON of `action_to_json(self)`, as a `Recovery:` line
+        states this action; worked out at its first rendering and kept. A bank
+        loads each script step as one object that its exemplars share, and the
+        policies' own actions are module constants, so each is dumped once."""
+        return dumps_canonical(action_to_json(self))
+
+
 @dataclass(frozen=True)
-class RetryWithBackoff:
+class RetryWithBackoff(_Action):
     max_attempts: int = 3
     base_delay_ms: int = 500
     cap_ms: int = 8000
@@ -93,27 +105,27 @@ class RetryWithBackoff:
 
 
 @dataclass(frozen=True)
-class ReformatArguments:
+class ReformatArguments(_Action):
     pass
 
 
 @dataclass(frozen=True)
-class SwitchTool:
+class SwitchTool(_Action):
     pass
 
 
 @dataclass(frozen=True)
-class RefreshCredentials:
+class RefreshCredentials(_Action):
     pass
 
 
 @dataclass(frozen=True)
-class ValidateAndReissue:
+class ValidateAndReissue(_Action):
     pass
 
 
 @dataclass(frozen=True)
-class LenientParse:
+class LenientParse(_Action):
     pass
 
 
@@ -121,7 +133,7 @@ _DEFAULT_REPORT = "Could not complete the step using {tool}: {error}"
 
 
 @dataclass(frozen=True)
-class TerminateGracefully:
+class TerminateGracefully(_Action):
     report: str = _DEFAULT_REPORT
 
     def __post_init__(self):
@@ -140,7 +152,7 @@ class TerminateGracefully:
 
 
 @dataclass(frozen=True)
-class WaitUntilHealthy:
+class WaitUntilHealthy(_Action):
     poll_interval_ms: int = 500
 
     def __post_init__(self):

@@ -21,6 +21,15 @@ turn, an action line outside the vocabulary, and a step whose turn
 contradicts its action are refused as malformed. `parse_action` inverts
 `render_action` for every action whose thought and tool name hold no line
 break and no surrounding whitespace.
+
+A task step's call is made on many decisions of a run, so it is built once
+per step (`tasks.TaskStep`), `prepared` with its call key and Action Input
+text, and `render_action` writes a prepared call's text as it is. A recovery
+action keeps the JSON text of its line from its first rendering (the bank
+actions' `text`); a bank's scripts and the policies' constant actions are
+shared, so each is dumped once per run. A call or action made for one
+decision (a parsed turn, a remote model's, a tool switch) pays nothing for
+this: its texts are dumped where they are used, by the same functions.
 """
 
 from __future__ import annotations
@@ -28,13 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bank import (
-    _ACTION_TAGS,
-    RecoveryAction,
-    TerminateGracefully,
-    action_from_json,
-    action_to_json,
-)
+from .bank import _ACTION_TAGS, RecoveryAction, TerminateGracefully, action_from_json
 from .encoders import dumps_action_input, dumps_canonical, loads
 from .episode import RECOVERY_PREFIX
 from .errors import AgentProtocolError
@@ -54,11 +57,35 @@ GRAMMAR = (
 )
 
 
+def canonical_call_key(name: str, arguments: dict) -> str:
+    """Tool name + sorted, whitespace-normalized argument JSON."""
+    return f"{name}({dumps_canonical(arguments)})"
+
+
 @dataclass(frozen=True)
 class ToolCall:
+    """One tool call. A `prepared` call keeps its call key and Action Input
+    text; any other call reads None for both from the class."""
+
     name: str
     arguments: dict
     thought: str = ""
+
+    # not dataclass fields: equality, repr and the constructor ignore them
+    key = None  # `canonical_call_key(name, arguments)` of a prepared call
+    input_text = None  # `dumps_action_input(arguments)` of a prepared call
+
+    def prepared(self, thought: str = "") -> ToolCall:
+        """This call with `thought`, carrying its call key and Action Input
+        text: this call's own when it is prepared, else worked out here."""
+        call = ToolCall(self.name, self.arguments, thought)
+        key, text = self.key, self.input_text
+        if key is None:
+            key = canonical_call_key(self.name, self.arguments)
+            text = dumps_action_input(self.arguments)
+        object.__setattr__(call, "key", key)
+        object.__setattr__(call, "input_text", text)
+        return call
 
 
 @dataclass(frozen=True)
@@ -116,26 +143,33 @@ def call_of(action: AgentAction) -> ToolCall | None:
     return None
 
 
-def _render_turn(thought: str, name: str, arguments: dict) -> str:
-    return f"Thought: {thought}\nAction: {name}\nAction Input: {dumps_action_input(arguments)}"
+def _render_turn(thought: str, name: str, input_text: str) -> str:
+    return f"Thought: {thought}\nAction: {name}\nAction Input: {input_text}"
+
+
+def _render_call(thought: str, call: ToolCall) -> str:
+    text = call.input_text
+    if text is None:  # a call that was not prepared
+        text = dumps_action_input(call.arguments)
+    return _render_turn(thought, call.name, text)
 
 
 def render_action(action: ToolCall | Finish | GiveUp | RecoveryStep) -> str:
     """Serialize an agent action to assistant-turn text."""
     if isinstance(action, ToolCall):
-        return _render_turn(action.thought, action.name, action.arguments)
+        return _render_call(action.thought, action)
     if isinstance(action, Finish):
         payload = {"return_type": GIVE_ANSWER, "final_answer": action.answer}
-        return _render_turn(action.thought, FINISH_ACTION, payload)
+        return _render_turn(action.thought, FINISH_ACTION, dumps_action_input(payload))
     if isinstance(action, GiveUp):
         payload = {"return_type": GIVE_UP, "report": action.report}
-        return _render_turn(action.thought, FINISH_ACTION, payload)
+        return _render_turn(action.thought, FINISH_ACTION, dumps_action_input(payload))
     if isinstance(action, RecoveryStep):
         if action.call is not None:
-            inner = _render_turn(action.thought, action.call.name, action.call.arguments)
+            inner = _render_call(action.thought, action.call)
         else:
             inner = render_action(GiveUp(report=action.report, thought=action.thought))
-        return f"{RECOVERY_PREFIX} {dumps_canonical(action_to_json(action.action))}\n{inner}"
+        return f"{RECOVERY_PREFIX} {action.action.text}\n{inner}"
     raise TypeError(f"unknown action {action!r}")
 
 

@@ -29,11 +29,15 @@ a kind alone fixes at import (`taxonomy.PAYLOAD_SIGNATURES`).
 
 Every compact JSON text (call keys, wrappers, error bodies) comes from a form
 of `encoders`, each one C encoder built once at import, not from a
-`json.dumps` call or a new encoder per text.
+`json.dumps` call or a new encoder per text. A task step's call arrives with
+its key, worked out once per step (`protocol.ToolCall.prepared`); any other
+call's key is worked out here, by the same `canonical_call_key`.
 
 A fault's persistence and Retry-After are drawn in one place, `fault_life(plan)`,
 when the fault is first reissued; a fault no call reissues draws neither. A
-backoff seed is derived only for a wait that draws jitter (`draws_jitter`).
+fault's render seed is derived only for a MalformedOutput kind, the one
+manifestation whose text reads it, and a backoff seed only for a wait that
+draws jitter (`draws_jitter`).
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from .protocol import (
     ProtocolViolation,
     RecoveryStep,
     ToolCall,
+    canonical_call_key,
     render_action,
 )
 from .seeds import derive_seed, rng_for
@@ -95,11 +100,6 @@ PROTOCOL_ERROR_BODY = (
 
 
 # --- tools ---------------------------------------------------------------------
-
-
-def canonical_call_key(name: str, arguments: dict) -> str:
-    """Tool name + sorted, whitespace-normalized argument JSON."""
-    return f"{name}({dumps_canonical(arguments)})"
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,9 @@ def fault_life(plan: InjectionPlan) -> tuple[int, int | None]:
 def _make_fault(plan: InjectionPlan, call_key: str, tool: ToolSpec) -> _ActiveFault:
     """The fault `plan` injects on the call its `turn_index` counts to."""
     kind = CATALOG[plan.kind]
-    seed = derive_seed(plan.seed, plan.turn_index)
+    seed = 0  # derived only for the one manifestation whose render reads it
+    if kind.manifestation is Manifestation.MALFORMED_OUTPUT:
+        seed = derive_seed(plan.seed, plan.turn_index)
     return _ActiveFault(plan, kind, call_key, *render_failure(kind, tool, seed))
 
 
@@ -498,7 +500,9 @@ def run_episode(
             traj.terminal = Abandoned(reason=f"unsupported agent action {type(action).__name__}")
             break
 
-        key = canonical_call_key(call.name, call.arguments)
+        key = call.key
+        if key is None:  # a call that was not prepared: remote, parsed or a switch
+            key = canonical_call_key(call.name, call.arguments)
         if key == last_failed_key and consecutive_retries >= config.retry_budget_per_error:
             traj.terminal = Abandoned(
                 reason=f"retry budget exhausted for call {key}"

@@ -3,29 +3,56 @@ scripted responses.
 
 Every step tool ships with a same-capability backup tool (identical scripted
 data) so tool-switch recovery is exercisable on any step.
+
+A task step's calls are built once per run, on the step: the cards of a task
+share its template, and so its steps, and a scripted policy makes a step's
+call on many decisions. Each is a prepared `protocol.ToolCall`, which keeps
+its call key and Action Input text, so the simulator and the renderer dump
+neither again. A call made for one decision is not prepared, and pays nothing
+for it: a `protocol.ToolCall` keeps the two texts outside its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .encoders import dumps_ascii
 from .errors import ConfigError
-from .simulator import ToolRegistry, ToolSpec, canonical_call_key
+from .protocol import ToolCall, canonical_call_key
+from .simulator import ToolRegistry, ToolSpec
 from .taxonomy import json_object
 
 
 @dataclass(frozen=True)
 class TaskStep:
+    """One step of a task: the tool it calls and the call's arguments. Its
+    calls are built at first use and kept, and share one call key and Action
+    Input text."""
+
     tool: str
     arguments: dict
+    # (index, number of steps) -> the call that begins the step there
+    _starts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if type(self.tool) is not str or type(self.arguments) is not dict:
             raise ConfigError(
                 f"a step needs a string tool and object arguments, not {self.to_json()!r}"
             )
+
+    @cached_property
+    def call(self) -> ToolCall:
+        """The step's call with no thought, which reflect and paladin reissue."""
+        return ToolCall(self.tool, self.arguments).prepared()
+
+    def start_call(self, index: int, n_steps: int) -> ToolCall:
+        """The call that begins this step as step `index` (from 0) of `n_steps`."""
+        call = self._starts.get((index, n_steps))
+        if call is None:
+            thought = f"Proceeding with step {index + 1} of {n_steps}: call {self.tool}."
+            call = self._starts[index, n_steps] = self.call.prepared(thought)
+        return call
 
     def to_json(self) -> dict:
         return {"tool": self.tool, "arguments": self.arguments}
@@ -69,9 +96,7 @@ class TaskTemplate:
     def final_payload(self) -> dict:
         """The JSON object the last step's scripted response holds; {} for none."""
         step = self.steps[-1]
-        text = self.tools.get(step.tool).scripted_responses.get(
-            canonical_call_key(step.tool, step.arguments)
-        )
+        text = self.tools.get(step.tool).scripted_responses.get(step.call.key)
         return {} if text is None else json_object(text) or {}
 
     def to_json(self) -> dict:

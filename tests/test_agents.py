@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from conftest import make_registry, run_simple
-from faultharness import agents
+from faultharness import agents, protocol, simulator
 from faultharness.agents import RemoteChatPolicy, make_policy, oracle_gate
 from faultharness.bank import ExemplarBank, RecoveryExemplar, SignaturePattern, ValidateAndReissue
-from faultharness.benchgen import SuiteSpec, generalization_split, generate_suite
+from faultharness.benchgen import (
+    SuiteSpec,
+    generalization_split,
+    generate_suite,
+    suite_from_lines,
+    suite_to_lines,
+)
 from faultharness.cli import run_card
 from faultharness.episode import (
     Abandoned,
@@ -22,6 +29,7 @@ from faultharness.errors import ConfigError
 from faultharness.protocol import ProtocolViolation, RecoveryStep, ToolCall, call_of, parse_action
 from faultharness.remote import EndpointConfig
 from faultharness.simulator import SimConfig, run_episode
+from faultharness.tasks import builtin_task_pool
 from faultharness.taxonomy import CATALOG
 from faultharness.trace import trace_view
 
@@ -283,6 +291,76 @@ def test_paladin_and_critic_plan_once_per_failure_event(monkeypatch, tasks, bank
     assert len(flattened) == len(events) < len(decisions)
     # no failure run of the desk suite changes its signature
     assert len({event[:3] for event in events}) == len(events)
+
+
+SCRIPTED_AGENTS = ("vanilla", "toolbench", "reflect", "critic", "paladin")
+
+
+def test_a_scripted_decision_reads_the_trace_view_once(monkeypatch, tasks, bank):
+    # decide reads its trajectory's view and hands it to on_error, the current
+    # step and the answer it synthesizes; none of them reads it again
+    reads, most = [0], {}
+    view_of, decide = agents.trace_view, agents.ScriptedPolicy.decide
+
+    def counting_view(traj):
+        reads[0] += 1
+        return view_of(traj)
+
+    def counting_decide(self, *args):
+        before = reads[0]
+        action = decide(self, *args)
+        most[agent] = max(most.get(agent, 0), reads[0] - before)
+        return action
+
+    monkeypatch.setattr(agents, "trace_view", counting_view)
+    monkeypatch.setattr(agents.ScriptedPolicy, "decide", counting_decide)
+    cards = generate_suite(tasks, SuiteSpec(n_episodes=200, master_seed=1337))
+    for agent in SCRIPTED_AGENTS:
+        for card in cards:
+            run_card(card, agent, bank, 42)
+    assert most == dict.fromkeys(SCRIPTED_AGENTS, 1)
+
+
+def test_a_run_dumps_a_task_steps_call_texts_once_per_step(monkeypatch, bank):
+    # over one desk evaluate (its suite read back, so its steps are new), the
+    # Action Input and the call key of a task step's arguments are each dumped
+    # at most once per step; only a tool switch, a call made for one decision,
+    # dumps them again
+    lines = suite_to_lines(
+        generate_suite(builtin_task_pool(), SuiteSpec(n_episodes=200, master_seed=1337))
+    )
+    dumped = Counter()
+
+    def counting(form, dumps):
+        def wrapper(obj):
+            dumped[form, id(obj)] += 1
+            return dumps(obj)
+        return wrapper
+
+    monkeypatch.setattr(
+        protocol, "dumps_action_input", counting("input", protocol.dumps_action_input)
+    )
+    for module in (protocol, simulator):  # every call key goes through one of them
+        monkeypatch.setattr(module, "dumps_canonical", counting("key", module.dumps_canonical))
+    for agent in SCRIPTED_AGENTS:
+        cards = suite_from_lines(lines)
+        steps = {id(step.arguments): step for card in cards for step in card.steps}
+        dumped.clear()
+        switches = Counter()
+        for card in cards:
+            view = trace_view(run_card(card, agent, bank, 42))
+            for call in view.calls.values():
+                step = steps.get(id(call.arguments)) if call else None
+                if step is not None and call.name != step.tool:
+                    switches[id(call.arguments)] += 1
+        for form in ("input", "key"):
+            extra = {
+                (step.tool, form): n
+                for args, step in steps.items()
+                if (n := dumped[form, args] - switches[args]) > 1
+            }
+            assert not extra, (agent, extra)
+        assert sum(dumped[key] for key in dumped if key[1] in steps) > 0
 
 
 def test_make_policy_rejects_unknown_agent():

@@ -15,7 +15,7 @@ from faultharness.episode import (
     Turn,
     trajectory_to_line,
 )
-from faultharness.agents import make_policy, synthesize_answer
+from faultharness.agents import answer_quoting, make_policy
 from faultharness.bank import (
     ReformatArguments,
     SwitchTool,
@@ -234,7 +234,8 @@ def _assert_answers_as_the_extended_trace(request, bank):
         assert len(turns) == 1  # a graceful stop makes no call and gives no answer
         return None
     assert len(turns) == 3
-    assert finish.answer == synthesize_answer(_extend(request.truncated_trace, turns[:2]))
+    extended = trace_view(_extend(request.truncated_trace, turns[:2]))
+    assert finish.answer == answer_quoting(extended.last_success_payload())
     return finish.answer
 
 

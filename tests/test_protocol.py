@@ -13,13 +13,17 @@ from faultharness.bank import (
     TerminateGracefully,
     ValidateAndReissue,
     WaitUntilHealthy,
+    action_to_json,
+    load_shipped_bank,
 )
+from faultharness.encoders import INT_TEXT_MAX, dumps_action_input, dumps_canonical
 from faultharness.errors import AgentProtocolError
 from faultharness.protocol import (
     Finish,
     GiveUp,
     RecoveryStep,
     ToolCall,
+    canonical_call_key,
     parse_action,
     render_action,
 )
@@ -235,3 +239,55 @@ def test_parse_paper_shaped_listing_turn():
             name="user_medias_for_instagram_cheapest", arguments={"user_id": "113294420064920"}
         ),
     )
+
+
+# JSON values as arguments hold them: non-ASCII text, nested objects and lists,
+# and integers of more digits than `INT_TEXT_MAX`
+_LONG_INTS = st.integers(min_value=10**INT_TEXT_MAX, max_value=10 ** (INT_TEXT_MAX + 60))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _LONG_INTS
+    | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.text(),
+    arguments=st.dictionaries(st.text(), _JSON_VALUES, max_size=4),
+    thought=st.text(),
+)
+def test_a_prepared_call_carries_the_texts_its_arguments_dump_to(name, arguments, thought):
+    # a prepared call's key and Action Input text are the ones a fresh call's
+    # are dumped to, and a call prepared from it keeps them; neither is a field
+    fresh = ToolCall(name, arguments, thought)
+    assert fresh.key is None and fresh.input_text is None
+    bare = ToolCall(name, arguments).prepared()
+    started = bare.prepared(thought)
+    for call in (bare, started):
+        assert call.key == canonical_call_key(name, arguments)
+        assert call.input_text == dumps_action_input(arguments)
+        assert call == ToolCall(name, arguments, call.thought)
+        assert repr(call) == repr(ToolCall(name, arguments, call.thought))
+    assert started.key is bare.key and started.input_text is bare.input_text
+    assert render_action(started) == render_action(fresh)
+    step = RecoveryStep(action=ReformatArguments(), thought=thought, call=bare)
+    assert render_action(step) == render_action(
+        RecoveryStep(action=ReformatArguments(), thought=thought, call=ToolCall(name, arguments))
+    )
+
+
+def test_a_recovery_action_states_its_line_from_the_text_it_keeps():
+    # every action of the shipped bank's scripts states the compact JSON of
+    # action_to_json, worked out once for the object and then read back
+    for exemplar in load_shipped_bank().exemplars:
+        for action in exemplar.script:
+            assert action.text == dumps_canonical(action_to_json(action))
+            assert action.text is action.text
+            if isinstance(action, TerminateGracefully):
+                step = RecoveryStep(action=action, thought="stop", report="r")
+            else:
+                step = RecoveryStep(action=action, thought="t", call=ToolCall("x", {}))
+            assert render_action(step).startswith(f"Recovery: {action.text}\n")
+            assert parse_action(render_action(step)) == step

@@ -48,7 +48,7 @@ from faultharness.simulator import (
     run_episode,
     wrap_response,
 )
-from faultharness.taxonomy import CATALOG, classify_raw_failure, detect_failure
+from faultharness.taxonomy import CATALOG, Manifestation, classify_raw_failure, detect_failure
 from faultharness.trace import TraceView, trace_prefix, trace_view
 
 
@@ -129,6 +129,28 @@ def policy(respect=False, base=500, cap=8000):
     return RetryWithBackoff(
         max_attempts=3, base_delay_ms=base, cap_ms=cap, respect_retry_after=respect
     )
+
+
+def test_a_fault_derives_a_seed_only_for_the_manifestation_that_reads_one(monkeypatch):
+    # one fault of each manifestation: only a MalformedOutput render reads its
+    # seed, so only its fault derives one, and every text is the one the
+    # derived seed renders
+    derived = []
+
+    def counting(*parts):
+        derived.append(parts)
+        return derive_seed(*parts)
+
+    monkeypatch.setattr(simulator, "derive_seed", counting)
+    tool = tool_for_render()
+    for manifestation in Manifestation:
+        kind = next(k for k in CATALOG.values() if k.manifestation is manifestation)
+        plan = InjectionPlan(seed=5, kind=kind.identifier, turn_index=2)
+        derived.clear()
+        fault = simulator._make_fault(plan, "lookup({})", tool)
+        malformed = manifestation is Manifestation.MALFORMED_OUTPUT
+        assert derived == ([(5, 2)] if malformed else []), manifestation
+        assert (fault.rendered, fault.signature) == render_failure(kind, tool, derive_seed(5, 2))
 
 
 def test_backoff_first_attempt_within_base():
